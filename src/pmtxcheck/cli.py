@@ -15,7 +15,7 @@ import time
 from . import explorer, refspec, traces
 from .fixtures import fig4_suite
 from .histories import check_wellformed, events_of_records
-from .opacity import check_history_ddo, diagnose_execution
+from .opacity import check_history_ddo, check_opacity_execution
 
 
 def _add_bounds(p):
@@ -137,7 +137,7 @@ def cmd_opacity(args):
         t0 = time.monotonic()
         ok = True
         for fx in fig4_suite():
-            verdict, axiom = diagnose_execution(fx.graph)
+            verdict, axiom = check_opacity_execution(fx.graph)
             mark = "ok" if verdict else "not opaque (%s)" % axiom
             expected = (verdict == fx.expect_opaque
                         and axiom == fx.expect_axiom)

@@ -12,15 +12,19 @@ modification order over writes and allocations.  The axioms checked:
   form an acyclic relation on transactions.
 
 Dynamic opacity additionally requires every visible write to be mo-preceded
-by a visible allocation of its location.  History-level checks search for a
-witness (rf, mo) for every prefix; the durable variants first erase crash
-markers.  Allocations count as writes of 0 for rf and mo purposes.
+by a visible allocation of its location.  History-level checks need a
+witness (rf, mo) for every prefix: each prefix first extends the witness of
+the one before it (revalidate it, insert the new write or allocation into
+mo, or pick the new read's source) and only when that fails runs the
+complete search ``find_witness`` (every rf choice times every po-respecting
+mo order).  Durable opacity first erases crash markers.  Allocations count
+as writes of 0 for rf and mo purposes.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .histories import (CRASH, client_order, strip_crash_markers,
                         txn_statuses, wf_violations)
@@ -212,111 +216,100 @@ class Witness(NamedTuple):
     mo: dict
 
 
-def _rf_candidates(events):
-    """Per read: same-location writes (value match) and allocs (value 0)."""
-    cands = []
-    for e in events:
-        if e.kind != "R":
-            continue
-        opts = [w.eid for w in events
-                if (w.kind == "W" and w.loc == e.loc and w.val == e.val)
-                or (w.kind == "M" and w.loc == e.loc and e.val == 0)]
-        cands.append((e.eid, opts))
-    return cands
+def _sources(events, r):
+    """Reads-from candidates of read `r`: same-location writes of its value
+    and, when it read 0, same-location allocations."""
+    return [w.eid for w in events if w.loc == r.loc
+            and ((w.kind == "W" and w.val == r.val)
+                 or (w.kind == "M" and r.val == 0))]
 
 
 def _mo_orders(events, loc_events, po_idx):
     """Candidate per-location orders: permutations respecting intra-txn po.
-    Event order is tried first (it is the natural witness)."""
-    base = tuple(loc_events)
-    seen = set()
-    orders = []
-    for perm in permutations(base):
-        ok = True
-        for i, a in enumerate(perm):
-            for b in perm[i + 1:]:
-                if (events[a].txid == events[b].txid
-                        and not _po_before(po_idx, a, b)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and perm not in seen:
-            seen.add(perm)
-            orders.append(perm)
-    orders.sort(key=lambda p: p != base)
-    return orders
+    ``permutations`` yields event order (the natural witness) first."""
+    return [perm for perm in permutations(loc_events)
+            if all(events[a].txid != events[b].txid
+                   or _po_before(po_idx, a, b)
+                   for i, a in enumerate(perm) for b in perm[i + 1:])]
 
 
-def find_witness(events, dynamic=True, clo=None):
+def find_witness(events, dynamic=True):
     """Search rf and mo making the (markerless) history opaque; None if no
     witness exists.  Candidate mo orders are filtered per location, then
     combined with a global acyclicity check."""
-    if clo is None:
-        clo = client_order(events)
-    po = {}
-    for e in events:
-        po.setdefault(e.tid, []).append(e.eid)
-    po = {t: tuple(v) for t, v in po.items()}
-    po_idx = {}
-    for tid, eids in po.items():
-        for i, eid in enumerate(eids):
-            po_idx[eid] = (tid, i)
-
-    cands = _rf_candidates(events)
-    for _eid, opts in cands:
-        if not opts:
-            return None
-
-    locs = sorted({e.loc for e in events if e.kind in ("W", "M")})
-    loc_events = {l: [e.eid for e in events
-                      if e.kind in ("W", "M") and e.loc == l] for l in locs}
-    per_loc = {l: _mo_orders(events, loc_events[l], po_idx) for l in locs}
-    if any(not v for v in per_loc.values()):
+    g0 = graph_from_events(events, {}, {})
+    po_idx = _po_index(g0)
+    cands = [(e.eid, _sources(events, e)) for e in events if e.kind == "R"]
+    if not all(opts for _eid, opts in cands):
         return None
 
-    read_ids = [c[0] for c in cands]
+    locs = sorted({e.loc for e in events if e.kind in ("W", "M")})
+    per_loc = [_mo_orders(events, [e.eid for e in events
+                                   if e.kind in ("W", "M") and e.loc == l],
+                          po_idx) for l in locs]
+    if not all(per_loc):
+        return None
+
+    check = (check_dynamic_opacity_execution if dynamic
+             else check_opacity_execution)
+    read_ids = [eid for eid, _opts in cands]
     for rf_choice in product(*[opts for _eid, opts in cands]):
         rf = dict(zip(read_ids, rf_choice))
-        g0 = Graph(tuple(events), po, rf, {}, clo)
-        vis = visible_txns(g0)
-        bad = False
-        for r, w in rf.items():
-            wtx = events[w].txid
-            if wtx != events[r].txid and wtx not in vis:
-                bad = True
-                break
-            if wtx == events[r].txid and not _po_before(po_idx, w, r):
-                bad = True
-                break
-        if bad:
+        vis = visible_txns(g0._replace(rf=rf))
+        if not all(_po_before(po_idx, w, r)
+                   if events[w].txid == events[r].txid
+                   else events[w].txid in vis for r, w in rf.items()):
             continue
-        for mo_choice in product(*[per_loc[l] for l in locs]):
-            mo = {l: mo_choice[i] for i, l in enumerate(locs)}
-            g = Graph(tuple(events), po, rf, mo, clo)
-            check = (check_dynamic_opacity_execution if dynamic
-                     else check_opacity_execution)
-            ok, _why = check(g)
-            if ok:
+        for mo_choice in product(*per_loc):
+            mo = dict(zip(locs, mo_choice))
+            if check(g0._replace(rf=rf, mo=mo))[0]:
                 return Witness(rf, mo)
+    return None
+
+
+def _extend(events, w, check):
+    """Extend `w`, a witness of events[:-1], to one of `events`, or None.
+    A status event only revalidates `w`; a write or allocation tries every
+    insertion point in its location's mo, last first; a read tries every
+    source."""
+    e = events[-1]
+    if e.kind in ("W", "M"):
+        seq = w.mo.get(e.loc, ())
+        cands = (Witness(w.rf, {**w.mo, e.loc: seq[:i] + (e.eid,) + seq[i:]})
+                 for i in range(len(seq), -1, -1))
+    elif e.kind == "R":
+        cands = (Witness({**w.rf, e.eid: src}, w.mo)
+                 for src in _sources(events, e))
+    else:
+        cands = (w,)
+    g = graph_from_events(events, {}, {})
+    for c in cands:
+        if check(g._replace(rf=c.rf, mo=c.mo))[0]:
+            return c
     return None
 
 
 def history_opaque(events, dynamic=True):
     """Prefix-closed history opacity: every prefix must admit a witness.
 
-    Input must be crash-marker free.  Returns (ok, failing_prefix_len,
-    witnesses) where witnesses maps prefix length -> Witness.
+    Each prefix first tries to extend the previous prefix's witness and
+    runs the complete search ``find_witness`` only when no extension works,
+    so every prefix gets the verdict of a search from scratch.  Input must
+    be crash-marker free.  Returns (ok, failing_prefix_len, witnesses)
+    where witnesses maps prefix length -> Witness.
     """
     if any(e.kind == CRASH for e in events):
         raise ValueError("history_opaque expects a crashless history")
     bad = wf_violations(events)
     if bad:
         raise ValueError("ill-formed history: %s" % ", ".join(bad))
-    witnesses = {}
-    for n in range(len(events) + 1):
+    check = (check_dynamic_opacity_execution if dynamic
+             else check_opacity_execution)
+    w = Witness({}, {})              # the empty history's only witness
+    witnesses = {0: w}
+    for n in range(1, len(events) + 1):
         prefix = events[:n]
-        w = find_witness(prefix, dynamic=dynamic)
+        w = _extend(prefix, w, check) or find_witness(prefix, dynamic)
         if w is None:
             return False, n, witnesses
         witnesses[n] = w
@@ -328,84 +321,3 @@ def check_history_ddo(events):
     require a dynamic-opacity witness for every prefix."""
     stripped = strip_crash_markers(events)
     return history_opaque(stripped, dynamic=True)
-
-
-def check_history_durable_opacity(events):
-    """Durable (non-dynamic) opacity: crash erasure plus plain opacity."""
-    stripped = strip_crash_markers(events)
-    return history_opaque(stripped, dynamic=False)
-
-
-def diagnose_execution(g, dynamic=False):
-    """Convenience: verdict plus violated-axiom label for reporting."""
-    if dynamic:
-        return check_dynamic_opacity_execution(g)
-    return check_opacity_execution(g)
-
-
-class BatchDdoChecker:
-    """Dynamic-durable-opacity over many histories with shared prefixes.
-
-    Prefix verdicts and witnesses are memoized on the event tuple; a new
-    event first tries to extend the parent prefix's witness (append the
-    write/alloc into its location's order, pick a reads-from source, or
-    just revalidate on status changes) and only falls back to the full
-    existential search when extension fails.
-    """
-
-    def __init__(self):
-        self.memo = {(): (True, Witness({}, {}))}
-
-    def check_records(self, records):
-        from .histories import events_of_records
-        return self.check_events(strip_crash_markers(
-            events_of_records(records)))
-
-    def check_events(self, events):
-        for n in range(1, len(events) + 1):
-            key = tuple(events[:n])
-            hit = self.memo.get(key)
-            if hit is None:
-                hit = self._judge(key)
-                self.memo[key] = hit
-            if not hit[0]:
-                return False
-        return True
-
-    def _judge(self, events):
-        parent = self.memo.get(events[:-1])
-        if parent is not None and parent[0]:
-            w = self._extend(events, parent[1])
-            if w is not None:
-                return True, w
-        w = find_witness(list(events), dynamic=True)
-        return (w is not None), w
-
-    def _extend(self, events, pw):
-        e = events[-1]
-        if e.kind in ("B", "C", "S", "A"):
-            if self._valid(events, pw.rf, pw.mo):
-                return pw
-            return None
-        if e.kind in ("W", "M"):
-            seq = list(pw.mo.get(e.loc, ()))
-            for i in range(len(seq), -1, -1):
-                mo2 = dict(pw.mo)
-                mo2[e.loc] = tuple(seq[:i] + [e.eid] + seq[i:])
-                if self._valid(events, pw.rf, mo2):
-                    return Witness(pw.rf, mo2)
-            return None
-        # read: pick a source
-        for w in events:
-            if ((w.kind == "W" and w.loc == e.loc and w.val == e.val)
-                    or (w.kind == "M" and w.loc == e.loc and e.val == 0)):
-                rf2 = dict(pw.rf)
-                rf2[e.eid] = w.eid
-                if self._valid(events, rf2, pw.mo):
-                    return Witness(rf2, pw.mo)
-        return None
-
-    def _valid(self, events, rf, mo):
-        g = graph_from_events(events, rf, mo)
-        ok, _why = check_dynamic_opacity_execution(g)
-        return ok

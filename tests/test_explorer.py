@@ -1,12 +1,14 @@
-"""Explorer: dedup modes, reductions, mutations, directed reproduction."""
+"""Explorer: dedup modes, reductions, mutations, state-count pins and the
+lower-bound check over serial schedules."""
 
 import pytest
 
+from pmtxcheck import cli
 from pmtxcheck.explorer import (BudgetExceeded, Config, check_lower,
                                 check_upper, explore, mutation_check_config,
-                                reproduce, run_intro_cases,
-                                skip_validate_config)
+                                run_intro_cases, skip_validate_config)
 from pmtxcheck.pmdk import MUTATIONS
+from pmtxcheck.refspec import sequential_histories
 
 
 def hist_set(cfg, **kw):
@@ -80,6 +82,19 @@ def test_frontier_and_history_dedup_agree_on_verdict():
         assert bool(rh.violations) == bool(rf.violations) == mutate
 
 
+@pytest.mark.parametrize("impl,crashes,ops,dedup,counts", [
+    ("pmdk-seq", 1, 2, "frontier", (20_719, 21_137, 530)),
+    ("pmdk-tml", 0, 1, "history", (32_259, 36_587, 1_720)),
+])
+def test_state_counts_pinned(impl, crashes, ops, dedup, counts):
+    # exact (states, transitions, histories): a change to the search that
+    # moves them on purpose updates the pins and says why in CHANGES.md
+    r = explore(Config(impl, "psc", txns=2, locs=1, max_crashes=crashes,
+                       ops=ops, por=True), dedup=dedup)
+    assert (r.states, r.transitions, len(r.complete | r.cut)) == counts
+    assert not r.violations
+
+
 def test_fault_ends_trace():
     cfg = Config("pmdk-seq", "psc", txns=1, locs=1, vals=1, buf=2, ops=1,
                  por=True, scripts=(((("read", 0),), 0),))
@@ -101,18 +116,36 @@ def test_script_era_gating():
             assert ("crash",) in h[:first_t1]
 
 
-def test_reproduce_directed_search():
-    base = Config("pmdk-seq", "psc", txns=1, locs=2, vals=2, buf=2, ops=2)
-    good = (
+@pytest.mark.parametrize("model", ["psc", "ptso"])
+@pytest.mark.parametrize("impl", ["pmdk-seq", "pmdk-tml", "pmdk-norec"])
+def test_check_lower_default_bounds(impl, model):
+    res = check_lower(impl, model)
+    assert res.total == 281 and res.unproducible == []
+    # so this history was produced: txn 0 allocating location 1, which
+    # needs branch-alloc (the default allocator takes the lowest free one)
+    alloc_1 = (
         ("inv", 0, "begin", None, None), ("res", 0, "begin", None, None),
         ("inv", 0, "alloc", None, None), ("res", 0, "alloc", 1, None),
         ("inv", 0, "commit", None, None), ("res", 0, "commit", None, None),
+        ("inv", 1, "begin", None, None), ("res", 1, "begin", None, None),
+        ("inv", 1, "commit", None, None), ("res", 1, "commit", None, None),
     )
-    assert reproduce(base, good)  # needs branch-alloc to pick location 1
-    impossible = good[:3] + (("res", 0, "alloc", 0, None),
-                             ("inv", 0, "read", 1, None),
-                             ("res", 0, "read", 1, 1)) + good[4:]
-    assert not reproduce(base, impossible)
+    assert alloc_1 in sequential_histories(2, 2, 2, 2)
+
+
+def test_check_lower_holds_under_every_mutation():
+    # each mutation breaks crash recovery or concurrent validation, which a
+    # crash-free serial schedule never exercises
+    for name in MUTATIONS:
+        res = check_lower("pmdk-norec", mutations=(name,))
+        assert (res.total, res.unproducible) == (281, []), name
+
+
+def test_check_lower_enforces_state_budget(capsys):
+    with pytest.raises(BudgetExceeded):
+        check_lower("pmdk-seq", max_states=10)
+    assert cli.main(["check", "lower", "--max-states", "10"]) == 2
+    assert "budget error" in capsys.readouterr().out
 
 
 def test_check_lower_smallest_bound():

@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pmtxcheck.explorer import Config, explore
 from pmtxcheck.fixtures import fig4_suite
-from pmtxcheck.histories import Ev, crash_marker, events_of_records
-from pmtxcheck.opacity import (BatchDdoChecker, Witness,
-                               check_dynamic_opacity_execution,
+from pmtxcheck.histories import (Ev, check_wellformed, events_of_records,
+                                 strip_crash_markers)
+from pmtxcheck.opacity import (check_dynamic_opacity_execution,
                                check_history_ddo, check_opacity_execution,
                                check_serializability_execution,
                                find_witness, graph_from_events,
@@ -175,6 +178,12 @@ def test_history_ddo_rejects_rolled_back_value_read():
     ok, failing, _w = check_history_ddo(events)
     assert not ok
     assert failing is not None
+    # after a committed 42, a post-crash reader sees 7, which nobody wrote:
+    # the prefix ending at that read fails
+    records = records_committed_alloc_crash_read()[:13]
+    records = records[:-1] + (("res", 1, "read", 0, 7),)
+    ok, failing, _w = check_history_ddo(events_of_records(records))
+    assert (ok, failing) == (False, 7)
 
 
 def test_prefix_closure_of_accepted_history():
@@ -182,7 +191,6 @@ def test_prefix_closure_of_accepted_history():
     ok, _f, witnesses = check_history_ddo(events)
     assert ok
     # every prefix was checked and has a stored witness
-    from pmtxcheck.histories import strip_crash_markers
     stripped = strip_crash_markers(events)
     assert set(witnesses) == set(range(len(stripped) + 1))
 
@@ -219,7 +227,6 @@ def test_read_before_any_write_rejected_at_its_prefix():
 
 def test_witness_relations_are_well_typed():
     events = events_of_records(records_committed_alloc_crash_read())
-    from pmtxcheck.histories import strip_crash_markers
     stripped = strip_crash_markers(events)
     w = find_witness(list(stripped), dynamic=True)
     assert w is not None
@@ -247,18 +254,6 @@ def test_non_dynamic_variant_permits_unallocated_writes():
     assert ok_plain and not ok_dyn
 
 
-def test_batch_checker_agrees_with_direct_check():
-    checker = BatchDdoChecker()
-    good = records_committed_alloc_crash_read()
-    assert checker.check_records(good)
-    bad = good[:8] + (("crash",),
-                      ("inv", 1, "begin", None, None),
-                      ("res", 1, "begin", None, None),
-                      ("inv", 1, "read", 0, None),
-                      ("res", 1, "read", 0, 7))
-    assert not checker.check_records(bad)
-
-
 def test_ddo_passing_committed_graphs_satisfy_weak_ser_core():
     # every all-committed small execution passing the dynamic check also has
     # an acyclic clo + lifted-rf + lifted-mo core (enumerated exhaustively)
@@ -283,3 +278,121 @@ def test_ddo_passing_committed_graphs_satisfy_weak_ser_core():
             ok2, why2 = check_serializability_execution(g)
             assert ok2, why2
     assert count > 0
+
+
+# ---------------------------------------------------------------------------
+# the prefix-extending search against a from-scratch search per prefix
+# ---------------------------------------------------------------------------
+
+def ddo_by_search_per_prefix(events):
+    """Reference: (ok, first failing prefix) with find_witness run from
+    scratch on every prefix of the markerless history."""
+    stripped = strip_crash_markers(events)
+    for n in range(len(stripped) + 1):
+        if find_witness(stripped[:n]) is None:
+            return False, n
+    return True, None
+
+
+def assert_matches_reference(events):
+    ok, failing, witnesses = check_history_ddo(events)
+    assert (ok, failing) == ddo_by_search_per_prefix(events)
+    stripped = strip_crash_markers(events)
+    for n, w in witnesses.items():
+        g = graph_from_events(stripped[:n], w.rf, w.mo)
+        assert check_dynamic_opacity_execution(g) == (True, None)
+
+
+def test_witness_the_extension_cannot_repair_is_searched_for():
+    # T3 first reads 1 from commit-pending T1; when T1 aborts, no extension
+    # of that witness is valid and the full search moves the read to T2
+    records = (
+        ("inv", 0, "begin", None, None), ("res", 0, "begin", None, None),
+        ("inv", 0, "alloc", None, None), ("res", 0, "alloc", 0, None),
+        ("inv", 0, "commit", None, None), ("res", 0, "commit", None, None),
+        ("inv", 1, "begin", None, None), ("res", 1, "begin", None, None),
+        ("inv", 1, "write", 0, 1), ("res", 1, "write", 0, 1),
+        ("inv", 1, "commit", None, None),
+        ("inv", 3, "begin", None, None), ("res", 3, "begin", None, None),
+        ("inv", 2, "begin", None, None), ("res", 2, "begin", None, None),
+        ("inv", 2, "write", 0, 1), ("res", 2, "write", 0, 1),
+        ("inv", 2, "commit", None, None), ("res", 2, "commit", None, None),
+        ("inv", 3, "read", 0, None), ("res", 3, "read", 0, 1),
+        ("res", 1, "abort", None, None),
+    )
+    events = events_of_records(records)
+    ok, _f, witnesses = check_history_ddo(events)
+    assert ok
+    read, t1_write, t2_write = 12, 5, 9
+    assert witnesses[13].rf[read] == t1_write
+    assert witnesses[14].rf[read] == t2_write
+    assert_matches_reference(events)
+
+
+@pytest.mark.parametrize("impl,crashes,ops", [
+    ("pmdk-seq", 1, 2),
+    ("pmdk-tml", 0, 1),
+])
+def test_history_ddo_matches_per_prefix_search(impl, crashes, ops):
+    r = explore(Config(impl, "psc", txns=2, locs=1, max_crashes=crashes,
+                       ops=ops, por=True), check=False)
+    for records in r.histories():
+        assert_matches_reference(events_of_records(records))
+
+
+def records_from_actions(actions):
+    """A well-formed record sequence driven by (txn, op, loc, val) actions:
+    a transaction's first action begins it, later ones run at most two
+    operations, then commit (a second action decides success or abort);
+    a crash ends every begun transaction.  Locations are allocated once."""
+    state = {}                  # txn -> [phase, operations run]
+    allocated = set()
+    records = []
+    for t, op, loc, val in actions:
+        if op == "crash":
+            records.append(("crash",))
+            for s in state.values():
+                s[0] = "done"
+            continue
+        s = state.get(t)
+        if s is None:
+            state[t] = ["live", 0]
+            records += [("inv", t, "begin", None, None),
+                        ("res", t, "begin", None, None)]
+        elif s[0] == "committing":
+            records.append(("res", t, "abort" if op == "abort" else "commit",
+                            None, None))
+            s[0] = "done"
+        elif s[0] == "live":
+            if op == "commit":
+                records.append(("inv", t, "commit", None, None))
+                s[0] = "committing"
+            elif op == "abort":
+                records += [("inv", t, "read", loc, None),
+                            ("res", t, "abort", None, None)]
+                s[0] = "done"
+            elif s[1] < 2 and not (op == "alloc" and loc in allocated):
+                s[1] += 1
+                if op == "alloc":
+                    allocated.add(loc)
+                    records += [("inv", t, "alloc", None, None),
+                                ("res", t, "alloc", loc, None)]
+                else:
+                    records += [("inv", t, op, loc, None),
+                                ("res", t, op, loc, val)]
+    return tuple(records)
+
+
+ACTIONS = st.lists(st.tuples(st.integers(0, 2),
+                             st.sampled_from(("alloc", "read", "write",
+                                              "commit", "abort", "crash")),
+                             st.integers(0, 1), st.integers(0, 1)),
+                   max_size=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ACTIONS)
+def test_history_ddo_matches_per_prefix_search_on_random_histories(actions):
+    events = events_of_records(records_from_actions(actions))
+    assert check_wellformed(events) == (True, [])
+    assert_matches_reference(events)
