@@ -16,8 +16,11 @@ A machine is one flat tuple, cheap to hash and copy:
 Transactions are driven by client *decision* steps (which emit invocation
 records and install an op program) and per-line program steps from the
 compiled step table.  System steps are store-buffer propagation, per-cell
-persists, and crashes (followed by the recovery program before anything
-else runs).
+persists, and crashes.  The recovery program runs after a crash before any
+transaction steps; its steps emit nothing.  Under --por the crash that
+spends the last unit of the crash budget runs recovery to its end inside
+the crash transition (a macro-step): nothing else can act or crash until
+recovery ends, so its intermediate states are never explored.
 """
 
 from __future__ import annotations
@@ -90,19 +93,31 @@ def all_terminal(m):
 # successors
 # ---------------------------------------------------------------------------
 
-def crash_machine(cfg, m, nvm=None):
+def crash_machine(cfg, m):
     """Buffers discarded, volatile state lost, live transactions die, the
-    recovery automaton takes over in a fresh era.  `nvm` overrides the
-    surviving memory (crash-prefix branching under --por)."""
-    mem = cfg.pmem.crash(m[M_MEM])
-    if nvm is not None:
-        mem = (nvm,) + mem[1:]
+    recovery automaton takes over in a fresh era."""
     txns = tuple(
         slot_upd(s, (S_ST, DEAD), (S_OP, None)) if s[S_ST] in (RUN, RDY)
         else s
         for s in m[M_TXNS])
-    return (mem, 0, 0, txns, (0, 0, 0), m[M_CRASH] + 1, m[M_ERA] + 1,
-            m[M_HIST], m[M_FLT])
+    return (cfg.pmem.crash(m[M_MEM]), 0, 0, txns, (0, 0, 0),
+            m[M_CRASH] + 1, m[M_ERA] + 1, m[M_HIST], m[M_FLT])
+
+
+def run_recovery(cfg, m):
+    """The machine after recovery runs to its end from `m`, stepped one
+    line at a time; when a step blocks, the recovery thread's store buffer
+    propagates its head.  Valid only in reduced mode, where recovery is the
+    sole actor and its persists need no scheduling."""
+    step = cfg.recovery_step
+    pm = cfg.pmem
+    while m[M_REC] is not None:
+        r = step(m)
+        if r is None:
+            m = set_mem(m, pm.propagate_direct(m[M_MEM], cfg.txns))
+        else:
+            (m, _emit), = r
+    return m
 
 
 def _decision_steps(cfg, m, ti, out):
@@ -161,30 +176,26 @@ def _may_begin(cfg, m, ti):
     return True
 
 
-def successors(cfg, m):
+def successors(cfg, m, recovered):
     """All scheduler steps from `m` as (machine', record|None, tag) where
-    tag is None or "cut"."""
+    tag is None or "cut".  `recovered` is a dict memoizing folded
+    recoveries, keyed on the post-crash memory (see the crash branch); the
+    caller owns it and must not share it between Configs."""
     out = []
     pm = cfg.pmem
-    rec = m[M_REC]
-    reduced = cfg.reduced(m)
     if m[M_FLT]:
         return out
 
-    if rec is not None:
+    if m[M_REC] is not None:
+        # recovery steps here are interleavable with propagation, persists
+        # and further crashes: reduced mode never reaches this branch,
+        # because the last crash folds recovery into its transition
         r = cfg.recovery_step(m)
-        if reduced:
-            # sole actor, crash budget spent: run it as a forced chain,
-            # propagating its own store buffer when a flush awaits it
-            if r is not None:
-                return [(m2, emit, None) for m2, emit in r]
-            return [(set_mem(m, pm.propagate_direct(m[M_MEM], cfg.txns)),
-                     None, None)]
         if r is not None:
             for m2, emit in r:
                 out.append((m2, emit, None))
     else:
-        if reduced:
+        if cfg.reduced(m):
             # steps over per-transaction private cells are invisible to
             # every other component and there is no crash left to observe
             # them: schedule the first enabled one deterministically
@@ -233,11 +244,28 @@ def successors(cfg, m):
     # crash (disabled once every transaction is terminal: a trailing crash
     # marker is accepted whenever the history without it is)
     if m[M_CRASH] < cfg.max_crashes and not all_terminal(m):
-        if cfg.por:
+        crashed = crash_machine(cfg, m)
+        if not cfg.por:
+            out.append((crashed, ("crash",), None))
+            return out
+        # under --por, one successor per reachable post-crash memory, each
+        # substituted into the one crashed machine
+        bufs = crashed[M_MEM][1:]
+        if not cfg.reduced(crashed):
             for nvm in _crash_nvms(cfg, m):
-                out.append((crash_machine(cfg, m, nvm), ("crash",), None))
-        else:
-            out.append((crash_machine(cfg, m), ("crash",), None))
+                out.append((((nvm,) + bufs,) + crashed[1:], ("crash",), None))
+            return out
+        # the last crash: recovery is now the sole actor and emits nothing,
+        # so it runs to its end within this transition.  Its outcome
+        # (mem, glb, free) depends on the post-crash memory alone.
+        tail = crashed[M_TXNS:M_REC] + (None,) + crashed[M_REC + 1:]
+        for nvm in _crash_nvms(cfg, m):
+            mem = (nvm,) + bufs
+            head = recovered.get(mem)
+            if head is None:
+                head = recovered[mem] = \
+                    run_recovery(cfg, (mem,) + crashed[1:])[:M_TXNS]
+            out.append((head + tail, ("crash",), None))
 
     return out
 

@@ -74,7 +74,10 @@ class Config:
 
     def reduced(self, m):
         """Persist timing no longer observable: suppress free persist
-        steps and drain on demand (only under --por)."""
+        steps and drain on demand (only under --por).  No crash can follow,
+        so the crash into this mode runs recovery to its end as one
+        transition (`engine.successors`) and no explored reduced machine
+        is mid-recovery."""
         return self.por and m[M_CRASH] >= self.max_crashes
 
 
@@ -137,6 +140,10 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     m0 = initial_machine(cfg)
     seen = {blake2b(pickle.dumps(m0, -1), digest_size=16).digest()}
     stack = [m0]
+    # post-crash memory -> its recovery's outcome (engine.successors).  One
+    # per call: callers reuse a Config across calls, and a memo kept on it
+    # would make every call after the first faster than a user's one run
+    recovered = {}
     dumps = pickle.dumps
     push = stack.append
 
@@ -151,7 +158,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         if m[M_FLT] or (m[M_REC] is None and all_terminal(m)):
             res.complete.add(m[M_HIST])
             continue
-        succs = successors(cfg, m)
+        succs = successors(cfg, m, recovered)
         if not succs:
             # maximal but not all-terminal: e.g. an allocation blocked on an
             # empty free list (a disabled step) stalls its transaction and

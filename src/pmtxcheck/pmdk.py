@@ -552,7 +552,11 @@ def build_pabort(cfg, done_ip):
 # Recovery automaton, driven through the machine's rec field (txid, phase,
 # mask).  Phases: 0 checksum check / finish, 1 redo-apply store, 2 redo
 # metadata flush, 4 undo-flag flush, 5 rollback check, 6 rollback store,
-# 7 rollback flush.
+# 7 rollback flush.  Each step returns one successor and emits nothing, and
+# reads and writes only memory; the finishing step also rebuilds the free
+# list.  While a crash can still interrupt it, the engine schedules it one
+# step at a time; after the last crash under --por, `engine.run_recovery`
+# runs it to its end inside the crash transition.
 # ---------------------------------------------------------------------------
 
 def build_recovery(cfg):
