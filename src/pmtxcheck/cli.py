@@ -50,9 +50,17 @@ def build_parser():
     chk = sub.add_parser("check", help="run a check")
     what = chk.add_subparsers(dest="what", required=True)
 
-    upper = what.add_parser("upper", help="implementation refines the spec")
+    upper = what.add_parser(
+        "upper", help="implementation refines the spec",
+        description="Check that every history of the implementation is a "
+                    "trace of the spec.  States with equal machine and spec "
+                    "frontier are explored once, so 'histories checked' "
+                    "counts one representative history per such pair; with "
+                    "--emit-traces every history is explored, counted and "
+                    "written.")
     _add_bounds(upper)
-    upper.add_argument("--emit-traces", metavar="DIR", default=None)
+    upper.add_argument("--emit-traces", metavar="DIR", default=None,
+                       help="write every history, one JSONL file each")
     upper.add_argument("--counterexample", metavar="PATH",
                        default="counterexample.jsonl")
 
@@ -85,8 +93,11 @@ def cmd_upper(args):
         cfg = explorer.skip_validate_config(mutate=True, por=args.por)
     else:
         cfg = _cfg_from_args(args)
+    # frontier dedup keeps one history per (machine, spec frontier); the
+    # traces are the whole history set
+    dedup = "history" if args.emit_traces else "frontier"
     try:
-        res = explorer.check_upper(cfg)
+        res = explorer.check_upper(cfg, dedup=dedup)
     except explorer.BudgetExceeded as exc:
         print("budget error: %s" % exc)
         return 2

@@ -9,7 +9,19 @@ A machine is one flat tuple, cheap to hash and copy:
 * ``free`` -- volatile free-location bitmask
 * ``txns`` -- one slot per transaction:
   (status, op, ip, regs, tredo_uv, tredo_ck, tredo_allocs, rdset, wrset,
-   ops_used, retries, loc_snapshot)
+   ops_used, retries, loc_snapshot).  A slot carries only the fields its
+  status can still read, so states that nothing can tell apart are one:
+
+  - ``NS``: none; the slot is the fresh slot of ``initial_machine``.
+  - ``RUN``: every field.
+  - ``RDY``: all but op, ip, regs and retries, which are None, 0, () and
+    0; the next decision step sets each of them.
+  - ``COMM``, ``ABRT``, ``DEAD``: the status alone; every other field is
+    the fresh slot's (``spent_slot``).  Nothing reads an ended slot but
+    its status: ``all_terminal`` and ``_may_begin`` read the status,
+    ``pmdk.fault_check`` reads ``RUN`` slots only, and recovery reads
+    memory only.
+  - ``FLT``: ends the run (the machine's faulted flag is set).
 * ``rec``  -- None, or the recovery automaton state (txid, phase, mask)
 * ``hist`` -- interned history id (maintained by the explorer)
 
@@ -20,7 +32,9 @@ persists, and crashes.  The recovery program runs after a crash before any
 transaction steps; its steps emit nothing.  Under --por the crash that
 spends the last unit of the crash budget runs recovery to its end inside
 the crash transition (a macro-step): nothing else can act or crash until
-recovery ends, so its intermediate states are never explored.
+recovery ends, so its intermediate states are never explored.  Under --por
+the distinct outcomes of a crash depend on the pre-crash memory alone and
+are computed once per memory in each exploration.
 """
 
 from __future__ import annotations
@@ -41,11 +55,24 @@ CUT = "cut"
 OPS = ("read", "write", "alloc", "commit")
 
 
-def initial_machine(cfg):
-    slot = (NS, None, 0, (), 1, -1, 0,
+# the response into RDY: the fields RDY does not read take fixed values
+READY = ((S_ST, RDY), (S_OP, None), (S_IP, 0), (S_REGS, ()), (S_RETR, 0))
+
+
+def fresh_slot(cfg):
+    return (NS, None, 0, (), 1, -1, 0,
             (-1,) * cfg.locs, (-1,) * cfg.locs, 0, 0, 0)
+
+
+def spent_slot(cfg, status):
+    """The one slot of every transaction that ended with `status` (COMM,
+    ABRT or DEAD): the fresh slot with only the status changed."""
+    return (status,) + fresh_slot(cfg)[1:]
+
+
+def initial_machine(cfg):
     free = ((1 << cfg.locs) - 1) & ~((1 << cfg.prealloc) - 1)
-    return (cfg.pmem.initial(), 0, free, (slot,) * cfg.txns,
+    return (cfg.pmem.initial(), 0, free, (fresh_slot(cfg),) * cfg.txns,
             None, 0, 0, 0, 0)
 
 
@@ -95,11 +122,11 @@ def all_terminal(m):
 
 def crash_machine(cfg, m):
     """Buffers discarded, volatile state lost, live transactions die, the
-    recovery automaton takes over in a fresh era."""
-    txns = tuple(
-        slot_upd(s, (S_ST, DEAD), (S_OP, None)) if s[S_ST] in (RUN, RDY)
-        else s
-        for s in m[M_TXNS])
+    recovery automaton takes over in a fresh era.  A dead transaction keeps
+    nothing of its volatile state: its slot becomes the spent DEAD slot,
+    and the slots of ended transactions are spent already."""
+    dead = spent_slot(cfg, DEAD)
+    txns = tuple(dead if s[S_ST] in (RUN, RDY) else s for s in m[M_TXNS])
     return (cfg.pmem.crash(m[M_MEM]), 0, 0, txns, (0, 0, 0),
             m[M_CRASH] + 1, m[M_ERA] + 1, m[M_HIST], m[M_FLT])
 
@@ -176,15 +203,17 @@ def _may_begin(cfg, m, ti):
     return True
 
 
-def successors(cfg, m, recovered):
+def successors(cfg, m, memo):
     """All scheduler steps from `m` as (machine', record|None, tag) where
-    tag is None or "cut".  `recovered` is a dict memoizing folded
-    recoveries, keyed on the post-crash memory (see the crash branch); the
-    caller owns it and must not share it between Configs."""
+    tag is None or "cut".  `m` is not complete: the explorer expands no
+    faulted machine and, outside recovery, none whose transactions have all
+    ended.  `memo` is a dict memoizing crash outcomes (see the crash
+    branch); the caller owns it and must not share it between Configs."""
     out = []
     pm = cfg.pmem
     if m[M_FLT]:
         return out
+    reduced = cfg.reduced(m)
 
     if m[M_REC] is not None:
         # recovery steps here are interleavable with propagation, persists
@@ -195,7 +224,7 @@ def successors(cfg, m, recovered):
             for m2, emit in r:
                 out.append((m2, emit, None))
     else:
-        if cfg.reduced(m):
+        if reduced:
             # steps over per-transaction private cells are invisible to
             # every other component and there is no crash left to observe
             # them: schedule the first enabled one deterministically
@@ -224,7 +253,7 @@ def successors(cfg, m, recovered):
         for tid in range(cfg.txns + 1):
             if not m[M_MEM][2][tid]:
                 continue
-            if cfg.reduced(m):
+            if reduced:
                 out.append((set_mem(m, pm.propagate_direct(m[M_MEM], tid)),
                             None, None))
             elif cfg.por:
@@ -242,32 +271,53 @@ def successors(cfg, m, recovered):
             out.append((set_mem(m, pm.persist(m[M_MEM], c)), None, None))
 
     # crash (disabled once every transaction is terminal: a trailing crash
-    # marker is accepted whenever the history without it is)
-    if m[M_CRASH] < cfg.max_crashes and not all_terminal(m):
+    # marker is accepted whenever the history without it is; outside
+    # recovery the explorer has checked that already)
+    if m[M_CRASH] < cfg.max_crashes \
+            and (m[M_REC] is None or not all_terminal(m)):
         crashed = crash_machine(cfg, m)
         if not cfg.por:
             out.append((crashed, ("crash",), None))
             return out
-        # under --por, one successor per reachable post-crash memory, each
-        # substituted into the one crashed machine
-        bufs = crashed[M_MEM][1:]
-        if not cfg.reduced(crashed):
-            for nvm in _crash_nvms(cfg, m):
-                out.append((((nvm,) + bufs,) + crashed[1:], ("crash",), None))
-            return out
-        # the last crash: recovery is now the sole actor and emits nothing,
-        # so it runs to its end within this transition.  Its outcome
-        # (mem, glb, free) depends on the post-crash memory alone.
-        tail = crashed[M_TXNS:M_REC] + (None,) + crashed[M_REC + 1:]
-        for nvm in _crash_nvms(cfg, m):
-            mem = (nvm,) + bufs
-            head = recovered.get(mem)
-            if head is None:
-                head = recovered[mem] = \
-                    run_recovery(cfg, (mem,) + crashed[1:])[:M_TXNS]
+        # under --por, one successor per distinct crash outcome, each
+        # substituted into the one crashed machine.  The outcomes depend on
+        # the pre-crash memory alone, so they are memoized on it; the key's
+        # flag keeps it apart from the post-crash memories keyed below
+        last = m[M_CRASH] + 1 == cfg.max_crashes
+        key = (last, m[M_MEM])
+        heads = memo.get(key)
+        if heads is None:
+            heads = memo[key] = _crash_heads(cfg, m, crashed, last, memo)
+        if last:
+            tail = crashed[M_TXNS:M_REC] + (None,) + crashed[M_REC + 1:]
+        else:
+            tail = crashed[1:]
+        for head in heads:
             out.append((head + tail, ("crash",), None))
 
     return out
+
+
+def _crash_heads(cfg, m, crashed, last, memo):
+    """The distinct leading fields of `m`'s crash successors under --por,
+    in first-seen order: the reachable post-crash memories, or after the
+    last crash the outcomes (mem, glb, free) of recovery.  Recovery is then
+    the sole actor and emits nothing, so it runs to its end within the
+    crash transition; its outcome depends on the post-crash memory alone
+    and is memoized on it."""
+    bufs = crashed[M_MEM][1:]
+    heads = {}
+    for nvm in _crash_nvms(cfg, m):
+        mem = (nvm,) + bufs
+        if not last:
+            heads[(mem,)] = None
+            continue
+        head = memo.get(mem)
+        if head is None:
+            head = memo[mem] = \
+                run_recovery(cfg, (mem,) + crashed[1:])[:M_TXNS]
+        heads[head] = None
+    return tuple(heads)
 
 
 def _crash_nvms(cfg, m):

@@ -140,10 +140,11 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     m0 = initial_machine(cfg)
     seen = {blake2b(pickle.dumps(m0, -1), digest_size=16).digest()}
     stack = [m0]
-    # post-crash memory -> its recovery's outcome (engine.successors).  One
-    # per call: callers reuse a Config across calls, and a memo kept on it
-    # would make every call after the first faster than a user's one run
-    recovered = {}
+    # crash outcomes per pre-crash memory and recovery outcomes per
+    # post-crash memory (engine.successors).  One per call: callers reuse a
+    # Config across calls, and a memo kept on it would make every call
+    # after the first faster than a user's one run
+    memo = {}
     dumps = pickle.dumps
     push = stack.append
 
@@ -158,7 +159,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         if m[M_FLT] or (m[M_REC] is None and all_terminal(m)):
             res.complete.add(m[M_HIST])
             continue
-        succs = successors(cfg, m, recovered)
+        succs = successors(cfg, m, memo)
         if not succs:
             # maximal but not all-terminal: e.g. an allocation blocked on an
             # empty free list (a disabled step) stalls its transaction and

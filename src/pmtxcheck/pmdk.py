@@ -32,11 +32,10 @@ the undo-entry flush, ``no-recovery-rollback`` skips recovery's rollback.
 
 from __future__ import annotations
 
-from .engine import (ABRT, COMM, CUT, FLT, M_CRASH, M_ERA, M_FLT, M_FREE,
-                     M_GLB, M_HIST, M_MEM, M_REC, M_TXNS, NS, RDY,
-                     RUN, S_AM, S_CK, S_IP, S_LOC, S_OP, S_REGS, S_RETR,
-                     S_RD, S_ST, S_USED, S_UV, S_WR, lowbit, set_mem,
-                     set_mem_slot, set_slot, slot_upd)
+from .engine import (FLT, M_FLT, M_FREE, M_GLB, M_MEM, M_REC, M_TXNS, RDY,
+                     READY, RUN, S_AM, S_CK, S_IP, S_OP, S_REGS, S_ST, S_UV,
+                     lowbit, set_mem, set_mem_slot, set_slot, slot_upd,
+                     spent_slot)
 
 MUTATIONS = ("skip-flush-commit5", "reorder-commit", "skip-validate",
              "skip-undo-flush", "no-recovery-rollback")
@@ -185,7 +184,12 @@ def flush_mem(cfg, m, tid, cells):
 
 
 def make_respond(cfg, op, status):
-    """Response-emitting step; regs carry (loc, val) where applicable."""
+    """Response-emitting step; regs carry (loc, val) where applicable.  A
+    response into RDY resets the fields RDY does not read (`READY`); one
+    into COMM or ABRT ends the transaction, whose slot becomes the spent
+    slot of that status."""
+    spent = None if status == RDY else spent_slot(cfg, status)
+
     def s_res(m, ti):
         slot = m[M_TXNS][ti]
         loc = val = None
@@ -193,7 +197,7 @@ def make_respond(cfg, op, status):
             loc, val = slot[S_REGS][0], slot[S_REGS][1]
         elif op == "alloc":
             loc = slot[S_REGS][0]
-        slot = slot_upd(slot, (S_ST, status), (S_OP, None), (S_REGS, ()))
+        slot = slot_upd(slot, *READY) if spent is None else spent
         return [(set_slot(m, ti, slot), ("res", ti, op, loc, val))]
     return s_res
 

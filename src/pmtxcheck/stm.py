@@ -21,9 +21,9 @@ automaton (every transaction id recovered in ascending order, then
 
 from __future__ import annotations
 
-from .engine import (ABRT, COMM, CUT, M_GLB, M_MEM, M_TXNS, RDY,
-                     S_IP, S_LOC, S_OP, S_RD, S_REGS, S_RETR, S_ST, S_WR,
-                     lowbit, set_mem_slot, set_slot, slot_upd)
+from .engine import (ABRT, COMM, CUT, M_GLB, M_MEM, M_TXNS, RDY, READY,
+                     S_IP, S_LOC, S_RD, S_REGS, S_RETR, S_WR, lowbit,
+                     set_mem_slot, set_slot, slot_upd)
 from .pmdk import (build_palloc, build_pabort, build_pbegin, build_pcommit,
                    build_pread, build_pwrite, build_recovery, fault_check,
                    fault_state, flush_mem, make_respond, reserve, fill,
@@ -239,7 +239,7 @@ def _build_norec(cfg, pbegin_entry, abort_entry, res_read, res_write,
         l = slot[S_REGS][0]
         wr = slot[S_WR]
         if wr[l] != -1:  # own buffered write, no memory access
-            slot2 = slot_upd(slot, (S_ST, RDY), (S_OP, None), (S_REGS, ()))
+            slot2 = slot_upd(slot, *READY)
             return [(set_slot(m, ti, slot2), ("res", ti, "read", l, wr[l]))]
         if fault_check(cfg, m, ti, l):
             return fault_state(cfg, m, ti, "read", l)
@@ -261,8 +261,7 @@ def _build_norec(cfg, pbegin_entry, abort_entry, res_read, res_write,
         slot = m[M_TXNS][ti]
         l, v = slot[S_REGS][0], slot[S_REGS][1]
         rd = slot[S_RD]
-        slot2 = slot_upd(slot, (S_RD, rd[:l] + (v,) + rd[l + 1:]),
-                         (S_ST, RDY), (S_OP, None), (S_REGS, ()))
+        slot2 = slot_upd(slot, (S_RD, rd[:l] + (v,) + rd[l + 1:]), *READY)
         return [(set_slot(m, ti, slot2), ("res", ti, "read", l, v))]
 
     def s_n3(m, ti):
@@ -292,8 +291,7 @@ def _build_norec(cfg, pbegin_entry, abort_entry, res_read, res_write,
         if fault_check(cfg, m, ti, l):
             return fault_state(cfg, m, ti, "write", l)
         wr = slot[S_WR]
-        slot2 = slot_upd(slot, (S_WR, wr[:l] + (v,) + wr[l + 1:]),
-                         (S_ST, RDY), (S_OP, None), (S_REGS, ()))
+        slot2 = slot_upd(slot, (S_WR, wr[:l] + (v,) + wr[l + 1:]), *READY)
         return [(set_slot(m, ti, slot2), ("res", ti, "write", l, v))]
 
     fill(cfg, w0, [s_buffer])

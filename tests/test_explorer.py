@@ -6,8 +6,10 @@ import hashlib
 import pytest
 
 from pmtxcheck import cli
-from pmtxcheck.engine import (M_CRASH, M_MEM, M_REC, _crash_nvms,
-                              crash_machine, successors)
+from pmtxcheck.engine import (ABRT, COMM, DEAD, M_CRASH, M_MEM, M_REC,
+                              M_TXNS, RDY, S_IP, S_RETR, S_ST, _crash_nvms,
+                              all_terminal, crash_machine, spent_slot,
+                              successors)
 from pmtxcheck.explorer import (BudgetExceeded, Config, check_lower,
                                 check_upper, explore, mutation_check_config,
                                 run_intro_cases, skip_validate_config)
@@ -46,8 +48,8 @@ def test_budget_exceeded():
 
 
 def test_same_config_explores_identically_twice():
-    # the recovery memo lives for one explore call: a second call on the
-    # same Config must redo every recovery and count the same states
+    # the crash-outcome memo lives for one explore call: a second call on
+    # the same Config must redo every recovery and count the same states
     cfg = Config("pmdk-seq", "ptso", txns=2, locs=1, max_crashes=1,
                  por=True)
     first, second = explore(cfg), explore(cfg)
@@ -65,17 +67,33 @@ def test_exploration_deterministic():
     assert ra.states == rb.states
 
 
-@pytest.mark.parametrize("impl,model,locs,crashes", [
-    ("pmdk-seq", "psc", 2, 1),
-    ("pmdk-seq", "ptso", 2, 1),
+def history_digest(hs):
+    return hashlib.sha256("\n".join(map(repr, sorted(hs))).encode()) \
+        .hexdigest()
+
+
+SEQ_1_CRASH = \
+    "7df76bd404ab42380d98c725258312fec0694cbc0d6a1c26675f44c8d7921db8"
+
+
+@pytest.mark.parametrize("impl,model,locs,crashes,count,digest", [
+    ("pmdk-seq", "psc", 2, 1, 57, SEQ_1_CRASH),
+    ("pmdk-seq", "ptso", 2, 1, 57, SEQ_1_CRASH),
     # a crash during interleaved recovery, then a folded last crash
-    ("pmdk-seq", "psc", 2, 2),
-    ("pmdk-seq", "ptso", 1, 2),
+    ("pmdk-seq", "psc", 2, 2, 99,
+     "9e7c5aa3a2825f1caed2300d141fc3d05e76e1e94ae28fc4e05bf852cca9b66e"),
+    ("pmdk-seq", "ptso", 1, 2, 63,
+     "9a90359bf5c74659e5077e7873d668836ee7d5a23f385ba08a2e5a0cfcd40bcd"),
 ], ids=["pmdk-seq-psc-1", "pmdk-seq-ptso-1", "pmdk-seq-psc-2",
         "pmdk-seq-ptso-2"])
-def test_reductions_preserve_history_sets(impl, model, locs, crashes):
+def test_reductions_preserve_history_sets(impl, model, locs, crashes, count,
+                                          digest):
+    # the unreduced explorer is the reference semantics; its history set is
+    # pinned as it was before spent slots were made canonical, since that
+    # quotient applies to both explorers
     base = dict(txns=1, locs=locs, vals=2, buf=2, max_crashes=crashes, ops=2)
     naive, _ = hist_set(Config(impl, model, por=False, **base), check=False)
+    assert (len(naive), history_digest(naive)) == (count, digest)
     reduced, _ = hist_set(Config(impl, model, por=True, **base), check=False,
                           state_hook=no_reduced_recovery)
     assert naive == reduced
@@ -108,7 +126,7 @@ def test_frontier_and_history_dedup_agree_on_verdict():
 
 
 @pytest.mark.parametrize("impl,crashes,ops,dedup,counts", [
-    ("pmdk-seq", 1, 2, "frontier", (17_871, 18_289, 530)),
+    ("pmdk-seq", 1, 2, "frontier", (5_420, 6_303, 238)),
     ("pmdk-tml", 0, 1, "history", (32_259, 36_587, 1_720)),
 ])
 def test_state_counts_pinned(impl, crashes, ops, dedup, counts):
@@ -135,8 +153,31 @@ def test_por_history_sets_pinned(impl, count, digest):
     hs = r.histories()
     assert not r.violations
     assert len(hs) == count
-    assert hashlib.sha256("\n".join(map(repr, hs)).encode()).hexdigest() \
-        == digest
+    assert history_digest(hs) == digest
+
+
+@pytest.mark.parametrize("impl,model,crashes,por,ended", [
+    ("pmdk-tml", "psc", 1, True, {COMM, ABRT, DEAD}),
+    ("pmdk-norec", "ptso", 0, True, {COMM}),
+    ("pmdk-seq", "psc", 1, False, {COMM, DEAD}),
+], ids=["pmdk-tml-psc", "pmdk-norec-ptso", "pmdk-seq-psc-naive"])
+def test_slots_carry_only_live_fields(impl, model, crashes, por, ended):
+    cfg = Config(impl, model, txns=2, locs=1, max_crashes=crashes, ops=1,
+                 por=por)
+    spent = {st: spent_slot(cfg, st) for st in (COMM, ABRT, DEAD)}
+    statuses = set()
+
+    def hook(cfg, m):
+        for s in m[M_TXNS]:
+            statuses.add(s[S_ST])
+            if s[S_ST] in spent:
+                assert s == spent[s[S_ST]], m
+            elif s[S_ST] == RDY:
+                assert s[S_IP] == s[S_RETR] == 0, m
+
+    r = explore(cfg, dedup="frontier", state_hook=hook)
+    assert not r.violations
+    assert statuses & {RDY, COMM, ABRT, DEAD} == {RDY} | ended
 
 
 def stepped_recovery(cfg, m):
@@ -164,23 +205,41 @@ def test_last_crash_folds_recovery(impl, model, ops):
 
     def hook(cfg, m):
         no_reduced_recovery(cfg, m)
-        if m[M_CRASH] or m[M_REC] is not None:
+        if m[M_CRASH] or m[M_REC] is not None or all_terminal(m):
             return
         folded = [m2 for m2, rec, _tag in successors(cfg, m, memo)
                   if rec == ("crash",)]
         if not folded:
             return
         crashed = crash_machine(cfg, m)
-        assert folded == [
-            stepped_recovery(cfg, ((nvm,) + crashed[M_MEM][1:],)
-                             + crashed[1:])
-            for nvm in _crash_nvms(cfg, m)]
-        crashes.append(len(folded))
+        stepped = [stepped_recovery(cfg, ((nvm,) + crashed[M_MEM][1:],)
+                                    + crashed[1:])
+                   for nvm in _crash_nvms(cfg, m)]
+        assert folded == list(dict.fromkeys(stepped))
+        assert len(set(folded)) == len(folded)
+        crashes.append((m[M_MEM], len(folded), len(stepped)))
 
     r = explore(cfg, state_hook=hook)
     assert not r.violations
-    # the memo was hit: more crashes were taken than memories recovered
-    assert sum(crashes) > len(memo) > 0
+    pre = [k for k in memo if len(k) == 2]   # (last, pre-crash memory)
+    post = [k for k in memo if len(k) == 3]  # a post-crash memory
+    # both memos were hit: more states crashed than pre-crash memories
+    # were seen, and more crash outcomes were enumerated than recovered
+    assert len(crashes) > len(pre) == len({mem for mem, _, _ in crashes})
+    assert sum(n for _, _, n in crashes) > len(post) > 0
+    # recoveries from distinct post-crash memories do coincide
+    assert sum(n for _, n, _ in crashes) < sum(n for _, _, n in crashes)
+
+
+def test_emit_traces_writes_every_history(tmp_path, capsys):
+    out = tmp_path / "traces"
+    assert cli.main(["check", "upper", "--txns", "2", "--locs", "1",
+                     "--crashes", "1", "--por",
+                     "--emit-traces", str(out)]) == 0
+    cfg = Config("pmdk-seq", "psc", txns=2, locs=1, max_crashes=1, por=True)
+    n = len(explore(cfg, dedup="history").histories())
+    assert len(list(out.iterdir())) == n
+    assert "histories checked: %d\n" % n in capsys.readouterr().out
 
 
 def test_fault_ends_trace():
