@@ -2,7 +2,7 @@
 
 A machine is one flat tuple, cheap to hash and copy:
 
-    (mem, glb, free, txns, rec, crashes, era, hist, faulted)
+    (mem, glb, free, txns, rec, crashes, hist, faulted)
 
 * ``mem``  -- (nvm, pbufs, sbufs) from the pmem simulator
 * ``glb``  -- the volatile SC lock/counter used by the concurrency layers
@@ -23,7 +23,10 @@ A machine is one flat tuple, cheap to hash and copy:
     memory only.
   - ``FLT``: ends the run (the machine's faulted flag is set).
 * ``rec``  -- None, or the recovery automaton state (txid, phase, mask)
+* ``crashes`` -- the crashes so far, which number the current era: a
+  script's transaction begins in the era its ``era_min`` names or later
 * ``hist`` -- interned history id (maintained by the explorer)
+* ``faulted`` -- 1 once a transaction faulted, which ends the run
 
 Transactions are driven by client *decision* steps (which emit invocation
 records and install an op program) and per-line program steps from the
@@ -40,7 +43,7 @@ are computed once per memory in each exploration.
 from __future__ import annotations
 
 # machine tuple layout
-M_MEM, M_GLB, M_FREE, M_TXNS, M_REC, M_CRASH, M_ERA, M_HIST, M_FLT = range(9)
+M_MEM, M_GLB, M_FREE, M_TXNS, M_REC, M_CRASH, M_HIST, M_FLT = range(8)
 
 # transaction slot layout
 (S_ST, S_OP, S_IP, S_REGS, S_UV, S_CK, S_AM, S_RD, S_WR,
@@ -73,7 +76,7 @@ def spent_slot(cfg, status):
 def initial_machine(cfg):
     free = ((1 << cfg.locs) - 1) & ~((1 << cfg.prealloc) - 1)
     return (cfg.pmem.initial(), 0, free, (fresh_slot(cfg),) * cfg.txns,
-            None, 0, 0, 0, 0)
+            None, 0, 0, 0)
 
 
 def set_slot(m, ti, slot):
@@ -122,13 +125,18 @@ def all_terminal(m):
 
 def crash_machine(cfg, m):
     """Buffers discarded, volatile state lost, live transactions die, the
-    recovery automaton takes over in a fresh era.  A dead transaction keeps
-    nothing of its volatile state: its slot becomes the spent DEAD slot,
-    and the slots of ended transactions are spent already."""
+    recovery automaton takes over in a fresh era."""
+    return (cfg.pmem.crash(m[M_MEM]), 0, 0) + crash_tail(cfg, m, (0, 0, 0))
+
+
+def crash_tail(cfg, m, rec):
+    """The fields of `m` crashed from txns on, with recovery state `rec`.
+    A dead transaction keeps nothing of its volatile state: its slot
+    becomes the spent DEAD slot, and the slots of ended transactions are
+    spent already."""
     dead = spent_slot(cfg, DEAD)
     txns = tuple(dead if s[S_ST] in (RUN, RDY) else s for s in m[M_TXNS])
-    return (cfg.pmem.crash(m[M_MEM]), 0, 0, txns, (0, 0, 0),
-            m[M_CRASH] + 1, m[M_ERA] + 1, m[M_HIST], m[M_FLT])
+    return (txns, rec, m[M_CRASH] + 1, m[M_HIST], m[M_FLT])
 
 
 def run_recovery(cfg, m):
@@ -153,7 +161,7 @@ def _decision_steps(cfg, m, ti, out):
         if not _may_begin(cfg, m, ti):
             return
         script = cfg.scripts[ti] if cfg.scripts else None
-        if script is not None and m[M_ERA] < script[1]:
+        if script is not None and m[M_CRASH] < script[1]:
             return
         slot2 = slot_upd(slot, (S_ST, RUN), (S_OP, "begin"),
                          (S_IP, cfg.entry["begin"]), (S_REGS, ()))
@@ -275,47 +283,44 @@ def successors(cfg, m, memo):
     # recovery the explorer has checked that already)
     if m[M_CRASH] < cfg.max_crashes \
             and (m[M_REC] is None or not all_terminal(m)):
-        crashed = crash_machine(cfg, m)
         if not cfg.por:
-            out.append((crashed, ("crash",), None))
+            out.append((crash_machine(cfg, m), ("crash",), None))
             return out
         # under --por, one successor per distinct crash outcome, each
-        # substituted into the one crashed machine.  The outcomes depend on
-        # the pre-crash memory alone, so they are memoized on it; the key's
+        # joined to the one crashed tail.  The outcomes depend on the
+        # pre-crash memory alone, so they are memoized on it; the key's
         # flag keeps it apart from the post-crash memories keyed below
         last = m[M_CRASH] + 1 == cfg.max_crashes
+        tail = crash_tail(cfg, m, None if last else (0, 0, 0))
         key = (last, m[M_MEM])
         heads = memo.get(key)
         if heads is None:
-            heads = memo[key] = _crash_heads(cfg, m, crashed, last, memo)
-        if last:
-            tail = crashed[M_TXNS:M_REC] + (None,) + crashed[M_REC + 1:]
-        else:
-            tail = crashed[1:]
+            heads = memo[key] = _crash_heads(cfg, m, tail, last, memo)
         for head in heads:
             out.append((head + tail, ("crash",), None))
 
     return out
 
 
-def _crash_heads(cfg, m, crashed, last, memo):
-    """The distinct leading fields of `m`'s crash successors under --por,
-    in first-seen order: the reachable post-crash memories, or after the
-    last crash the outcomes (mem, glb, free) of recovery.  Recovery is then
-    the sole actor and emits nothing, so it runs to its end within the
-    crash transition; its outcome depends on the post-crash memory alone
-    and is memoized on it."""
-    bufs = crashed[M_MEM][1:]
+def _crash_heads(cfg, m, tail, last, memo):
+    """The distinct leading fields (mem, glb, free) of `m`'s crash
+    successors under --por, in first-seen order: the reachable post-crash
+    memories, or after the last crash the outcomes of recovery.  Recovery
+    is then the sole actor and emits nothing, so it runs to its end within
+    the crash transition; its outcome depends on the post-crash memory
+    alone and is memoized on it."""
+    bufs = cfg.pmem.crash(m[M_MEM])[1:]
     heads = {}
     for nvm in _crash_nvms(cfg, m):
         mem = (nvm,) + bufs
         if not last:
-            heads[(mem,)] = None
+            heads[(mem, 0, 0)] = None
             continue
         head = memo.get(mem)
         if head is None:
-            head = memo[mem] = \
-                run_recovery(cfg, (mem,) + crashed[1:])[:M_TXNS]
+            # the crashed machine: the tail, with recovery at its start
+            crashed = (mem, 0, 0, tail[0], (0, 0, 0)) + tail[2:]
+            head = memo[mem] = run_recovery(cfg, crashed)[:M_TXNS]
         heads[head] = None
     return tuple(heads)
 

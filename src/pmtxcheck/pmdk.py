@@ -1,4 +1,5 @@
-"""PMDK-style failure-atomic transaction core as atomic step programs.
+"""PMDK-style failure-atomic transaction core as step programs declared as
+data.
 
 Persistent layout (integer cells over the pmem simulator):
 
@@ -6,12 +7,6 @@ Persistent layout (integer cells over the pmem simulator):
 * per transaction t: one undo cell per location (-1 = no entry, else the
   logged old value), three redo-log cells (allocs bitmask, undoValid flag,
   checksum) and a global undo-valid flag cell.
-
-Each operation compiles to step functions, one scheduled atomic step per
-pseudo-code line; consecutive volatile-only lines are folded into the next
-shared-memory or emitting step.  A step takes the machine tuple and a slot
-index and returns ``[(machine', record-or-None), ...]``, ``None`` when
-blocked on buffer drains, or the cut sentinel.
 
 Write: log the old value on first touch, flush the undo entry, then write
 in place.  Commit: persist every written location; invalidate the volatile
@@ -24,6 +19,35 @@ the free list.  Recovery: per transaction id, replay the redo log when the
 stored checksum matches, roll back when the undo flag survived; then
 rebuild the free list from allocation metadata.
 
+Step programs.  Each operation is a block of named entries, one scheduled
+atomic step per pseudo-code line; consecutive volatile-only lines are
+folded into the next shared-memory or emitting step.  An entry is a shared
+kind -- ``store_go`` or ``flush_go`` (store a cell or flush cells, then go
+to an entry), ``bit_loop`` (store or flush the cell of a register mask's
+low bit, clear it, loop; fall through once empty), ``jump`` (a guarded
+jump), ``load`` or ``respond`` -- or a custom step for a line that fits no
+kind.  An entry names the targets it goes to by setting ip apart from those
+it falls through into, running them within the same step.  ``link``
+numbers the entries in block order, resolves the names to ips and compiles
+each entry into a closure ``step(m, ti)`` in ``cfg.step_table``, which
+returns ``[(machine', record-or-None), ...]``, None when blocked, or the
+cut sentinel.
+
+Footprints.  Each entry declares which classes of state it may touch: its
+own transaction's undo and redo-log cells (``LOG``), data value cells
+(``DATA``), allocation metadata cells (``META``), flushes of any cell
+(``FLUSH``), ``GLB``, the free list (``FREE``), other transactions' slots
+(``SLOTS``) and emitted records (``EMIT``).  A step's footprint,
+``cfg.footprints[ip]``, joins its entry's to those of the entries it falls
+through into.  ``link`` derives the reduction sets from them:
+
+* ``cfg.private_ips``, scheduled first under --por once no crash is left:
+  a step is private when it touches only its own log cells, or flushes,
+  and every step it falls through into is private;
+* ``cfg.noabort_ips``, read by ``fault_check``: the steps of the blocks
+  flagged past the commit's point of no return, and every step they go or
+  fall to.
+
 Mutation hooks (checker-sensitivity experiments) are compile-time:
 ``skip-flush-commit5`` drops the redo-log flush, ``reorder-commit`` moves
 data-write persistence after the redo-log flush, ``skip-undo-flush`` drops
@@ -32,13 +56,24 @@ the undo-entry flush, ``no-recovery-rollback`` skips recovery's rollback.
 
 from __future__ import annotations
 
-from .engine import (FLT, M_FLT, M_FREE, M_GLB, M_MEM, M_REC, M_TXNS, RDY,
-                     READY, RUN, S_AM, S_CK, S_IP, S_OP, S_REGS, S_ST, S_UV,
-                     lowbit, set_mem, set_mem_slot, set_slot, slot_upd,
-                     spent_slot)
+from collections import namedtuple
+
+from .engine import (ABRT, COMM, FLT, M_FLT, M_FREE, M_MEM, M_REC, M_TXNS,
+                     RDY, READY, RUN, S_AM, S_CK, S_IP, S_OP, S_REGS, S_ST,
+                     S_UV, bits, lowbit, set_mem, set_mem_slot, set_slot,
+                     slot_upd, spent_slot)
 
 MUTATIONS = ("skip-flush-commit5", "reorder-commit", "skip-validate",
              "skip-undo-flush", "no-recovery-rollback")
+
+# footprint classes
+LOG, DATA, META, FLUSH, GLB, FREE, SLOTS, EMIT = (
+    "log", "data", "meta", "flush", "glb", "free", "slots", "emit")
+# the access-validity check: it loads a metadata cell, reads the other
+# transactions' slots and, on a fault, emits the fault record
+FAULT = (META, SLOTS, EMIT)
+# all a private step may touch (the rule is in the module docstring)
+PRIVATE = frozenset((LOG, FLUSH))
 
 
 class Layout:
@@ -98,23 +133,6 @@ def calc_checksum(undo_valid, allocs_mask):
 # ---------------------------------------------------------------------------
 # shared step helpers
 # ---------------------------------------------------------------------------
-
-def reserve(cfg, n):
-    base = len(cfg.step_table)
-    cfg.step_table.extend([None] * n)
-    return base
-
-
-def fill(cfg, base, fns):
-    for i, fn in enumerate(fns):
-        cfg.step_table[base + i] = fn
-
-
-def run_ip(cfg, m, ti, ip):
-    """Fall through into the step at `ip` within the same scheduled step
-    (used when a phase change is volatile-only)."""
-    return cfg.step_table[ip](m, ti)
-
 
 def visible_undo_mask(cfg, m, ti, tid):
     lay = cfg.layout
@@ -183,373 +201,405 @@ def flush_mem(cfg, m, tid, cells):
     return m[M_MEM]
 
 
-def make_respond(cfg, op, status):
+# ---------------------------------------------------------------------------
+# entries, the shared kinds and the link pass
+# ---------------------------------------------------------------------------
+
+# One named step-table entry: make(cfg, **ips) compiles it once the target
+# names in `go` and `falls` (keyword -> name) are linked to ips; `fp` is its
+# own footprint.
+Entry = namedtuple("Entry", "name fp make go falls", defaults=(None, None))
+
+
+def store_go(name, fp, cell, val, go, upd=None):
+    """Store val(slot) into cell(ti, slot), then continue at `go`; upd(slot)
+    gives further slot updates."""
+    def make(cfg, go):
+        def step(m, ti):
+            slot = m[M_TXNS][ti]
+            mem2 = store(cfg, m, ti, cell(ti, slot), val(slot))
+            if mem2 is None:
+                return None
+            slot = slot_upd(slot, (S_IP, go), *upd(slot)) if upd \
+                else slot_upd(slot, (S_IP, go))
+            return [(set_mem_slot(m, mem2, ti, slot), None)]
+        return step
+    return Entry(name, fp, make, {"go": go})
+
+
+def flush_go(name, cells, go):
+    """Flush cells(ti, slot), then continue at `go`."""
+    def make(cfg, go):
+        def step(m, ti):
+            slot = m[M_TXNS][ti]
+            mem2 = flush_mem(cfg, m, ti, cells(ti, slot))
+            if mem2 is None:
+                return None
+            return [(set_mem_slot(m, mem2, ti, slot_upd(slot, (S_IP, go))),
+                     None)]
+        return step
+    return Entry(name, (FLUSH,), make, {"go": go})
+
+
+def bit_loop(name, fp, k, cell, val=None, again=None, done=None, init=None):
+    """While the register mask regs[k] is not empty, store val(m, ti, x)
+    into cell(x) for its low bit x -- or flush that cell when `val` is
+    None --, clear the bit and continue at `again` (this entry when None).
+    Once it is empty, fall through into `done`.  init(m, ti, regs) gives
+    the registers on entry."""
+    def make(cfg, again=None, done=None):
+        table = cfg.step_table
+        upd = () if again is None else ((S_IP, again),)
+
+        def step(m, ti):
+            slot = m[M_TXNS][ti]
+            regs = slot[S_REGS]
+            if init is not None:
+                regs = init(m, ti, regs)
+            mask = regs[k]
+            if mask:
+                x = lowbit(mask)
+                if val is None:
+                    mem2 = flush_mem(cfg, m, ti, (cell(x),))
+                else:
+                    mem2 = store(cfg, m, ti, cell(x), val(m, ti, x))
+                if mem2 is None:
+                    return None
+                regs = regs[:k] + (mask & ~(1 << x),) + regs[k + 1:]
+                return [(set_mem_slot(m, mem2, ti,
+                                      slot_upd(slot, (S_REGS, regs), *upd)),
+                         None)]
+            slot = slot_upd(slot, (S_REGS, regs), (S_IP, done))
+            return table[done](set_slot(m, ti, slot), ti)
+        return step
+    return Entry(name, fp, make, again and {"again": again},
+                 done and {"done": done})
+
+
+def jump(name, fp, pick, go=None, falls=None):
+    """A guarded jump: continue at the target whose keyword pick(m, slot)
+    returns, within this step when it is one of `falls`."""
+    def make(cfg, **ips):
+        table = cfg.step_table
+        to = {k: (ip, k in (falls or ())) for k, ip in ips.items()}
+
+        def step(m, ti):
+            slot = m[M_TXNS][ti]
+            ip, now = to[pick(m, slot)]
+            m2 = set_slot(m, ti, slot_upd(slot, (S_IP, ip)))
+            return table[ip](m2, ti) if now else [(m2, None)]
+        return step
+    return Entry(name, fp, make, go, falls)
+
+
+def load(name, done):
+    """One load of the value cell, after the access-validity check; regs
+    (l, ...) gain v at index 1."""
+    def make(cfg, done):
+        def step(m, ti):
+            slot = m[M_TXNS][ti]
+            l = slot[S_REGS][0]
+            if fault_check(cfg, m, ti, l):
+                return fault_state(cfg, m, ti, "read", l)
+            v = cfg.pmem.load(m[M_MEM], ti, cfg.layout.val(l))
+            regs = (l, v) + slot[S_REGS][2:]
+            slot = slot_upd(slot, (S_REGS, regs), (S_IP, done))
+            return [(set_slot(m, ti, slot), None)]
+        return step
+    return Entry(name, (DATA,) + FAULT, make, {"done": done})
+
+
+def respond(op, status, name="res"):
     """Response-emitting step; regs carry (loc, val) where applicable.  A
     response into RDY resets the fields RDY does not read (`READY`); one
     into COMM or ABRT ends the transaction, whose slot becomes the spent
     slot of that status."""
-    spent = None if status == RDY else spent_slot(cfg, status)
+    def make(cfg):
+        spent = None if status == RDY else spent_slot(cfg, status)
 
-    def s_res(m, ti):
-        slot = m[M_TXNS][ti]
-        loc = val = None
-        if op == "read" or op == "write":
-            loc, val = slot[S_REGS][0], slot[S_REGS][1]
-        elif op == "alloc":
-            loc = slot[S_REGS][0]
-        slot = slot_upd(slot, *READY) if spent is None else spent
-        return [(set_slot(m, ti, slot), ("res", ti, op, loc, val))]
-    return s_res
+        def step(m, ti):
+            slot = m[M_TXNS][ti]
+            loc = val = None
+            if op == "read" or op == "write":
+                loc, val = slot[S_REGS][0], slot[S_REGS][1]
+            elif op == "alloc":
+                loc = slot[S_REGS][0]
+            slot = slot_upd(slot, *READY) if spent is None else spent
+            return [(set_slot(m, ti, slot), ("res", ti, op, loc, val))]
+        return step
+    return Entry(name, (EMIT,), make)
+
+
+def link(cfg, blocks):
+    """Number the entries of `blocks` -- (name, noabort, entries) in ip
+    order -- and compile them into cfg.step_table.  A target name is an
+    entry of the same block, else a block (its first entry), else
+    "block.entry".  Derives cfg.footprints, cfg.private_ips and
+    cfg.noabort_ips, and returns the ip of every name."""
+    ips, named = {}, []
+    for bname, _noabort, entries in blocks:
+        assert bname not in ips, bname
+        ips[bname] = len(named)
+        for e in entries:
+            ips[bname + "." + e.name] = len(named)
+            named.append((bname, e))
+
+    def resolve(bname, targets):
+        out = {k: ips.get(bname + "." + t, ips.get(t))
+               for k, t in (targets or {}).items()}
+        assert None not in out.values(), (bname, targets)
+        return out
+
+    cfg.step_table = table = [None] * len(named)
+    cfg.step_names = [b + "." + e.name for b, e in named]
+    goes, falls = [], []
+    for ip, (bname, e) in enumerate(named):
+        go, fall = resolve(bname, e.go), resolve(bname, e.falls)
+        table[ip] = e.make(cfg, **go, **fall)
+        goes.append(go.values())
+        falls.append(fall.values())
+
+    fps = [None] * len(named)
+
+    def footprint(ip):
+        if fps[ip] is None:
+            fps[ip] = frozenset(named[ip][1].fp).union(
+                *map(footprint, falls[ip]))
+        return fps[ip]
+
+    cfg.footprints = [footprint(ip) for ip in range(len(named))]
+    cfg.private_ips = {ip for ip, fp in enumerate(cfg.footprints)
+                       if fp <= PRIVATE}
+    flagged = {b for b, noabort, _entries in blocks if noabort}
+    todo = [ip for ip, (b, _e) in enumerate(named) if b in flagged]
+    cfg.noabort_ips = set()
+    while todo:
+        ip = todo.pop()
+        if ip not in cfg.noabort_ips:
+            cfg.noabort_ips.add(ip)
+            todo.extend(goes[ip])
+            todo.extend(falls[ip])
+    return ips
 
 
 # ---------------------------------------------------------------------------
-# operation builders.  Each reserves its block and returns the entry ip.
+# operation blocks; `done` names the entry each continues at
 # ---------------------------------------------------------------------------
 
-def build_pbegin(cfg, done_ip):
+def responses():
+    return ("respond", False, [respond(op, status, op) for op, status in (
+        ("begin", RDY), ("read", RDY), ("write", RDY), ("commit", COMM),
+        ("abort", ABRT))])
+
+
+def pbegin(cfg, done):
     """Four stores: redo-log cells reset (allocs, undoValid, checksum) and
     the undo flag raised; the volatile redo reset rides on the first."""
     lay = cfg.layout
-    base = reserve(cfg, 4)
-
-    def mk(cell_of, val, upd_tredo):
-        def s(m, ti):
-            slot = m[M_TXNS][ti]
-            mem2 = store(cfg, m, ti, cell_of(ti), val)
-            if mem2 is None:
-                return None
-            ip = slot[S_IP] + 1
-            if ip == base + 4:
-                ip = done_ip
-            pairs = [(S_IP, ip)]
-            if upd_tredo:
-                pairs += [(S_UV, 1), (S_CK, -1), (S_AM, 0)]
-            return [(set_mem_slot(m, mem2, ti, slot_upd(slot, *pairs)), None)]
-        return s
-
-    fill(cfg, base, [mk(lay.pa, 0, True), mk(lay.puv, 1, False),
-                     mk(lay.pck, -1, False), mk(lay.guv, 1, False)])
-    cfg.private_ips.update(range(base, base + 4))
-    return base
+    return ("pbegin", False, [
+        store_go("pa", (LOG,), lambda t, s: lay.pa(t), lambda s: 0, "puv",
+                 lambda s: ((S_UV, 1), (S_CK, -1), (S_AM, 0))),
+        store_go("puv", (LOG,), lambda t, s: lay.puv(t), lambda s: 1, "pck"),
+        store_go("pck", (LOG,), lambda t, s: lay.pck(t), lambda s: -1,
+                 "guv"),
+        store_go("guv", (LOG,), lambda t, s: lay.guv(t), lambda s: 1, done),
+    ])
 
 
-def build_palloc(cfg):
+def _take(cfg, res):
     """Take a free location (lowest, or every choice under branch-alloc),
-    record it in the volatile redo log, respond."""
-    base = reserve(cfg, 2)
-
-    def s_take(m, ti):
+    record it in the volatile redo log."""
+    def step(m, ti):
         free = m[M_FREE]
         if free == 0:
             return None  # out of memory: step disabled
-        if cfg.branch_alloc:
-            choices, mm = [], free
-            while mm:
-                low = mm & -mm
-                choices.append(low.bit_length() - 1)
-                mm ^= low
-        else:
-            choices = [lowbit(free)]
         out = []
-        for x in choices:
+        for x in bits(free) if cfg.branch_alloc else [lowbit(free)]:
             slot = m[M_TXNS][ti]
             slot = slot_upd(slot, (S_AM, slot[S_AM] | (1 << x)),
-                            (S_REGS, (x, None)), (S_IP, base + 1))
-            m2 = (m[M_MEM], m[M_GLB], free & ~(1 << x),
-                  m[M_TXNS][:ti] + (slot,) + m[M_TXNS][ti + 1:]) \
+                            (S_REGS, (x, None)), (S_IP, res))
+            m2 = m[:M_FREE] + (free & ~(1 << x),
+                               m[M_TXNS][:ti] + (slot,) + m[M_TXNS][ti + 1:]) \
                 + m[M_TXNS + 1:]
             out.append((m2, None))
         return out
-
-    fill(cfg, base, [s_take, make_respond(cfg, "alloc", RDY)])
-    return base
+    return step
 
 
-def build_pread(cfg, done_ip):
-    """One load of the value cell; regs (l, ...) gains v at index 1."""
-    lay = cfg.layout
-    base = reserve(cfg, 1)
-
-    def s_read(m, ti):
-        slot = m[M_TXNS][ti]
-        l = slot[S_REGS][0]
-        if fault_check(cfg, m, ti, l):
-            return fault_state(cfg, m, ti, "read", l)
-        v = cfg.pmem.load(m[M_MEM], ti, lay.val(l))
-        regs = (l, v) + slot[S_REGS][2:]
-        slot = slot_upd(slot, (S_REGS, regs), (S_IP, done_ip))
-        return [(set_slot(m, ti, slot), None)]
-
-    fill(cfg, base, [s_read])
-    return base
+def palloc():
+    return ("palloc", False, [Entry("take", (FREE,), _take, {"res": "res"}),
+                              respond("alloc", RDY)])
 
 
-def build_pwrite(cfg, done_ip):
+def pread(done):
+    return ("pread", False, [load("load", done)])
+
+
+def pwrite(cfg, done):
     """Guard-and-log, undo flush, in-place store.  regs (l, v[, old])."""
     lay = cfg.layout
-    base = reserve(cfg, 4)
+
+    def make_guard(cfg, log, done):
+        def step(m, ti):
+            slot = m[M_TXNS][ti]
+            l, v = slot[S_REGS][0], slot[S_REGS][1]
+            if fault_check(cfg, m, ti, l):
+                return fault_state(cfg, m, ti, "write", l)
+            if cfg.pmem.load(m[M_MEM], ti, lay.undo(ti, l)) != -1:
+                mem2 = store(cfg, m, ti, lay.val(l), v)  # already logged
+                if mem2 is None:
+                    return None
+                return [(set_mem_slot(m, mem2, ti,
+                                      slot_upd(slot, (S_IP, done))), None)]
+            w = cfg.pmem.load(m[M_MEM], ti, lay.val(l))
+            slot = slot_upd(slot, (S_REGS, (l, v, w)), (S_IP, log))
+            return [(set_slot(m, ti, slot), None)]
+        return step
+
+    def undo(t, s):
+        return lay.undo(t, s[S_REGS][0])
+
     skip_flush = "skip-undo-flush" in cfg.mutations
-
-    def s_guard(m, ti):
-        slot = m[M_TXNS][ti]
-        l, v = slot[S_REGS][0], slot[S_REGS][1]
-        if fault_check(cfg, m, ti, l):
-            return fault_state(cfg, m, ti, "write", l)
-        if cfg.pmem.load(m[M_MEM], ti, lay.undo(ti, l)) != -1:
-            mem2 = store(cfg, m, ti, lay.val(l), v)  # already logged
-            if mem2 is None:
-                return None
-            return [(set_mem_slot(m, mem2, ti, slot_upd(slot,
-                                                        (S_IP, done_ip))),
-                     None)]
-        w = cfg.pmem.load(m[M_MEM], ti, lay.val(l))
-        slot = slot_upd(slot, (S_REGS, (l, v, w)), (S_IP, base + 1))
-        return [(set_slot(m, ti, slot), None)]
-
-    def s_log(m, ti):
-        slot = m[M_TXNS][ti]
-        l, _v, w = slot[S_REGS][:3]
-        mem2 = store(cfg, m, ti, lay.undo(ti, l), w)
-        if mem2 is None:
-            return None
-        ip = base + 3 if skip_flush else base + 2
-        return [(set_mem_slot(m, mem2, ti, slot_upd(slot, (S_IP, ip))),
-                 None)]
-
-    def s_log_flush(m, ti):
-        slot = m[M_TXNS][ti]
-        mem2 = flush_mem(cfg, m, ti, (lay.undo(ti, slot[S_REGS][0]),))
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti,
-                              slot_upd(slot, (S_IP, base + 3))), None)]
-
-    def s_write(m, ti):
-        slot = m[M_TXNS][ti]
-        l, v = slot[S_REGS][0], slot[S_REGS][1]
-        mem2 = store(cfg, m, ti, lay.val(l), v)
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti, slot_upd(slot, (S_IP, done_ip))),
-                 None)]
-
-    fill(cfg, base, [s_guard, s_log, s_log_flush, s_write])
-    cfg.private_ips.update((base + 1, base + 2))
-    return base
+    return ("pwrite", False, [
+        Entry("guard", (LOG, DATA) + FAULT, make_guard,
+              {"log": "log", "done": done}),
+        store_go("log", (LOG,), undo, lambda s: s[S_REGS][2],
+                 "write" if skip_flush else "flush"),
+        flush_go("flush", lambda t, s: (undo(t, s),), "write"),
+        store_go("write", (DATA,), lambda t, s: lay.val(s[S_REGS][0]),
+                 lambda s: s[S_REGS][1], done),
+    ])
 
 
-def build_pcommit(cfg, done_ip):
-    """The commit chain; regs become ("co", persist_mask, apply_mask)."""
+def _co_regs(regs):
+    return regs if regs[:1] == ("co",) else ("co", None, None)
+
+
+def pcommit(cfg, done):
+    """The commit chain; regs become ("co", persist_mask, apply_mask).
+    Every step is past the point of no return."""
     lay = cfg.layout
-    reorder = "reorder-commit" in cfg.mutations
-    skip_c5 = "skip-flush-commit5" in cfg.mutations
     order = ["pw", "pa", "puv", "pck", "fl", "ap", "apf", "guvf", "c7", "c8"]
-    if reorder:
+    if "reorder-commit" in cfg.mutations:
         order = ["pa", "puv", "pck", "fl", "pw", "ap", "apf", "guvf",
                  "c7", "c8"]
-    base = reserve(cfg, len(order))
-    cfg.noabort_ips.update(range(base, base + len(order)))
-    at = {p: base + i for i, p in enumerate(order)}
 
-    def regs_of(slot):
-        regs = slot[S_REGS]
-        if regs[:1] != ("co",):
-            regs = ("co", None, None)
+    def after(p):
+        return order[order.index(p) + 1]
+
+    def persist_regs(m, ti, regs):
+        regs = _co_regs(regs)
+        if regs[1] is None:
+            regs = ("co", visible_undo_mask(cfg, m, ti, ti), regs[2])
         return regs
 
-    def s_pw(m, ti):
-        slot = m[M_TXNS][ti]
-        regs = regs_of(slot)
-        mask = regs[1]
-        if mask is None:
-            mask = visible_undo_mask(cfg, m, ti, ti)
-        if mask:
-            x = lowbit(mask)
-            mem2 = flush_mem(cfg, m, ti, (lay.val(x),))
-            if mem2 is None:
-                return None
-            slot = slot_upd(slot, (S_REGS, ("co", mask & ~(1 << x),
-                                            regs[2])))
-            return [(set_mem_slot(m, mem2, ti, slot), None)]
-        slot = slot_upd(slot, (S_REGS, ("co", 0, regs[2])),
-                        (S_IP, at["pw"] + 1))
-        return run_ip(cfg, set_slot(m, ti, slot), ti, at["pw"] + 1)
+    def make_ap(cfg, flush, clear, done):
+        """Apply: store each logged allocation's metadata (flushed by apf),
+        then clear the undo flag if the persisted redo log says so."""
+        table = cfg.step_table
 
-    def s_pa(m, ti):
-        slot = m[M_TXNS][ti]
-        regs = regs_of(slot)
-        ck = calc_checksum(0, slot[S_AM])  # c2/c3 folded in
-        mem2 = store(cfg, m, ti, lay.pa(ti), slot[S_AM])
-        if mem2 is None:
-            return None
-        slot = slot_upd(slot, (S_UV, 0), (S_CK, ck), (S_REGS, regs),
-                        (S_IP, at["pa"] + 1))
-        return [(set_mem_slot(m, mem2, ti, slot), None)]
+        def step(m, ti):
+            slot = m[M_TXNS][ti]
+            regs = _co_regs(slot[S_REGS])
+            amask = regs[2]
+            if amask is None:
+                amask = cfg.pmem.load(m[M_MEM], ti, lay.pa(ti))
+            if amask:
+                x = lowbit(amask)
+                mem2 = store(cfg, m, ti, lay.meta(x), 1)
+                if mem2 is None:
+                    return None
+                slot = slot_upd(slot, (S_REGS, ("co", regs[1], amask)),
+                                (S_IP, flush))
+                return [(set_mem_slot(m, mem2, ti, slot), None)]
+            if cfg.pmem.load(m[M_MEM], ti, lay.puv(ti)) == 0:
+                mem2 = store(cfg, m, ti, lay.guv(ti), 0)
+                if mem2 is None:
+                    return None
+                slot = slot_upd(slot, (S_REGS, regs), (S_IP, clear))
+                return [(set_mem_slot(m, mem2, ti, slot), None)]
+            slot = slot_upd(slot, (S_REGS, regs), (S_IP, done))
+            return table[done](set_slot(m, ti, slot), ti)
+        return step
 
-    def s_puv(m, ti):
-        slot = m[M_TXNS][ti]
-        mem2 = store(cfg, m, ti, lay.puv(ti), slot[S_UV])
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti,
-                              slot_upd(slot, (S_IP, at["puv"] + 1))), None)]
-
-    def s_pck(m, ti):
-        slot = m[M_TXNS][ti]
-        mem2 = store(cfg, m, ti, lay.pck(ti), slot[S_CK])
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti,
-                              slot_upd(slot, (S_IP, at["pck"] + 1))), None)]
-
-    def s_fl(m, ti):
-        slot = m[M_TXNS][ti]
-        if skip_c5:  # mutation: the redo log is never explicitly persisted
-            slot = slot_upd(slot, (S_IP, at["fl"] + 1))
-            return run_ip(cfg, set_slot(m, ti, slot), ti, at["fl"] + 1)
-        mem2 = flush_mem(cfg, m, ti, (lay.pa(ti), lay.puv(ti), lay.pck(ti)))
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti,
-                              slot_upd(slot, (S_IP, at["fl"] + 1))), None)]
-
-    def s_ap(m, ti):
-        slot = m[M_TXNS][ti]
-        regs = regs_of(slot)
-        amask = regs[2]
-        if amask is None:
-            amask = cfg.pmem.load(m[M_MEM], ti, lay.pa(ti))
-        if amask:
-            x = lowbit(amask)
-            mem2 = store(cfg, m, ti, lay.meta(x), 1)
-            if mem2 is None:
-                return None
-            slot = slot_upd(slot, (S_REGS, ("co", regs[1], amask)),
-                            (S_IP, at["apf"]))
-            return [(set_mem_slot(m, mem2, ti, slot), None)]
-        if cfg.pmem.load(m[M_MEM], ti, lay.puv(ti)) == 0:
-            mem2 = store(cfg, m, ti, lay.guv(ti), 0)
-            if mem2 is None:
-                return None
-            slot = slot_upd(slot, (S_REGS, regs), (S_IP, at["guvf"]))
-            return [(set_mem_slot(m, mem2, ti, slot), None)]
-        slot = slot_upd(slot, (S_REGS, regs), (S_IP, at["c7"]))
-        return run_ip(cfg, set_slot(m, ti, slot), ti, at["c7"])
-
-    def s_apf(m, ti):
-        slot = m[M_TXNS][ti]
-        regs = slot[S_REGS]
-        x = lowbit(regs[2])
-        mem2 = flush_mem(cfg, m, ti, (lay.meta(x),))
-        if mem2 is None:
-            return None
-        slot = slot_upd(slot, (S_REGS, ("co", regs[1],
-                                        regs[2] & ~(1 << x))),
-                        (S_IP, at["ap"]))
-        return [(set_mem_slot(m, mem2, ti, slot), None)]
-
-    def s_guvf(m, ti):
-        slot = m[M_TXNS][ti]
-        mem2 = flush_mem(cfg, m, ti, (lay.guv(ti),))
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti,
-                              slot_upd(slot, (S_IP, at["c7"]))), None)]
-
-    def s_c7(m, ti):
-        slot = m[M_TXNS][ti]
-        mem2 = store(cfg, m, ti, lay.pck(ti), -1)
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti,
-                              slot_upd(slot, (S_IP, at["c8"]))), None)]
-
-    def s_c8(m, ti):
-        slot = m[M_TXNS][ti]
-        mem2 = flush_mem(cfg, m, ti, (lay.pck(ti),))
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti, slot_upd(slot, (S_IP, done_ip))),
-                 None)]
-
-    impls = {"pw": s_pw, "pa": s_pa, "puv": s_puv, "pck": s_pck, "fl": s_fl,
-             "ap": s_ap, "apf": s_apf, "guvf": s_guvf, "c7": s_c7,
-             "c8": s_c8}
-    fill(cfg, base, [impls[p] for p in order])
-    # reduced-mode-private phases: redo-cell stores, no-op flushes, and the
-    # persist loop when it falls through into a private store; the apply
-    # loop writes shared metadata cells and the mutated variants change the
-    # fall-through targets, so those stay scheduled
-    private = {"pa", "puv", "pck", "apf", "guvf", "c7", "c8"}
-    if not reorder:
-        private.add("pw")
-    if not skip_c5:
-        private.add("fl")
-    cfg.private_ips.update(at[p] for p in private)
-    return base
+    if "skip-flush-commit5" in cfg.mutations:
+        # mutation: the redo log is never explicitly persisted
+        fl = jump("fl", (), lambda m, s: "next", falls={"next": after("fl")})
+    else:
+        fl = flush_go("fl", lambda t, s: (lay.pa(t), lay.puv(t), lay.pck(t)),
+                      after("fl"))
+    entries = {
+        "pw": bit_loop("pw", (LOG, FLUSH), 1, lay.val, init=persist_regs,
+                       done=after("pw")),
+        # invalidating the volatile redo log and checksumming it fold in
+        "pa": store_go("pa", (LOG,), lambda t, s: lay.pa(t),
+                       lambda s: s[S_AM], after("pa"),
+                       lambda s: ((S_UV, 0), (S_CK, calc_checksum(0, s[S_AM])),
+                                  (S_REGS, _co_regs(s[S_REGS])))),
+        "puv": store_go("puv", (LOG,), lambda t, s: lay.puv(t),
+                        lambda s: s[S_UV], after("puv")),
+        "pck": store_go("pck", (LOG,), lambda t, s: lay.pck(t),
+                        lambda s: s[S_CK], after("pck")),
+        "fl": fl,
+        "ap": Entry("ap", (LOG, META), make_ap,
+                    {"flush": "apf", "clear": "guvf"}, {"done": "c7"}),
+        "apf": bit_loop("apf", (FLUSH,), 2, lay.meta, again="ap"),
+        "guvf": flush_go("guvf", lambda t, s: (lay.guv(t),), "c7"),
+        "c7": store_go("c7", (LOG,), lambda t, s: lay.pck(t), lambda s: -1,
+                       "c8"),
+        "c8": flush_go("c8", lambda t, s: (lay.pck(t),), done),
+    }
+    return ("pcommit", True, [entries[p] for p in order])
 
 
-def build_pabort(cfg, done_ip):
+def pabort(cfg, done):
     """Rollback stores, rollback flushes, clear-and-flush the undo flag,
     release allocations.  regs become ("ab", rb_mask, flush_mask)."""
     lay = cfg.layout
-    base = reserve(cfg, 4)
 
-    def s_rb(m, ti):
-        slot = m[M_TXNS][ti]
-        regs = slot[S_REGS]
-        if regs[:1] != ("ab",):
-            mask = visible_undo_mask(cfg, m, ti, ti)
-            regs = ("ab", mask, mask)
-            slot = slot_upd(slot, (S_REGS, regs))
-        mask = regs[1]
-        if mask:
-            x = lowbit(mask)
-            w = cfg.pmem.load(m[M_MEM], ti, lay.undo(ti, x))
-            mem2 = store(cfg, m, ti, lay.val(x), w)
+    def abort_regs(m, ti, regs):
+        if regs[:1] == ("ab",):
+            return regs
+        mask = visible_undo_mask(cfg, m, ti, ti)
+        return ("ab", mask, mask)
+
+    def make_pwf(cfg, go):
+        """Flush the rolled-back locations, then clear the undo flag."""
+        def step(m, ti):
+            slot = m[M_TXNS][ti]
+            mask = slot[S_REGS][2]
+            if mask:
+                x = lowbit(mask)
+                mem2 = flush_mem(cfg, m, ti, (lay.val(x),))
+                if mem2 is None:
+                    return None
+                slot = slot_upd(slot, (S_REGS, ("ab", 0, mask & ~(1 << x))))
+                return [(set_mem_slot(m, mem2, ti, slot), None)]
+            mem2 = store(cfg, m, ti, lay.guv(ti), 0)
             if mem2 is None:
                 return None
-            slot = slot_upd(slot, (S_REGS, ("ab", mask & ~(1 << x),
-                                            regs[2])))
-            return [(set_mem_slot(m, mem2, ti, slot), None)]
-        slot = slot_upd(slot, (S_IP, base + 1))
-        return run_ip(cfg, set_slot(m, ti, slot), ti, base + 1)
+            return [(set_mem_slot(m, mem2, ti, slot_upd(slot, (S_IP, go))),
+                     None)]
+        return step
 
-    def s_pwf(m, ti):
-        slot = m[M_TXNS][ti]
-        regs = slot[S_REGS]
-        mask = regs[2]
-        if mask:
-            x = lowbit(mask)
-            mem2 = flush_mem(cfg, m, ti, (lay.val(x),))
-            if mem2 is None:
-                return None
-            slot = slot_upd(slot, (S_REGS, ("ab", 0, mask & ~(1 << x))))
-            return [(set_mem_slot(m, mem2, ti, slot), None)]
-        mem2 = store(cfg, m, ti, lay.guv(ti), 0)
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti,
-                              slot_upd(slot, (S_IP, base + 2))), None)]
+    def make_free(cfg, done):
+        def step(m, ti):
+            slot = slot_upd(m[M_TXNS][ti], (S_IP, done))
+            m2 = m[:M_FREE] + (m[M_FREE] | slot[S_AM],
+                               m[M_TXNS][:ti] + (slot,) + m[M_TXNS][ti + 1:]) \
+                + m[M_TXNS + 1:]
+            return [(m2, None)]
+        return step
 
-    def s_guvf(m, ti):
-        slot = m[M_TXNS][ti]
-        mem2 = flush_mem(cfg, m, ti, (lay.guv(ti),))
-        if mem2 is None:
-            return None
-        return [(set_mem_slot(m, mem2, ti,
-                              slot_upd(slot, (S_IP, base + 3))), None)]
-
-    def s_free(m, ti):
-        slot = slot_upd(m[M_TXNS][ti], (S_IP, done_ip))
-        m2 = (m[M_MEM], m[M_GLB], m[M_FREE] | slot[S_AM],
-              m[M_TXNS][:ti] + (slot,) + m[M_TXNS][ti + 1:]) \
-            + m[M_TXNS + 1:]
-        return [(m2, None)]
-
-    fill(cfg, base, [s_rb, s_pwf, s_guvf, s_free])
-    cfg.private_ips.update((base + 1, base + 2))
-    return base
+    return ("pabort", False, [
+        bit_loop("rb", (LOG, DATA), 1, lay.val,
+                 lambda m, ti, x: cfg.pmem.load(m[M_MEM], ti,
+                                                lay.undo(ti, x)),
+                 init=abort_regs, done="pwf"),
+        Entry("pwf", (LOG, FLUSH), make_pwf, {"go": "guvf"}),
+        flush_go("guvf", lambda t, s: (lay.guv(t),), "free"),
+        Entry("free", (FREE,), make_free, {"done": done}),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +640,7 @@ def build_recovery(cfg):
                 for x in range(lay.locs):
                     if pm.load(mem, tid, lay.meta(x)) == 0:
                         free |= 1 << x
-                m2 = (m[M_MEM], 0, free) + m[3:M_REC] + (None,) \
+                m2 = (m[M_MEM], 0, free) + m[M_TXNS:M_REC] + (None,) \
                     + m[M_REC + 1:]
                 return [(m2, None)]
             pa = pm.load(mem, tid, lay.pa(t))

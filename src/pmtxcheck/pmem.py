@@ -199,10 +199,3 @@ class PMem:
                     if v not in cands[c]:
                         cands[c].append(v)
         return cands
-
-
-def cas_volatile(cur, expect, new):
-    """Atomic compare-and-swap on a volatile SC cell: (success, new value)."""
-    if cur == expect:
-        return True, new
-    return False, cur

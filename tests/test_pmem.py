@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from pmtxcheck.pmem import PMem, PSC, PTSO, cas_volatile
+from pmtxcheck.pmem import PMem, PSC, PTSO
 
 
 def fresh(model, ncells=2, nthreads=2, cap=2):
@@ -119,21 +119,6 @@ def test_crash_discards_buffers_keeps_nvm():
 def test_crash_on_fresh_state_is_identity_on_nvm():
     pm, st = fresh(PSC)
     assert pm.crash(st)[0] == st[0]
-
-
-def test_cas_volatile():
-    assert cas_volatile(0, 0, 1) == (True, 1)
-    assert cas_volatile(1, 0, 1) == (False, 1)
-
-
-def test_two_thread_cas_race_exactly_one_winner():
-    for order in ((0, 1), (1, 0)):
-        glb = 0
-        wins = []
-        for tid in order:
-            ok, glb = cas_volatile(glb, 0, 1)
-            wins.append(ok)
-        assert wins.count(True) == 1
 
 
 # ---------------------------------------------------------------------------
