@@ -20,9 +20,10 @@ A machine is one flat tuple, cheap to hash and copy:
     the fresh slot's (``spent_slot``).  Nothing reads an ended slot but
     its status: ``all_terminal`` and ``_may_begin`` read the status,
     ``pmdk.fault_check`` reads ``RUN`` slots only, and recovery reads
-    memory only.
+    only the ip and registers it keeps in the slot of the id it recovers,
+    which are at rest (``AT_REST``) in every other slot.
   - ``FLT``: ends the run (the machine's faulted flag is set).
-* ``rec``  -- None, or the recovery automaton state (txid, phase, mask)
+* ``rec``  -- None, or the transaction id recovery is at
 * ``crashes`` -- the crashes so far, which number the current era: a
   script's transaction begins in the era its ``era_min`` names or later
 * ``hist`` -- interned history id (maintained by the explorer)
@@ -31,8 +32,9 @@ A machine is one flat tuple, cheap to hash and copy:
 Transactions are driven by client *decision* steps (which emit invocation
 records and install an op program) and per-line program steps from the
 compiled step table.  System steps are store-buffer propagation, per-cell
-persists, and crashes.  The recovery program runs after a crash before any
-transaction steps; its steps emit nothing.  Under --por the crash that
+persists, and crashes.  After a crash, recovery runs before any
+transaction step: each transaction id in turn, as the thread of that id
+(``pmdk.recovery``); its steps emit nothing.  Under --por the crash that
 spends the last unit of the crash budget runs recovery to its end inside
 the crash transition (a macro-step): nothing else can act or crash until
 recovery ends, so its intermediate states are never explored.  Under --por
@@ -58,8 +60,11 @@ CUT = "cut"
 OPS = ("read", "write", "alloc", "commit")
 
 
+# ip and registers of a slot that no step program runs in
+AT_REST = ((S_IP, 0), (S_REGS, ()))
+
 # the response into RDY: the fields RDY does not read take fixed values
-READY = ((S_ST, RDY), (S_OP, None), (S_IP, 0), (S_REGS, ()), (S_RETR, 0))
+READY = ((S_ST, RDY), (S_OP, None)) + AT_REST + ((S_RETR, 0),)
 
 
 def fresh_slot(cfg):
@@ -124,32 +129,36 @@ def all_terminal(m):
 # ---------------------------------------------------------------------------
 
 def crash_machine(cfg, m):
-    """Buffers discarded, volatile state lost, live transactions die, the
-    recovery automaton takes over in a fresh era."""
-    return (cfg.pmem.crash(m[M_MEM]), 0, 0) + crash_tail(cfg, m, (0, 0, 0))
+    """Buffers discarded, volatile state lost, live transactions die,
+    recovery starts over from transaction id 0 in a fresh era."""
+    return (cfg.pmem.crash(m[M_MEM]), 0, 0) + crash_tail(cfg, m, 0)
 
 
 def crash_tail(cfg, m, rec):
-    """The fields of `m` crashed from txns on, with recovery state `rec`.
+    """The fields of `m` crashed from txns on, with recovery at id `rec`.
     A dead transaction keeps nothing of its volatile state: its slot
     becomes the spent DEAD slot, and the slots of ended transactions are
-    spent already."""
+    spent already; a crash during recovery puts the recovering slot back
+    at rest."""
     dead = spent_slot(cfg, DEAD)
     txns = tuple(dead if s[S_ST] in (RUN, RDY) else s for s in m[M_TXNS])
+    t = m[M_REC]
+    if t is not None:
+        txns = txns[:t] + (slot_upd(txns[t], *AT_REST),) + txns[t + 1:]
     return (txns, rec, m[M_CRASH] + 1, m[M_HIST], m[M_FLT])
 
 
 def run_recovery(cfg, m):
     """The machine after recovery runs to its end from `m`, stepped one
-    line at a time; when a step blocks, the recovery thread's store buffer
-    propagates its head.  Valid only in reduced mode, where recovery is the
-    sole actor and its persists need no scheduling."""
+    line at a time; when a step blocks, the recovering thread's store
+    buffer propagates its head.  Valid only in reduced mode, where recovery
+    is the sole actor and its persists need no scheduling."""
     step = cfg.recovery_step
     pm = cfg.pmem
     while m[M_REC] is not None:
         r = step(m)
         if r is None:
-            m = set_mem(m, pm.propagate_direct(m[M_MEM], cfg.txns))
+            m = set_mem(m, pm.propagate_direct(m[M_MEM], m[M_REC]))
         else:
             (m, _emit), = r
     return m
@@ -258,7 +267,7 @@ def successors(cfg, m, memo):
 
     # store-buffer propagation (always branches: TSO visibility)
     if pm.model == "ptso":
-        for tid in range(cfg.txns + 1):
+        for tid in range(cfg.txns):
             if not m[M_MEM][2][tid]:
                 continue
             if reduced:
@@ -291,7 +300,7 @@ def successors(cfg, m, memo):
         # pre-crash memory alone, so they are memoized on it; the key's
         # flag keeps it apart from the post-crash memories keyed below
         last = m[M_CRASH] + 1 == cfg.max_crashes
-        tail = crash_tail(cfg, m, None if last else (0, 0, 0))
+        tail = crash_tail(cfg, m, None if last else 0)
         key = (last, m[M_MEM])
         heads = memo.get(key)
         if heads is None:
@@ -319,7 +328,7 @@ def _crash_heads(cfg, m, tail, last, memo):
         head = memo.get(mem)
         if head is None:
             # the crashed machine: the tail, with recovery at its start
-            crashed = (mem, 0, 0, tail[0], (0, 0, 0)) + tail[2:]
+            crashed = (mem, 0, 0, tail[0], 0) + tail[2:]
             head = memo[mem] = run_recovery(cfg, crashed)[:M_TXNS]
         heads[head] = None
     return tuple(heads)

@@ -68,7 +68,7 @@ class Config:
         self.max_states = max_states
         self.serial = impl == "pmdk-seq"
         self.layout = Layout(locs, txns, prealloc)
-        self.pmem = PMem(self.layout.ncells, txns + 1, buf, model,
+        self.pmem = PMem(self.layout.ncells, txns, buf, model,
                          self.layout.initial_nvm())
         build_programs(self)
 

@@ -1,5 +1,5 @@
-"""PMDK-style failure-atomic transaction core as step programs declared as
-data.
+"""PMDK-style failure-atomic transaction core and its recovery as step
+programs declared as data.
 
 Persistent layout (integer cells over the pmem simulator):
 
@@ -13,11 +13,13 @@ in place.  Commit: persist every written location; invalidate the volatile
 redo log and checksum it; copy it field-by-field (allocs, undoValid,
 checksum) to the persistent redo cells; flush them; apply the redo log
 (persist allocation metadata, then clear and flush the undo flag); finally
-invalidate and flush the persistent checksum.  Abort: restore and persist
-logged values, clear and flush the undo flag, release allocations back to
-the free list.  Recovery: per transaction id, replay the redo log when the
-stored checksum matches, roll back when the undo flag survived; then
-rebuild the free list from allocation metadata.
+invalidate and flush the persistent checksum.  Abort: roll back (restore
+and persist logged values, clear and flush the undo flag), then release
+allocations back to the free list.  Recovery runs each transaction's own
+log code again, per transaction id in ascending order: the commit's apply
+when the stored checksum matches, then the abort's rollback when the undo
+flag survived; after the last id it rebuilds the free list from allocation
+metadata and resets ``glb``.
 
 Step programs.  Each operation is a block of named entries, one scheduled
 atomic step per pseudo-code line; consecutive volatile-only lines are
@@ -28,18 +30,25 @@ low bit, clear it, loop; fall through once empty), ``jump`` (a guarded
 jump), ``load`` or ``respond`` -- or a custom step for a line that fits no
 kind.  An entry names the targets it goes to by setting ip apart from those
 it falls through into, running them within the same step.  ``link``
-numbers the entries in block order, resolves the names to ips and compiles
-each entry into a closure ``step(m, ti)`` in ``cfg.step_table``, which
-returns ``[(machine', record-or-None), ...]``, None when blocked, or the
-cut sentinel.
+numbers the entries in block order, the recovery blocks last, resolves the
+names to ips and compiles each entry into a closure ``step(m, ti)`` in
+``cfg.step_table``, which returns ``[(machine', record-or-None), ...]``,
+None when blocked, or the cut sentinel.
+
+Recovery of transaction id t runs as thread t: the machine's rec field
+names t, and slot t carries recovery's ip and registers, starting from
+those at rest (``engine.AT_REST``).  Buffers are empty after a crash and recovery
+flushes every store it makes before it moves to the next id, so thread t's
+store buffer is empty again when transaction t can next act.
 
 Footprints.  Each entry declares which classes of state it may touch: its
 own transaction's undo and redo-log cells (``LOG``), data value cells
 (``DATA``), allocation metadata cells (``META``), flushes of any cell
 (``FLUSH``), ``GLB``, the free list (``FREE``), other transactions' slots
-(``SLOTS``) and emitted records (``EMIT``).  A step's footprint,
-``cfg.footprints[ip]``, joins its entry's to those of the entries it falls
-through into.  ``link`` derives the reduction sets from them:
+(``SLOTS``), emitted records (``EMIT``) and the rec field (``REC``).  A
+step's footprint, ``cfg.footprints[ip]``, joins its entry's to those of
+the entries it falls through into.  ``link`` derives the reduction sets
+from them:
 
 * ``cfg.private_ips``, scheduled first under --por once no crash is left:
   a step is private when it touches only its own log cells, or flushes,
@@ -51,24 +60,25 @@ through into.  ``link`` derives the reduction sets from them:
 Mutation hooks (checker-sensitivity experiments) are compile-time:
 ``skip-flush-commit5`` drops the redo-log flush, ``reorder-commit`` moves
 data-write persistence after the redo-log flush, ``skip-undo-flush`` drops
-the undo-entry flush, ``no-recovery-rollback`` skips recovery's rollback.
+the undo-entry flush, ``no-recovery-rollback`` makes recovery's undo-flag
+test always skip the rollback.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .engine import (ABRT, COMM, FLT, M_FLT, M_FREE, M_MEM, M_REC, M_TXNS,
-                     RDY, READY, RUN, S_AM, S_CK, S_IP, S_OP, S_REGS, S_ST,
-                     S_UV, bits, lowbit, set_mem, set_mem_slot, set_slot,
+from .engine import (ABRT, AT_REST, COMM, FLT, M_FLT, M_FREE, M_MEM, M_REC,
+                     M_TXNS, RDY, READY, RUN, S_AM, S_CK, S_IP, S_OP, S_REGS,
+                     S_ST, S_UV, bits, lowbit, set_mem_slot, set_slot,
                      slot_upd, spent_slot)
 
 MUTATIONS = ("skip-flush-commit5", "reorder-commit", "skip-validate",
              "skip-undo-flush", "no-recovery-rollback")
 
 # footprint classes
-LOG, DATA, META, FLUSH, GLB, FREE, SLOTS, EMIT = (
-    "log", "data", "meta", "flush", "glb", "free", "slots", "emit")
+LOG, DATA, META, FLUSH, GLB, FREE, SLOTS, EMIT, REC = (
+    "log", "data", "meta", "flush", "glb", "free", "slots", "emit", "rec")
 # the access-validity check: it loads a metadata cell, reads the other
 # transactions' slots and, on a fault, emits the fault record
 FAULT = (META, SLOTS, EMIT)
@@ -134,13 +144,13 @@ def calc_checksum(undo_valid, allocs_mask):
 # shared step helpers
 # ---------------------------------------------------------------------------
 
-def visible_undo_mask(cfg, m, ti, tid):
+def visible_undo_mask(cfg, m, ti):
     lay = cfg.layout
     mem = m[M_MEM]
     load = cfg.pmem.load
     mask = 0
     for x in range(lay.locs):
-        if load(mem, tid, lay.undo(ti, x)) != -1:
+        if load(mem, ti, lay.undo(ti, x)) != -1:
             mask |= 1 << x
     return mask
 
@@ -181,7 +191,7 @@ def store(cfg, m, tid, cell, val):
         return pm.store_direct(m[M_MEM], cell, val)
     mem2 = pm.store(m[M_MEM], tid, cell, val)
     if mem2 is None and cfg.por and pm.model == "psc":
-        mem2 = pm.store(pm.make_room(m[M_MEM], cell), tid, cell, val)
+        mem2 = pm.store(pm.persist(m[M_MEM], cell), tid, cell, val)
     return mem2
 
 
@@ -277,15 +287,16 @@ def bit_loop(name, fp, k, cell, val=None, again=None, done=None, init=None):
 
 
 def jump(name, fp, pick, go=None, falls=None):
-    """A guarded jump: continue at the target whose keyword pick(m, slot)
-    returns, within this step when it is one of `falls`."""
+    """A guarded jump: continue at the target whose keyword
+    pick(m, ti, slot) returns, within this step when it is one of
+    `falls`."""
     def make(cfg, **ips):
         table = cfg.step_table
         to = {k: (ip, k in (falls or ())) for k, ip in ips.items()}
 
         def step(m, ti):
             slot = m[M_TXNS][ti]
-            ip, now = to[pick(m, slot)]
+            ip, now = to[pick(m, ti, slot)]
             m2 = set_slot(m, ti, slot_upd(slot, (S_IP, ip)))
             return table[ip](m2, ti) if now else [(m2, None)]
         return step
@@ -332,10 +343,12 @@ def respond(op, status, name="res"):
 
 def link(cfg, blocks):
     """Number the entries of `blocks` -- (name, noabort, entries) in ip
-    order -- and compile them into cfg.step_table.  A target name is an
-    entry of the same block, else a block (its first entry), else
-    "block.entry".  Derives cfg.footprints, cfg.private_ips and
-    cfg.noabort_ips, and returns the ip of every name."""
+    order -- and then of the recovery blocks, and compile them into
+    cfg.step_table.  A target name is an entry of the same block, else a
+    block (its first entry), else "block.entry".  Derives cfg.footprints,
+    cfg.private_ips and cfg.noabort_ips, installs cfg.recovery_step, and
+    returns the ip of every name."""
+    blocks = blocks + recovery(cfg)
     ips, named = {}, []
     for bname, _noabort, entries in blocks:
         assert bname not in ips, bname
@@ -359,27 +372,29 @@ def link(cfg, blocks):
         goes.append(go.values())
         falls.append(fall.values())
 
-    fps = [None] * len(named)
-
-    def footprint(ip):
-        if fps[ip] is None:
-            fps[ip] = frozenset(named[ip][1].fp).union(
-                *map(footprint, falls[ip]))
-        return fps[ip]
-
-    cfg.footprints = [footprint(ip) for ip in range(len(named))]
+    cfg.footprints = [frozenset().union(*(named[i][1].fp
+                                          for i in reach([ip], falls)))
+                      for ip in range(len(named))]
     cfg.private_ips = {ip for ip, fp in enumerate(cfg.footprints)
                        if fp <= PRIVATE}
     flagged = {b for b, noabort, _entries in blocks if noabort}
-    todo = [ip for ip, (b, _e) in enumerate(named) if b in flagged]
-    cfg.noabort_ips = set()
+    cfg.noabort_ips = reach([ip for ip, (b, _e) in enumerate(named)
+                             if b in flagged], goes, falls)
+    cfg.recovery_step = recovery_step(cfg, ips["redo"])
+    return ips
+
+
+def reach(ips, *edges):
+    """The ips reachable from `ips` along any of the per-ip `edges`."""
+    out = set()
+    todo = list(ips)
     while todo:
         ip = todo.pop()
-        if ip not in cfg.noabort_ips:
-            cfg.noabort_ips.add(ip)
-            todo.extend(goes[ip])
-            todo.extend(falls[ip])
-    return ips
+        if ip not in out:
+            out.add(ip)
+            for e in edges:
+                todo.extend(e[ip])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,27 +490,14 @@ def _co_regs(regs):
     return regs if regs[:1] == ("co",) else ("co", None, None)
 
 
-def pcommit(cfg, done):
-    """The commit chain; regs become ("co", persist_mask, apply_mask).
-    Every step is past the point of no return."""
+def redo_apply(cfg, done):
+    """Apply the redo log: store each logged allocation's metadata and
+    flush it, then clear and flush the undo flag if the redo log says so,
+    and continue at `done`.  regs become ("co", persist_mask, apply_mask).
+    The commit and recovery run these entries."""
     lay = cfg.layout
-    order = ["pw", "pa", "puv", "pck", "fl", "ap", "apf", "guvf", "c7", "c8"]
-    if "reorder-commit" in cfg.mutations:
-        order = ["pa", "puv", "pck", "fl", "pw", "ap", "apf", "guvf",
-                 "c7", "c8"]
-
-    def after(p):
-        return order[order.index(p) + 1]
-
-    def persist_regs(m, ti, regs):
-        regs = _co_regs(regs)
-        if regs[1] is None:
-            regs = ("co", visible_undo_mask(cfg, m, ti, ti), regs[2])
-        return regs
 
     def make_ap(cfg, flush, clear, done):
-        """Apply: store each logged allocation's metadata (flushed by apf),
-        then clear the undo flag if the persisted redo log says so."""
         table = cfg.step_table
 
         def step(m, ti):
@@ -522,45 +524,23 @@ def pcommit(cfg, done):
             return table[done](set_slot(m, ti, slot), ti)
         return step
 
-    if "skip-flush-commit5" in cfg.mutations:
-        # mutation: the redo log is never explicitly persisted
-        fl = jump("fl", (), lambda m, s: "next", falls={"next": after("fl")})
-    else:
-        fl = flush_go("fl", lambda t, s: (lay.pa(t), lay.puv(t), lay.pck(t)),
-                      after("fl"))
-    entries = {
-        "pw": bit_loop("pw", (LOG, FLUSH), 1, lay.val, init=persist_regs,
-                       done=after("pw")),
-        # invalidating the volatile redo log and checksumming it fold in
-        "pa": store_go("pa", (LOG,), lambda t, s: lay.pa(t),
-                       lambda s: s[S_AM], after("pa"),
-                       lambda s: ((S_UV, 0), (S_CK, calc_checksum(0, s[S_AM])),
-                                  (S_REGS, _co_regs(s[S_REGS])))),
-        "puv": store_go("puv", (LOG,), lambda t, s: lay.puv(t),
-                        lambda s: s[S_UV], after("puv")),
-        "pck": store_go("pck", (LOG,), lambda t, s: lay.pck(t),
-                        lambda s: s[S_CK], after("pck")),
-        "fl": fl,
-        "ap": Entry("ap", (LOG, META), make_ap,
-                    {"flush": "apf", "clear": "guvf"}, {"done": "c7"}),
-        "apf": bit_loop("apf", (FLUSH,), 2, lay.meta, again="ap"),
-        "guvf": flush_go("guvf", lambda t, s: (lay.guv(t),), "c7"),
-        "c7": store_go("c7", (LOG,), lambda t, s: lay.pck(t), lambda s: -1,
-                       "c8"),
-        "c8": flush_go("c8", lambda t, s: (lay.pck(t),), done),
-    }
-    return ("pcommit", True, [entries[p] for p in order])
+    return [Entry("ap", (LOG, META), make_ap,
+                  {"flush": "apf", "clear": "guvf"}, {"done": done}),
+            bit_loop("apf", (FLUSH,), 2, lay.meta, again="ap"),
+            flush_go("guvf", lambda t, s: (lay.guv(t),), done)]
 
 
-def pabort(cfg, done):
-    """Rollback stores, rollback flushes, clear-and-flush the undo flag,
-    release allocations.  regs become ("ab", rb_mask, flush_mask)."""
+def undo_rollback(cfg, done):
+    """Roll the undo log back: store, then flush, each logged old value,
+    then clear and flush the undo flag, and continue at `done`.  regs
+    become ("ab", rb_mask, flush_mask).  The abort and recovery run these
+    entries."""
     lay = cfg.layout
 
     def abort_regs(m, ti, regs):
         if regs[:1] == ("ab",):
             return regs
-        mask = visible_undo_mask(cfg, m, ti, ti)
+        mask = visible_undo_mask(cfg, m, ti)
         return ("ab", mask, mask)
 
     def make_pwf(cfg, go):
@@ -582,6 +562,61 @@ def pabort(cfg, done):
                      None)]
         return step
 
+    return [bit_loop("rb", (LOG, DATA), 1, lay.val,
+                     lambda m, ti, x: cfg.pmem.load(m[M_MEM], ti,
+                                                    lay.undo(ti, x)),
+                     init=abort_regs, done="pwf"),
+            Entry("pwf", (LOG, FLUSH), make_pwf, {"go": "guvf"}),
+            flush_go("guvf", lambda t, s: (lay.guv(t),), done)]
+
+
+def pcommit(cfg, done):
+    """The commit chain; regs become ("co", persist_mask, apply_mask).
+    Every step is past the point of no return."""
+    lay = cfg.layout
+    order = ["pw", "pa", "puv", "pck", "fl", "ap", "apf", "guvf", "c7", "c8"]
+    if "reorder-commit" in cfg.mutations:
+        order = ["pa", "puv", "pck", "fl", "pw", "ap", "apf", "guvf",
+                 "c7", "c8"]
+
+    def after(p):
+        return order[order.index(p) + 1]
+
+    def persist_regs(m, ti, regs):
+        regs = _co_regs(regs)
+        if regs[1] is None:
+            regs = ("co", visible_undo_mask(cfg, m, ti), regs[2])
+        return regs
+
+    if "skip-flush-commit5" in cfg.mutations:
+        # mutation: the redo log is never explicitly persisted
+        fl = jump("fl", (), lambda m, ti, s: "next",
+                  falls={"next": after("fl")})
+    else:
+        fl = flush_go("fl", lambda t, s: (lay.pa(t), lay.puv(t), lay.pck(t)),
+                      after("fl"))
+    entries = {e.name: e for e in [
+        bit_loop("pw", (LOG, FLUSH), 1, lay.val, init=persist_regs,
+                 done=after("pw")),
+        # invalidating the volatile redo log and checksumming it fold in
+        store_go("pa", (LOG,), lambda t, s: lay.pa(t), lambda s: s[S_AM],
+                 after("pa"),
+                 lambda s: ((S_UV, 0), (S_CK, calc_checksum(0, s[S_AM])),
+                            (S_REGS, _co_regs(s[S_REGS])))),
+        store_go("puv", (LOG,), lambda t, s: lay.puv(t), lambda s: s[S_UV],
+                 after("puv")),
+        store_go("pck", (LOG,), lambda t, s: lay.pck(t), lambda s: s[S_CK],
+                 after("pck")),
+        fl,
+        *redo_apply(cfg, "c7"),
+        store_go("c7", (LOG,), lambda t, s: lay.pck(t), lambda s: -1, "c8"),
+        flush_go("c8", lambda t, s: (lay.pck(t),), done),
+    ]}
+    return ("pcommit", True, [entries[p] for p in order])
+
+
+def pabort(cfg, done):
+    """Roll back, then release allocations."""
     def make_free(cfg, done):
         def step(m, ti):
             slot = slot_upd(m[M_TXNS][ti], (S_IP, done))
@@ -591,114 +626,68 @@ def pabort(cfg, done):
             return [(m2, None)]
         return step
 
-    return ("pabort", False, [
-        bit_loop("rb", (LOG, DATA), 1, lay.val,
-                 lambda m, ti, x: cfg.pmem.load(m[M_MEM], ti,
-                                                lay.undo(ti, x)),
-                 init=abort_regs, done="pwf"),
-        Entry("pwf", (LOG, FLUSH), make_pwf, {"go": "guvf"}),
-        flush_go("guvf", lambda t, s: (lay.guv(t),), "free"),
-        Entry("free", (FREE,), make_free, {"done": done}),
-    ])
+    return ("pabort", False, undo_rollback(cfg, "free") + [
+        Entry("free", (FREE,), make_free, {"done": done})])
 
 
 # ---------------------------------------------------------------------------
-# Recovery automaton, driven through the machine's rec field (txid, phase,
-# mask).  Phases: 0 checksum check / finish, 1 redo-apply store, 2 redo
-# metadata flush, 4 undo-flag flush, 5 rollback check, 6 rollback store,
-# 7 rollback flush.  Each step returns one successor and emits nothing, and
-# reads and writes only memory; the finishing step also rebuilds the free
-# list.  While a crash can still interrupt it, the engine schedules it one
-# step at a time; after the last crash under --por, `engine.run_recovery`
-# runs it to its end inside the crash transition.
+# recovery: per transaction id, the checksum test jumps into the commit's
+# apply, the undo-flag test into the abort's rollback, and `next` moves on
+# to the next id.  While a crash can still interrupt it, the engine
+# schedules it one step at a time; after the last crash under --por,
+# `engine.run_recovery` runs it to its end inside the crash transition.
 # ---------------------------------------------------------------------------
 
-def build_recovery(cfg):
+def recovery(cfg):
+    """The recovery blocks of transaction id ti, run as thread ti."""
     lay = cfg.layout
-    tid = cfg.txns  # recovery pseudo-thread
     skip_rb = "no-recovery-rollback" in cfg.mutations
 
-    def nvm_undo_mask(m, t):
-        load = cfg.pmem.load
-        mem = m[M_MEM]
-        mask = 0
-        for x in range(lay.locs):
-            if load(mem, tid, lay.undo(t, x)) != -1:
-                mask |= 1 << x
-        return mask
+    def redo_valid(m, ti, slot):
+        pa, puv, pck = (cfg.pmem.load(m[M_MEM], ti, c)
+                        for c in (lay.pa(ti), lay.puv(ti), lay.pck(ti)))
+        return "apply" if calc_checksum(puv, pa) == pck else "undo"
 
-    def set_rec(m, rec):
-        return m[:M_REC] + (rec,) + m[M_REC + 1:]
+    def undo_valid(m, ti, slot):
+        # an id that never began has its flag up and nothing to roll back;
+        # its flag stays up, since its begin raises it without a flush
+        if skip_rb or cfg.pmem.load(m[M_MEM], ti, lay.guv(ti)) != 1 \
+                or not visible_undo_mask(cfg, m, ti):
+            return "next"
+        return "rollback"
+
+    def make_next(cfg):
+        """Put the slot back at rest and move to the next id; after the
+        last, rebuild the free list from metadata and reset glb."""
+        def step(m, ti):
+            m = set_slot(m, ti, slot_upd(m[M_TXNS][ti], *AT_REST))
+            if ti + 1 < cfg.txns:
+                return [(m[:M_REC] + (ti + 1,) + m[M_REC + 1:], None)]
+            free = 0
+            for x in range(lay.locs):
+                if cfg.pmem.load(m[M_MEM], ti, lay.meta(x)) == 0:
+                    free |= 1 << x
+            return [((m[M_MEM], 0, free) + m[M_TXNS:M_REC] + (None,)
+                     + m[M_REC + 1:], None)]
+        return step
+
+    return [
+        ("redo", False, [jump("check", (LOG,), redo_valid,
+                              falls={"apply": "ap", "undo": "undo"}),
+                         *redo_apply(cfg, "undo")]),
+        ("undo", False, [jump("flag", (LOG,), undo_valid,
+                              falls={"rollback": "rb", "next": "next"}),
+                         *undo_rollback(cfg, "next")]),
+        ("next", False, [Entry("next", (META, GLB, FREE, REC), make_next)]),
+    ]
+
+
+def recovery_step(cfg, start):
+    """One scheduler step of recovery: the step of the recovering thread,
+    which starts at `start` while its slot is at rest."""
+    table = cfg.step_table
 
     def step(m):
-        t, phase, mask = m[M_REC]
-        pm = cfg.pmem
-        mem = m[M_MEM]
-        if phase == 0:
-            if t >= cfg.txns:
-                free = 0
-                for x in range(lay.locs):
-                    if pm.load(mem, tid, lay.meta(x)) == 0:
-                        free |= 1 << x
-                m2 = (m[M_MEM], 0, free) + m[M_TXNS:M_REC] + (None,) \
-                    + m[M_REC + 1:]
-                return [(m2, None)]
-            pa = pm.load(mem, tid, lay.pa(t))
-            puv = pm.load(mem, tid, lay.puv(t))
-            pck = pm.load(mem, tid, lay.pck(t))
-            if calc_checksum(puv, pa) == pck:
-                return step(set_rec(m, (t, 1, pa)))
-            return step(set_rec(m, (t, 5, 0)))
-        if phase == 1:
-            if mask:
-                x = lowbit(mask)
-                mem2 = store(cfg, m, tid, lay.meta(x), 1)
-                if mem2 is None:
-                    return None
-                return [(set_rec(set_mem(m, mem2), (t, 2, mask)), None)]
-            if pm.load(mem, tid, lay.puv(t)) == 0:
-                mem2 = store(cfg, m, tid, lay.guv(t), 0)
-                if mem2 is None:
-                    return None
-                return [(set_rec(set_mem(m, mem2), (t, 4, 0)), None)]
-            return step(set_rec(m, (t, 5, 0)))
-        if phase == 2:
-            x = lowbit(mask)
-            mem2 = flush_mem(cfg, m, tid, (lay.meta(x),))
-            if mem2 is None:
-                return None
-            return [(set_rec(set_mem(m, mem2), (t, 1, mask & ~(1 << x))),
-                     None)]
-        if phase == 4:
-            mem2 = flush_mem(cfg, m, tid, (lay.guv(t),))
-            if mem2 is None:
-                return None
-            return step(set_rec(set_mem(m, mem2), (t, 5, 0)))
-        if phase == 5:
-            if not skip_rb and pm.load(mem, tid, lay.guv(t)) == 1:
-                rb = nvm_undo_mask(m, t)
-                if rb:
-                    return [(set_rec(m, (t, 6, rb)), None)]
-            return step(set_rec(m, (t + 1, 0, 0)))
-        if phase == 6:
-            if mask:
-                x = lowbit(mask)
-                w = pm.load(mem, tid, lay.undo(t, x))
-                mem2 = store(cfg, m, tid, lay.val(x), w)
-                if mem2 is None:
-                    return None
-                return [(set_rec(set_mem(m, mem2),
-                                 (t, 6, mask & ~(1 << x))), None)]
-            return step(set_rec(m, (t, 7, nvm_undo_mask(m, t))))
-        if phase == 7:
-            if mask:
-                x = lowbit(mask)
-                mem2 = flush_mem(cfg, m, tid, (lay.val(x),))
-                if mem2 is None:
-                    return None
-                return [(set_rec(set_mem(m, mem2), (t, 7, mask & ~(1 << x))),
-                         None)]
-            return step(set_rec(m, (t + 1, 0, 0)))
-        raise AssertionError("bad recovery phase %r" % (phase,))
-
+        ti = m[M_REC]
+        return table[m[M_TXNS][ti][S_IP] or start](m, ti)
     return step

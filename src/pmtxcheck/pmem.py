@@ -81,11 +81,9 @@ class PMem:
 
     def flush_ready(self, st, tid, cells):
         """True when a flush of `cells` by `tid` may complete."""
-        nvm, pbufs, sbufs = st
-        if sbufs is not None:
-            for c, _v in sbufs[tid]:
-                if c in cells:
-                    return False
+        if not self.sbuf_clear_of(st, tid, cells):
+            return False
+        pbufs = st[1]
         for c in cells:
             if pbufs[c]:
                 return False
@@ -148,12 +146,6 @@ class PMem:
                 nvm[c] = pbufs[c][-1]
                 pbufs[c] = ()
         return (tuple(nvm), tuple(pbufs), sbufs)
-
-    def make_room(self, st, cell):
-        """Persist the oldest buffered value of `cell` (reduced-mode store)."""
-        nvm, pbufs, sbufs = st
-        buf = pbufs[cell]
-        return (_repl(nvm, cell, buf[0]), _repl(pbufs, cell, buf[1:]), sbufs)
 
     def crash(self, st):
         """Discard all buffers; NVM survives."""

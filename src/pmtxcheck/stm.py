@@ -18,8 +18,8 @@ with its footprint: shared kinds where a line stores, flushes, loads or
 jumps, custom steps where it reads or writes ``glb`` or the read and write
 sets.  ``build_programs`` links the core's blocks and the layer's into the
 step table (NOrec's write-back, like the core commit, is flagged past the
-point of no return) and installs the recovery automaton (every transaction
-id recovered in ascending order, then ``glb := 0``).
+point of no return); ``pmdk.link`` adds the core's recovery blocks, which
+reset ``glb`` to 0 once every transaction id is recovered.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from __future__ import annotations
 from .engine import (CUT, M_GLB, M_MEM, M_TXNS, OPS, READY, S_IP, S_LOC,
                      S_RD, S_REGS, S_RETR, S_WR, lowbit, set_mem_slot,
                      set_slot, slot_upd)
-from .pmdk import (DATA, EMIT, FAULT, GLB, LOG, Entry, build_recovery,
-                   fault_check, fault_state, flush_go, jump, link, load,
-                   pabort, palloc, pbegin, pcommit, pread, pwrite, responses,
-                   store, store_go)
+from .pmdk import (DATA, EMIT, FAULT, GLB, LOG, Entry, fault_check,
+                   fault_state, flush_go, jump, link, load, pabort, palloc,
+                   pbegin, pcommit, pread, pwrite, responses, store, store_go)
 
 IMPLS = ("pmdk-seq", "pmdk-tml", "pmdk-norec")
 
@@ -40,7 +39,6 @@ def _set_glb(m, g):
 
 
 def build_programs(cfg):
-    cfg.recovery_step = build_recovery(cfg)
     blocks = [responses(), pabort(cfg, "respond.abort"),
               pbegin(cfg, "respond.begin"), palloc()]
     if cfg.impl == "pmdk-seq":
@@ -147,7 +145,7 @@ def _tml_blocks(cfg):
         # a lock holder answers directly; a lock-free reader aborts when a
         # writer intervened since its snapshot
         ("validate", False, [jump(
-            "glb", (GLB,), lambda m, s: "own" if s[S_LOC] % 2
+            "glb", (GLB,), lambda m, ti, s: "own" if s[S_LOC] % 2
             else "ok" if m[M_GLB] == s[S_LOC] else "abort",
             {"ok": "respond.read", "abort": "pabort"},
             {"own": "respond.read"})]),

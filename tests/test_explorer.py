@@ -6,10 +6,10 @@ import hashlib
 import pytest
 
 from pmtxcheck import cli
-from pmtxcheck.engine import (ABRT, COMM, DEAD, M_CRASH, M_MEM, M_REC,
-                              M_TXNS, RDY, S_IP, S_RETR, S_ST, _crash_nvms,
-                              all_terminal, crash_machine, spent_slot,
-                              successors)
+from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_MEM,
+                              M_REC, M_TXNS, RDY, S_IP, S_RETR, S_ST,
+                              _crash_nvms, all_terminal, crash_machine,
+                              slot_upd, spent_slot, successors)
 from pmtxcheck.explorer import (BudgetExceeded, Config, check_lower,
                                 check_upper, explore, mutation_check_config,
                                 run_intro_cases, skip_validate_config)
@@ -74,24 +74,39 @@ def history_digest(hs):
 
 SEQ_1_CRASH = \
     "7df76bd404ab42380d98c725258312fec0694cbc0d6a1c26675f44c8d7921db8"
+SEQ_DOUBLE_ROLLBACK = \
+    "0272282082211a6c5359c5a0e8efde6d8b901531c948f2bda18433fcadce6fd6"
 
 
-@pytest.mark.parametrize("impl,model,locs,crashes,count,digest", [
-    ("pmdk-seq", "psc", 2, 1, 57, SEQ_1_CRASH),
-    ("pmdk-seq", "ptso", 2, 1, 57, SEQ_1_CRASH),
+# T0 writes in era 0, T1 writes in a later era and T2 reads in a later one
+# still: recovery after the second crash must not roll T0 back again
+DOUBLE_ROLLBACK = dict(
+    txns=3, locs=1, prealloc=1, max_crashes=2, buf=1, ops=1,
+    scripts=(((("write", 0, 1),), 0), ((("write", 0, 1),), 1),
+             ((("read", 0),), 2)))
+
+
+@pytest.mark.parametrize("impl,model,base,count,digest", [
+    ("pmdk-seq", "psc", dict(locs=2, max_crashes=1), 57, SEQ_1_CRASH),
+    ("pmdk-seq", "ptso", dict(locs=2, max_crashes=1), 57, SEQ_1_CRASH),
     # a crash during interleaved recovery, then a folded last crash
-    ("pmdk-seq", "psc", 2, 2, 99,
+    ("pmdk-seq", "psc", dict(locs=2, max_crashes=2), 99,
      "9e7c5aa3a2825f1caed2300d141fc3d05e76e1e94ae28fc4e05bf852cca9b66e"),
-    ("pmdk-seq", "ptso", 1, 2, 63,
+    ("pmdk-seq", "ptso", dict(locs=1, max_crashes=2), 63,
      "9a90359bf5c74659e5077e7873d668836ee7d5a23f385ba08a2e5a0cfcd40bcd"),
+    # three transactions, recovery interleaved with a crash; pinned once
+    # recovery cleared the undo flag it rolled back, before which T2 could
+    # read T0's old value over T1's committed write
+    ("pmdk-seq", "psc", DOUBLE_ROLLBACK, 64, SEQ_DOUBLE_ROLLBACK),
+    ("pmdk-seq", "ptso", DOUBLE_ROLLBACK, 64, SEQ_DOUBLE_ROLLBACK),
 ], ids=["pmdk-seq-psc-1", "pmdk-seq-ptso-1", "pmdk-seq-psc-2",
-        "pmdk-seq-ptso-2"])
-def test_reductions_preserve_history_sets(impl, model, locs, crashes, count,
-                                          digest):
+        "pmdk-seq-ptso-2", "pmdk-seq-psc-3-scripted",
+        "pmdk-seq-ptso-3-scripted"])
+def test_reductions_preserve_history_sets(impl, model, base, count, digest):
     # the unreduced explorer is the reference semantics; its history set is
     # pinned as it was before spent slots were made canonical, since that
     # quotient applies to both explorers
-    base = dict(txns=1, locs=locs, vals=2, buf=2, max_crashes=crashes, ops=2)
+    base = dict(dict(txns=1, vals=2, buf=2, ops=2), **base)
     naive, _ = hist_set(Config(impl, model, por=False, **base), check=False)
     assert (len(naive), history_digest(naive)) == (count, digest)
     reduced, _ = hist_set(Config(impl, model, por=True, **base), check=False,
@@ -114,6 +129,17 @@ def test_reductions_preserve_history_sets_concurrent():
         assert naive == reduced, impl
 
 
+@pytest.mark.parametrize("impl,model", [
+    ("pmdk-seq", "psc"), ("pmdk-tml", "psc"), ("pmdk-norec", "psc"),
+    ("pmdk-seq", "ptso")])
+def test_recovery_rolls_back_once(impl, model):
+    # recovery clears and flushes the undo flag of what it rolled back, so
+    # no later recovery overwrites T1's committed write with T0's old value
+    r = explore(Config(impl, model, por=True, **DOUBLE_ROLLBACK),
+                dedup="frontier")
+    assert not r.violations, r.violations[0]
+
+
 def test_frontier_and_history_dedup_agree_on_verdict():
     for mutate in (False, True):
         muts = ("skip-undo-flush",) if mutate else ()
@@ -126,7 +152,7 @@ def test_frontier_and_history_dedup_agree_on_verdict():
 
 
 @pytest.mark.parametrize("impl,crashes,ops,dedup,counts", [
-    ("pmdk-seq", 1, 2, "frontier", (5_420, 6_303, 238)),
+    ("pmdk-seq", 1, 2, "frontier", (5_414, 6_303, 238)),
     ("pmdk-tml", 0, 1, "history", (32_259, 36_587, 1_720)),
 ])
 def test_state_counts_pinned(impl, crashes, ops, dedup, counts):
@@ -168,8 +194,11 @@ def test_slots_carry_only_live_fields(impl, model, crashes, por, ended):
     statuses = set()
 
     def hook(cfg, m):
-        for s in m[M_TXNS]:
+        for t, s in enumerate(m[M_TXNS]):
             statuses.add(s[S_ST])
+            if t == m[M_REC]:
+                # the recovering slot carries recovery's ip and registers
+                s = slot_upd(s, *AT_REST)
             if s[S_ST] in spent:
                 assert s == spent[s[S_ST]], m
             elif s[S_ST] == RDY:
@@ -182,11 +211,11 @@ def test_slots_carry_only_live_fields(impl, model, crashes, por, ended):
 
 def stepped_recovery(cfg, m):
     """Recovery from `m` one scheduler step at a time, propagating the
-    recovery thread's store buffer whenever a step blocks."""
+    recovering thread's store buffer whenever a step blocks."""
     while m[M_REC] is not None:
         r = cfg.recovery_step(m)
         if r is None:
-            m = (cfg.pmem.propagate_direct(m[M_MEM], cfg.txns),) + m[1:]
+            m = (cfg.pmem.propagate_direct(m[M_MEM], m[M_REC]),) + m[1:]
         else:
             [(m, emit)] = r
             assert emit is None

@@ -7,7 +7,7 @@ from pmtxcheck.engine import (M_CRASH, M_FLT, M_FREE, M_GLB, M_HIST, M_MEM,
                               M_REC, M_TXNS, RUN, S_IP, S_ST)
 from pmtxcheck.explorer import Config, explore
 from pmtxcheck.pmdk import (DATA, FLUSH, FREE, GLB, LOG, META, MUTATIONS,
-                            SLOTS, EMIT)
+                            REC, SLOTS, EMIT)
 from pmtxcheck.pmem import MODELS, PMem
 from pmtxcheck.stm import IMPLS
 
@@ -35,7 +35,9 @@ def test_reduction_sets_match_hand_lists(impl, model, mutation):
         # the persist loop falls through into the apply loop, or the
         # skipped redo-log flush does, which writes shared metadata
         private = private - {demoted}
-    assert cfg.private_ips == private
+    # the recovery blocks come after every transaction's
+    txn_ips = set(range(cfg.step_names.index("redo.check")))
+    assert cfg.private_ips & txn_ips == private
     assert cfg.noabort_ips == noabort
 
 
@@ -61,13 +63,9 @@ class RecordingPMem(PMem):
         self.log.append(("store", cell))
         return PMem.store_direct(self, st, cell, val)
 
-    def make_room(self, st, cell):
+    def persist(self, st, cell):
         self.log.append(("store", cell))
-        return PMem.make_room(self, st, cell)
-
-    def flush_ready(self, st, tid, cells):
-        self.log.extend(("flush", c) for c in cells)
-        return PMem.flush_ready(self, st, tid, cells)
+        return PMem.persist(self, st, cell)
 
     def sbuf_clear_of(self, st, tid, cells):
         self.log.extend(("flush", c) for c in cells)
@@ -106,15 +104,16 @@ class Txns(tuple):
         return tuple.__iter__(self)
 
 
-def touched(cfg, m, ti):
-    """Run the step of slot `ti` on `m`; the footprint classes it used."""
+def touched(cfg, m, ti, ip):
+    """Run step `ip` as thread `ti` on `m`; the footprint classes it
+    used."""
     lay = cfg.layout
     own = {lay.undo(ti, x) for x in range(lay.locs)} \
         | {lay.pa(ti), lay.puv(ti), lay.pck(ti), lay.guv(ti)}
     w = Machine(m)
     w.ti, w.read = ti, set()
     del RecordingPMem.log[:]
-    r = cfg.step_table[m[M_TXNS][ti][S_IP]](w, ti)
+    r = cfg.step_table[ip](w, ti)
     used = set(w.read)
     for kind, c in RecordingPMem.log:
         if kind == "flush":
@@ -133,7 +132,9 @@ def touched(cfg, m, ti):
                 used.add(EMIT)
             if m2[M_MEM] != m[M_MEM] and not RecordingPMem.log:
                 used.add("memory written without the simulator")
-            for f in (M_REC, M_CRASH, M_HIST):
+            if m2[M_REC] != m[M_REC]:
+                used.add(REC)
+            for f in (M_CRASH, M_HIST):
                 if m2[f] != m[f]:
                     used.add("machine field %d" % f)
             for j, (s, s2) in enumerate(zip(m[M_TXNS], m2[M_TXNS])):
@@ -173,12 +174,17 @@ def test_footprints_cover_every_step(impl):
                 table[ip] = counted(fn, cfg.step_names[ip], ran)
 
             def hook(cfg, m):
-                for ti, slot in enumerate(m[M_TXNS]):
-                    if slot[S_ST] == RUN:
-                        used = touched(cfg, m, ti)
-                        ip = slot[S_IP]
-                        assert used <= cfg.footprints[ip], \
-                            (cfg.step_names[ip], used - cfg.footprints[ip], m)
+                steps = [(ti, slot[S_IP]) for ti, slot in enumerate(m[M_TXNS])
+                         if slot[S_ST] == RUN]
+                if m[M_REC] is not None:
+                    # the recovering thread starts at the checksum test
+                    ti = m[M_REC]
+                    steps.append((ti, m[M_TXNS][ti][S_IP]
+                                  or cfg.step_names.index("redo.check")))
+                for ti, ip in steps:
+                    used = touched(cfg, m, ti, ip)
+                    assert used <= cfg.footprints[ip], \
+                        (cfg.step_names[ip], used - cfg.footprints[ip], m)
 
             r = explore(cfg, dedup="frontier", state_hook=hook)
             assert not r.violations
@@ -188,7 +194,8 @@ def test_footprints_cover_every_step(impl):
 
 
 UNREACHABLE = {
-    # sequential transactions never abort
+    # sequential transactions never abort; recovery runs its own copies of
+    # the rollback, undo.rb, undo.pwf and undo.guvf
     "pmdk-seq": {"respond.abort", "pabort.rb", "pabort.pwf", "pabort.guvf",
                  "pabort.free"},
     "pmdk-tml": set(),
