@@ -2,7 +2,8 @@
 
 Exit codes are the machine contract: 0 all checks pass, 1 a violation was
 found (counterexample written when a path was given), 2 usage, budget or
-trace-format errors.
+trace-format errors.  A budget error is followed by the counts of the
+search it cut short, each labelled partial.
 """
 
 from __future__ import annotations
@@ -88,6 +89,16 @@ def _cfg_from_args(args):
         max_states=args.max_states)
 
 
+def _print_budget_error(exc):
+    """The budget error, then the counts of the search it cut short."""
+    res = exc.result
+    print("budget error: %s" % exc)
+    print("partial states explored: %d" % res.states)
+    print("partial transitions:     %d" % res.transitions)
+    print("partial violations:      %d" % len(res.violations))
+    print("partial wall time:       %.2fs" % res.seconds)
+
+
 def cmd_upper(args):
     if args.mutate == "skip-validate":
         cfg = explorer.skip_validate_config(mutate=True, por=args.por)
@@ -99,7 +110,7 @@ def cmd_upper(args):
     try:
         res = explorer.check_upper(cfg, dedup=dedup)
     except explorer.BudgetExceeded as exc:
-        print("budget error: %s" % exc)
+        _print_budget_error(exc)
         return 2
     print("states explored:   %d" % res.states)
     print("transitions:       %d" % res.transitions)
@@ -130,7 +141,7 @@ def cmd_lower(args):
             retry_bound=args.retry_bound, mutations=muts,
             max_states=args.max_states)
     except explorer.BudgetExceeded as exc:
-        print("budget error: %s" % exc)
+        _print_budget_error(exc)
         return 2
     print("sequential histories: %d" % res.total)
     print("unproducible:         %d" % len(res.unproducible))

@@ -2,7 +2,9 @@
 
 The explorer enumerates every interleaving of client decisions, algorithm
 line-steps, buffer propagation/persist steps and crash points, deduplicating
-on a fingerprint of the full machine state plus the emitted history.
+on an exact key of the full machine state plus the emitted history: its
+memory, transaction slots and remaining fields are interned by value once
+per exploration and the key packs their ids into one int (``state_keyer``).
 Histories are interned in a trie so shared prefixes are checked once: an
 incrementally maintained frontier of reference-spec states accompanies
 every history prefix, and an empty frontier at an emit is a refinement
@@ -19,9 +21,10 @@ checker-sensitivity experiments.
 
 from __future__ import annotations
 
-import pickle
+# unused: perfbench/tracer.py patches explorer.pickle and explorer.blake2b
+import pickle  # noqa: F401
 import time
-from hashlib import blake2b
+from hashlib import blake2b  # noqa: F401
 
 from . import refspec
 from .engine import (CUT, M_CRASH, M_FLT, M_HIST, M_REC,
@@ -33,8 +36,17 @@ from .stm import IMPLS, build_programs
 DEFAULT_MAX_STATES = 20_000_000
 
 
+# width of every state-key field below the memory id (see state_keyer)
+ID_BITS = 32
+ID_LIMIT = 1 << ID_BITS
+
+
 class BudgetExceeded(Exception):
-    pass
+    """The state budget ran out; `result` is the partial ExploreResult."""
+
+    def __init__(self, msg, result):
+        super().__init__(msg)
+        self.result = result
 
 
 class Config:
@@ -109,6 +121,52 @@ class ExploreResult:
         return not self.violations
 
 
+def _new_id(table, value):
+    """Number `value` in `table`; ids wider than a key field would let two
+    keys collide."""
+    i = len(table)
+    if i >= ID_LIMIT:
+        raise OverflowError("more than 2**%d distinct state components"
+                            % ID_BITS)
+    table[value] = i
+    return i
+
+
+def state_keyer():
+    """A key function for one exploration: ``key(m, tag)`` is an int that
+    identifies machine `m` with its history field replaced by `tag`, a
+    history or frontier id below ``ID_LIMIT``.
+
+    The memory, each transaction slot and the rest (glb, free, rec,
+    crashes, faulted) are interned by value, each kind in its own table
+    numbering them in first-seen order.  The key is the memory's id above
+    fixed ``ID_BITS``-wide fields for the rest's id, each slot's id and
+    `tag`, so it is exact (machines get equal keys iff they are equal, for
+    a fixed number of slots) and does not depend on which sub-tuples the
+    machines share.  Only distinct components stay alive, not one tuple
+    per state."""
+    mems, slots, rests = {}, {}, {}
+
+    def key(m, tag):
+        mem, glb, free, txns, rec, crashes, _hist, faulted = m
+        k = mems.get(mem)
+        if k is None:
+            k = mems[mem] = len(mems)
+        rest = (glb, free, rec, crashes, faulted)
+        i = rests.get(rest)
+        if i is None:
+            i = _new_id(rests, rest)
+        k = k << ID_BITS | i
+        for slot in txns:
+            i = slots.get(slot)
+            if i is None:
+                i = _new_id(slots, slot)
+            k = k << ID_BITS | i
+        return k << ID_BITS | tag
+
+    return key
+
+
 def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             state_hook=None):
     """Exhaustive DFS; returns an ExploreResult.  With check=True the
@@ -121,6 +179,11 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     frontier instead -- two states with equal machine and frontier have
     identical acceptance futures, so this is complete for violation
     finding and collapses the search the way a product automaton does.
+    Either key is exact (``state_keyer``): a state is skipped only when an
+    equal one was pushed before.
+
+    When more than `cfg.max_states` states would be expanded, raises
+    BudgetExceeded carrying the counts so far.
     """
     if dedup not in ("history", "frontier"):
         raise ValueError("dedup must be 'history' or 'frontier'")
@@ -129,7 +192,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     t0 = time.monotonic()
     res = ExploreResult()
     entries = [(0, None)]                 # hist id -> (parent, record)
-    intern = {}                           # (parent, record) -> hist id
+    intern = {entries[0]: 0}              # (parent, record) -> hist id
     res._entries = entries
     frontiers = {0: refspec.initial_frontier(cfg.txns, cfg.locs,
                                              cfg.prealloc)
@@ -137,23 +200,24 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     fids = {frontiers[0]: 0}              # frontier -> dedup id
 
     by_frontier = dedup == "frontier"
+    key = state_keyer()
     m0 = initial_machine(cfg)
-    seen = {blake2b(pickle.dumps(m0, -1), digest_size=16).digest()}
+    seen = {key(m0, 0)}
     stack = [m0]
     # crash outcomes per pre-crash memory and recovery outcomes per
     # post-crash memory (engine.successors).  One per call: callers reuse a
     # Config across calls, and a memo kept on it would make every call
     # after the first faster than a user's one run
     memo = {}
-    dumps = pickle.dumps
     push = stack.append
 
     while stack:
         m = stack.pop()
-        res.states += 1
-        if res.states > cfg.max_states:
+        if res.states >= cfg.max_states:
+            res.seconds = time.monotonic() - t0
             raise BudgetExceeded("state budget exceeded (%d)"
-                                 % cfg.max_states)
+                                 % cfg.max_states, res)
+        res.states += 1
         if state_hook is not None:
             state_hook(cfg, m)
         if m[M_FLT] or (m[M_REC] is None and all_terminal(m)):
@@ -173,12 +237,12 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                 continue
             hid = m[M_HIST]
             if rec is not None:
-                key = (hid, rec)
-                h2 = intern.get(key)
+                hkey = (hid, rec)
+                h2 = intern.get(hkey)
                 if h2 is None:
-                    h2 = len(entries)
-                    entries.append(key)
-                    intern[key] = h2
+                    # a state key's field; frontier ids are no more
+                    h2 = _new_id(intern, hkey)
+                    entries.append(hkey)
                     if check:
                         f2 = refspec.advance_frontier(frontiers[hid], rec)
                         frontiers[h2] = f2
@@ -194,16 +258,11 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                     if f2 != refspec.ACCEPT_ALL and not f2:
                         continue  # prune: already-reported violation
                 hid = h2
-            if m2[M_HIST] != hid:
-                m2 = m2[:M_HIST] + (hid,) + m2[M_HIST + 1:]
-            if by_frontier:
-                key_m = m2[:M_HIST] + (fids[frontiers[hid]],) \
-                    + m2[M_HIST + 1:]
-            else:
-                key_m = m2
-            fp = blake2b(dumps(key_m, -1), digest_size=16).digest()
-            if fp not in seen:
-                seen.add(fp)
+            k = key(m2, fids[frontiers[hid]] if by_frontier else hid)
+            if k not in seen:
+                seen.add(k)
+                if m2[M_HIST] != hid:
+                    m2 = m2[:M_HIST] + (hid,) + m2[M_HIST + 1:]
                 push(m2)
     res.seconds = time.monotonic() - t0
     return res

@@ -9,10 +9,12 @@ from pmtxcheck import cli
 from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_MEM,
                               M_REC, M_TXNS, RDY, S_IP, S_RETR, S_ST,
                               _crash_nvms, all_terminal, crash_machine,
-                              slot_upd, spent_slot, successors)
+                              fresh_slot, initial_machine, slot_upd,
+                              spent_slot, successors)
 from pmtxcheck.explorer import (BudgetExceeded, Config, check_lower,
                                 check_upper, explore, mutation_check_config,
-                                run_intro_cases, skip_validate_config)
+                                run_intro_cases, skip_validate_config,
+                                state_keyer)
 from pmtxcheck.pmdk import MUTATIONS
 from pmtxcheck.refspec import sequential_histories
 
@@ -40,11 +42,44 @@ def test_unknown_names_rejected():
                 dedup="magic")
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(capsys):
     cfg = Config("pmdk-seq", "psc", txns=2, locs=2, vals=2, max_crashes=1,
                  por=True, max_states=100)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         explore(cfg)
+    part = exc.value.result
+    assert (part.states, part.transitions, part.violations) == (100, 114, [])
+    assert part.seconds > 0
+    # the counts so far survive to the CLI, violations included
+    assert cli.main(["check", "upper", "--txns", "2", "--locs", "1",
+                     "--crashes", "1", "--por", "--mutate",
+                     "skip-undo-flush", "--max-states", "1000"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["budget error: state budget exceeded (1000)",
+                       "partial states explored: 1000",
+                       "partial transitions:     1060",
+                       "partial violations:      1"]
+    assert out[4].startswith("partial wall time:")
+
+
+def test_state_key_ignores_object_sharing():
+    # initial_machine shares one fresh slot object between its slots; an
+    # equal machine with separately built slots is the same state (a pickle
+    # digest, which memoizes by identity, told the two apart)
+    cfg = Config("pmdk-seq", "psc", txns=2, locs=1)
+    m = initial_machine(cfg)
+    assert m[M_TXNS][0] is m[M_TXNS][1]
+    twin = m[:M_TXNS] + ((fresh_slot(cfg), fresh_slot(cfg)),) \
+        + m[M_TXNS + 1:]
+    assert twin == m and twin[M_TXNS][0] is not twin[M_TXNS][1]
+    key = state_keyer()
+    assert key(m, 0) == key(twin, 0)
+    # and the key tells apart what differs: the tag, or one slot's status
+    ended = m[:M_TXNS] + ((fresh_slot(cfg), spent_slot(cfg, COMM)),) \
+        + m[M_TXNS + 1:]
+    swapped = m[:M_TXNS] + (ended[M_TXNS][::-1],) + m[M_TXNS + 1:]
+    keys = {key(m, 0), key(m, 1), key(ended, 0), key(swapped, 0)}
+    assert len(keys) == 4
 
 
 def test_same_config_explores_identically_twice():
@@ -322,10 +357,17 @@ def test_check_lower_holds_under_every_mutation():
 
 
 def test_check_lower_enforces_state_budget(capsys):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         check_lower("pmdk-seq", max_states=10)
+    part = exc.value.result
+    assert (part.states, part.transitions, part.violations) == (10, 16, [])
     assert cli.main(["check", "lower", "--max-states", "10"]) == 2
-    assert "budget error" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["budget error: state budget exceeded (10)",
+                       "partial states explored: 10",
+                       "partial transitions:     16",
+                       "partial violations:      0"]
+    assert out[4].startswith("partial wall time:")
 
 
 def test_check_lower_smallest_bound():
