@@ -240,7 +240,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                 hkey = (hid, rec)
                 h2 = intern.get(hkey)
                 if h2 is None:
-                    # a state key's field; frontier ids are no more
+                    # bounded as a state-key field (frontier ids are fewer)
                     h2 = _new_id(intern, hkey)
                     entries.append(hkey)
                     if check:
