@@ -40,6 +40,19 @@ the crash transition (a macro-step): nothing else can act or crash until
 recovery ends, so its intermediate states are never explored.  Under --por
 the distinct outcomes of a crash depend on the pre-crash memory alone and
 are computed once per memory in each exploration.
+
+Under --por and PTSO, outside recovery, a store-buffer head that targets
+one of its thread's own log cells (``cfg.log_cells``) is propagated as the
+state's only successor when that cell's persistence buffer has room (an
+ample set of one invisible, independent step: Peled, CAV 1993; Godefroid,
+1996).  Only thread t's steps, and recovery of t run as thread t, load,
+store or flush t's log cells; the propagation changes no value t loads and
+can only enable t's own flush or store; with room, no cell's crash
+candidates change, so a crash it displaces has the same successors after
+it; and it shrinks a store buffer, so forced steps form no cycle.  After
+the last crash the propagation writes NVM directly (``propagate_direct``);
+before it, it appends to the persistence buffer (``propagate_forced``,
+which persists nothing when there is room).
 """
 
 from __future__ import annotations
@@ -241,6 +254,10 @@ def successors(cfg, m, memo):
             for m2, emit in r:
                 out.append((m2, emit, None))
     else:
+        if cfg.por and pm.model == "ptso":
+            forced = _own_log_propagation(cfg, m, reduced)
+            if forced is not None:
+                return [(forced, None, None)]
         if reduced:
             # steps over per-transaction private cells are invisible to
             # every other component and there is no crash left to observe
@@ -265,7 +282,11 @@ def successors(cfg, m, memo):
             elif slot[S_ST] in (NS, RDY):
                 _decision_steps(cfg, m, ti, out)
 
-    # store-buffer propagation (always branches: TSO visibility)
+    # store-buffer propagation, one branch per non-empty store buffer: a
+    # head bound for a data or metadata cell changes what other threads
+    # load (TSO visibility); under --por one bound for an own log cell
+    # reaches here only when its persistence buffer is full, and making
+    # room persists, which drops a crash outcome
     if pm.model == "ptso":
         for tid in range(cfg.txns):
             if not m[M_MEM][2][tid]:
@@ -309,6 +330,22 @@ def successors(cfg, m, memo):
             out.append((head + tail, ("crash",), None))
 
     return out
+
+
+def _own_log_propagation(cfg, m, reduced):
+    """The machine after the first thread whose store-buffer head targets
+    one of its own log cells propagates it, when that cell's persistence
+    buffer has room; else None."""
+    pm = cfg.pmem
+    _nvm, pbufs, sbufs = mem = m[M_MEM]
+    for tid, buf in enumerate(sbufs):
+        if buf:
+            cell = buf[0][0]
+            if cell in cfg.log_cells[tid] and len(pbufs[cell]) < pm.cap:
+                if reduced:
+                    return set_mem(m, pm.propagate_direct(mem, tid))
+                return set_mem(m, pm.propagate_forced(mem, tid))
+    return None
 
 
 def _crash_heads(cfg, m, tail, last, memo):

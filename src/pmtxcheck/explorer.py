@@ -85,11 +85,15 @@ class Config:
         build_programs(self)
 
     def reduced(self, m):
-        """Persist timing no longer observable: suppress free persist
-        steps and drain on demand (only under --por).  No crash can follow,
-        so the crash into this mode runs recovery to its end as one
-        transition (`engine.successors`) and no explored reduced machine
-        is mid-recovery."""
+        """Under --por, once no crash is left: persist timing is no longer
+        observable, so PSC stores and PTSO propagations write NVM directly,
+        flushes drain on demand, the persistence buffers stay empty and
+        private steps are scheduled first (`engine.successors`).  No crash
+        can follow, so the crash into this mode runs recovery to its end as
+        one transition and no explored reduced machine is mid-recovery.
+        The forced propagation of a thread's own log cells under PTSO is
+        not tied to this mode: it applies under --por before the last
+        crash as well."""
         return self.por and m[M_CRASH] >= self.max_crashes
 
 

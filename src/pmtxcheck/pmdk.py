@@ -53,6 +53,10 @@ from them:
 * ``cfg.private_ips``, scheduled first under --por once no crash is left:
   a step is private when it touches only its own log cells, or flushes,
   and every step it falls through into is private;
+* ``cfg.log_cells``, per thread t the cells of class ``LOG`` for t
+  (``Layout.log_cells``): no step run as another thread touches them,
+  so under --por and PTSO the engine propagates a store-buffer head
+  bound for them as a forced step;
 * ``cfg.noabort_ips``, read by ``fault_check``: the steps of the blocks
   flagged past the commit's point of no return, and every step they go or
   fall to.
@@ -121,6 +125,12 @@ class Layout:
 
     def guv(self, t):
         return self.base_guv + t
+
+    def log_cells(self, t):
+        """Transaction t's undo and redo-log cells and its undo flag: the
+        cells of footprint class ``LOG`` when t's steps run as thread t."""
+        return frozenset([self.undo(t, x) for x in range(self.locs)]
+                         + [self.pa(t), self.puv(t), self.pck(t), self.guv(t)])
 
     def initial_nvm(self):
         nvm = [0] * self.ncells
@@ -346,8 +356,8 @@ def link(cfg, blocks):
     order -- and then of the recovery blocks, and compile them into
     cfg.step_table.  A target name is an entry of the same block, else a
     block (its first entry), else "block.entry".  Derives cfg.footprints,
-    cfg.private_ips and cfg.noabort_ips, installs cfg.recovery_step, and
-    returns the ip of every name."""
+    cfg.private_ips and cfg.noabort_ips, sets cfg.log_cells, installs
+    cfg.recovery_step, and returns the ip of every name."""
     blocks = blocks + recovery(cfg)
     ips, named = {}, []
     for bname, _noabort, entries in blocks:
@@ -377,6 +387,7 @@ def link(cfg, blocks):
                       for ip in range(len(named))]
     cfg.private_ips = {ip for ip, fp in enumerate(cfg.footprints)
                        if fp <= PRIVATE}
+    cfg.log_cells = tuple(cfg.layout.log_cells(t) for t in range(cfg.txns))
     flagged = {b for b, noabort, _entries in blocks if noabort}
     cfg.noabort_ips = reach([ip for ip, (b, _e) in enumerate(named)
                              if b in flagged], goes, falls)

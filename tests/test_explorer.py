@@ -152,16 +152,78 @@ def test_reductions_preserve_history_sets(impl, model, base, count, digest):
 def test_reductions_preserve_history_sets_concurrent():
     # a writer racing a commit-only transaction exercises the forced
     # private-cell scheduling; the most-general-client variant runs in the
-    # acceptance suite
-    base = dict(txns=2, locs=1, vals=1, buf=1, max_crashes=0, ops=1,
-                prealloc=1,
-                scripts=(((("write", 0, 0),), 0), ((), 0)))
-    for impl in ("pmdk-tml", "pmdk-norec"):
-        naive, _ = hist_set(Config(impl, "psc", por=False, **base),
+    # acceptance suite.  Under ptso two commit-only transactions race their
+    # log stores through one-entry buffers: a thread's own log cells are
+    # propagated as forced steps with and without a crash, and before the
+    # crash a full persistence buffer keeps that step from being forced.
+    # A ptso writer racing a commit does not fit in a test's time; under
+    # pmdk-seq the writer and the commit run one after the other
+    base = dict(txns=2, locs=1, vals=1, buf=1, ops=1, prealloc=1)
+    writer = (((("write", 0, 0),), 0), ((), 0))
+    commits = (((), 0), ((), 0))
+    for impl, model, crashes, scripts in (
+            ("pmdk-tml", "psc", 0, writer), ("pmdk-norec", "psc", 0, writer),
+            ("pmdk-norec", "ptso", 0, commits),
+            ("pmdk-tml", "ptso", 1, commits),
+            ("pmdk-seq", "ptso", 1, writer)):
+        cfg = dict(base, max_crashes=crashes, scripts=scripts)
+        naive, _ = hist_set(Config(impl, model, por=False, **cfg),
                             check=False)
-        reduced, _ = hist_set(Config(impl, "psc", por=True, **base),
+        reduced, _ = hist_set(Config(impl, model, por=True, **cfg),
                               check=False)
-        assert naive == reduced, impl
+        assert naive == reduced, (impl, model, crashes)
+
+
+def ptso_machine(cfg, cell, pbuf=()):
+    """The initial machine with `cell` := 1 waiting in thread 0's store
+    buffer and `pbuf` in that cell's persistence buffer."""
+    m = initial_machine(cfg)
+    nvm, pbufs, sbufs = m[M_MEM]
+    pbufs = pbufs[:cell] + (pbuf,) + pbufs[cell + 1:]
+    return ((nvm, pbufs, (((cell, 1),),) + sbufs[1:]),) + m[1:]
+
+
+@pytest.mark.parametrize("crashes", [0, 1], ids=["reduced", "pre-crash"])
+def test_own_log_cell_propagation_is_forced(crashes):
+    cfg = Config("pmdk-tml", "ptso", txns=2, locs=1, max_crashes=crashes,
+                 por=True)
+    pm, lay = cfg.pmem, cfg.layout
+    for cell in sorted(lay.log_cells(0)):
+        m = ptso_machine(cfg, cell)
+        mem = pm.propagate_direct(m[M_MEM], 0) if crashes == 0 \
+            else pm.propagate(m[M_MEM], 0)
+        assert successors(cfg, m, {}) == [((mem,) + m[1:], None, None)]
+    # thread 1's log cells are not thread 0's: its begin may act first
+    m = ptso_machine(cfg, lay.pa(1))
+    assert len(successors(cfg, m, {})) > 1
+
+
+@pytest.mark.parametrize("crashes", [0, 1], ids=["reduced", "pre-crash"])
+def test_data_cell_propagation_branches(crashes):
+    cfg = Config("pmdk-tml", "ptso", txns=2, locs=1, max_crashes=crashes,
+                 por=True)
+    for cell in (cfg.layout.val(0), cfg.layout.meta(0)):
+        recs = [rec for _m2, rec, _tag in
+                successors(cfg, ptso_machine(cfg, cell), {})]
+        # thread 0's begin, the propagation and, before the crash, one
+        # crash per outcome
+        assert recs[:2] == [("inv", 0, "begin", None, None), None]
+        assert set(recs[2:]) == ({("crash",)} if crashes else set())
+
+
+def test_full_log_cell_propagation_branches_before_last_crash():
+    # making room would persist the buffered 2 and drop NVM's 0 as a
+    # crash outcome, so the propagation is one branch and a crash may
+    # still keep 0, 2 or the stored 1
+    cfg = Config("pmdk-tml", "ptso", txns=2, locs=1, buf=1, max_crashes=1,
+                 por=True)
+    cell = cfg.layout.pa(0)
+    m = ptso_machine(cfg, cell, pbuf=(2,))
+    succs = successors(cfg, m, {})
+    assert [rec for _m2, rec, _tag in succs] \
+        == [("inv", 0, "begin", None, None), None] + [("crash",)] * 3
+    assert {m2[M_MEM][0][cell] for m2, rec, _tag in succs
+            if rec == ("crash",)} == {0, 1, 2}
 
 
 @pytest.mark.parametrize("impl,model", [
@@ -190,7 +252,9 @@ def test_frontier_and_history_dedup_agree_on_verdict():
     ("pmdk-seq", "psc", 1, 2, "frontier", (5_414, 6_303, 238)),
     ("pmdk-tml", "psc", 0, 1, "history", (32_259, 36_587, 1_720)),
     # store buffers are part of the deduplicated memory only under ptso
-    ("pmdk-norec", "ptso", 1, 1, "frontier", (26_085, 92_421, 264)),
+    # (26,085, 92,421, 264) before a thread's own log cells were
+    # propagated as a forced step
+    ("pmdk-norec", "ptso", 1, 1, "frontier", (10_926, 21_467, 264)),
 ], ids=[  # the psc rows keep the ids they had before the model parameter
     "pmdk-seq-1-2-frontier-counts0", "pmdk-tml-0-1-history-counts1",
     "pmdk-norec-ptso-1-1-frontier-counts2"])
@@ -203,17 +267,25 @@ def test_state_counts_pinned(impl, model, crashes, ops, dedup, counts):
     assert not r.violations
 
 
-@pytest.mark.parametrize("impl,count,digest", [
-    ("pmdk-tml", 6_682,
-     "956422fcb79160ba4977afabdb07faa61749babb81bb6b47113906f3dbf31aee"),
-    ("pmdk-norec", 6_778,
-     "adfff3de88d4619136e677cb5abd31bbcf337fbd82722a91f66dbc77b910c0a7"),
-], ids=["pmdk-tml", "pmdk-norec"])
-def test_por_history_sets_pinned(impl, count, digest):
+TML_1_CRASH = \
+    "956422fcb79160ba4977afabdb07faa61749babb81bb6b47113906f3dbf31aee"
+NOREC_1_CRASH = \
+    "adfff3de88d4619136e677cb5abd31bbcf337fbd82722a91f66dbc77b910c0a7"
+
+
+@pytest.mark.parametrize("impl,model,count,digest", [
+    ("pmdk-tml", "psc", 6_682, TML_1_CRASH),
+    ("pmdk-norec", "psc", 6_778, NOREC_1_CRASH),
+    # taken before a thread's own log cells were propagated as a forced
+    # step; they equal the psc sets at these bounds
+    ("pmdk-tml", "ptso", 6_682, TML_1_CRASH),
+    ("pmdk-norec", "ptso", 6_778, NOREC_1_CRASH),
+], ids=["pmdk-tml", "pmdk-norec", "pmdk-tml-ptso", "pmdk-norec-ptso"])
+def test_por_history_sets_pinned(impl, model, count, digest):
     # sorted-history sha256 taken before recovery was folded into the last
     # crash; the unreduced explorer is out of reach on these cells, so the
     # pin stands in for the naive-vs-por comparison
-    r = explore(Config(impl, "psc", txns=2, locs=1, vals=2, buf=2,
+    r = explore(Config(impl, model, txns=2, locs=1, vals=2, buf=2,
                        max_crashes=1, ops=1, por=True), dedup="history")
     hs = r.histories()
     assert not r.violations
@@ -382,11 +454,15 @@ def test_mutation_configs_cover_registry():
 
 
 def test_mutations_flip_verdicts_fast():
-    # stop-at-first keeps each mutated run tiny
-    for name in MUTATIONS:
-        cfg = mutation_check_config(name)
+    # stop-at-first keeps each mutated run tiny.  The crash-sensitive
+    # mutations must be caught under ptso too, where a thread's own log
+    # stores propagate as forced steps
+    for name, model in [(name, "psc") for name in MUTATIONS] + [
+            (name, "ptso") for name in ("skip-undo-flush", "reorder-commit",
+                                        "skip-flush-commit5")]:
+        cfg = mutation_check_config(name, model=model)
         r = check_upper(cfg, stop_on_violation=True)
-        assert r.violations, name
+        assert r.violations, (name, model)
 
 
 def test_skip_validate_clean_twin_passes():

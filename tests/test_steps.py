@@ -106,15 +106,18 @@ class Txns(tuple):
 
 def touched(cfg, m, ti, ip):
     """Run step `ip` as thread `ti` on `m`; the footprint classes it
-    used."""
+    used.  Asserts that it touches no other thread's log cells, which the
+    engine's forced propagation of log cells under --por and ptso needs."""
     lay = cfg.layout
-    own = {lay.undo(ti, x) for x in range(lay.locs)} \
-        | {lay.pa(ti), lay.puv(ti), lay.pck(ti), lay.guv(ti)}
+    own = cfg.log_cells[ti]
     w = Machine(m)
     w.ti, w.read = ti, set()
     del RecordingPMem.log[:]
     r = cfg.step_table[ip](w, ti)
     used = set(w.read)
+    others = set().union(*cfg.log_cells) - own
+    foreign = [(kind, c) for kind, c in RecordingPMem.log if c in others]
+    assert not foreign, (cfg.step_names[ip], ti, foreign)
     for kind, c in RecordingPMem.log:
         if kind == "flush":
             used.add(FLUSH)
@@ -150,10 +153,12 @@ def counted(fn, name, ran):
     return step
 
 
-# tiny cells with one crash.  Frontier dedup visits every reachable
+# tiny cells with one crash, and one with two.  Frontier dedup visits every reachable
 # machine at least once.  The naive explorer runs one transaction (two do
 # not fit in a test's time); --por runs two, unscripted with one operation,
-# and scripted to race a reader that then writes against a writer
+# and scripted to race a reader that then writes against a writer.  --por
+# folds the last crash's recovery into the crash, so a second crash makes
+# the recovery of every transaction id, run as its thread, a visited step
 SEQUENTIAL = dict(txns=1, locs=1, vals=1, buf=1, ops=2)
 CONCURRENT = dict(txns=2, locs=1, vals=2, buf=1, ops=1)
 RACE = dict(txns=2, locs=1, vals=2, buf=1, ops=2, prealloc=1,
@@ -165,9 +170,10 @@ RACE = dict(txns=2, locs=1, vals=2, buf=1, ops=2, prealloc=1,
 def test_footprints_cover_every_step(impl):
     ran = set()
     for model in MODELS:
-        for por, bounds in ((False, SEQUENTIAL), (True, CONCURRENT),
-                            (True, RACE)):
-            cfg = Config(impl, model, max_crashes=1, por=por, **bounds)
+        for por, crashes, bounds in ((False, 1, SEQUENTIAL),
+                                     (True, 1, CONCURRENT), (True, 1, RACE),
+                                     (True, 2, CONCURRENT)):
+            cfg = Config(impl, model, max_crashes=crashes, por=por, **bounds)
             cfg.pmem.__class__ = RecordingPMem
             table = cfg.step_table
             for ip, fn in enumerate(table):
