@@ -41,18 +41,36 @@ recovery ends, so its intermediate states are never explored.  Under --por
 the distinct outcomes of a crash depend on the pre-crash memory alone and
 are computed once per memory in each exploration.
 
-Under --por and PTSO, outside recovery, a store-buffer head that targets
-one of its thread's own log cells (``cfg.log_cells``) is propagated as the
-state's only successor when that cell's persistence buffer has room (an
-ample set of one invisible, independent step: Peled, CAV 1993; Godefroid,
-1996).  Only thread t's steps, and recovery of t run as thread t, load,
-store or flush t's log cells; the propagation changes no value t loads and
-can only enable t's own flush or store; with room, no cell's crash
-candidates change, so a crash it displaces has the same successors after
-it; and it shrinks a store buffer, so forced steps form no cycle.  After
-the last crash the propagation writes NVM directly (``propagate_direct``);
-before it, it appends to the persistence buffer (``propagate_forced``,
-which persists nothing when there is room).
+Under --por, outside recovery, a state may have one forced successor: an
+ample set of one invisible step independent of every other thread's
+(Peled, CAV 1993; Godefroid, LNCS 1032, 1996).  Two kinds of step qualify,
+tried in this order:
+
+* under PTSO, the propagation of the first store-buffer head that targets
+  one of its thread's own log cells (``cfg.log_cells``), when that cell's
+  persistence buffer has room;
+* the enabled private step (``cfg.private_ips``: own log cells and
+  flushes only) of the lowest thread for which either no crash is left
+  (reduced mode, where the lowest enabled one qualifies) or every
+  successor of the step keeps the parent's NVM and only appends to the
+  tails of its persistence buffers.
+
+Both emit nothing and touch only their thread's own log cells, or flush:
+only thread t's steps, and recovery of t run as thread t, load, store or
+flush t's log cells, and no private step changes what ``pmdk.fault_check``
+reads of its own slot (both checked in ``tests/test_steps.py``).  A crash
+the forced step displaces has the same successors after it: NVM is the
+same and every buffered value is still buffered, so each cell's crash
+candidates only grow, and the crashed tail is the same, since the slot
+dies either way and glb and free are reset.  A store into a full
+persistence buffer persists first and a flush of a non-empty one drains
+it; both persist, which takes a buffer's head, so such a step is not
+forced before the last crash, and neither is a propagation into a full
+persistence buffer.  Forced steps only move a program forward or shrink a
+store buffer, so they form no cycle.  After the last crash the
+propagation writes NVM directly (``propagate_direct``); before it, it
+appends to the persistence buffer (``propagate_forced``, which persists
+nothing when there is room).
 """
 
 from __future__ import annotations
@@ -254,24 +272,26 @@ def successors(cfg, m, memo):
             for m2, emit in r:
                 out.append((m2, emit, None))
     else:
-        if cfg.por and pm.model == "ptso":
-            forced = _own_log_propagation(cfg, m, reduced)
-            if forced is not None:
-                return [(forced, None, None)]
-        if reduced:
-            # steps over per-transaction private cells are invisible to
-            # every other component and there is no crash left to observe
-            # them: schedule the first enabled one deterministically
+        # the forced successors of the module docstring; the private steps
+        # tried and not forced are reused by the general loop below
+        tried = {}
+        if cfg.por:
+            if pm.model == "ptso":
+                forced = _own_log_propagation(cfg, m, reduced)
+                if forced is not None:
+                    return [(forced, None, None)]
             for ti in range(cfg.txns):
                 slot = m[M_TXNS][ti]
                 if slot[S_ST] == RUN and slot[S_IP] in cfg.private_ips:
-                    r = cfg.step_table[slot[S_IP]](m, ti)
-                    if r is not None:
+                    r = tried[ti] = cfg.step_table[slot[S_IP]](m, ti)
+                    if r is not None and (
+                            reduced or _keeps_crash_outcomes(m[M_MEM], r)):
                         return [(m2, emit, None) for m2, emit in r]
         for ti in range(cfg.txns):
             slot = m[M_TXNS][ti]
             if slot[S_ST] == RUN:
-                r = cfg.step_table[slot[S_IP]](m, ti)
+                r = tried[ti] if ti in tried \
+                    else cfg.step_table[slot[S_IP]](m, ti)
                 if r is None:
                     continue
                 if r == CUT:
@@ -346,6 +366,22 @@ def _own_log_propagation(cfg, m, reduced):
                     return set_mem(m, pm.propagate_direct(mem, tid))
                 return set_mem(m, pm.propagate_forced(mem, tid))
     return None
+
+
+def _keeps_crash_outcomes(mem, r):
+    """True when every successor in `r` keeps the NVM of `mem` and each
+    persistence buffer of `mem` as a prefix of its own: then a crash after
+    the step has every outcome a crash before it has."""
+    nvm, pbufs, _sbufs = mem
+    for m2, _emit in r:
+        nvm2, pbufs2, _sbufs2 = m2[M_MEM]
+        if nvm2 != nvm:
+            return False
+        if pbufs2 is not pbufs:
+            for b, b2 in zip(pbufs, pbufs2):
+                if b2 is not b and b2[:len(b)] != b:
+                    return False
+    return True
 
 
 def _crash_heads(cfg, m, tail, last, memo):

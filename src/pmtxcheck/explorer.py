@@ -87,13 +87,13 @@ class Config:
     def reduced(self, m):
         """Under --por, once no crash is left: persist timing is no longer
         observable, so PSC stores and PTSO propagations write NVM directly,
-        flushes drain on demand, the persistence buffers stay empty and
-        private steps are scheduled first (`engine.successors`).  No crash
-        can follow, so the crash into this mode runs recovery to its end as
-        one transition and no explored reduced machine is mid-recovery.
-        The forced propagation of a thread's own log cells under PTSO is
-        not tied to this mode: it applies under --por before the last
-        crash as well."""
+        flushes drain on demand and the persistence buffers stay empty.  No
+        crash can follow, so the crash into this mode runs recovery to its
+        end as one transition and no explored reduced machine is
+        mid-recovery.  The forced steps of `engine.successors` apply under
+        --por in either mode; this mode only widens them: every enabled
+        private step qualifies, not just one that keeps each crash
+        outcome."""
         return self.por and m[M_CRASH] >= self.max_crashes
 
 

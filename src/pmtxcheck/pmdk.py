@@ -50,9 +50,11 @@ step's footprint, ``cfg.footprints[ip]``, joins its entry's to those of
 the entries it falls through into.  ``link`` derives the reduction sets
 from them:
 
-* ``cfg.private_ips``, scheduled first under --por once no crash is left:
-  a step is private when it touches only its own log cells, or flushes,
-  and every step it falls through into is private;
+* ``cfg.private_ips``: a step is private when it touches only its own
+  log cells, or flushes, and every step it falls through into is private.
+  Under --por, outside recovery, the engine schedules one as the state's
+  only successor once no crash is left, and before that when it keeps NVM
+  and only appends to persistence buffers (``engine`` docstring);
 * ``cfg.log_cells``, per thread t the cells of class ``LOG`` for t
   (``Layout.log_cells``): no step run as another thread touches them,
   so under --por and PTSO the engine propagates a store-buffer head

@@ -7,10 +7,10 @@ import pytest
 
 from pmtxcheck import cli
 from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_MEM,
-                              M_REC, M_TXNS, RDY, S_IP, S_RETR, S_ST,
-                              _crash_nvms, all_terminal, crash_machine,
-                              fresh_slot, initial_machine, slot_upd,
-                              spent_slot, successors)
+                              M_REC, M_TXNS, RDY, RUN, S_IP, S_REGS, S_RETR,
+                              S_ST, _crash_nvms, all_terminal,
+                              crash_machine, fresh_slot, initial_machine,
+                              set_slot, slot_upd, spent_slot, successors)
 from pmtxcheck.explorer import (BudgetExceeded, Config, check_lower,
                                 check_upper, explore, mutation_check_config,
                                 run_intro_cases, skip_validate_config,
@@ -57,7 +57,7 @@ def test_budget_exceeded(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[:4] == ["budget error: state budget exceeded (1000)",
                        "partial states explored: 1000",
-                       "partial transitions:     1060",
+                       "partial transitions:     1055",
                        "partial violations:      1"]
     assert out[4].startswith("partial wall time:")
 
@@ -134,9 +134,16 @@ DOUBLE_ROLLBACK = dict(
     # read T0's old value over T1's committed write
     ("pmdk-seq", "psc", DOUBLE_ROLLBACK, 64, SEQ_DOUBLE_ROLLBACK),
     ("pmdk-seq", "ptso", DOUBLE_ROLLBACK, 64, SEQ_DOUBLE_ROLLBACK),
+    # two commit-only transactions race their log stores and flushes
+    # around a non-final crash, where --por forces the private steps that
+    # keep every crash outcome
+    ("pmdk-tml", "psc", dict(txns=2, locs=1, vals=1, buf=1, ops=1,
+                             prealloc=1, max_crashes=2,
+                             scripts=(((), 0), ((), 0))), 301,
+     "0309fc68485d327b3ccc52a8ab761517d65d46db8997583c92dab847d6bc659c"),
 ], ids=["pmdk-seq-psc-1", "pmdk-seq-ptso-1", "pmdk-seq-psc-2",
         "pmdk-seq-ptso-2", "pmdk-seq-psc-3-scripted",
-        "pmdk-seq-ptso-3-scripted"])
+        "pmdk-seq-ptso-3-scripted", "pmdk-tml-psc-2-scripted"])
 def test_reductions_preserve_history_sets(impl, model, base, count, digest):
     # the unreduced explorer is the reference semantics; its history set is
     # pinned as it was before spent slots were made canonical, since that
@@ -226,6 +233,79 @@ def test_full_log_cell_propagation_branches_before_last_crash():
             if rec == ("crash",)} == {0, 1, 2}
 
 
+def psc_machine(cfg, step, regs=(), cell=None, pbuf=()):
+    """The initial machine with thread 0 running at the entry named `step`
+    with `regs`, and `pbuf` in the persistence buffer of `cell`."""
+    m = initial_machine(cfg)
+    slot = slot_upd(m[M_TXNS][0], (S_ST, RUN),
+                    (S_IP, cfg.step_names.index(step)), (S_REGS, regs))
+    m = set_slot(m, 0, slot)
+    if cell is None:
+        return m
+    nvm, pbufs, sbufs = m[M_MEM]
+    pbufs = pbufs[:cell] + (pbuf,) + pbufs[cell + 1:]
+    return ((nvm, pbufs, sbufs),) + m[1:]
+
+
+def private_cfg(max_crashes=1):
+    # one crash left: the private-step rule before the last crash
+    cfg = Config("pmdk-tml", "psc", txns=2, locs=1, buf=2,
+                 max_crashes=max_crashes, por=True)
+    assert {cfg.step_names.index(n) for n in (
+        "pbegin.puv", "pwrite.flush", "undo.guvf")} <= cfg.private_ips
+    return cfg
+
+
+def test_private_store_with_room_is_forced_before_last_crash():
+    cfg = private_cfg()
+    cell = cfg.layout.puv(0)
+    for pbuf in ((), (0,)):
+        m = psc_machine(cfg, "pbegin.puv", cell=cell, pbuf=pbuf)
+        [(m2, rec, tag)] = successors(cfg, m, {})
+        assert (rec, tag) == (None, None)
+        assert m2[M_MEM] == cfg.pmem.store(m[M_MEM], 0, cell, 1)
+        assert m2[M_TXNS][0][S_IP] == cfg.step_names.index("pbegin.pck")
+
+
+def test_private_store_into_full_buffer_branches():
+    # the store persists the buffered 0 first, which drops NVM's 1 as a
+    # crash outcome: thread 1's begin and the crashes stay successors
+    cfg = private_cfg()
+    m = psc_machine(cfg, "pbegin.puv", cell=cfg.layout.puv(0), pbuf=(0, 0))
+    recs = [rec for _m2, rec, _tag in successors(cfg, m, {})]
+    assert recs[:2] == [None, ("inv", 1, "begin", None, None)]
+    assert ("crash",) in recs[2:]
+
+
+def test_private_flush_of_buffered_cell_is_not_forced():
+    cfg = private_cfg()
+    cell = cfg.layout.undo(0, 0)
+    m = psc_machine(cfg, "pwrite.flush", regs=(0, 1, 0), cell=cell,
+                    pbuf=(0,))
+    recs = [rec for _m2, rec, _tag in successors(cfg, m, {})]
+    assert recs[:2] == [None, ("inv", 1, "begin", None, None)]
+    assert ("crash",) in recs[2:]
+    # with nothing buffered the flush persists nothing: it is forced
+    m = psc_machine(cfg, "pwrite.flush", regs=(0, 1, 0))
+    [(m2, rec, _tag)] = successors(cfg, m, {})
+    assert rec is None and m2[M_MEM] == m[M_MEM]
+
+
+def test_private_recovery_step_is_not_forced():
+    # recovery of id 0 at its undo-flag flush, after the first of two
+    # crashes: the flush persists nothing, yet a crash may still interrupt
+    # recovery, and the recovery branch forces nothing
+    cfg = private_cfg(max_crashes=2)
+    m = initial_machine(cfg)
+    slot = slot_upd(spent_slot(cfg, DEAD),
+                    (S_IP, cfg.step_names.index("undo.guvf")))
+    m = set_slot(m, 0, slot)
+    m = m[:M_REC] + (0, 1) + m[M_CRASH + 1:]
+    recs = [rec for _m2, rec, _tag in successors(cfg, m, {})]
+    assert recs[0] is None and len(recs) > 1
+    assert set(recs[1:]) == {("crash",)}
+
+
 @pytest.mark.parametrize("impl,model", [
     ("pmdk-seq", "psc"), ("pmdk-tml", "psc"), ("pmdk-norec", "psc"),
     ("pmdk-seq", "ptso")])
@@ -249,12 +329,15 @@ def test_frontier_and_history_dedup_agree_on_verdict():
 
 
 @pytest.mark.parametrize("impl,model,crashes,ops,dedup,counts", [
-    ("pmdk-seq", "psc", 1, 2, "frontier", (5_414, 6_303, 238)),
+    # (5,414, 6,303, 238) before private steps that keep every crash
+    # outcome were forced before the last crash
+    ("pmdk-seq", "psc", 1, 2, "frontier", (5_414, 6_058, 238)),
     ("pmdk-tml", "psc", 0, 1, "history", (32_259, 36_587, 1_720)),
     # store buffers are part of the deduplicated memory only under ptso
     # (26,085, 92,421, 264) before a thread's own log cells were
-    # propagated as a forced step
-    ("pmdk-norec", "ptso", 1, 1, "frontier", (10_926, 21_467, 264)),
+    # propagated as a forced step, then (10,926, 21,467, 264) before
+    # private steps were forced before the last crash too
+    ("pmdk-norec", "ptso", 1, 1, "frontier", (9_578, 15_051, 264)),
 ], ids=[  # the psc rows keep the ids they had before the model parameter
     "pmdk-seq-1-2-frontier-counts0", "pmdk-tml-0-1-history-counts1",
     "pmdk-norec-ptso-1-1-frontier-counts2"])
@@ -273,20 +356,25 @@ NOREC_1_CRASH = \
     "adfff3de88d4619136e677cb5abd31bbcf337fbd82722a91f66dbc77b910c0a7"
 
 
-@pytest.mark.parametrize("impl,model,count,digest", [
-    ("pmdk-tml", "psc", 6_682, TML_1_CRASH),
-    ("pmdk-norec", "psc", 6_778, NOREC_1_CRASH),
+@pytest.mark.parametrize("impl,model,crashes,count,digest", [
+    ("pmdk-tml", "psc", 1, 6_682, TML_1_CRASH),
+    ("pmdk-norec", "psc", 1, 6_778, NOREC_1_CRASH),
     # taken before a thread's own log cells were propagated as a forced
     # step; they equal the psc sets at these bounds
-    ("pmdk-tml", "ptso", 6_682, TML_1_CRASH),
-    ("pmdk-norec", "ptso", 6_778, NOREC_1_CRASH),
-], ids=["pmdk-tml", "pmdk-norec", "pmdk-tml-ptso", "pmdk-norec-ptso"])
-def test_por_history_sets_pinned(impl, model, count, digest):
+    ("pmdk-tml", "ptso", 1, 6_682, TML_1_CRASH),
+    ("pmdk-norec", "ptso", 1, 6_778, NOREC_1_CRASH),
+    # taken before private steps were forced ahead of a non-final crash
+    ("pmdk-tml", "psc", 2, 11_810,
+     "851d63b1fd8e9a706653dc96de39814911b2718b3ba8208f47181ead724b7356"),
+], ids=["pmdk-tml", "pmdk-norec", "pmdk-tml-ptso", "pmdk-norec-ptso",
+        "pmdk-tml-2-crashes"])
+def test_por_history_sets_pinned(impl, model, crashes, count, digest):
     # sorted-history sha256 taken before recovery was folded into the last
     # crash; the unreduced explorer is out of reach on these cells, so the
     # pin stands in for the naive-vs-por comparison
     r = explore(Config(impl, model, txns=2, locs=1, vals=2, buf=2,
-                       max_crashes=1, ops=1, por=True), dedup="history")
+                       max_crashes=crashes, ops=1, por=True),
+                dedup="history")
     hs = r.histories()
     assert not r.violations
     assert len(hs) == count

@@ -4,7 +4,7 @@ footprints, and the footprints checked against what every step does."""
 import pytest
 
 from pmtxcheck.engine import (M_CRASH, M_FLT, M_FREE, M_GLB, M_HIST, M_MEM,
-                              M_REC, M_TXNS, RUN, S_IP, S_ST)
+                              M_REC, M_TXNS, RUN, S_AM, S_IP, S_ST)
 from pmtxcheck.explorer import Config, explore
 from pmtxcheck.pmdk import (DATA, FLUSH, FREE, GLB, LOG, META, MUTATIONS,
                             REC, SLOTS, EMIT)
@@ -208,3 +208,53 @@ UNREACHABLE = {
     # NOrec answers reads and writes itself, not through the core
     "pmdk-norec": {"respond.read", "respond.write"},
 }
+
+
+# ---------------------------------------------------------------------------
+# private steps are independent of other threads' access checks
+# ---------------------------------------------------------------------------
+
+def fault_view(cfg, slot):
+    """What ``pmdk.fault_check`` of another thread reads of `slot`."""
+    return slot[S_ST], slot[S_AM], slot[S_IP] in cfg.noabort_ips
+
+
+# private steps the cell below never runs at rest: a one-operation
+# transaction has nothing to roll back and pmdk-seq never aborts, the
+# commit's redo-log store is fallen into from its persist loop, and
+# skip-undo-flush skips the undo flush (``pwrite.flush``, and NOrec's
+# write-back ``writeback.wb2``)
+NOT_AT_REST = {"pabort.pwf", "pabort.guvf", "pcommit.pa", "pwrite.flush",
+               "writeback.wb2"}
+
+
+@pytest.mark.parametrize("mutation", (None,) + MUTATIONS)
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("impl", IMPLS)
+def test_private_steps_keep_fault_view(impl, model, mutation):
+    # the engine forces a private step before other threads' steps, and
+    # other threads' fault_check reads this slot: no private step may
+    # change what it reads
+    cfg = Config(impl, model, max_crashes=1, por=True,
+                 mutations=(mutation,) if mutation else (), **CONCURRENT)
+    ran = set()
+
+    def hook(cfg, m):
+        for ti, slot in enumerate(m[M_TXNS]):
+            ip = slot[S_IP]
+            if slot[S_ST] != RUN or ip not in cfg.private_ips:
+                continue
+            r = cfg.step_table[ip](m, ti)
+            if r is None:
+                continue
+            ran.add(ip)
+            for m2, rec in r:
+                assert rec is None, (cfg.step_names[ip], rec)
+                assert fault_view(cfg, m2[M_TXNS][ti]) \
+                    == fault_view(cfg, slot), (cfg.step_names[ip], m)
+
+    explore(cfg, dedup="frontier", state_hook=hook)
+    txn_private = {ip for ip in cfg.private_ips
+                   if ip < cfg.step_names.index("redo.check")}
+    assert {cfg.step_names[ip] for ip in txn_private - ran} <= NOT_AT_REST
+
