@@ -54,11 +54,12 @@ def build_parser():
     upper = what.add_parser(
         "upper", help="implementation refines the spec",
         description="Check that every history of the implementation is a "
-                    "trace of the spec.  States with equal machine and spec "
-                    "frontier are explored once, so 'histories checked' "
-                    "counts one representative history per such pair; with "
-                    "--emit-traces every history is explored, counted and "
-                    "written.")
+                    "trace of the spec.  A state is skipped when the same "
+                    "machine was explored with a subset of its spec "
+                    "frontier, so 'histories checked' counts representative "
+                    "histories of the subset-minimal frontiers per machine; "
+                    "with --emit-traces every history is explored, counted "
+                    "and written.")
     _add_bounds(upper)
     upper.add_argument("--emit-traces", metavar="DIR", default=None,
                        help="write every history, one JSONL file each")
@@ -104,8 +105,8 @@ def cmd_upper(args):
         cfg = explorer.skip_validate_config(mutate=True, por=args.por)
     else:
         cfg = _cfg_from_args(args)
-    # frontier dedup keeps one history per (machine, spec frontier); the
-    # traces are the whole history set
+    # frontier dedup keeps, per machine, histories of the subset-minimal
+    # spec frontiers only; the traces are the whole history set
     dedup = "history" if args.emit_traces else "frontier"
     try:
         res = explorer.check_upper(cfg, dedup=dedup)

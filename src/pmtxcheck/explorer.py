@@ -1,14 +1,17 @@
 """Bounded exhaustive exploration with crash injection and online checks.
 
 The explorer enumerates every interleaving of client decisions, algorithm
-line-steps, buffer propagation/persist steps and crash points, deduplicating
-on an exact key of the full machine state plus the emitted history: its
-memory, transaction slots and remaining fields are interned by value once
-per exploration and the key packs their ids into one int (``state_keyer``).
-Histories are interned in a trie so shared prefixes are checked once: an
-incrementally maintained frontier of reference-spec states accompanies
-every history prefix, and an empty frontier at an emit is a refinement
-violation (the violating record prefix is the counterexample).
+line-steps, buffer propagation/persist steps and crash points.  Machines
+are keyed exactly: memory, transaction slots and remaining fields are
+interned by value once per exploration and the key packs their ids into
+one int (``state_keyer``).  Histories are interned in a trie so shared
+prefixes are checked once: an incrementally maintained frontier of
+reference-spec states accompanies every history prefix, and an empty
+frontier at an emit is a refinement violation (the violating record prefix
+is the counterexample).  History dedup skips a state only when the same
+machine with the same history was pushed before; frontier dedup skips it
+when the same machine was pushed with a subset of its frontier (see
+``explore``).
 
 ``check_upper`` is trace inclusion implementation <= spec; ``check_lower``
 explores the implementation's serial schedules once, crash-free and with
@@ -25,6 +28,7 @@ from __future__ import annotations
 import pickle  # noqa: F401
 import time
 from hashlib import blake2b  # noqa: F401
+from itertools import filterfalse
 
 from . import refspec
 from .engine import (CUT, M_CRASH, M_FLT, M_HIST, M_REC,
@@ -138,8 +142,9 @@ def _new_id(table, value):
 
 def state_keyer():
     """A key function for one exploration: ``key(m, tag)`` is an int that
-    identifies machine `m` with its history field replaced by `tag`, a
-    history or frontier id below ``ID_LIMIT``.
+    identifies machine `m` with its history field replaced by `tag`, an
+    int below ``ID_LIMIT`` (the history id under history dedup, 0 under
+    frontier dedup).
 
     The memory, each transaction slot and the rest (glb, free, rec,
     crashes, faulted) are interned by value, each kind in its own table
@@ -171,6 +176,36 @@ def state_keyer():
     return key
 
 
+def _antichain_add(minimal, k, f):
+    """Add spec frontier `f` to ``minimal[k]``, the pairwise incomparable
+    frontiers pushed with machine key `k`, dropping those `f` is a strict
+    subset of.  Returns False, leaving them as they are, when one of them
+    is a subset of `f`.
+
+    A frontier is a frozenset of spec states or ``refspec.ACCEPT_ALL``, the
+    top element (a matched fault accepts every continuation), so a kept
+    ACCEPT_ALL has no other frontier beside it.  A lone frontier is stored
+    bare, not in a list: most machines have one, and a list each would add
+    a tenth to peak memory."""
+    kept = minimal.get(k)
+    if kept is None or kept == refspec.ACCEPT_ALL != f:
+        minimal[k] = f
+        return True
+    if f == refspec.ACCEPT_ALL:
+        return False
+    if type(kept) is not list:
+        if kept <= f:
+            return False
+        minimal[k] = f if f <= kept else [kept, f]
+        return True
+    if any(map(f.issuperset, kept)):
+        return False
+    if any(map(f.issubset, kept)):
+        kept[:] = filterfalse(f.issubset, kept)
+    kept.append(f)
+    return True
+
+
 def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             state_hook=None):
     """Exhaustive DFS; returns an ExploreResult.  With check=True the
@@ -179,12 +214,16 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
 
     dedup="history" keys states on the full machine plus the emitted
     history (needed when the history *set* is the product, e.g. for the
-    cross-checks); dedup="frontier" keys on the machine plus the spec
-    frontier instead -- two states with equal machine and frontier have
-    identical acceptance futures, so this is complete for violation
-    finding and collapses the search the way a product automaton does.
-    Either key is exact (``state_keyer``): a state is skipped only when an
-    equal one was pushed before.
+    cross-checks); a state is skipped only when the same machine with the
+    same history was pushed before.  dedup="frontier" keeps, per machine,
+    the subset-minimal spec frontiers pushed so far (an antichain; De Wulf,
+    Doyen, Henzinger & Raskin, CAV 2006) and skips a state whose frontier
+    contains one of them.  The frontier is monotone in its set of spec
+    states, so every violation reachable from (m, F) is reachable, no
+    later, from an already pushed (m, G) with G a subset of F: this is
+    complete for violation finding, and the histories it keeps are
+    representatives of subset-minimal frontiers.  Both keys are exact
+    (``state_keyer``).
 
     When more than `cfg.max_states` states would be expanded, raises
     BudgetExceeded carrying the counts so far.
@@ -201,12 +240,15 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     frontiers = {0: refspec.initial_frontier(cfg.txns, cfg.locs,
                                              cfg.prealloc)
                  if check else None}
-    fids = {frontiers[0]: 0}              # frontier -> dedup id
 
     by_frontier = dedup == "frontier"
     key = state_keyer()
     m0 = initial_machine(cfg)
-    seen = {key(m0, 0)}
+    k0 = key(m0, 0)
+    seen = {k0}                           # history dedup: pushed keys
+    # frontier dedup: machine key (tag 0) -> its minimal pushed frontiers
+    minimal = {k0: frontiers[0]}
+    shared = {}                           # frontier -> its one copy
     stack = [m0]
     # crash outcomes per pre-crash memory and recovery outcomes per
     # post-crash memory (engine.successors).  One per call: callers reuse a
@@ -244,14 +286,16 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                 hkey = (hid, rec)
                 h2 = intern.get(hkey)
                 if h2 is None:
-                    # bounded as a state-key field (frontier ids are fewer)
+                    # bounded: history dedup keys states on it
                     h2 = _new_id(intern, hkey)
                     entries.append(hkey)
                     if check:
                         f2 = refspec.advance_frontier(frontiers[hid], rec)
+                        if by_frontier:
+                            # equal frontiers share one object: neither
+                            # `frontiers` nor the antichains hold copies
+                            f2 = shared.setdefault(f2, f2)
                         frontiers[h2] = f2
-                        if f2 not in fids:
-                            fids[f2] = len(fids)
                         if f2 != refspec.ACCEPT_ALL and not f2:
                             res.violations.append(res.history_records(h2))
                             if stop_on_violation:
@@ -262,12 +306,17 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                     if f2 != refspec.ACCEPT_ALL and not f2:
                         continue  # prune: already-reported violation
                 hid = h2
-            k = key(m2, fids[frontiers[hid]] if by_frontier else hid)
-            if k not in seen:
+            if by_frontier:
+                if not _antichain_add(minimal, key(m2, 0), frontiers[hid]):
+                    continue
+            else:
+                k = key(m2, hid)
+                if k in seen:
+                    continue
                 seen.add(k)
-                if m2[M_HIST] != hid:
-                    m2 = m2[:M_HIST] + (hid,) + m2[M_HIST + 1:]
-                push(m2)
+            if m2[M_HIST] != hid:
+                m2 = m2[:M_HIST] + (hid,) + m2[M_HIST + 1:]
+            push(m2)
     res.seconds = time.monotonic() - t0
     return res
 
