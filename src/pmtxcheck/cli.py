@@ -55,10 +55,12 @@ def build_parser():
         "upper", help="implementation refines the spec",
         description="Check that every history of the implementation is a "
                     "trace of the spec.  A state is skipped when the same "
-                    "machine was explored with a subset of its spec "
-                    "frontier, so 'histories checked' counts representative "
-                    "histories of the subset-minimal frontiers per machine; "
-                    "with --emit-traces every history is explored, counted "
+                    "machine, up to a renaming of transaction ids, was "
+                    "explored with a subset of its spec frontier, renamed "
+                    "alike, so 'histories checked' counts representative "
+                    "histories of the subset-minimal frontiers per machine "
+                    "up to txid renaming; violations are real histories.  "
+                    "With --emit-traces every history is explored, counted "
                     "and written.")
     _add_bounds(upper)
     upper.add_argument("--emit-traces", metavar="DIR", default=None,
@@ -105,8 +107,9 @@ def cmd_upper(args):
         cfg = explorer.skip_validate_config(mutate=True, por=args.por)
     else:
         cfg = _cfg_from_args(args)
-    # frontier dedup keeps, per machine, histories of the subset-minimal
-    # spec frontiers only; the traces are the whole history set
+    # frontier dedup keeps, per machine up to txid renaming, histories of
+    # the subset-minimal spec frontiers only; the traces are the whole
+    # history set
     dedup = "history" if args.emit_traces else "frontier"
     try:
         res = explorer.check_upper(cfg, dedup=dedup)

@@ -152,7 +152,12 @@ def bits(mask):
 
 
 def all_terminal(m):
-    return all(s[S_ST] in TERMINAL for s in m[M_TXNS])
+    # a loop, not all() over a generator: the explorer asks this of every
+    # state it pops
+    for s in m[M_TXNS]:
+        if s[S_ST] not in TERMINAL:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +245,14 @@ def _decision_steps(cfg, m, ti, out):
 
 
 def _may_begin(cfg, m, ti):
+    # canonical ascending begin order: the transactions yet to begin are
+    # alike, so the lowest stands for any of them.  Frontier dedup's orbit
+    # key (explorer.orbit_keyer) would merge the others' begins anyway;
+    # history dedup, whose history sets are pinned, still needs this order
     txns = m[M_TXNS]
     for j in range(ti):
         if txns[j][S_ST] == NS:
-            return False  # canonical ascending begin order
+            return False
     if cfg.serial:
         for j, s in enumerate(txns):
             if j != ti and s[S_ST] in (RUN, RDY):

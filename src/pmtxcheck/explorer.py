@@ -2,16 +2,16 @@
 
 The explorer enumerates every interleaving of client decisions, algorithm
 line-steps, buffer propagation/persist steps and crash points.  Machines
-are keyed exactly: memory, transaction slots and remaining fields are
-interned by value once per exploration and the key packs their ids into
-one int (``state_keyer``).  Histories are interned in a trie so shared
-prefixes are checked once: an incrementally maintained frontier of
-reference-spec states accompanies every history prefix, and an empty
-frontier at an emit is a refinement violation (the violating record prefix
-is the counterexample).  History dedup skips a state only when the same
-machine with the same history was pushed before; frontier dedup skips it
-when the same machine was pushed with a subset of its frontier (see
-``explore``).
+are keyed by interning memory, slots and the remaining fields by value
+once per exploration and packing their ids into one int.  Histories are
+interned in a trie so shared prefixes are checked once: an incrementally
+maintained frontier of reference-spec states accompanies every history
+prefix, and an empty frontier at an emit is a refinement violation (the
+violating record prefix is the counterexample).  History dedup skips a
+state only when the same machine with the same history was pushed before
+(``state_keyer``); frontier dedup skips it when the same machine up to a
+renaming of transaction ids was pushed with a subset of its frontier,
+renamed alike (``orbit_keyer``, ``explore``).
 
 ``check_upper`` is trace inclusion implementation <= spec; ``check_lower``
 explores the implementation's serial schedules once, crash-free and with
@@ -29,10 +29,12 @@ import pickle  # noqa: F401
 import time
 from hashlib import blake2b  # noqa: F401
 from itertools import filterfalse
+from operator import itemgetter
 
 from . import refspec
-from .engine import (CUT, M_CRASH, M_FLT, M_HIST, M_REC,
-                     all_terminal, initial_machine, successors)
+from .engine import (ABRT, COMM, CUT, DEAD, FLT, M_CRASH, M_FLT, M_HIST,
+                     M_REC, NS, RDY, RUN, S_ST, all_terminal, initial_machine,
+                     successors)
 from .pmdk import MUTATIONS, Layout
 from .pmem import MODELS, PMem
 from .stm import IMPLS, build_programs
@@ -43,6 +45,14 @@ DEFAULT_MAX_STATES = 20_000_000
 # width of every state-key field below the memory id (see state_keyer)
 ID_BITS = 32
 ID_LIMIT = 1 << ID_BITS
+# a thread's view in an orbit key: its status's rank in PROGRESS, then its
+# slot id, then its memory part id
+VIEW_BITS = 2 * ID_BITS + 2
+# a slot status's rank in a view: ended transactions sort first, then
+# running ones, then those yet to begin.  The ascending begin order tends
+# to leave lower ids further along, so fewer machines need a permutation
+# to sort their views
+PROGRESS = {COMM: 0, ABRT: 0, DEAD: 0, FLT: 0, RUN: 1, RDY: 1, NS: 2}
 
 
 class BudgetExceeded(Exception):
@@ -141,10 +151,9 @@ def _new_id(table, value):
 
 
 def state_keyer():
-    """A key function for one exploration: ``key(m, tag)`` is an int that
-    identifies machine `m` with its history field replaced by `tag`, an
-    int below ``ID_LIMIT`` (the history id under history dedup, 0 under
-    frontier dedup).
+    """A key function for one exploration under history dedup:
+    ``key(m, tag)`` is an int that identifies machine `m` with its history
+    field replaced by `tag`, an int below ``ID_LIMIT`` (the history id).
 
     The memory, each transaction slot and the rest (glb, free, rec,
     crashes, faulted) are interned by value, each kind in its own table
@@ -174,6 +183,154 @@ def state_keyer():
         return k << ID_BITS | tag
 
     return key
+
+
+def orbit_keyer(cfg, shared):
+    """Key functions for one exploration under frontier dedup:
+    ``key(m)`` is ``(k, order)``, where the int `k` identifies machine `m`
+    up to a renaming of transaction ids (its history field ignored) and
+    `order` is how its threads' views sort (None: as they are), and
+    ``relabel(f, order, ref)`` renames spec frontier `f` of a machine whose
+    views sort in `order` into the transactions of the machine with the
+    same key whose views sort in `ref`.  `shared` interns the renamed
+    frontiers (``explore``'s frontier table).
+
+    Memory is split by owner: the shared cells (``Layout.shared_cells``)
+    and, per thread t, t's own cells (``Layout.log_cells(t)``, in role
+    order) with their persistence buffers and, under PTSO, t's store
+    buffer, in which t's own cells are named by their role (``~role``).
+    Each distinct memory is split once; its shared part and its thread
+    parts are interned, all threads' parts in one table, so equal parts of
+    two threads get one id.  A thread's view is its slot's id, ranked by
+    the slot's status (``PROGRESS``), and its part's id.  The key packs
+    the shared part's id, the rest's (glb, free, rec, crashes, faulted) id
+    and the views in ascending order; the sort is stable, so equal views
+    keep ascending ids.  While recovery runs (rec is not None) the order
+    is the identity, since recovery visits ids in ascending order, and so
+    it is whenever ``cfg.scripts`` is set, since a script gives each id
+    its own program: the same key with its order fixed.  Equal keys mean
+    machines equal up to the renamings that sort both; the spec state
+    entries of their frontiers correspond alike, so a frontier compares
+    with another machine's once renamed, position by sorted position.
+
+    Soundness, for violation finding:
+
+    * Steps are thread-agnostic apart from each thread's own cells.  Every
+      id runs the same step programs; run as thread t, a step touches the
+      shared cells, t's own log cells, t's store buffer, glb, the free
+      list and slots, reading other slots only by what they hold, and its
+      records name t (``tests/test_steps.py`` checks that no step touches
+      another thread's log cells).  So a renaming of ids maps the
+      unreduced successors of a machine onto those of its renaming, with
+      their records renamed.  The ascending begin order and the
+      lowest-thread choice of forced steps are reductions of that
+      relation that keep every history up to renaming.
+    * ``refspec`` is equivariant: renaming a frontier and a record, then
+      advancing, is advancing, then renaming, and the initial frontier is
+      invariant (``tests/test_refspec.py``).  So a renamed machine with
+      its renamed frontier reaches the renamed violations.
+    * Ties between equal views are automorphisms: swapping two threads
+      with equal views leaves the machine as it is, so either orientation
+      of the frontier is one of the machine's; the stable sort picks one,
+      which is sound and at worst misses a merge.
+    * The antichain argument of ``explore`` carries over per orbit: a
+      state skipped because an already pushed state has its key and a
+      frontier that, renamed, is a subset of its own is a renaming of that
+      state with a frontier that contains the renamed pushed one, so each
+      of its violations is, up to renaming, reachable no later from the
+      pushed state.
+
+    The pushed machine is always the real one, so violations and
+    counterexamples are real histories; symmetry only prunes."""
+    lay = cfg.layout
+    n = cfg.txns
+    shared_of = itemgetter(*lay.shared_cells())
+    owned = [lay.log_cells(t) for t in range(n)]
+    parts_of = [itemgetter(*cells) for cells in owned]
+    names = [{c: ~role for role, c in enumerate(cells)} for cells in owned]
+    ptso = cfg.pmem.model == "ptso"
+    identity = tuple(range(n))
+    fixed = bool(cfg.scripts)
+    mems, shareds, parts, slots, rests = {}, {}, {}, {}, {}
+    # (order, ref) -> (p, its memo); renamed: p -> f -> f renamed by p
+    perms, renamed = {}, {}
+
+    def split(mem):
+        """Each thread's part id of `mem`, then its shared part's id."""
+        nvm, pbufs, sbufs = mem
+        ids = []
+        for t in range(n):
+            get = parts_of[t]
+            sbuf = None
+            if ptso:
+                name = names[t].get
+                sbuf = tuple([(name(c, c), v) for c, v in sbufs[t]])
+            part = (get(nvm), get(pbufs), sbuf)
+            i = parts.get(part)
+            ids.append(_new_id(parts, part) if i is None else i)
+        part = (shared_of(nvm), shared_of(pbufs))
+        i = shareds.get(part)
+        ids.append(_new_id(shareds, part) if i is None else i)
+        return tuple(ids)
+
+    # the last memory and slots looked up, and their ids: the successors
+    # of one state share most of them, object for object
+    last_mem = last_ids = None
+    last_slots, last_his = [None] * n, [0] * n
+
+    def key(m):
+        nonlocal last_mem, last_ids
+        mem, glb, free, txns, rec, crashes, _hist, faulted = m
+        if mem is last_mem:
+            ids = last_ids
+        else:
+            ids = mems.get(mem)
+            if ids is None:
+                ids = mems[mem] = split(mem)
+            last_mem, last_ids = mem, ids
+        rest = (glb, free, rec, crashes, faulted)
+        i = rests.get(rest)
+        if i is None:
+            i = _new_id(rests, rest)
+        views = []
+        t = 0
+        for slot in txns:
+            if slot is last_slots[t]:
+                hi = last_his[t]
+            else:
+                j = slots.get(slot)
+                if j is None:
+                    j = _new_id(slots, slot)
+                hi = (PROGRESS[slot[S_ST]] << ID_BITS | j) << ID_BITS
+                last_slots[t], last_his[t] = slot, hi
+            views.append(hi | ids[t])
+            t += 1
+        k = ids[-1] << ID_BITS | i
+        ordered = views if fixed or rec is not None else sorted(views)
+        for v in ordered:
+            k = k << VIEW_BITS | v
+        if ordered == views:
+            return k, None
+        return k, tuple(sorted(identity, key=views.__getitem__))
+
+    def relabel(f, order, ref):
+        """Frontier `f` of a machine whose views sort in `order`, with its
+        transactions renamed to those of the machine of the same key whose
+        views sort in `ref` (None: the identity)."""
+        pm = perms.get((order, ref))
+        if pm is None:
+            o = order or identity
+            at = {t: j for j, t in enumerate(ref or identity)}
+            p = tuple([o[at[t]] for t in identity])
+            pm = perms[order, ref] = (p, renamed.setdefault(p, {}))
+        p, memo = pm
+        g = memo.get(f)
+        if g is None:
+            g = refspec.rename_frontier(f, p)
+            g = memo[f] = shared.setdefault(g, g)
+        return g
+
+    return key, relabel
 
 
 def _antichain_add(minimal, k, f):
@@ -215,15 +372,16 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     dedup="history" keys states on the full machine plus the emitted
     history (needed when the history *set* is the product, e.g. for the
     cross-checks); a state is skipped only when the same machine with the
-    same history was pushed before.  dedup="frontier" keeps, per machine,
-    the subset-minimal spec frontiers pushed so far (an antichain; De Wulf,
-    Doyen, Henzinger & Raskin, CAV 2006) and skips a state whose frontier
-    contains one of them.  The frontier is monotone in its set of spec
-    states, so every violation reachable from (m, F) is reachable, no
-    later, from an already pushed (m, G) with G a subset of F: this is
+    same history was pushed before (``state_keyer``).  dedup="frontier"
+    keeps, per machine up to a renaming of transaction ids
+    (``orbit_keyer``), the subset-minimal spec frontiers pushed so far (an
+    antichain; De Wulf, Doyen, Henzinger & Raskin, CAV 2006) and skips a
+    state whose frontier, renamed alike, contains one of them.  The
+    frontier is monotone in its set of spec states, so every violation
+    reachable from (m, F) is reachable, no later, from an already pushed
+    (m, G) with G a subset of F: with ``orbit_keyer``'s argument this is
     complete for violation finding, and the histories it keeps are
-    representatives of subset-minimal frontiers.  Both keys are exact
-    (``state_keyer``).
+    representatives of subset-minimal frontiers up to txid renaming.
 
     When more than `cfg.max_states` states would be expanded, raises
     BudgetExceeded carrying the counts so far.
@@ -242,13 +400,19 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                  if check else None}
 
     by_frontier = dedup == "frontier"
-    key = state_keyer()
     m0 = initial_machine(cfg)
-    k0 = key(m0, 0)
-    seen = {k0}                           # history dedup: pushed keys
-    # frontier dedup: machine key (tag 0) -> its minimal pushed frontiers
-    minimal = {k0: frontiers[0]}
     shared = {}                           # frontier -> its one copy
+    if by_frontier:
+        key, relabel = orbit_keyer(cfg, shared)
+        k0, _order = key(m0)              # all slots equal: the identity
+        # orbit key -> the minimal frontiers pushed with it, in the thread
+        # order of the first machine pushed with it, kept in refs[k] when
+        # that is not the identity
+        minimal = {k0: frontiers[0]}
+        refs, orders = {}, {}             # orders: each order's one copy
+    else:
+        key = state_keyer()
+        seen = {key(m0, 0)}               # pushed keys
     stack = [m0]
     # crash outcomes per pre-crash memory and recovery outcomes per
     # post-crash memory (engine.successors).  One per call: callers reuse a
@@ -307,7 +471,15 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                         continue  # prune: already-reported violation
                 hid = h2
             if by_frontier:
-                if not _antichain_add(minimal, key(m2, 0), frontiers[hid]):
+                k, order = key(m2)
+                f2 = frontiers[hid]
+                ref = refs.get(k)
+                if order != ref:
+                    if ref is None and k not in minimal:
+                        refs[k] = orders.setdefault(order, order)
+                    else:
+                        f2 = relabel(f2, order, ref)
+                if not _antichain_add(minimal, k, f2):
                     continue
             else:
                 k = key(m2, hid)

@@ -58,7 +58,8 @@ from them:
 * ``cfg.log_cells``, per thread t the cells of class ``LOG`` for t
   (``Layout.log_cells``): no step run as another thread touches them,
   so under --por and PTSO the engine propagates a store-buffer head
-  bound for them as a forced step;
+  bound for them as a forced step, and frontier dedup's key names them
+  by their role, the same for every thread (``explorer.orbit_keyer``);
 * ``cfg.noabort_ips``, read by ``fault_check``: the steps of the blocks
   flagged past the commit's point of no return, and every step they go or
   fall to.
@@ -128,11 +129,18 @@ class Layout:
     def guv(self, t):
         return self.base_guv + t
 
+    def shared_cells(self):
+        """The cells no transaction owns: every location's value and
+        metadata cell."""
+        return tuple(range(2 * self.locs))
+
     def log_cells(self, t):
-        """Transaction t's undo and redo-log cells and its undo flag: the
-        cells of footprint class ``LOG`` when t's steps run as thread t."""
-        return frozenset([self.undo(t, x) for x in range(self.locs)]
-                         + [self.pa(t), self.puv(t), self.pck(t), self.guv(t)])
+        """Transaction t's undo and redo-log cells and its undo flag, the
+        cells of footprint class ``LOG`` when t's steps run as thread t, in
+        role order: the cell of one role has the same position for every
+        t."""
+        return tuple([self.undo(t, x) for x in range(self.locs)]
+                     + [self.pa(t), self.puv(t), self.pck(t), self.guv(t)])
 
     def initial_nvm(self):
         nvm = [0] * self.ncells
@@ -389,7 +397,8 @@ def link(cfg, blocks):
                       for ip in range(len(named))]
     cfg.private_ips = {ip for ip, fp in enumerate(cfg.footprints)
                        if fp <= PRIVATE}
-    cfg.log_cells = tuple(cfg.layout.log_cells(t) for t in range(cfg.txns))
+    cfg.log_cells = tuple(frozenset(cfg.layout.log_cells(t))
+                          for t in range(cfg.txns))
     flagged = {b for b, noabort, _entries in blocks if noabort}
     cfg.noabort_ips = reach([ip for ip, (b, _e) in enumerate(named)
                              if b in flagged], goes, falls)
@@ -414,10 +423,16 @@ def reach(ips, *edges):
 # operation blocks; `done` names the entry each continues at
 # ---------------------------------------------------------------------------
 
-def responses():
-    return ("respond", False, [respond(op, status, op) for op, status in (
-        ("begin", RDY), ("read", RDY), ("write", RDY), ("commit", COMM),
-        ("abort", ABRT))])
+# the status each response leaves its transaction in
+RESPONSES = (("begin", RDY), ("read", RDY), ("write", RDY), ("commit", COMM),
+             ("abort", ABRT))
+
+
+def responses(ops):
+    """The core's response entries for `ops`: an implementation links only
+    those some step of it goes to."""
+    return ("respond", False, [respond(op, status, op)
+                               for op, status in RESPONSES if op in ops])
 
 
 def pbegin(cfg, done):

@@ -226,6 +226,18 @@ def initial_frontier(txns, locs, prealloc=0):
     return frozenset(closure({initial_state(txns, locs, prealloc)}))
 
 
+def rename_frontier(frontier, perm):
+    """`frontier` with its transactions renamed: transaction u of each
+    spec state is transaction perm[u] of the original.  ACCEPT_ALL names
+    no transaction.  Advancing commutes with renaming (the spec treats
+    every transaction id alike), which frontier dedup's symmetry relies
+    on (``explorer.orbit_keyer``)."""
+    if frontier == ACCEPT_ALL:
+        return frontier
+    return frozenset([(mems, tuple([txs[t] for t in perm]))
+                      for mems, txs in frontier])
+
+
 def advance_frontier(frontier, rec):
     """Step the set of spec states by one external record; empty result
     means the history is not a trace of the specification."""

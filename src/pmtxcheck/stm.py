@@ -39,7 +39,10 @@ def _set_glb(m, g):
 
 
 def build_programs(cfg):
-    blocks = [responses(), pabort(cfg, "respond.abort"),
+    # NOrec answers reads and writes itself, not through the core
+    ops = ("begin", "commit", "abort") if cfg.impl == "pmdk-norec" \
+        else ("begin", "read", "write", "commit", "abort")
+    blocks = [responses(ops), pabort(cfg, "respond.abort"),
               pbegin(cfg, "respond.begin"), palloc()]
     if cfg.impl == "pmdk-seq":
         blocks += [pread("respond.read"), pwrite(cfg, "respond.write"),

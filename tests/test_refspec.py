@@ -1,9 +1,16 @@
-"""Operational reference spec: transitions, membership, sequential bound."""
+"""Operational reference spec: transitions, membership, sequential bound,
+and equivariance under a renaming of transaction ids."""
 
+from itertools import permutations
+
+import pytest
+
+from pmtxcheck.explorer import Config, explore
 from pmtxcheck.refspec import (ACCEPT_ALL, BOT, RDY, accepts_history,
                                advance_frontier, crash_step, eps_successors,
                                initial_frontier, initial_state, match_record,
-                               sequential_histories, valid_idx)
+                               rename_frontier, sequential_histories,
+                               valid_idx)
 
 
 def drive(records, txns=2, locs=2):
@@ -232,3 +239,74 @@ def test_sequential_count_matches_independent_enumeration():
     histories_for(0, None, [], candidates)
     oracle = {h for h in candidates if accepts_history(h, txns, locs)}
     assert oracle == sequential_histories(txns, locs, vals, ops)
+
+
+# ---------------------------------------------------------------------------
+# equivariance: frontier dedup's orbit key (explorer.orbit_keyer) relies on
+# renaming ids commuting with advancing the frontier
+# ---------------------------------------------------------------------------
+
+def rename_record(pi, rec):
+    """`rec` with transaction t renamed pi[t]."""
+    return rec if rec[0] == "crash" else rec[:1] + (pi[rec[1]],) + rec[2:]
+
+
+def inverse(pi):
+    return tuple(sorted(range(len(pi)), key=pi.__getitem__))
+
+
+# 2-txn cells explore every history; the 3-txn cells are scripted and keep
+# the frontier representatives: a writer racing two allocating readers,
+# recovery interleaved with a crash, and an access that faults
+THREE_TXN_CELLS = {
+    "race": ("pmdk-tml", dict(locs=2, scripts=(
+        ((("write", 1, 1), ("write", 1, 1)), 0),
+        ((("alloc",), ("read", 1)), 0), ((("alloc",), ("read", 1)), 0)))),
+    "recovery": ("pmdk-seq", dict(
+        locs=1, prealloc=1, max_crashes=2, buf=1, ops=1, scripts=(
+            ((("write", 0, 1),), 0), ((("write", 0, 1),), 1),
+            ((("read", 0),), 2)))),
+    "fault": ("pmdk-norec", dict(locs=2, max_crashes=1, buf=1, scripts=(
+        ((("alloc",),), 0), ((("read", 0),), 0), ((("write", 1, 1),), 0)))),
+}
+
+
+def cell_histories(name):
+    if name in THREE_TXN_CELLS:
+        impl, bounds = THREE_TXN_CELLS[name]
+        cfg = Config(impl, "psc", txns=3, por=True, **bounds)
+        return cfg, explore(cfg, dedup="frontier").histories()
+    impl, ops = name
+    cfg = Config(impl, "psc", txns=2, locs=1, max_crashes=1, ops=ops,
+                 por=True)
+    return cfg, explore(cfg, check=False).histories()
+
+
+@pytest.mark.parametrize("name", [("pmdk-seq", 2), ("pmdk-tml", 1)]
+                         + sorted(THREE_TXN_CELLS),
+                         ids=lambda name: "-".join(map(str, name))
+                         if isinstance(name, tuple) else name)
+def test_advance_frontier_is_equivariant(name):
+    cfg, histories = cell_histories(name)
+    perms = list(permutations(range(cfg.txns)))
+    init = initial_frontier(cfg.txns, cfg.locs, cfg.prealloc)
+    assert all(rename_frontier(init, pi) == init for pi in perms)
+    frontier = {(): init}
+    kinds = set()
+    for h in histories:
+        for i, rec in enumerate(h):
+            if h[:i + 1] in frontier:
+                continue
+            kinds.add(rec[0])
+            f = frontier[h[:i]]
+            g = frontier[h[:i + 1]] = advance_frontier(f, rec)
+            for pi in perms:
+                # rename_record moves t to pi[t]; rename_frontier gathers
+                back = inverse(pi)
+                assert advance_frontier(rename_frontier(f, back),
+                                        rename_record(pi, rec)) \
+                    == rename_frontier(g, back), (h[:i + 1], pi)
+    if name != "race":
+        assert "crash" in kinds
+    if name in (("pmdk-seq", 2), "fault"):
+        assert "fault" in kinds

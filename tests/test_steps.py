@@ -13,14 +13,16 @@ from pmtxcheck.stm import IMPLS
 
 # impl -> (private ips, no-abort ips, the commit step scheduled again under
 # reorder-commit and skip-flush-commit5), as the hand-written lists of the
-# earlier builders gave them at 2 txns and 2 locations
+# earlier builders gave them at 2 txns and 2 locations.  NOrec's are those
+# lists with every ip past respond.commit lowered by two, since it no
+# longer links the core's read and write responses
 HAND_SETS = {
     "pmdk-seq": ({6, 7, 9, 10, 11, 12, 17, 18, 20, 21, 22, 23, 24, 26, 27,
                   28, 29}, {3} | set(range(20, 30)), 24),
     "pmdk-tml": ({6, 7, 9, 10, 11, 12, 20, 21, 24, 25, 26, 27, 28, 30, 31,
                   32, 33}, {3} | set(range(23, 34)), 28),
-    "pmdk-norec": ({6, 7, 9, 10, 11, 12, 27, 28, 30, 31, 32, 33, 34, 36, 37,
-                    38, 39}, {3} | set(range(25, 40)), 34),
+    "pmdk-norec": ({4, 5, 7, 8, 9, 10, 25, 26, 28, 29, 30, 31, 32, 34, 35,
+                    36, 37}, {1} | set(range(23, 38)), 32),
 }
 
 
@@ -205,8 +207,7 @@ UNREACHABLE = {
     "pmdk-seq": {"respond.abort", "pabort.rb", "pabort.pwf", "pabort.guvf",
                  "pabort.free"},
     "pmdk-tml": set(),
-    # NOrec answers reads and writes itself, not through the core
-    "pmdk-norec": {"respond.read", "respond.write"},
+    "pmdk-norec": set(),
 }
 
 
