@@ -3,22 +3,29 @@
 An execution graph couples an event set with program order (per thread),
 client order (between transactions), a reads-from relation (total and
 functional on reads, value- and location-matching) and a per-location
-modification order over writes and allocations.  The axioms checked:
+modification order over writes and allocations.  One axiom core,
+``_violation``, checks a candidate (rf, mo) against a history's facts
+(``_ctx``: txid, thread and kind per event, each transaction's status,
+client order) and names the first axiom violated, in this order:
 
 * ``vis-rf``: every transaction read from by another is visible, i.e. it
-  succeeded or is commit-pending and read from.
+  succeeded or is commit-pending and read from (``_vis``).
 * ``int``: intra-transaction rf, mo and rb edges follow program order.
 * ``ext``: client order, lifted rf, lifted mo and lifted rb-into-visible
   form an acyclic relation on transactions.
+* ``dyn-alloc`` (dynamic opacity only): every visible write is mo-preceded
+  by a visible allocation of its location.
 
-Dynamic opacity additionally requires every visible write to be mo-preceded
-by a visible allocation of its location.  History-level checks need a
-witness (rf, mo) for every prefix: each prefix first extends the witness of
-the one before it (revalidate it, insert the new write or allocation into
-mo, or pick the new read's source) and only when that fails runs the
-complete search ``find_witness`` (every rf choice times every po-respecting
-mo order).  Durable opacity first erases crash markers.  Allocations count
-as writes of 0 for rf and mo purposes.
+The graph-level checks build the facts from a ``Graph`` once;
+serializability is the core on all-successful input, where every
+transaction is visible.  History-level checks need a witness (rf, mo) for
+every prefix: ``history_opaque`` advances the facts event by event, and each
+prefix first extends the witness of the one before it (revalidate it,
+insert the new write or allocation into mo, or pick the new read's source)
+and only when that fails runs the complete search ``find_witness`` (every rf
+choice times every po-respecting mo order).  No candidate builds a graph.
+Durable opacity first erases crash markers.  Allocations count as writes of
+0 for rf and mo purposes.
 """
 
 from __future__ import annotations
@@ -53,158 +60,112 @@ def graph_from_events(events, rf, mo, clo=None):
                  dict(rf), {l: tuple(v) for l, v in mo.items()}, clo)
 
 
-def _po_index(g):
-    idx = {}
-    for tid, eids in g.po.items():
-        for i, eid in enumerate(eids):
-            idx[eid] = (tid, i)
-    return idx
+def _ctx(events, status, clo):
+    """A history's facts for the axiom core: (tx, tid, kind, status, clo),
+    the txid, thread id and kind of each eid, txid -> status as in
+    ``txn_statuses``, and client order as (txid, txid) pairs.  Event ids
+    are positions, so a is po-before b when tid[a] == tid[b] and a < b.
+    A tuple, not a class: perfbench imports the package afresh at each
+    set-up, and a NamedTuple class costs set-up time and memory there."""
+    return ([e.txid for e in events], [e.tid for e in events],
+            [e.kind for e in events], status, clo)
 
 
-def _po_before(idx, a, b):
-    ta, ia = idx[a]
-    tb, ib = idx[b]
-    return ta == tb and ia < ib
-
-
-def _mo_pos(g):
-    pos = {}
-    for loc, eids in g.mo.items():
-        for i, eid in enumerate(eids):
-            pos[eid] = (loc, i)
-    return pos
-
-
-def visible_txns(g):
+def _vis(status, tx, rf):
     """Successful transactions plus commit-pending ones read externally."""
-    statuses = txn_statuses(g.events)
-    vis = {tx for tx, st in statuses.items() if st == "success"}
-    for r, w in g.rf.items():
-        wtx = g.ev(w).txid
-        rtx = g.ev(r).txid
-        if wtx != rtx and statuses.get(wtx) == "commit-pending":
-            vis.add(wtx)
+    vis = {t for t, st in status.items() if st == "success"}
+    for r, w in rf.items():
+        if tx[w] != tx[r] and status.get(tx[w]) == "commit-pending":
+            vis.add(tx[w])
     return vis
 
 
-def _rb_edges(g):
-    """rb = rf^-1 ; mo  (read -> every write mo-after the one it read)."""
-    mo_pos = _mo_pos(g)
-    edges = []
-    for r, w in g.rf.items():
-        if w not in mo_pos:
-            continue
-        loc, i = mo_pos[w]
-        for w2 in g.mo[loc][i + 1:]:
-            edges.append((r, w2))
-    return edges
-
-
-def _txn_cycle(edges):
-    """Cycle detection on a transaction-level digraph given as pairs."""
-    succ = {}
-    for a, b in edges:
-        if a != b:
-            succ.setdefault(a, set()).add(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {}
-    for start in succ:
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack = [(start, iter(succ.get(start, ())))]
-        color[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GREY:
-                    return True
-                if c == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    break
-            else:
-                color[node] = BLACK
-                stack.pop()
+def _cyclic(edges):
+    """Whether a set of (a, b) pairs forms a cyclic digraph: peel off edges
+    leaving nodes nothing enters until no edge goes."""
+    while edges:
+        heads = {b for _a, b in edges}
+        rest = {(a, b) for a, b in edges if a in heads}
+        if len(rest) == len(edges):
+            return True
+        edges = rest
     return False
 
 
-def _ext_edges(g, vis, restrict_rb_to_vis=True):
-    """Transaction-level edges of the ext axiom relation."""
-    edges = list(g.clo)
-    for r, w in g.rf.items():
-        wtx, rtx = g.ev(w).txid, g.ev(r).txid
-        if wtx != rtx:
-            edges.append((wtx, rtx))
-    for eids in g.mo.values():
-        for i, a in enumerate(eids):
-            for b in eids[i + 1:]:
-                ta, tb = g.ev(a).txid, g.ev(b).txid
-                if ta != tb:
-                    edges.append((ta, tb))
-    for r, w2 in _rb_edges(g):
-        ta, tb = g.ev(r).txid, g.ev(w2).txid
-        if ta != tb and (not restrict_rb_to_vis or tb in vis):
-            edges.append((ta, tb))
-    return edges
+def _violation(ctx, rf, mo, dynamic):
+    """The first axiom (rf, mo) violates on ctx's history, in the order
+    vis-rf, int, ext, dyn-alloc (the last only if `dynamic`); else None."""
+    tx, tid, kind, status, clo = ctx
+    vis = _vis(status, tx, rf)
+    # ext: clo plus lifted rf, mo and rb-into-vis; self-loops never count
+    edges = {(a, b) for a, b in clo if a != b}
+    why = None
+    for r, w in rf.items():
+        if tx[w] != tx[r]:
+            if tx[w] not in vis:
+                return "vis-rf"
+            edges.add((tx[w], tx[r]))
+        elif not (tid[w] == tid[r] and w < r):  # po-before
+            why = "int"
+    if why:
+        return why
+    pos = {}
+    for seq in mo.values():
+        for i, a in enumerate(seq):
+            pos[a] = seq, i
+            for b in seq[i + 1:]:
+                if tx[a] != tx[b]:
+                    edges.add((tx[a], tx[b]))
+                elif not (tid[a] == tid[b] and a < b):
+                    return "int"
+    for r, w in rf.items():  # rb = rf^-1 ; mo
+        if w in pos:
+            seq, i = pos[w]
+            for b in seq[i + 1:]:
+                if tx[r] != tx[b]:
+                    if tx[b] in vis:
+                        edges.add((tx[r], tx[b]))
+                elif not (tid[r] == tid[b] and r < b):
+                    return "int"
+    if _cyclic(edges):
+        return "ext"
+    if dynamic:              # visible writes need a visible alloc mo-before
+        for seq in mo.values():
+            alloc = False
+            for e in seq:
+                if tx[e] in vis:
+                    if kind[e] == "M":
+                        alloc = True
+                    elif kind[e] == "W" and not alloc:
+                        return "dyn-alloc"
+    return None
 
 
-def _int_ok(g):
-    idx = _po_index(g)
-    for r, w in g.rf.items():
-        if g.ev(r).txid == g.ev(w).txid and not _po_before(idx, w, r):
-            return False
-    for eids in g.mo.values():
-        for i, a in enumerate(eids):
-            for b in eids[i + 1:]:
-                if g.ev(a).txid == g.ev(b).txid and not _po_before(idx, a, b):
-                    return False
-    for r, w2 in _rb_edges(g):
-        if g.ev(r).txid == g.ev(w2).txid and not _po_before(idx, r, w2):
-            return False
-    return True
+def _graph_violation(g, dynamic):
+    ctx = _ctx(g.events, txn_statuses(g.events), g.clo)
+    return _violation(ctx, g.rf, g.mo, dynamic)
 
 
 def check_opacity_execution(g):
     """(opaque?, violated axiom name or None)."""
-    vis = visible_txns(g)
-    for r, w in g.rf.items():
-        if g.ev(w).txid != g.ev(r).txid and g.ev(w).txid not in vis:
-            return False, "vis-rf"
-    if not _int_ok(g):
-        return False, "int"
-    if _txn_cycle(_ext_edges(g, vis)):
-        return False, "ext"
-    return True, None
+    why = _graph_violation(g, False)
+    return why is None, why
 
 
 def check_dynamic_opacity_execution(g):
     """Opacity plus: visible writes are mo-preceded by a visible alloc."""
-    ok, why = check_opacity_execution(g)
-    if not ok:
-        return False, why
-    vis = visible_txns(g)
-    for loc, eids in g.mo.items():
-        alloc_seen = False
-        for eid in eids:
-            e = g.ev(eid)
-            if e.kind == "M" and e.txid in vis:
-                alloc_seen = True
-            elif e.kind == "W" and e.txid in vis and not alloc_seen:
-                return False, "dyn-alloc"
-    return True, None
+    why = _graph_violation(g, True)
+    return why is None, why
 
 
 def check_serializability_execution(g):
-    """Both SER axioms; input must contain only successful transactions."""
+    """Both SER axioms; input must contain only successful transactions,
+    so every transaction is visible."""
     statuses = txn_statuses(g.events)
     if any(st != "success" for st in statuses.values()):
         raise ValueError("serializability requires all transactions complete")
-    if not _int_ok(g):
-        return False, "ser-int"
-    if _txn_cycle(_ext_edges(g, vis=set(), restrict_rb_to_vis=False)):
-        return False, "ser-ext"
-    return True, None
+    why = _graph_violation(g, False)
+    return why is None, why and "ser-" + why
 
 
 # ---------------------------------------------------------------------------
@@ -224,50 +185,46 @@ def _sources(events, r):
                  or (w.kind == "M" and r.val == 0))]
 
 
-def _mo_orders(events, loc_events, po_idx):
+def _mo_orders(ctx, loc_events):
     """Candidate per-location orders: permutations respecting intra-txn po.
     ``permutations`` yields event order (the natural witness) first."""
+    tx, tid = ctx[:2]
     return [perm for perm in permutations(loc_events)
-            if all(events[a].txid != events[b].txid
-                   or _po_before(po_idx, a, b)
+            if all(tx[a] != tx[b] or (tid[a] == tid[b] and a < b)
                    for i, a in enumerate(perm) for b in perm[i + 1:])]
 
 
-def find_witness(events, dynamic=True):
+def find_witness(events, dynamic=True, ctx=None):
     """Search rf and mo making the (markerless) history opaque; None if no
-    witness exists.  Candidate mo orders are filtered per location, then
-    combined with a global acyclicity check."""
-    g0 = graph_from_events(events, {}, {})
-    po_idx = _po_index(g0)
+    witness exists.  `ctx` holds the history's facts (built from `events`
+    when None).  Candidate mo orders are filtered per location and rf
+    choices by the core on rf alone, then combined with a global check."""
+    if ctx is None:
+        ctx = _ctx(events, txn_statuses(events), client_order(events))
     cands = [(e.eid, _sources(events, e)) for e in events if e.kind == "R"]
     if not all(opts for _eid, opts in cands):
         return None
 
     locs = sorted({e.loc for e in events if e.kind in ("W", "M")})
-    per_loc = [_mo_orders(events, [e.eid for e in events
-                                   if e.kind in ("W", "M") and e.loc == l],
-                          po_idx) for l in locs]
+    per_loc = [_mo_orders(ctx, [e.eid for e in events
+                                if e.kind in ("W", "M") and e.loc == l])
+               for l in locs]
     if not all(per_loc):
         return None
 
-    check = (check_dynamic_opacity_execution if dynamic
-             else check_opacity_execution)
     read_ids = [eid for eid, _opts in cands]
     for rf_choice in product(*[opts for _eid, opts in cands]):
         rf = dict(zip(read_ids, rf_choice))
-        vis = visible_txns(g0._replace(rf=rf))
-        if not all(_po_before(po_idx, w, r)
-                   if events[w].txid == events[r].txid
-                   else events[w].txid in vis for r, w in rf.items()):
+        if _violation(ctx, rf, {}, False):   # no mo order can repair it
             continue
         for mo_choice in product(*per_loc):
             mo = dict(zip(locs, mo_choice))
-            if check(g0._replace(rf=rf, mo=mo))[0]:
+            if _violation(ctx, rf, mo, dynamic) is None:
                 return Witness(rf, mo)
     return None
 
 
-def _extend(events, w, check):
+def _extend(events, w, ctx, dynamic):
     """Extend `w`, a witness of events[:-1], to one of `events`, or None.
     A status event only revalidates `w`; a write or allocation tries every
     insertion point in its location's mo, last first; a read tries every
@@ -282,34 +239,47 @@ def _extend(events, w, check):
                  for src in _sources(events, e))
     else:
         cands = (w,)
-    g = graph_from_events(events, {}, {})
     for c in cands:
-        if check(g._replace(rf=c.rf, mo=c.mo))[0]:
+        if _violation(ctx, c.rf, c.mo, dynamic) is None:
             return c
     return None
+
+
+_STATUS = {"B": "pending", "C": "commit-pending", "A": "aborted",
+           "S": "success"}
 
 
 def history_opaque(events, dynamic=True):
     """Prefix-closed history opacity: every prefix must admit a witness.
 
-    Each prefix first tries to extend the previous prefix's witness and
-    runs the complete search ``find_witness`` only when no extension works,
-    so every prefix gets the verdict of a search from scratch.  Input must
-    be crash-marker free.  Returns (ok, failing_prefix_len, witnesses)
-    where witnesses maps prefix length -> Witness.
+    The history's facts (``_ctx``) are read once and advanced one event at a
+    time: a status event updates its transaction's status and a begin adds
+    client order from every ended transaction.  Each prefix first tries to
+    extend the previous prefix's witness and runs the complete search
+    ``find_witness`` only when no extension works, so every prefix gets the
+    verdict of a search from scratch.  Input must be crash-marker free.
+    Returns (ok, failing_prefix_len, witnesses) where witnesses maps prefix
+    length -> Witness.
     """
     if any(e.kind == CRASH for e in events):
         raise ValueError("history_opaque expects a crashless history")
     bad = wf_violations(events)
     if bad:
         raise ValueError("ill-formed history: %s" % ", ".join(bad))
-    check = (check_dynamic_opacity_execution if dynamic
-             else check_opacity_execution)
+    status, clo, ended = {}, set(), []
+    ctx = _ctx(events, status, clo)
     w = Witness({}, {})              # the empty history's only witness
     witnesses = {0: w}
-    for n in range(1, len(events) + 1):
+    for n, e in enumerate(events, 1):
+        if e.kind in _STATUS:
+            status[e.txid] = _STATUS[e.kind]
+        if e.kind == "B":
+            clo.update((u, e.txid) for u in ended)
+        elif e.kind in ("A", "S"):
+            ended.append(e.txid)
         prefix = events[:n]
-        w = _extend(prefix, w, check) or find_witness(prefix, dynamic)
+        w = (_extend(prefix, w, ctx, dynamic)
+             or find_witness(prefix, dynamic, ctx))
         if w is None:
             return False, n, witnesses
         witnesses[n] = w
