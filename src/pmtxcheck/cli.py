@@ -181,11 +181,11 @@ def cmd_opacity(args):
         print("trace error: %s" % exc)
         return 2
     events = events_of_records(records)
-    ok, bad = check_wellformed(events)
-    if not ok:
-        print("ill-formed history: %s" % ", ".join(bad))
+    try:
+        verdict, failing, _w = check_history_ddo(events)
+    except ValueError as exc:   # ill-formed; the message names the clauses
+        print(exc)
         return 1
-    verdict, failing, _w = check_history_ddo(events)
     if verdict:
         print("dynamically durably opaque")
         return 0

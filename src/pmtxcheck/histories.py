@@ -73,40 +73,23 @@ def events_of_records(records):
 
 
 def strip_crash_markers(events):
+    """The history without crash markers, eids renumbered to positions; a
+    history that already is one is returned as it is."""
+    if all(e.eid == i and e.kind != CRASH for i, e in enumerate(events)):
+        return events
     return tuple(e._replace(eid=i)
                  for i, e in enumerate(e for e in events if e.kind != CRASH))
 
 
-def txn_ids(events):
-    seen = []
-    for e in events:
-        if e.txid is not None and e.txid not in seen:
-            seen.append(e.txid)
-    return seen
-
-
-def txn_events(events):
-    by_tx = {}
-    for e in events:
-        if e.txid is not None:
-            by_tx.setdefault(e.txid, []).append(e)
-    return by_tx
-
-
 def txn_statuses(events):
     """txid -> 'pending' | 'commit-pending' | 'aborted' | 'success'."""
-    st = {}
-    for tx, evs in txn_events(events).items():
-        kinds = {e.kind for e in evs}
-        if "S" in kinds:
-            st[tx] = "success"
-        elif "A" in kinds:
-            st[tx] = "aborted"
-        elif "C" in kinds:
-            st[tx] = "commit-pending"
-        else:
-            st[tx] = "pending"
-    return st
+    kinds = {}
+    for e in events:
+        if e.txid is not None:
+            kinds[e.txid] = kinds.get(e.txid, "") + e.kind
+    return {tx: "success" if "S" in ks else "aborted" if "A" in ks
+            else "commit-pending" if "C" in ks else "pending"
+            for tx, ks in kinds.items()}
 
 
 def client_order(events):
@@ -126,120 +109,88 @@ def client_order(events):
 # Well-formedness
 # ---------------------------------------------------------------------------
 
+WF_CLAUSES = ("wf:event-ids", "wf:same-thread", "wf:contiguous", "wf:begin",
+              "wf:terminal-unique", "wf:commit-tail", "wf:live-last",
+              "wf:alloc-once", "wf:era-threads")
+
+
 def wf_violations(events):
-    """Check history well-formedness; returns the violated clause names.
+    """Check history well-formedness; returns the violated clause names in
+    ``WF_CLAUSES`` order.
 
-    Clauses: same-transaction events share a thread and form a contiguous
-    block; exactly one begin per transaction, first in its transaction; at
-    most one abort/commit/success, with abort and success last; after a
-    commit only abort or success, and success immediately after its commit;
-    per thread at most one pending or commit-pending transaction, which is
-    the thread's last; each location allocated at most once across
-    successful transactions; thread ids are not reused across crash markers.
+    Clauses: event ids are unique; same-transaction events share a thread
+    and form a contiguous block; exactly one begin per transaction, first in
+    its transaction; at most one abort/commit/success, with abort and success
+    last; after a commit only abort or success, and success immediately
+    after its commit; per thread at most one pending or commit-pending
+    transaction, which is the thread's last; each location allocated at most
+    once across successful transactions; thread ids are not reused across
+    crash markers.  Crash markers have no thread or transaction.
+
+    One pass over the events keeps per transaction its thread and kinds so
+    far, per thread its era, its transactions, the last one it began and its
+    last event.  The two clauses that need final statuses (live-last,
+    alloc-once) are decided from that state after the pass.
     """
-    bad = []
-    real = [e for e in events if e.kind != CRASH]
-    ids = [e.eid for e in events]
-    if len(set(ids)) != len(ids):
-        bad.append("wf:event-ids")
-
-    by_tx = txn_events(events)
-    by_tid = {}
-    for e in real:
-        by_tid.setdefault(e.tid, []).append(e)
-
-    # clause 1: one thread per transaction, transactions contiguous in po
-    for tx, evs in by_tx.items():
-        if len({e.tid for e in evs}) != 1:
-            bad.append("wf:same-thread")
-            break
-    for tid, evs in by_tid.items():
-        seen_done = set()
-        last_tx = None
-        for e in evs:
-            if e.txid != last_tx:
-                if e.txid in seen_done:
-                    if "wf:contiguous" not in bad:
-                        bad.append("wf:contiguous")
-                if last_tx is not None:
-                    seen_done.add(last_tx)
-                last_tx = e.txid
-
-    # clause 2: exactly one begin, po-minimal in its transaction
-    for tx, evs in by_tx.items():
-        begins = [e for e in evs if e.kind == "B"]
-        if len(begins) != 1 or evs[0].kind != "B":
-            bad.append("wf:begin")
-            break
-
-    # clause 3: at most one abort/commit/success; abort and success maximal
-    for tx, evs in by_tx.items():
-        for k in ("A", "C", "S"):
-            if sum(1 for e in evs if e.kind == k) > 1:
-                bad.append("wf:terminal-unique")
-                break
-        else:
-            for e in evs[:-1]:
-                if e.kind in ("A", "S"):
-                    bad.append("wf:terminal-unique")
-                    break
-            else:
-                continue
-        break
-
-    # clause 4: after commit only abort/success; success immediately after
-    for tid, evs in by_tid.items():
-        for i, e in enumerate(evs):
-            if e.kind == "C":
-                rest = [x for x in evs[i + 1:] if x.txid == e.txid]
-                if any(x.kind not in ("A", "S") for x in rest):
-                    bad.append("wf:commit-tail")
-                    break
-                succ = [x for x in evs[i + 1:] if x.kind == "S"
-                        and x.txid == e.txid]
-                if succ and evs[i + 1] is not succ[0]:
-                    bad.append("wf:commit-tail")
-                    break
-        else:
-            continue
-        break
-
-    # clause 5: at most one live (pending/commit-pending) txn per thread,
-    # and it is the thread's last transaction
-    statuses = txn_statuses(events)
-    for tid, evs in by_tid.items():
-        txs = []
-        for e in evs:
-            if e.txid not in txs:
-                txs.append(e.txid)
-        live = [tx for tx in txs if statuses[tx] in ("pending",
-                                                     "commit-pending")]
-        if len(live) > 1 or (live and txs[-1] != live[0]):
-            bad.append("wf:live-last")
-            break
-
-    # clause 6: each location allocated at most once among successful txns
-    alloc_locs = {}
-    for e in real:
-        if e.kind == "M" and statuses[e.txid] == "success":
-            alloc_locs.setdefault(e.loc, 0)
-            alloc_locs[e.loc] += 1
-    if any(n > 1 for n in alloc_locs.values()):
-        bad.append("wf:alloc-once")
-
-    # era discipline: no thread id on both sides of a crash marker
-    era = 0
-    tid_era = {}
+    bad, eids, kinds, owner, threads, allocs, era = (set(), set(), {}, {},
+                                                     {}, [], 0)
+    # (tid, txid) pairs with a commit, and with a commit that the thread's
+    # next event does not answer with the transaction's success
+    committed, late = set(), set()
+    superseded = set()  # txids whose thread began another after them
     for e in events:
-        if e.kind == CRASH:
+        if e.eid in eids:
+            bad.add("wf:event-ids")
+        eids.add(e.eid)
+        k, tid, tx = e.kind, e.tid, e.txid
+        if k == CRASH:
             era += 1
             continue
-        if e.tid in tid_era and tid_era[e.tid] != era:
-            bad.append("wf:era-threads")
-            break
-        tid_era[e.tid] = era
-
-    return bad
+        ks = kinds.get(tx)
+        if ks is None:
+            ks = ""
+            owner[tx] = tid
+            if k != "B":
+                bad.add("wf:begin")
+        else:
+            if owner[tx] != tid:
+                bad.add("wf:same-thread")
+            if k == "B":        # a second begin, or the first is not first
+                bad.add("wf:begin")
+            if "A" in ks or "S" in ks or (k == "C" and "C" in ks):
+                bad.add("wf:terminal-unique")
+            if "C" in ks and k not in "AS" and (tid, tx) in committed:
+                bad.add("wf:commit-tail")
+        kinds[tx] = ks + k
+        th = threads.get(tid)
+        if th is None:      # [era, transactions, newest, last event]
+            threads[tid] = [era, {tx}, tx, e]
+        else:
+            t_era, txs, newest, prev = th
+            if t_era != era:
+                bad.add("wf:era-threads")
+            if tx != prev.txid:
+                if tx in txs:
+                    bad.add("wf:contiguous")
+                else:
+                    txs.add(tx)
+                    superseded.add(newest)
+                    th[2] = tx
+            if prev.kind == "C" and (k != "S" or tx != prev.txid):
+                late.add((tid, prev.txid))
+            th[3] = e
+        if k == "C":
+            committed.add((tid, tx))
+        elif k == "S" and (tid, tx) in late:
+            bad.add("wf:commit-tail")
+        elif k == "M":
+            allocs.append((tx, e.loc))
+    if any("A" not in kinds[tx] and "S" not in kinds[tx] for tx in superseded):
+        bad.add("wf:live-last")
+    locs = [loc for tx, loc in allocs if "S" in kinds[tx]]
+    if len(set(locs)) < len(locs):
+        bad.add("wf:alloc-once")
+    return [c for c in WF_CLAUSES if c in bad]
 
 
 def check_wellformed(events):

@@ -20,12 +20,24 @@ The graph-level checks build the facts from a ``Graph`` once;
 serializability is the core on all-successful input, where every
 transaction is visible.  History-level checks need a witness (rf, mo) for
 every prefix: ``history_opaque`` advances the facts event by event, and each
-prefix first extends the witness of the one before it (revalidate it,
-insert the new write or allocation into mo, or pick the new read's source)
-and only when that fails runs the complete search ``find_witness`` (every rf
-choice times every po-respecting mo order).  No candidate builds a graph.
-Durable opacity first erases crash markers.  Allocations count as writes of
-0 for rf and mo purposes.
+prefix first extends the witness of the one before it (``_extend``) and only
+when that fails runs the complete search ``find_witness`` (every rf choice
+times every po-respecting mo order).  No candidate builds a graph.  The
+extension runs the core only where the new event can break the witness:
+
+* ``B`` keeps it: the new transaction has no other event and is not
+  visible, and client order only enters it, so it closes no cycle.
+* ``C`` keeps it: a pending transaction read by another would already have
+  failed ``vis-rf``, so the visible transactions stay the same.
+* ``A`` keeps it unless another transaction reads from the aborting one
+  (``vis-rf`` then fails); otherwise that transaction was not visible.
+* ``S`` is checked: the transaction becomes visible, which adds rb edges
+  into it and its writes' allocation duties.
+* ``W`` and ``M`` try every insertion point in their location's mo, last
+  first, and ``R`` every source, each checked by the core.
+
+Durable opacity checks well-formedness with the crash markers, then erases
+them.  Allocations count as writes of 0 for rf and mo purposes.
 """
 
 from __future__ import annotations
@@ -225,11 +237,15 @@ def find_witness(events, dynamic=True, ctx=None):
 
 
 def _extend(events, w, ctx, dynamic):
-    """Extend `w`, a witness of events[:-1], to one of `events`, or None.
-    A status event only revalidates `w`; a write or allocation tries every
-    insertion point in its location's mo, last first; a read tries every
-    source."""
+    """Extend `w`, a witness of events[:-1], to one of `events`, or None,
+    by the rule in the module docstring."""
     e = events[-1]
+    if e.kind in ("B", "C"):
+        return w
+    if e.kind == "A":
+        tx = ctx[0]
+        readers = {tx[r] for r, s in w.rf.items() if tx[s] == e.txid}
+        return None if readers - {e.txid} else w
     if e.kind in ("W", "M"):
         seq = w.mo.get(e.loc, ())
         cands = (Witness(w.rf, {**w.mo, e.loc: seq[:i] + (e.eid,) + seq[i:]})
@@ -237,7 +253,7 @@ def _extend(events, w, ctx, dynamic):
     elif e.kind == "R":
         cands = (Witness({**w.rf, e.eid: src}, w.mo)
                  for src in _sources(events, e))
-    else:
+    else:                    # S
         cands = (w,)
     for c in cands:
         if _violation(ctx, c.rf, c.mo, dynamic) is None:
@@ -249,23 +265,31 @@ _STATUS = {"B": "pending", "C": "commit-pending", "A": "aborted",
            "S": "success"}
 
 
+def _wellformed(events):
+    bad = wf_violations(events)
+    if bad:
+        raise ValueError("ill-formed history: %s" % ", ".join(bad))
+    return events
+
+
 def history_opaque(events, dynamic=True):
     """Prefix-closed history opacity: every prefix must admit a witness.
+    Input must be well-formed and crash-marker free.  Returns (ok,
+    failing_prefix_len, witnesses) where witnesses maps prefix length ->
+    Witness."""
+    if any(e.kind == CRASH for e in events):
+        raise ValueError("history_opaque expects a crashless history")
+    return _prefixes_opaque(_wellformed(events), dynamic)
 
-    The history's facts (``_ctx``) are read once and advanced one event at a
+
+def _prefixes_opaque(events, dynamic):
+    """``history_opaque`` on a history known to be well-formed.  The
+    history's facts (``_ctx``) are read once and advanced one event at a
     time: a status event updates its transaction's status and a begin adds
     client order from every ended transaction.  Each prefix first tries to
     extend the previous prefix's witness and runs the complete search
     ``find_witness`` only when no extension works, so every prefix gets the
-    verdict of a search from scratch.  Input must be crash-marker free.
-    Returns (ok, failing_prefix_len, witnesses) where witnesses maps prefix
-    length -> Witness.
-    """
-    if any(e.kind == CRASH for e in events):
-        raise ValueError("history_opaque expects a crashless history")
-    bad = wf_violations(events)
-    if bad:
-        raise ValueError("ill-formed history: %s" % ", ".join(bad))
+    verdict of a search from scratch."""
     status, clo, ended = {}, set(), []
     ctx = _ctx(events, status, clo)
     w = Witness({}, {})              # the empty history's only witness
@@ -287,7 +311,7 @@ def history_opaque(events, dynamic=True):
 
 
 def check_history_ddo(events):
-    """Dynamic durable opacity of a history: erase crash markers, then
-    require a dynamic-opacity witness for every prefix."""
-    stripped = strip_crash_markers(events)
-    return history_opaque(stripped, dynamic=True)
+    """Dynamic durable opacity of a history: check well-formedness, crash
+    markers included, then erase the markers and require a dynamic-opacity
+    witness for every prefix."""
+    return _prefixes_opaque(strip_crash_markers(_wellformed(events)), True)

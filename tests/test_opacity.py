@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from pmtxcheck.explorer import Config, explore
 from pmtxcheck.fixtures import fig4_suite
-from pmtxcheck.histories import (Ev, check_wellformed, events_of_records,
+from pmtxcheck.histories import (Ev, check_wellformed, client_order,
+                                 crash_marker, events_of_records,
                                  strip_crash_markers, txn_statuses)
-from pmtxcheck.opacity import (check_dynamic_opacity_execution,
+from pmtxcheck.opacity import (Witness, _ctx, _sources, _violation,
+                               check_dynamic_opacity_execution,
                                check_history_ddo, check_opacity_execution,
                                check_serializability_execution,
                                find_witness, graph_from_events,
@@ -621,6 +623,101 @@ def test_history_ddo_matches_per_prefix_search_on_random_histories(actions):
     events = events_of_records(records_from_actions(actions))
     assert check_wellformed(events) == (True, [])
     assert_matches_reference(events)
+
+
+def opaque_checking_every_event(events, dynamic):
+    """``history_opaque`` without the re-check rule: every event's extension
+    candidates go through the core, on facts rebuilt for each prefix."""
+    w = Witness({}, {})
+    witnesses = {0: w}
+    for n, e in enumerate(events, 1):
+        prefix = events[:n]
+        ctx = _ctx(prefix, txn_statuses(prefix), client_order(prefix))
+        cands = [w]
+        if e.kind in ("W", "M"):
+            seq = w.mo.get(e.loc, ())
+            cands = [Witness(w.rf, {**w.mo,
+                                    e.loc: seq[:i] + (e.eid,) + seq[i:]})
+                     for i in range(len(seq), -1, -1)]
+        elif e.kind == "R":
+            cands = [Witness({**w.rf, e.eid: src}, w.mo)
+                     for src in _sources(prefix, e)]
+        w = next((c for c in cands
+                  if _violation(ctx, c.rf, c.mo, dynamic) is None),
+                 None) or find_witness(prefix, dynamic, ctx)
+        if w is None:
+            return False, n, witnesses
+        witnesses[n] = w
+    return True, None, witnesses
+
+
+# per transaction: begin, then operations on location 0 with value 1, then
+# its end
+PROGRAMS = [ops + end for ops in ((), ("W",), ("R",), ("M", "W"), ("R", "W"))
+            for end in (("C", "S"), ("C", "A"), ("A",))]
+
+
+@st.composite
+def interleaved_programs(draw):
+    """Two or three transactions running PROGRAMS, interleaved in a drawn
+    order, so that reads often see writes of transactions that are still
+    pending or commit-pending."""
+    progs = [("B",) + p for p in draw(st.lists(st.sampled_from(PROGRAMS),
+                                               min_size=2, max_size=3))]
+    order = draw(st.permutations([t for t, p in enumerate(progs)
+                                  for _ in p]))
+    done = [0] * len(progs)
+    out = []
+    for t in order:
+        k = progs[t][done[t]]
+        done[t] += 1
+        out.append((t, t, k) + {"M": (0, 0), "R": (0, 1), "W": (0, 1)}.get(
+            k, ()))
+    return ev(out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.builds(lambda actions: strip_crash_markers(
+        events_of_records(records_from_actions(actions))), ACTIONS),
+    interleaved_programs().filter(lambda h: check_wellformed(h)[0])),
+    st.booleans())
+def test_recheck_rule_matches_checking_every_event(events, dynamic):
+    assert (history_opaque(events, dynamic)
+            == opaque_checking_every_event(events, dynamic))
+
+
+def test_abort_read_by_another_breaks_the_witness():
+    # T2 reads T1's write while T1 is commit-pending; T1's abort leaves the
+    # read no visible source
+    events = ev([(1, 1, "B"), (1, 1, "M", 0, 0), (1, 1, "W", 0, 1),
+                 (1, 1, "C"), (2, 2, "B"), (2, 2, "R", 0, 1), (1, 1, "A")])
+    ok, failing, witnesses = history_opaque(events)
+    assert (ok, failing) == (False, 7)
+    assert witnesses[6].rf == {5: 2}
+    assert (ok, failing, witnesses) == opaque_checking_every_event(events,
+                                                                   True)
+    assert check_history_ddo(events) == (ok, failing, witnesses)
+
+
+def test_ill_formed_history_raises_naming_clauses_in_order():
+    # an event after the abort, and a second begin
+    events = ev([(1, 1, "B"), (1, 1, "A"), (1, 1, "B")])
+    msg = "ill-formed history: wf:begin, wf:terminal-unique"
+    for check in (history_opaque, check_history_ddo):
+        with pytest.raises(ValueError) as exc:
+            check(events)
+        assert str(exc.value) == msg
+
+
+def test_history_ddo_checks_thread_eras_before_erasing_markers():
+    # thread 1 runs a transaction on both sides of a crash
+    events = (Ev(0, 1, 1, "B"), Ev(1, 1, 1, "C"), Ev(2, 1, 1, "S"),
+              crash_marker(3),
+              Ev(4, 1, 2, "B"), Ev(5, 1, 2, "C"), Ev(6, 1, 2, "S"))
+    assert check_wellformed(events) == (False, ["wf:era-threads"])
+    with pytest.raises(ValueError, match="wf:era-threads"):
+        check_history_ddo(events)
 
 
 def draw_graph(data, events):
