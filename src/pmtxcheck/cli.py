@@ -20,6 +20,8 @@ from .opacity import check_history_ddo, check_opacity_execution
 
 
 def _add_bounds(p):
+    """The bounds both `check upper` and `check lower` pass on; `check
+    lower` fixes the crashes, reductions and allocation branching."""
     p.add_argument("--impl", default="pmdk-seq",
                    choices=("pmdk-seq", "pmdk-tml", "pmdk-norec"))
     p.add_argument("--model", default="psc", choices=("psc", "ptso"))
@@ -27,14 +29,9 @@ def _add_bounds(p):
     p.add_argument("--locs", type=int, default=2)
     p.add_argument("--vals", type=int, default=2)
     p.add_argument("--buf", type=int, default=2)
-    p.add_argument("--crashes", type=int, default=0)
     p.add_argument("--ops", type=int, default=2,
                    help="client operations per transaction")
     p.add_argument("--retry-bound", type=int, default=1)
-    p.add_argument("--por", action="store_true",
-                   help="enable partial-order reductions")
-    p.add_argument("--branch-alloc", action="store_true",
-                   help="allocation branches over every free location")
     p.add_argument("--mutate", metavar="NAME", default=None,
                    help="run a registry mutation: %s"
                         % ", ".join(explorer.MUTATIONS))
@@ -63,6 +60,11 @@ def build_parser():
                     "With --emit-traces every history is explored, counted "
                     "and written.")
     _add_bounds(upper)
+    upper.add_argument("--crashes", type=int, default=0)
+    upper.add_argument("--por", action="store_true",
+                       help="enable partial-order reductions")
+    upper.add_argument("--branch-alloc", action="store_true",
+                       help="allocation branches over every free location")
     upper.add_argument("--emit-traces", metavar="DIR", default=None,
                        help="write every history, one JSONL file each")
     upper.add_argument("--counterexample", metavar="PATH",

@@ -274,12 +274,14 @@ def _wellformed(events):
 
 def history_opaque(events, dynamic=True):
     """Prefix-closed history opacity: every prefix must admit a witness.
-    Input must be well-formed and crash-marker free.  Returns (ok,
+    Input must be well-formed and crash-marker free; its eids are
+    renumbered to positions, which the witnesses name.  Returns (ok,
     failing_prefix_len, witnesses) where witnesses maps prefix length ->
     Witness."""
     if any(e.kind == CRASH for e in events):
         raise ValueError("history_opaque expects a crashless history")
-    return _prefixes_opaque(_wellformed(events), dynamic)
+    return _prefixes_opaque(strip_crash_markers(_wellformed(events)),
+                            dynamic)
 
 
 def _prefixes_opaque(events, dynamic):

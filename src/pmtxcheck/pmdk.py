@@ -19,7 +19,8 @@ allocations back to the free list.  Recovery runs each transaction's own
 log code again, per transaction id in ascending order: the commit's apply
 when the stored checksum matches, then the abort's rollback when the undo
 flag survived; after the last id it rebuilds the free list from allocation
-metadata and resets ``glb``.
+metadata and resets ``glb``.  NOrec's write-back (``stm``) is the same
+write, run once per buffered location under the lock.
 
 Step programs.  Each operation is a block of named entries, one scheduled
 atomic step per pseudo-code line; consecutive volatile-only lines are
@@ -571,30 +572,13 @@ def undo_rollback(cfg, done):
         mask = visible_undo_mask(cfg, m, ti)
         return ("ab", mask, mask)
 
-    def make_pwf(cfg, go):
-        """Flush the rolled-back locations, then clear the undo flag."""
-        def step(m, ti):
-            slot = m[M_TXNS][ti]
-            mask = slot[S_REGS][2]
-            if mask:
-                x = lowbit(mask)
-                mem2 = flush_mem(cfg, m, ti, (lay.val(x),))
-                if mem2 is None:
-                    return None
-                slot = slot_upd(slot, (S_REGS, ("ab", 0, mask & ~(1 << x))))
-                return [(set_mem_slot(m, mem2, ti, slot), None)]
-            mem2 = store(cfg, m, ti, lay.guv(ti), 0)
-            if mem2 is None:
-                return None
-            return [(set_mem_slot(m, mem2, ti, slot_upd(slot, (S_IP, go))),
-                     None)]
-        return step
-
     return [bit_loop("rb", (LOG, DATA), 1, lay.val,
                      lambda m, ti, x: cfg.pmem.load(m[M_MEM], ti,
                                                     lay.undo(ti, x)),
                      init=abort_regs, done="pwf"),
-            Entry("pwf", (LOG, FLUSH), make_pwf, {"go": "guvf"}),
+            bit_loop("pwf", (FLUSH,), 2, lay.val, done="clear"),
+            store_go("clear", (LOG,), lambda t, s: lay.guv(t), lambda s: 0,
+                     "guvf"),
             flush_go("guvf", lambda t, s: (lay.guv(t),), done)]
 
 

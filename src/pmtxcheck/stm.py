@@ -6,7 +6,9 @@ the lock, reset to 0 by recovery).  TML writes eagerly: the first write
 CAS-acquires the lock and every read by a lock-free transaction validates
 that ``glb`` still equals its begin snapshot, aborting otherwise.  NOrec
 buffers writes in a transaction-local write set, revalidates its read set
-whenever ``glb`` moved, and writes back under the lock at commit.
+whenever ``glb`` moved, and at commit, under the lock, writes back each
+buffered location, lowest first, with the core's logged write
+(``pmdk.pwrite``): one run of it per location.
 
 Busy-wait loops are modeled as guarded steps (enabled when the awaited
 condition holds); loops with side effects (read revalidation, validate
@@ -25,11 +27,10 @@ reset ``glb`` to 0 once every transaction id is recovered.
 from __future__ import annotations
 
 from .engine import (CUT, M_GLB, M_MEM, M_TXNS, OPS, READY, S_IP, S_LOC,
-                     S_RD, S_REGS, S_RETR, S_WR, lowbit, set_mem_slot,
-                     set_slot, slot_upd)
-from .pmdk import (DATA, EMIT, FAULT, GLB, LOG, Entry, fault_check,
-                   fault_state, flush_go, jump, link, load, pabort, palloc,
-                   pbegin, pcommit, pread, pwrite, responses, store, store_go)
+                     S_RD, S_REGS, S_RETR, S_WR, lowbit, set_slot, slot_upd)
+from .pmdk import (DATA, EMIT, FAULT, GLB, Entry, fault_check, fault_state,
+                   jump, link, load, pabort, palloc, pbegin, pcommit, pread,
+                   pwrite, responses)
 
 IMPLS = ("pmdk-seq", "pmdk-tml", "pmdk-norec")
 
@@ -275,53 +276,32 @@ def _norec_blocks(cfg):
                 return table[core](set_slot(m, ti, slot2), ti)
             loc = slot[S_LOC]
             if m[M_GLB] == loc:
-                slot2 = slot_upd(slot, (S_REGS, ("wb", wmask)), (S_IP, go))
+                slot2 = slot_upd(slot, (S_REGS, ()), (S_IP, go))
                 return [(set_slot(_set_glb(m, loc + 1), ti, slot2), None)]
             return _retry(cfg, m, ti, slot, validate,
                           (S_REGS, ("cv", None, None)))
         return s_c0
 
-    # write-back chain under the lock: regs ("wb", mask[, old])
-    def make_wb0(cfg, log, core):
+    def make_wb(cfg, write, core):
+        """The write-back loop under the lock: run the core's logged write
+        on the lowest buffered location left, then commit the core once
+        none is."""
         table = cfg.step_table
 
-        def s_wb0(m, ti):
+        def s_wb(m, ti):
             slot = m[M_TXNS][ti]
-            mask = slot[S_REGS][1]
-            if mask == 0:
-                slot2 = slot_upd(slot, (S_REGS, ()), (S_IP, core))
-                return table[core](set_slot(m, ti, slot2), ti)
-            x = lowbit(mask)
-            if fault_check(cfg, m, ti, x):
-                return fault_state(cfg, m, ti, "write", x)
-            if cfg.pmem.load(m[M_MEM], ti, lay.undo(ti, x)) != -1:
-                mem2 = store(cfg, m, ti, lay.val(x), slot[S_WR][x])
-                if mem2 is None:
-                    return None
-                slot2 = slot_upd(slot, (S_REGS, ("wb", mask & ~(1 << x))))
-                return [(set_mem_slot(m, mem2, ti, slot2), None)]
-            w = cfg.pmem.load(m[M_MEM], ti, lay.val(x))
-            slot2 = slot_upd(slot, (S_REGS, ("wb", mask, w)), (S_IP, log))
-            return [(set_slot(m, ti, slot2), None)]
-        return s_wb0
+            wr, regs = slot[S_WR], slot[S_REGS]
+            left = _mask(wr)
+            if regs:  # back from writing regs[0]: those up to it are done
+                left &= -2 << regs[0]
+            if left:
+                x = lowbit(left)
+                slot = slot_upd(slot, (S_REGS, (x, wr[x])), (S_IP, write))
+                return table[write](set_slot(m, ti, slot), ti)
+            slot = slot_upd(slot, (S_REGS, ()), (S_IP, core))
+            return table[core](set_slot(m, ti, slot), ti)
+        return s_wb
 
-    def make_wb3(cfg, go):
-        def s_wb3(m, ti):
-            slot = m[M_TXNS][ti]
-            mask = slot[S_REGS][1]
-            x = lowbit(mask)
-            mem2 = store(cfg, m, ti, lay.val(x), slot[S_WR][x])
-            if mem2 is None:
-                return None
-            slot2 = slot_upd(slot, (S_REGS, ("wb", mask & ~(1 << x))),
-                             (S_IP, go))
-            return [(set_mem_slot(m, mem2, ti, slot2), None)]
-        return s_wb3
-
-    def undo(t, s):
-        return lay.undo(t, lowbit(s[S_REGS][1]))
-
-    skip_flush = "skip-undo-flush" in cfg.mutations
     if "skip-validate" in cfg.mutations:
         # mutation: the commit loop re-snapshots glb without revalidating
         cvalidate = ("cvalidate", False, [
@@ -352,13 +332,9 @@ def _norec_blocks(cfg):
         # a transaction holds the lock here iff it buffered any write
         _release(lambda slot: any(v != -1 for v in slot[S_WR]), 2),
         ("writeback", True, [
-            Entry("wb0", (LOG, DATA) + FAULT, make_wb0, {"log": "wb1"},
-                  {"core": "pcommit"}),
-            store_go("wb1", (LOG,), undo, lambda s: s[S_REGS][2],
-                     "wb3" if skip_flush else "wb2"),
-            flush_go("wb2", lambda t, s: (undo(t, s),), "wb3"),
-            Entry("wb3", (DATA,), make_wb3, {"go": "wb0"}),
-        ]),
+            Entry("wb", (), make_wb, None,
+                  {"write": "pwrite", "core": "pcommit"})]),
+        pwrite(cfg, "writeback"),
         pcommit(cfg, "release"),
         cvalidate,
     ]

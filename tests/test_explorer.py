@@ -695,6 +695,16 @@ def test_check_lower_enforces_state_budget(capsys):
     assert out[4].startswith("partial wall time:")
 
 
+def test_check_lower_rejects_bounds_it_fixes(capsys):
+    # check_lower fixes the crashes, the reductions and allocation
+    # branching, so `check lower` takes no option for them
+    for opt in (["--crashes", "1"], ["--por"], ["--branch-alloc"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "lower"] + opt)
+        assert exc.value.code == 2, opt
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_check_lower_smallest_bound():
     res = check_lower("pmdk-seq", txns=1, locs=1, vals=1, ops=1)
     assert res.ok and res.total == 2  # commit-only and alloc-commit
@@ -720,11 +730,14 @@ def test_mutations_flip_verdicts_fast():
 
 def test_mutations_caught_on_concurrent_cell():
     # the orbit key merges renamed machines of two concurrent transactions:
-    # every mutation must still be caught on their criterion-1 cell
-    for name in MUTATIONS:
-        cfg = mutation_check_config(name, impl="pmdk-tml", model="psc")
-        r = check_upper(cfg, stop_on_violation=True)
-        assert r.violations, name
+    # every mutation must still be caught on their criterion-1 cell.
+    # NOrec's write-back runs the core's logged write, so skip-undo-flush
+    # reaches it only through ``pwrite``
+    for impl in ("pmdk-tml", "pmdk-norec"):
+        for name in MUTATIONS:
+            cfg = mutation_check_config(name, impl=impl, model="psc")
+            r = check_upper(cfg, stop_on_violation=True)
+            assert r.violations, (impl, name)
 
 
 # T0 writes location 1 twice; T1 and T2 each allocate, then read it

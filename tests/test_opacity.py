@@ -700,6 +700,15 @@ def test_abort_read_by_another_breaks_the_witness():
     assert check_history_ddo(events) == (ok, failing, witnesses)
 
 
+def test_witness_names_positions_when_eids_are_not():
+    # the begin carries eid 1 and the allocation eid 0: both checks name
+    # the allocation by its position, 1
+    events = (Ev(1, 1, 1, "B"), Ev(0, 1, 1, "M", 0, 0))
+    for check in (history_opaque, check_history_ddo):
+        ok, _failing, witnesses = check(events)
+        assert ok and witnesses[2].mo == {0: (1,)}
+
+
 def test_ill_formed_history_raises_naming_clauses_in_order():
     # an event after the abort, and a second begin
     events = ev([(1, 1, "B"), (1, 1, "A"), (1, 1, "B")])

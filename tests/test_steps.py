@@ -11,19 +11,29 @@ from pmtxcheck.pmdk import (DATA, FLUSH, FREE, GLB, LOG, META, MUTATIONS,
 from pmtxcheck.pmem import MODELS, PMem
 from pmtxcheck.stm import IMPLS
 
-# impl -> (private ips, no-abort ips, the commit step scheduled again under
-# reorder-commit and skip-flush-commit5), as the hand-written lists of the
-# earlier builders gave them at 2 txns and 2 locations.  NOrec's are those
-# lists with every ip past respond.commit lowered by two, since it no
-# longer links the core's read and write responses
+# the private steps every implementation links: the begin's stores, the
+# rollback's flush tail and the commit's log-only and flush steps
+CORE_PRIVATE = {"pabort.pwf", "pabort.clear", "pabort.guvf", "pbegin.pa",
+                "pbegin.puv", "pbegin.pck", "pbegin.guv", "pcommit.pw",
+                "pcommit.pa", "pcommit.puv", "pcommit.pck", "pcommit.fl",
+                "pcommit.apf", "pcommit.guvf", "pcommit.c7", "pcommit.c8"}
+# the commit chain, past the point of no return in every implementation
+COMMIT = {"respond.commit"} | {"pcommit." + e for e in (
+    "pw", "pa", "puv", "pck", "fl", "ap", "apf", "guvf", "c7", "c8")}
+# impl -> (private steps, no-abort steps), listed by hand at 2 txns and 2
+# locations, against the sets ``link`` derives from the footprints
 HAND_SETS = {
-    "pmdk-seq": ({6, 7, 9, 10, 11, 12, 17, 18, 20, 21, 22, 23, 24, 26, 27,
-                  28, 29}, {3} | set(range(20, 30)), 24),
-    "pmdk-tml": ({6, 7, 9, 10, 11, 12, 20, 21, 24, 25, 26, 27, 28, 30, 31,
-                  32, 33}, {3} | set(range(23, 34)), 28),
-    "pmdk-norec": ({4, 5, 7, 8, 9, 10, 25, 26, 28, 29, 30, 31, 32, 34, 35,
-                    36, 37}, {1} | set(range(23, 38)), 32),
+    "pmdk-seq": (CORE_PRIVATE | {"pwrite.log", "pwrite.flush"}, COMMIT),
+    "pmdk-tml": (CORE_PRIVATE | {"pwrite.log", "pwrite.flush"},
+                 COMMIT | {"release.glb"}),
+    "pmdk-norec": (CORE_PRIVATE | {"pwrite.log", "pwrite.flush"},
+                   COMMIT | {"release.glb", "writeback.wb", "pwrite.guard",
+                             "pwrite.log", "pwrite.flush", "pwrite.write"}),
 }
+# mutation -> the commit step it makes fall through into the apply loop,
+# which writes shared metadata: the persist loop under reorder-commit, the
+# skipped redo-log flush under skip-flush-commit5
+DEMOTED = {"reorder-commit": "pcommit.pw", "skip-flush-commit5": "pcommit.fl"}
 
 
 @pytest.mark.parametrize("mutation", (None,) + MUTATIONS)
@@ -32,15 +42,18 @@ HAND_SETS = {
 def test_reduction_sets_match_hand_lists(impl, model, mutation):
     cfg = Config(impl, model, txns=2, locs=2,
                  mutations=(mutation,) if mutation else ())
-    private, noabort, demoted = HAND_SETS[impl]
-    if mutation in ("reorder-commit", "skip-flush-commit5"):
-        # the persist loop falls through into the apply loop, or the
-        # skipped redo-log flush does, which writes shared metadata
-        private = private - {demoted}
+    private, noabort = HAND_SETS[impl]
+    if mutation in DEMOTED:
+        private = private - {DEMOTED[mutation]}
+    if mutation == "skip-undo-flush":
+        # no step goes to the skipped undo flush, so no flagged block
+        # reaches it
+        noabort = noabort - {"pwrite.flush"}
     # the recovery blocks come after every transaction's
     txn_ips = set(range(cfg.step_names.index("redo.check")))
-    assert cfg.private_ips & txn_ips == private
-    assert cfg.noabort_ips == noabort
+    assert {cfg.step_names[ip] for ip in cfg.private_ips & txn_ips} \
+        == private
+    assert {cfg.step_names[ip] for ip in cfg.noabort_ips} == noabort
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +216,9 @@ def test_footprints_cover_every_step(impl):
 
 UNREACHABLE = {
     # sequential transactions never abort; recovery runs its own copies of
-    # the rollback, undo.rb, undo.pwf and undo.guvf
-    "pmdk-seq": {"respond.abort", "pabort.rb", "pabort.pwf", "pabort.guvf",
-                 "pabort.free"},
+    # the rollback, undo.rb, undo.pwf, undo.clear and undo.guvf
+    "pmdk-seq": {"respond.abort", "pabort.rb", "pabort.pwf", "pabort.clear",
+                 "pabort.guvf", "pabort.free"},
     "pmdk-tml": set(),
     "pmdk-norec": set(),
 }
@@ -223,10 +236,9 @@ def fault_view(cfg, slot):
 # private steps the cell below never runs at rest: a one-operation
 # transaction has nothing to roll back and pmdk-seq never aborts, the
 # commit's redo-log store is fallen into from its persist loop, and
-# skip-undo-flush skips the undo flush (``pwrite.flush``, and NOrec's
-# write-back ``writeback.wb2``)
-NOT_AT_REST = {"pabort.pwf", "pabort.guvf", "pcommit.pa", "pwrite.flush",
-               "writeback.wb2"}
+# skip-undo-flush skips the undo flush ``pwrite.flush``
+NOT_AT_REST = {"pabort.pwf", "pabort.clear", "pabort.guvf", "pcommit.pa",
+               "pwrite.flush"}
 
 
 @pytest.mark.parametrize("mutation", (None,) + MUTATIONS)
