@@ -2,32 +2,32 @@
 
 A machine is one flat tuple, cheap to hash and copy:
 
-    (mem, glb, free, txns, rec, crashes, hist, faulted)
+    (mem, glb, free, txns, rec, crashes, hist)
 
 * ``mem``  -- (nvm, pbufs, sbufs) from the pmem simulator
 * ``glb``  -- the volatile SC lock/counter used by the concurrency layers
 * ``free`` -- volatile free-location bitmask
 * ``txns`` -- one slot per transaction:
-  (status, op, ip, regs, tredo_uv, tredo_ck, tredo_allocs, rdset, wrset,
-   ops_used, retries, loc_snapshot).  A slot carries only the fields its
-  status can still read, so states that nothing can tell apart are one:
+  (status, ip, regs, tredo_allocs, rdset, wrset, ops_used, retries,
+   loc_snapshot).  A slot carries only the fields its status can still
+  read, so states that nothing can tell apart are one:
 
   - ``NS``: none; the slot is the fresh slot of ``initial_machine``.
   - ``RUN``: every field.
-  - ``RDY``: all but op, ip, regs and retries, which are None, 0, () and
-    0; the next decision step sets each of them.
+  - ``RDY``: all but ip, regs and retries, which are 0, () and 0; the
+    next decision step sets each of them.
   - ``COMM``, ``ABRT``, ``DEAD``: the status alone; every other field is
     the fresh slot's (``spent_slot``).  Nothing reads an ended slot but
-    its status: ``all_terminal`` and ``_may_begin`` read the status,
+    its status: ``ended`` and ``_may_begin`` read the status,
     ``pmdk.fault_check`` reads ``RUN`` slots only, and recovery reads
     only the ip and registers it keeps in the slot of the id it recovers,
     which are at rest (``AT_REST``) in every other slot.
-  - ``FLT``: ends the run (the machine's faulted flag is set).
+  - ``FLT``: ends the run; the explorer expands no machine with a
+    faulted slot (``ended``).
 * ``rec``  -- None, or the transaction id recovery is at
 * ``crashes`` -- the crashes so far, which number the current era: a
   script's transaction begins in the era its ``era_min`` names or later
 * ``hist`` -- interned history id (maintained by the explorer)
-* ``faulted`` -- 1 once a transaction faulted, which ends the run
 
 Transactions are driven by client *decision* steps (which emit invocation
 records and install an op program) and per-line program steps from the
@@ -76,11 +76,10 @@ nothing when there is room).
 from __future__ import annotations
 
 # machine tuple layout
-M_MEM, M_GLB, M_FREE, M_TXNS, M_REC, M_CRASH, M_HIST, M_FLT = range(8)
+M_MEM, M_GLB, M_FREE, M_TXNS, M_REC, M_CRASH, M_HIST = range(7)
 
 # transaction slot layout
-(S_ST, S_OP, S_IP, S_REGS, S_UV, S_CK, S_AM, S_RD, S_WR,
- S_USED, S_RETR, S_LOC) = range(12)
+S_ST, S_IP, S_REGS, S_AM, S_RD, S_WR, S_USED, S_RETR, S_LOC = range(9)
 
 # slot statuses
 NS, RUN, RDY, COMM, ABRT, DEAD, FLT = range(7)
@@ -95,12 +94,11 @@ OPS = ("read", "write", "alloc", "commit")
 AT_REST = ((S_IP, 0), (S_REGS, ()))
 
 # the response into RDY: the fields RDY does not read take fixed values
-READY = ((S_ST, RDY), (S_OP, None)) + AT_REST + ((S_RETR, 0),)
+READY = ((S_ST, RDY),) + AT_REST + ((S_RETR, 0),)
 
 
 def fresh_slot(cfg):
-    return (NS, None, 0, (), 1, -1, 0,
-            (-1,) * cfg.locs, (-1,) * cfg.locs, 0, 0, 0)
+    return (NS, 0, (), 0, (-1,) * cfg.locs, (-1,) * cfg.locs, 0, 0, 0)
 
 
 def spent_slot(cfg, status):
@@ -112,7 +110,7 @@ def spent_slot(cfg, status):
 def initial_machine(cfg):
     free = ((1 << cfg.locs) - 1) & ~((1 << cfg.prealloc) - 1)
     return (cfg.pmem.initial(), 0, free, (fresh_slot(cfg),) * cfg.txns,
-            None, 0, 0, 0)
+            None, 0, 0)
 
 
 def set_slot(m, ti, slot):
@@ -151,13 +149,19 @@ def bits(mask):
     return out
 
 
-def all_terminal(m):
+def ended(m):
+    """No transaction can act again: each one ended, or one faulted, which
+    ends the run."""
     # a loop, not all() over a generator: the explorer asks this of every
     # state it pops
+    done = True
     for s in m[M_TXNS]:
-        if s[S_ST] not in TERMINAL:
-            return False
-    return True
+        st = s[S_ST]
+        if st == FLT:
+            return True
+        if st not in TERMINAL:
+            done = False
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def crash_tail(cfg, m, rec):
     t = m[M_REC]
     if t is not None:
         txns = txns[:t] + (slot_upd(txns[t], *AT_REST),) + txns[t + 1:]
-    return (txns, rec, m[M_CRASH] + 1, m[M_HIST], m[M_FLT])
+    return (txns, rec, m[M_CRASH] + 1, m[M_HIST])
 
 
 def run_recovery(cfg, m):
@@ -208,8 +212,8 @@ def _decision_steps(cfg, m, ti, out):
         script = cfg.scripts[ti] if cfg.scripts else None
         if script is not None and m[M_CRASH] < script[1]:
             return
-        slot2 = slot_upd(slot, (S_ST, RUN), (S_OP, "begin"),
-                         (S_IP, cfg.entry["begin"]), (S_REGS, ()))
+        slot2 = slot_upd(slot, (S_ST, RUN), (S_IP, cfg.entry["begin"]),
+                         (S_REGS, ()))
         out.append((set_slot(m, ti, slot2),
                     ("inv", ti, "begin", None, None), None))
         return
@@ -238,9 +242,8 @@ def _decision_steps(cfg, m, ti, out):
             loc, val = ch[1], ch[2]
             regs = (loc, val)
         used = slot[S_USED] + (0 if op == "commit" else 1)
-        slot2 = slot_upd(slot, (S_ST, RUN), (S_OP, op),
-                         (S_IP, cfg.entry[op]), (S_REGS, regs),
-                         (S_USED, used), (S_RETR, 0))
+        slot2 = slot_upd(slot, (S_ST, RUN), (S_IP, cfg.entry[op]),
+                         (S_REGS, regs), (S_USED, used), (S_RETR, 0))
         out.append((set_slot(m, ti, slot2), ("inv", ti, op, loc, val), None))
 
 
@@ -262,14 +265,12 @@ def _may_begin(cfg, m, ti):
 
 def successors(cfg, m, memo):
     """All scheduler steps from `m` as (machine', record|None, tag) where
-    tag is None or "cut".  `m` is not complete: the explorer expands no
-    faulted machine and, outside recovery, none whose transactions have all
-    ended.  `memo` is a dict memoizing crash outcomes (see the crash
-    branch); the caller owns it and must not share it between Configs."""
+    tag is None or "cut".  `m` has not ended outside recovery: the
+    explorer expands no such machine (``ended``).  `memo` is a dict
+    memoizing crash outcomes (see the crash branch); the caller owns it and
+    must not share it between Configs."""
     out = []
     pm = cfg.pmem
-    if m[M_FLT]:
-        return out
     reduced = cfg.reduced(m)
 
     if m[M_REC] is not None:
@@ -341,7 +342,7 @@ def successors(cfg, m, memo):
     # marker is accepted whenever the history without it is; outside
     # recovery the explorer has checked that already)
     if m[M_CRASH] < cfg.max_crashes \
-            and (m[M_REC] is None or not all_terminal(m)):
+            and (m[M_REC] is None or not ended(m)):
         if not cfg.por:
             out.append((crash_machine(cfg, m), ("crash",), None))
             return out

@@ -32,9 +32,8 @@ from itertools import filterfalse
 from operator import itemgetter
 
 from . import refspec
-from .engine import (ABRT, COMM, CUT, DEAD, FLT, M_CRASH, M_FLT, M_HIST,
-                     M_REC, NS, RDY, RUN, S_ST, all_terminal, initial_machine,
-                     successors)
+from .engine import (ABRT, COMM, CUT, DEAD, FLT, M_CRASH, M_HIST, M_REC, NS,
+                     RDY, RUN, S_ST, ended, initial_machine, successors)
 from .pmdk import MUTATIONS, Layout
 from .pmem import MODELS, PMem
 from .stm import IMPLS, build_programs
@@ -156,7 +155,7 @@ def state_keyer():
     field replaced by `tag`, an int below ``ID_LIMIT`` (the history id).
 
     The memory, each transaction slot and the rest (glb, free, rec,
-    crashes, faulted) are interned by value, each kind in its own table
+    crashes) are interned by value, each kind in its own table
     numbering them in first-seen order.  The key is the memory's id above
     fixed ``ID_BITS``-wide fields for the rest's id, each slot's id and
     `tag`, so it is exact (machines get equal keys iff they are equal, for
@@ -166,11 +165,11 @@ def state_keyer():
     mems, slots, rests = {}, {}, {}
 
     def key(m, tag):
-        mem, glb, free, txns, rec, crashes, _hist, faulted = m
+        mem, glb, free, txns, rec, crashes, _hist = m
         k = mems.get(mem)
         if k is None:
             k = mems[mem] = len(mems)
-        rest = (glb, free, rec, crashes, faulted)
+        rest = (glb, free, rec, crashes)
         i = rests.get(rest)
         if i is None:
             i = _new_id(rests, rest)
@@ -203,7 +202,7 @@ def orbit_keyer(cfg, shared):
     parts are interned, all threads' parts in one table, so equal parts of
     two threads get one id.  A thread's view is its slot's id, ranked by
     the slot's status (``PROGRESS``), and its part's id.  The key packs
-    the shared part's id, the rest's (glb, free, rec, crashes, faulted) id
+    the shared part's id, the rest's (glb, free, rec, crashes) id
     and the views in ascending order; the sort is stable, so equal views
     keep ascending ids.  While recovery runs (rec is not None) the order
     is the identity, since recovery visits ids in ascending order, and so
@@ -280,7 +279,7 @@ def orbit_keyer(cfg, shared):
 
     def key(m):
         nonlocal last_mem, last_ids
-        mem, glb, free, txns, rec, crashes, _hist, faulted = m
+        mem, glb, free, txns, rec, crashes, _hist = m
         if mem is last_mem:
             ids = last_ids
         else:
@@ -288,7 +287,7 @@ def orbit_keyer(cfg, shared):
             if ids is None:
                 ids = mems[mem] = split(mem)
             last_mem, last_ids = mem, ids
-        rest = (glb, free, rec, crashes, faulted)
+        rest = (glb, free, rec, crashes)
         i = rests.get(rest)
         if i is None:
             i = _new_id(rests, rest)
@@ -430,7 +429,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         res.states += 1
         if state_hook is not None:
             state_hook(cfg, m)
-        if m[M_FLT] or (m[M_REC] is None and all_terminal(m)):
+        if m[M_REC] is None and ended(m):
             res.complete.add(m[M_HIST])
             continue
         succs = successors(cfg, m, memo)
@@ -519,7 +518,9 @@ class LowerResult:
 
 def check_lower(impl, model="psc", txns=2, locs=2, vals=2, buf=2, ops=2,
                 retry_bound=1, mutations=(), max_states=DEFAULT_MAX_STATES):
-    """Every sequential-spec history must be producible by `impl`."""
+    """Every serial, crash-free, abort-free history the spec accepts
+    (``refspec.sequential_histories``, found with the spec's own frontier)
+    must be producible by `impl`."""
     t0 = time.monotonic()
     cfg = Config(impl, model, txns=txns, locs=locs, vals=vals, buf=buf,
                  max_crashes=0, ops=ops, retry_bound=retry_bound,

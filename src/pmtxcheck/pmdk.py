@@ -9,9 +9,10 @@ Persistent layout (integer cells over the pmem simulator):
   checksum) and a global undo-valid flag cell.
 
 Write: log the old value on first touch, flush the undo entry, then write
-in place.  Commit: persist every written location; invalidate the volatile
-redo log and checksum it; copy it field-by-field (allocs, undoValid,
-checksum) to the persistent redo cells; flush them; apply the redo log
+in place.  Commit: persist every written location; store the redo log field
+by field in the persistent redo cells, each computed from the allocation
+mask the slot carries: the mask itself, undoValid 0 (the undo log is
+invalidated) and the checksum of the two; flush them; apply the redo log
 (persist allocation metadata, then clear and flush the undo flag); finally
 invalidate and flush the persistent checksum.  Abort: roll back (restore
 and persist logged values, clear and flush the undo flag), then release
@@ -76,10 +77,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .engine import (ABRT, AT_REST, COMM, FLT, M_FLT, M_FREE, M_MEM, M_REC,
-                     M_TXNS, RDY, READY, RUN, S_AM, S_CK, S_IP, S_OP, S_REGS,
-                     S_ST, S_UV, bits, lowbit, set_mem_slot, set_slot,
-                     slot_upd, spent_slot)
+from .engine import (ABRT, AT_REST, COMM, FLT, M_FREE, M_MEM, M_REC, M_TXNS,
+                     RDY, READY, RUN, S_AM, S_IP, S_REGS, S_ST, bits, lowbit,
+                     set_mem_slot, set_slot, slot_upd, spent_slot)
 
 MUTATIONS = ("skip-flush-commit5", "reorder-commit", "skip-validate",
              "skip-undo-flush", "no-recovery-rollback")
@@ -194,10 +194,8 @@ def fault_check(cfg, m, ti, loc):
 
 
 def fault_state(cfg, m, ti, op, loc):
-    slot = slot_upd(m[M_TXNS][ti], (S_ST, FLT), (S_OP, None))
-    m2 = set_slot(m, ti, slot)
-    m2 = m2[:M_FLT] + (1,)
-    return [(m2, ("fault", ti, op, loc))]
+    slot = slot_upd(m[M_TXNS][ti], (S_ST, FLT))
+    return [(set_slot(m, ti, slot), ("fault", ti, op, loc))]
 
 
 def store(cfg, m, tid, cell, val):
@@ -438,11 +436,11 @@ def responses(ops):
 
 def pbegin(cfg, done):
     """Four stores: redo-log cells reset (allocs, undoValid, checksum) and
-    the undo flag raised; the volatile redo reset rides on the first."""
+    the undo flag raised.  The slot's allocation mask is 0 already: a
+    transaction begins from the fresh slot."""
     lay = cfg.layout
     return ("pbegin", False, [
-        store_go("pa", (LOG,), lambda t, s: lay.pa(t), lambda s: 0, "puv",
-                 lambda s: ((S_UV, 1), (S_CK, -1), (S_AM, 0))),
+        store_go("pa", (LOG,), lambda t, s: lay.pa(t), lambda s: 0, "puv"),
         store_go("puv", (LOG,), lambda t, s: lay.puv(t), lambda s: 1, "pck"),
         store_go("pck", (LOG,), lambda t, s: lay.pck(t), lambda s: -1,
                  "guv"),
@@ -610,15 +608,15 @@ def pcommit(cfg, done):
     entries = {e.name: e for e in [
         bit_loop("pw", (LOG, FLUSH), 1, lay.val, init=persist_regs,
                  done=after("pw")),
-        # invalidating the volatile redo log and checksumming it fold in
+        # the redo log is the allocation mask with the undo log invalidated
+        # (undoValid 0) and their checksum: each field is computed from the
+        # mask as it is stored
         store_go("pa", (LOG,), lambda t, s: lay.pa(t), lambda s: s[S_AM],
-                 after("pa"),
-                 lambda s: ((S_UV, 0), (S_CK, calc_checksum(0, s[S_AM])),
-                            (S_REGS, _co_regs(s[S_REGS])))),
-        store_go("puv", (LOG,), lambda t, s: lay.puv(t), lambda s: s[S_UV],
+                 after("pa"), lambda s: ((S_REGS, _co_regs(s[S_REGS])),)),
+        store_go("puv", (LOG,), lambda t, s: lay.puv(t), lambda s: 0,
                  after("puv")),
-        store_go("pck", (LOG,), lambda t, s: lay.pck(t), lambda s: s[S_CK],
-                 after("pck")),
+        store_go("pck", (LOG,), lambda t, s: lay.pck(t),
+                 lambda s: calc_checksum(0, s[S_AM]), after("pck")),
         fl,
         *redo_apply(cfg, "c7"),
         store_go("c7", (LOG,), lambda t, s: lay.pck(t), lambda s: -1, "c8"),

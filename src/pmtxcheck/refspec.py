@@ -14,8 +14,10 @@ write of a location that is unallocated in some consistent memory may fault;
 implementation fault events are matched against these fault transitions.
 
 ``accepts_history`` decides whether a record sequence is a trace of the
-system; ``sequential_histories`` enumerates the serial, crash-free,
-abort-free restriction used as a lower bound on implementations.
+system; ``sequential_histories`` enumerates its serial, crash-free,
+abort-free traces, the lower bound on implementations, by advancing the
+same frontier over serial record sequences: the bound has no rules of its
+own that could drift from the spec's.
 """
 
 from __future__ import annotations
@@ -305,70 +307,50 @@ def accepts_history(records, txns, locs, witness=False, prealloc=0):
 
 def sequential_histories(txns, locs, vals, ops):
     """All serial, crash-free, fault-free, abort-free histories at the given
-    bounds: transactions run one at a time in ascending id order, each doing
-    at most `ops` reads/writes/allocs then committing, with every response
-    immediate.  Reads therefore always hit the last memory version."""
+    bounds: transactions run one at a time in ascending id order, each
+    doing at most `ops` reads, writes or allocs, then committing, with
+    every response right after its invocation.  The spec decides which of
+    these record sequences are histories: the search extends a history by
+    one invocation-response pair, reads returning a value of
+    ``range(vals)`` and allocs a location of ``range(locs)``, only while
+    ``advance_frontier`` keeps its frontier non-empty."""
+    def call(t, op):
+        return ("inv", t, op, None, None), ("res", t, op, None, None)
+
+    def ops_of(t):
+        pairs = []
+        for l in range(locs):
+            pairs += [(("inv", t, "read", l, None), ("res", t, "read", l, v))
+                      for v in range(vals)]
+            pairs += [(("inv", t, "write", l, v), ("res", t, "write", l, v))
+                      for v in range(vals)]
+            pairs.append((("inv", t, "alloc", None, None),
+                          ("res", t, "alloc", l, None)))
+        return pairs
+
+    alphabet = [ops_of(t) for t in range(txns)]
     out = set()
 
-    def tx_round(txid, mems, prefix):
-        if txid == txns:
-            out.add(tuple(prefix))
-            return
-        begin = (("inv", txid, "begin", None, None),
-                 ("res", txid, "begin", None, None))
-        run_ops(txid, mems, prefix + list(begin), 0, 0,
-                (BOT,) * locs)
+    def take(frontier, prefix, recs):
+        for rec in recs:
+            frontier = advance_frontier(frontier, rec)
+        return frontier, prefix + recs
 
-    def run_ops(txid, mems, prefix, used, am, wset):
-        # commit now
-        mem = list(mems[-1])
-        writer = am != 0 or any(v != BOT for v in wset)
-        new_mems = mems
-        if writer:
-            m = am
-            while m:
-                low = m & -m
-                mem[low.bit_length() - 1] = 0
-                m ^= low
-            for l, v in enumerate(wset):
-                if v != BOT:
-                    mem[l] = v
-            new_mems = mems + (tuple(mem),)
-        done = prefix + [("inv", txid, "commit", None, None),
-                         ("res", txid, "commit", None, None)]
-        tx_round(txid + 1, new_mems, done)
-        if used >= ops:
-            return
-        last = mems[-1]
-        for l in range(locs):
-            allocated = (am >> l) & 1
-            # read
-            if wset[l] != BOT:
-                v = wset[l]
-            elif allocated:
-                v = 0
-            elif last[l] != BOT:
-                v = last[l]
-            else:
-                v = None
-            if v is not None:
-                run_ops(txid, mems,
-                        prefix + [("inv", txid, "read", l, None),
-                                  ("res", txid, "read", l, v)],
-                        used + 1, am, wset)
-            # write
-            if allocated or last[l] != BOT:
-                for v in range(vals):
-                    run_ops(txid, mems,
-                            prefix + [("inv", txid, "write", l, v),
-                                      ("res", txid, "write", l, v)],
-                            used + 1, am, wset[:l] + (v,) + wset[l + 1:])
-            # alloc
-            if not allocated and last[l] == BOT:
-                run_ops(txid, mems,
-                        prefix + [("inv", txid, "alloc", None, None),
-                                  ("res", txid, "alloc", l, None)],
-                        used + 1, am | (1 << l), wset)
+    def begin(t, frontier, prefix):
+        if t == txns:
+            out.add(prefix)
+        else:
+            run(t, 0, *take(frontier, prefix, call(t, "begin")))
 
-    tx_round(0, ((BOT,) * locs,), [])
+    def run(t, used, frontier, prefix):
+        f, h = take(frontier, prefix, call(t, "commit"))
+        if f:
+            begin(t + 1, f, h)
+        if used < ops:
+            for recs in alphabet[t]:
+                f, h = take(frontier, prefix, recs)
+                if f:
+                    run(t, used + 1, f, h)
+
+    begin(0, initial_frontier(txns, locs), ())
     return out

@@ -40,20 +40,19 @@ def _set_glb(m, g):
 
 
 def build_programs(cfg):
-    # NOrec answers reads and writes itself, not through the core
-    ops = ("begin", "commit", "abort") if cfg.impl == "pmdk-norec" \
-        else ("begin", "read", "write", "commit", "abort")
-    blocks = [responses(ops), pabort(cfg, "respond.abort"),
-              pbegin(cfg, "respond.begin"), palloc()]
+    # NOrec answers reads and writes itself, not through the core, and a
+    # sequential transaction never aborts
+    ops = ("begin", "commit") if cfg.impl == "pmdk-norec" \
+        else ("begin", "read", "write", "commit")
+    core = [pbegin(cfg, "respond.begin"), palloc()]
     if cfg.impl == "pmdk-seq":
-        blocks += [pread("respond.read"), pwrite(cfg, "respond.write"),
-                   pcommit(cfg, "respond.commit")]
-    elif cfg.impl == "pmdk-tml":
-        blocks += _tml_blocks(cfg)
-    elif cfg.impl == "pmdk-norec":
-        blocks += _norec_blocks(cfg)
+        blocks = [responses(ops)] + core + [
+            pread("respond.read"), pwrite(cfg, "respond.write"),
+            pcommit(cfg, "respond.commit")]
     else:
-        raise ValueError("unknown implementation %r" % (cfg.impl,))
+        layer = _tml_blocks if cfg.impl == "pmdk-tml" else _norec_blocks
+        blocks = [responses(ops + ("abort",)),
+                  pabort(cfg, "respond.abort")] + core + layer(cfg)
     ips = link(cfg, blocks)
     # an operation enters the layer's block of its name, else the core's
     cfg.entry = {op: ips[op if op in ips else "p" + op]

@@ -9,8 +9,8 @@ import pytest
 from pmtxcheck import cli
 from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_HIST,
                               M_MEM, M_REC, M_TXNS, RDY, RUN, S_IP, S_REGS,
-                              S_RETR, S_ST, _crash_nvms, all_terminal,
-                              crash_machine, fresh_slot, initial_machine,
+                              S_RETR, S_ST, _crash_nvms, crash_machine,
+                              ended, fresh_slot, initial_machine,
                               set_slot, slot_upd, spent_slot, successors)
 from pmtxcheck.explorer import (BudgetExceeded, Config, _antichain_add,
                                 check_lower, check_upper, explore,
@@ -488,13 +488,13 @@ def test_frontier_antichain():
     assert kept(minimal) == [frozenset()]
 
 
-@pytest.mark.parametrize("impl,model,crashes,ops,dedup,counts", [
+@pytest.mark.parametrize("impl,model,locs,crashes,ops,dedup,counts", [
     # (5,414, 6,303, 238) before private steps that keep every crash
     # outcome were forced before the last crash, then (5,414, 6,058, 238)
     # before frontier dedup kept only the subset-minimal frontiers, then
     # (5,150, 5,785, 238) before it keyed machines up to txid renaming
-    ("pmdk-seq", "psc", 1, 2, "frontier", (5_117, 5_785, 229)),
-    ("pmdk-tml", "psc", 0, 1, "history", (32_259, 36_587, 1_720)),
+    ("pmdk-seq", "psc", 1, 1, 2, "frontier", (5_117, 5_785, 229)),
+    ("pmdk-tml", "psc", 1, 0, 1, "history", (32_259, 36_587, 1_720)),
     # store buffers are part of the deduplicated memory only under ptso
     # (26,085, 92,421, 264) before a thread's own log cells were
     # propagated as a forced step, then (10,926, 21,467, 264) before
@@ -502,14 +502,20 @@ def test_frontier_antichain():
     # (9,578, 15,051, 264) before frontier dedup kept only the
     # subset-minimal frontiers, then (7,295, 11,259, 236) before it keyed
     # machines up to txid renaming
-    ("pmdk-norec", "ptso", 1, 1, "frontier", (4_284, 6_366, 144)),
-], ids=[  # the psc rows keep the ids they had before the model parameter
+    ("pmdk-norec", "ptso", 1, 1, 1, "frontier", (4_284, 6_366, 144)),
+    # the cells of the benchmark's upper-* workloads.  (52,984, 102,917,
+    # 1,768) before slots dropped the operation name no step read
+    ("pmdk-tml", "psc", 2, 1, 2, "frontier", (52_928, 102_917, 1_768)),
+    ("pmdk-norec", "ptso", 2, 0, 2, "frontier", (30_148, 38_236, 568)),
+], ids=[  # the 1-location rows keep the ids they had before the model and
+    # locs parameters
     "pmdk-seq-1-2-frontier-counts0", "pmdk-tml-0-1-history-counts1",
-    "pmdk-norec-ptso-1-1-frontier-counts2"])
-def test_state_counts_pinned(impl, model, crashes, ops, dedup, counts):
+    "pmdk-norec-ptso-1-1-frontier-counts2", "upper-tml-crash",
+    "upper-norec-ptso"])
+def test_state_counts_pinned(impl, model, locs, crashes, ops, dedup, counts):
     # exact (states, transitions, histories): a change to the search that
     # moves them on purpose updates the pins and says why in CHANGES.md
-    r = explore(Config(impl, model, txns=2, locs=1, max_crashes=crashes,
+    r = explore(Config(impl, model, txns=2, locs=locs, max_crashes=crashes,
                        ops=ops, por=True), dedup=dedup)
     assert (r.states, r.transitions, len(r.complete | r.cut)) == counts
     assert not r.violations
@@ -598,7 +604,8 @@ def test_last_crash_folds_recovery(impl, model, ops):
 
     def hook(cfg, m):
         no_reduced_recovery(cfg, m)
-        if m[M_CRASH] or m[M_REC] is not None or all_terminal(m):
+        # explore expands no machine that has ended outside recovery
+        if m[M_CRASH] or m[M_REC] is not None or ended(m):
             return
         folded = [m2 for m2, rec, _tag in successors(cfg, m, memo)
                   if rec == ("crash",)]

@@ -1,7 +1,7 @@
 """Transactional core: undo/redo machinery, commit windows, recovery."""
 
-from pmtxcheck.engine import (M_CRASH, M_FREE, M_MEM, M_REC, M_TXNS, NS,
-                              S_AM, S_ST, TERMINAL)
+from pmtxcheck.engine import (DEAD, M_CRASH, M_FREE, M_MEM, M_REC, M_TXNS,
+                              NS, RUN, S_AM, S_IP, S_ST, TERMINAL)
 from pmtxcheck.explorer import Config, explore
 from pmtxcheck.pmdk import Layout, calc_checksum
 
@@ -250,20 +250,23 @@ def test_matching_persisted_redo_implies_data_persisted():
     cfg = Config("pmdk-seq", "psc", txns=1, locs=2, vals=2, buf=2,
                  max_crashes=1, ops=2, por=False)
     lay = cfg.layout
+    checked = []
 
     def hook(c, m):
         nvm, pbufs, _sbufs = m[M_MEM]
         for ti, slot in enumerate(m[M_TXNS]):
-            if slot[S_ST] != 1 or slot[2] not in c.noabort_ips:  # RUN, ip
+            if slot[S_ST] != RUN or slot[S_IP] not in c.noabort_ips:
                 continue
             if calc_checksum(nvm[lay.puv(ti)], nvm[lay.pa(ti)]) \
                     != nvm[lay.pck(ti)]:
                 continue
+            checked.append(ti)
             for x in range(c.locs):
                 if nvm[lay.undo(ti, x)] != -1:
                     assert not pbufs[lay.val(x)]
 
     explore(cfg, check=False, state_hook=hook)
+    assert checked  # the premise held somewhere: the check is not vacuous
 
 
 def test_freelist_matches_metadata_after_recovery():
@@ -275,9 +278,10 @@ def test_freelist_matches_metadata_after_recovery():
         # immediately after recovery, before any new-era transaction begins
         # (and outside the abandoned fault regime): the free set equals the
         # unallocated-metadata set
-        if m[M_REC] is not None or m[M_CRASH] == 0 or m[-1]:
+        if m[M_REC] is not None or m[M_CRASH] == 0:
             return
-        if any(s[S_ST] not in (5, NS) for s in m[M_TXNS]):  # DEAD or NS
+        # every slot DEAD or NS: none faulted
+        if any(s[S_ST] not in (DEAD, NS) for s in m[M_TXNS]):
             return
         nvm = m[M_MEM][0]
         expect = 0

@@ -195,10 +195,13 @@ def test_sequential_histories_all_accepted():
         assert accepts_history(h, 2, 2)
 
 
-def test_sequential_count_matches_independent_enumeration():
+@pytest.mark.parametrize("txns,locs,vals,ops,count", [
+    (2, 2, 2, 1, 13), (2, 1, 2, 2, 57), (3, 2, 2, 1, 67)])
+def test_sequential_count_matches_independent_enumeration(txns, locs, vals,
+                                                          ops, count):
     # oracle: enumerate serial candidate histories syntactically and filter
-    # by spec membership; the generator must produce exactly that set
-    txns, locs, vals, ops = 2, 2, 2, 1
+    # by spec membership; the generator must produce exactly that set, of
+    # the size the hand-written generator it replaced produced
     ops_pool = ([("read", l, None) for l in range(locs)]
                 + [("write", l, v) for l in range(locs)
                    for v in range(vals)]
@@ -239,6 +242,7 @@ def test_sequential_count_matches_independent_enumeration():
     histories_for(0, None, [], candidates)
     oracle = {h for h in candidates if accepts_history(h, txns, locs)}
     assert oracle == sequential_histories(txns, locs, vals, ops)
+    assert len(oracle) == count
 
 
 # ---------------------------------------------------------------------------

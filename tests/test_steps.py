@@ -3,8 +3,8 @@ footprints, and the footprints checked against what every step does."""
 
 import pytest
 
-from pmtxcheck.engine import (M_CRASH, M_FLT, M_FREE, M_GLB, M_HIST, M_MEM,
-                              M_REC, M_TXNS, RUN, S_AM, S_IP, S_ST)
+from pmtxcheck.engine import (M_CRASH, M_FREE, M_GLB, M_HIST, M_MEM, M_REC,
+                              M_TXNS, RUN, S_AM, S_IP, S_ST)
 from pmtxcheck.explorer import Config, explore
 from pmtxcheck.pmdk import (DATA, FLUSH, FREE, GLB, LOG, META, MUTATIONS,
                             REC, SLOTS, EMIT)
@@ -12,21 +12,22 @@ from pmtxcheck.pmem import MODELS, PMem
 from pmtxcheck.stm import IMPLS
 
 # the private steps every implementation links: the begin's stores, the
-# rollback's flush tail and the commit's log-only and flush steps
-CORE_PRIVATE = {"pabort.pwf", "pabort.clear", "pabort.guvf", "pbegin.pa",
-                "pbegin.puv", "pbegin.pck", "pbegin.guv", "pcommit.pw",
-                "pcommit.pa", "pcommit.puv", "pcommit.pck", "pcommit.fl",
-                "pcommit.apf", "pcommit.guvf", "pcommit.c7", "pcommit.c8"}
+# commit's log-only and flush steps and the write's undo log and flush
+CORE_PRIVATE = {"pbegin.pa", "pbegin.puv", "pbegin.pck", "pbegin.guv",
+                "pcommit.pw", "pcommit.pa", "pcommit.puv", "pcommit.pck",
+                "pcommit.fl", "pcommit.apf", "pcommit.guvf", "pcommit.c7",
+                "pcommit.c8", "pwrite.log", "pwrite.flush"}
+# the rollback's flush tail, linked where a transaction can abort
+ABORT_PRIVATE = {"pabort.pwf", "pabort.clear", "pabort.guvf"}
 # the commit chain, past the point of no return in every implementation
 COMMIT = {"respond.commit"} | {"pcommit." + e for e in (
     "pw", "pa", "puv", "pck", "fl", "ap", "apf", "guvf", "c7", "c8")}
 # impl -> (private steps, no-abort steps), listed by hand at 2 txns and 2
 # locations, against the sets ``link`` derives from the footprints
 HAND_SETS = {
-    "pmdk-seq": (CORE_PRIVATE | {"pwrite.log", "pwrite.flush"}, COMMIT),
-    "pmdk-tml": (CORE_PRIVATE | {"pwrite.log", "pwrite.flush"},
-                 COMMIT | {"release.glb"}),
-    "pmdk-norec": (CORE_PRIVATE | {"pwrite.log", "pwrite.flush"},
+    "pmdk-seq": (CORE_PRIVATE, COMMIT),
+    "pmdk-tml": (CORE_PRIVATE | ABORT_PRIVATE, COMMIT | {"release.glb"}),
+    "pmdk-norec": (CORE_PRIVATE | ABORT_PRIVATE,
                    COMMIT | {"release.glb", "writeback.wb", "pwrite.guard",
                              "pwrite.log", "pwrite.flush", "pwrite.write"}),
 }
@@ -146,7 +147,7 @@ def touched(cfg, m, ti, ip):
                 used.add(GLB)
             if m2[M_FREE] != m[M_FREE]:
                 used.add(FREE)
-            if rec is not None or m2[M_FLT] != m[M_FLT]:
+            if rec is not None:
                 used.add(EMIT)
             if m2[M_MEM] != m[M_MEM] and not RecordingPMem.log:
                 used.add("memory written without the simulator")
@@ -209,19 +210,8 @@ def test_footprints_cover_every_step(impl):
 
             r = explore(cfg, dedup="frontier", state_hook=hook)
             assert not r.violations
-    # every entry ran, at rest or fallen through into, but those no
-    # transaction of the implementation can reach
-    assert set(cfg.step_names) - ran == UNREACHABLE[impl]
-
-
-UNREACHABLE = {
-    # sequential transactions never abort; recovery runs its own copies of
-    # the rollback, undo.rb, undo.pwf, undo.clear and undo.guvf
-    "pmdk-seq": {"respond.abort", "pabort.rb", "pabort.pwf", "pabort.clear",
-                 "pabort.guvf", "pabort.free"},
-    "pmdk-tml": set(),
-    "pmdk-norec": set(),
-}
+    # every linked entry ran, at rest or fallen through into
+    assert set(cfg.step_names) == ran
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +224,9 @@ def fault_view(cfg, slot):
 
 
 # private steps the cell below never runs at rest: a one-operation
-# transaction has nothing to roll back and pmdk-seq never aborts, the
-# commit's redo-log store is fallen into from its persist loop, and
-# skip-undo-flush skips the undo flush ``pwrite.flush``
+# transaction has nothing to roll back, the commit's redo-log store is
+# fallen into from its persist loop, and skip-undo-flush skips the undo
+# flush ``pwrite.flush``
 NOT_AT_REST = {"pabort.pwf", "pabort.clear", "pabort.guvf", "pcommit.pa",
                "pwrite.flush"}
 

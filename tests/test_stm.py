@@ -5,8 +5,8 @@ allocation metadata of the first `prealloc` locations is already durable),
 which keeps exhaustive history collection small.
 """
 
-from pmtxcheck.engine import (M_GLB, M_REC, M_TXNS, RUN, S_IP, S_LOC, S_ST,
-                              S_WR)
+from pmtxcheck.engine import (M_CRASH, M_GLB, M_REC, M_TXNS, RUN, S_IP, S_LOC,
+                              S_ST, S_WR)
 from pmtxcheck.explorer import Config, explore
 
 
@@ -141,7 +141,7 @@ def test_recovery_resets_lock():
     def hook(c, m):
         # once recovery finished and before any new-era transaction has
         # begun, the lock counter is back to zero
-        if m[M_REC] is None and m[5] > 0:  # crashes happened
+        if m[M_REC] is None and m[M_CRASH] > 0:  # crashes happened
             if all(s[S_ST] in (NS, DEAD) for s in m[M_TXNS]):
                 assert m[M_GLB] == 0
 
