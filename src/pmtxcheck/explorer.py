@@ -9,9 +9,10 @@ maintained frontier of reference-spec states accompanies every history
 prefix, and an empty frontier at an emit is a refinement violation (the
 violating record prefix is the counterexample).  History dedup skips a
 state only when the same machine with the same history was pushed before
-(``state_keyer``); frontier dedup skips it when the same machine up to a
-renaming of transaction ids was pushed with a subset of its frontier,
-renamed alike (``orbit_keyer``, ``explore``).
+(``state_keyer``), and expands each machine once per call; frontier dedup
+skips it when the same machine up to a renaming of transaction ids was
+pushed with a subset of its frontier, renamed alike (``orbit_keyer``,
+``explore``).
 
 ``check_upper`` is trace inclusion implementation <= spec; ``check_lower``
 explores the implementation's serial schedules once, crash-free and with
@@ -150,21 +151,21 @@ def _new_id(table, value):
 
 
 def state_keyer():
-    """A key function for one exploration under history dedup:
-    ``key(m, tag)`` is an int that identifies machine `m` with its history
-    field replaced by `tag`, an int below ``ID_LIMIT`` (the history id).
+    """A key function for one exploration under history dedup: ``key(m)``
+    is an int that identifies machine `m` without its history field; the
+    state key is ``key(m) << ID_BITS | hid``, hid being the history id.
 
     The memory, each transaction slot and the rest (glb, free, rec,
     crashes) are interned by value, each kind in its own table
     numbering them in first-seen order.  The key is the memory's id above
-    fixed ``ID_BITS``-wide fields for the rest's id, each slot's id and
-    `tag`, so it is exact (machines get equal keys iff they are equal, for
-    a fixed number of slots) and does not depend on which sub-tuples the
-    machines share.  Only distinct components stay alive, not one tuple
-    per state."""
+    fixed ``ID_BITS``-wide fields for the rest's id and each slot's id, so
+    it is exact (machines get equal keys iff they are equal, for a fixed
+    number of slots) and does not depend on which sub-tuples the machines
+    share.  Only distinct components stay alive, not one tuple per state.
+    Being exact, it also keys ``explore``'s successor memo."""
     mems, slots, rests = {}, {}, {}
 
-    def key(m, tag):
+    def key(m):
         mem, glb, free, txns, rec, crashes, _hist = m
         k = mems.get(mem)
         if k is None:
@@ -179,7 +180,7 @@ def state_keyer():
             if i is None:
                 i = _new_id(slots, slot)
             k = k << ID_BITS | i
-        return k << ID_BITS | tag
+        return k
 
     return key
 
@@ -371,7 +372,12 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     dedup="history" keys states on the full machine plus the emitted
     history (needed when the history *set* is the product, e.g. for the
     cross-checks); a state is skipped only when the same machine with the
-    same history was pushed before (``state_keyer``).  dedup="frontier"
+    same history was pushed before (``state_keyer``).  Successors depend
+    on the machine without its history field (the crash memo they read
+    is a function of its keys), so each machine's successors and their
+    keys are computed once per call, memoized on its exact key.  Frontier
+    dedup's orbit key is not exact, as a renamed machine has renamed
+    successors, so it expands every state.  dedup="frontier"
     keeps, per machine up to a renaming of transaction ids
     (``orbit_keyer``), the subset-minimal spec frontiers pushed so far (an
     antichain; De Wulf, Doyen, Henzinger & Raskin, CAV 2006) and skips a
@@ -409,19 +415,26 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         # that is not the identity
         minimal = {k0: frontiers[0]}
         refs, orders = {}, {}             # orders: each order's one copy
+        stack = [(m0, None)]
     else:
         key = state_keyer()
-        seen = {key(m0, 0)}               # pushed keys
-    stack = [m0]
+        k0 = key(m0)
+        seen = {k0 << ID_BITS}            # pushed state keys
+        # machine key -> the machine's successors as (m2, rec, key of m2
+        # or CUT), so a machine reached with many histories is expanded
+        # and its successors keyed once
+        expanded = {}
+        stack = [(m0, k0)]
     # crash outcomes per pre-crash memory and recovery outcomes per
     # post-crash memory (engine.successors).  One per call: callers reuse a
     # Config across calls, and a memo kept on it would make every call
     # after the first faster than a user's one run
     memo = {}
+    # stack entries: (machine, its key under history dedup, else None)
     push = stack.append
 
     while stack:
-        m = stack.pop()
+        m, mk = stack.pop()
         if res.states >= cfg.max_states:
             res.seconds = time.monotonic() - t0
             raise BudgetExceeded("state budget exceeded (%d)"
@@ -432,16 +445,23 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         if m[M_REC] is None and ended(m):
             res.complete.add(m[M_HIST])
             continue
-        succs = successors(cfg, m, memo)
+        if by_frontier:
+            succs = successors(cfg, m, memo)
+        else:
+            succs = expanded.get(mk)
+            if succs is None:
+                succs = expanded[mk] = [
+                    (m2, rec, CUT if tag == CUT else key(m2))
+                    for m2, rec, tag in successors(cfg, m, memo)]
         if not succs:
             # maximal but not all-terminal: e.g. an allocation blocked on an
             # empty free list (a disabled step) stalls its transaction and
             # anything awaiting the lock behind it
             res.complete.add(m[M_HIST])
             continue
-        for m2, rec, tag in succs:
+        for m2, rec, mk2 in succs:
             res.transitions += 1
-            if tag == CUT:
+            if mk2 == CUT:
                 res.cut.add(m[M_HIST])
                 continue
             hid = m[M_HIST]
@@ -481,13 +501,13 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                 if not _antichain_add(minimal, k, f2):
                     continue
             else:
-                k = key(m2, hid)
+                k = mk2 << ID_BITS | hid
                 if k in seen:
                     continue
                 seen.add(k)
             if m2[M_HIST] != hid:
                 m2 = m2[:M_HIST] + (hid,) + m2[M_HIST + 1:]
-            push(m2)
+            push((m2, mk2))
     res.seconds = time.monotonic() - t0
     return res
 

@@ -5,7 +5,8 @@ Record kinds:
 * ``inv`` / ``res`` -- operation invocation/response; carry era, seq, tid,
   txid, op, and loc/val exactly where the operation has them (read
   responses carry loc and val, write records both, alloc responses loc,
-  begin/commit/abort neither).
+  begin/commit/abort neither).  Record tuples name a transaction only, and
+  transaction t runs on thread t, so tid must equal txid.
 * ``crash`` -- carries only era and seq.
 * ``fault-hidden-note`` -- marks where the run entered the fault regime;
   carries only era and seq (the remainder of the trace is not claimed).
@@ -128,8 +129,13 @@ def parse_trace(path):
                 raise TraceError("missing field(s) %s"
                                  % ", ".join(sorted(missing)), ln)
             for f in ("era", "seq", "tid", "txid", "loc", "val"):
-                if f in d and not isinstance(d[f], int):
+                # JSON true/false load as bool, which is an int subclass
+                if f in d and type(d[f]) is not int:
                     raise TraceError("field %s must be an integer" % f, ln)
+            if "tid" in d and d["tid"] != d["txid"]:
+                raise TraceError("tid %r is not txid %r (transaction t "
+                                 "runs on thread t)" % (d["tid"], d["txid"]),
+                                 ln)
             if d["era"] != era:
                 raise TraceError("era %r out of sequence" % (d["era"],), ln)
             if kind == "crash":

@@ -6,15 +6,15 @@ from itertools import permutations
 
 import pytest
 
-from pmtxcheck import cli
+from pmtxcheck import cli, explorer
 from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_HIST,
                               M_MEM, M_REC, M_TXNS, RDY, RUN, S_IP, S_REGS,
                               S_RETR, S_ST, _crash_nvms, crash_machine,
                               ended, fresh_slot, initial_machine,
                               set_slot, slot_upd, spent_slot, successors)
-from pmtxcheck.explorer import (BudgetExceeded, Config, _antichain_add,
-                                check_lower, check_upper, explore,
-                                mutation_check_config, orbit_keyer,
+from pmtxcheck.explorer import (ID_BITS, BudgetExceeded, Config,
+                                _antichain_add, check_lower, check_upper,
+                                explore, mutation_check_config, orbit_keyer,
                                 run_intro_cases, skip_validate_config,
                                 state_keyer)
 from pmtxcheck.histories import events_of_records
@@ -79,12 +79,17 @@ def test_state_key_ignores_object_sharing():
         + m[M_TXNS + 1:]
     assert twin == m and twin[M_TXNS][0] is not twin[M_TXNS][1]
     key = state_keyer()
-    assert key(m, 0) == key(twin, 0)
-    # and the key tells apart what differs: the tag, or one slot's status
+    assert key(m) == key(twin)
+    # the machine key leaves the history field out; the state key puts the
+    # history id below it
+    assert key(m[:M_HIST] + (1,)) == key(m)
+    # and the state key tells apart what differs: the history, or one
+    # slot's status, or which slot holds it
     ended = m[:M_TXNS] + ((fresh_slot(cfg), spent_slot(cfg, COMM)),) \
         + m[M_TXNS + 1:]
     swapped = m[:M_TXNS] + (ended[M_TXNS][::-1],) + m[M_TXNS + 1:]
-    keys = {key(m, 0), key(m, 1), key(ended, 0), key(swapped, 0)}
+    keys = {key(x) << ID_BITS | hid
+            for x, hid in ((m, 0), (m, 1), (ended, 0), (swapped, 0))}
     assert len(keys) == 4
 
 
@@ -550,6 +555,29 @@ def test_por_history_sets_pinned(impl, model, crashes, count, digest):
     assert not r.violations
     assert len(hs) == count
     assert history_digest(hs) == digest
+
+
+def test_history_dedup_expands_each_machine_once(monkeypatch):
+    # successors never read the history field, so under history dedup a
+    # machine reached with many histories is expanded once per call
+    expanded, popped = [], set()
+
+    def counted(cfg, m, memo):
+        expanded.append(m[:M_HIST])
+        return successors(cfg, m, memo)
+
+    def hook(cfg, m):
+        if m[M_REC] is not None or not ended(m):
+            popped.add(m[:M_HIST])
+
+    monkeypatch.setattr(explorer, "successors", counted)
+    r = explore(Config("pmdk-tml", "psc", txns=2, locs=1, vals=2, buf=2,
+                       max_crashes=1, ops=1, por=True),
+                dedup="history", state_hook=hook)
+    assert len(expanded) == len(set(expanded)) == len(popped) == 3_805
+    # the counts without the memo: it changes no state or transition
+    assert (r.states, r.transitions) == (99_834, 165_989)
+    assert history_digest(r.histories()) == TML_1_CRASH
 
 
 @pytest.mark.parametrize("impl,model,crashes,por,ended", [

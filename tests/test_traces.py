@@ -1,0 +1,131 @@
+"""JSON-lines trace files: the emit/parse round trip, every rejection with
+its line number, and the CLI's exit code on a malformed file."""
+
+import json
+
+import pytest
+
+from pmtxcheck import cli
+from pmtxcheck.explorer import Config, explore
+from pmtxcheck.traces import TraceError, emit_trace, parse_trace
+
+
+def explored_histories():
+    # crashes, faults, reads, writes and allocations (seq), plus the tml
+    # histories with an abort response
+    seq = explore(Config("pmdk-seq", "psc", txns=2, locs=1, max_crashes=1,
+                         por=True)).histories()
+    tml = explore(Config("pmdk-tml", "psc", txns=2, locs=1, max_crashes=1,
+                         ops=1, por=True)).histories()
+    aborts = [h for h in tml if ("res", 0, "abort", None, None) in h
+              or ("res", 1, "abort", None, None) in h]
+    assert aborts
+    return seq + aborts
+
+
+def test_emit_parse_round_trip(tmp_path):
+    path, again = tmp_path / "h.jsonl", tmp_path / "again.jsonl"
+    kinds = set()
+    for records in explored_histories():
+        emit_trace(records, path)
+        parsed = parse_trace(path)
+        # a fault note keeps only where the fault happened
+        assert parsed == tuple(("fault", None, None, None)
+                               if rec[0] == "fault" else rec
+                               for rec in records)
+        emit_trace(parsed, again)
+        assert again.read_bytes() == path.read_bytes()
+        kinds.update(rec[0] if rec[0] in ("crash", "fault") else rec[2]
+                     for rec in records)
+    assert kinds == {"crash", "fault", "begin", "read", "write", "alloc",
+                     "commit", "abort"}
+
+
+def line(**fields):
+    return json.dumps(fields, separators=(",", ":"))
+
+
+BEGIN = line(kind="inv", era=0, seq=0, tid=0, txid=0, op="begin")
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("{not json", "malformed JSON"),
+    ("[1, 2]", "record is not an object"),
+    (line(kind="note", era=0, seq=1), "bad kind 'note'"),
+    (line(kind="res", era=0, seq=1, tid=0, txid=0, op="undo"),
+     "bad op 'undo'"),
+    (line(kind="inv", era=0, seq=1, tid=0, txid=0, op="abort"),
+     "abort is response-only"),
+    (line(kind="res", era=0, seq=1, tid=0, txid=0, op="begin", loc=0),
+     "unexpected field(s) loc"),
+    (line(kind="crash", era=0, seq=1, tid=0), "unexpected field(s) tid"),
+    (line(kind="res", era=0, seq=1, tid=0, txid=0, op="read", loc=0),
+     "missing field(s) val"),
+    (line(kind="res", era=0, seq=1, txid=0, op="begin"),
+     "missing field(s) tid"),
+    (line(kind="res", era=0, seq=1, tid=0, txid="0", op="begin"),
+     "field txid must be an integer"),
+    (line(kind="inv", era=0, seq=1, tid=0, txid=0, op="write", loc=0,
+          val=1.5), "field val must be an integer"),
+    (line(kind="res", era=0, seq=1, tid=True, txid=True, op="begin"),
+     "field tid must be an integer"),
+    (line(kind="res", era=1, seq=1, tid=0, txid=0, op="begin"),
+     "era 1 out of sequence"),
+    (line(kind="res", era=0, seq=0, tid=0, txid=0, op="begin"),
+     "seq not strictly increasing"),
+    # records carry no thread of their own: transaction t runs on thread t
+    (line(kind="res", era=0, seq=1, tid=1, txid=0, op="begin"),
+     "tid 1 is not txid 0"),
+], ids=["json", "object", "kind", "op", "inv-abort", "extra", "extra-crash",
+        "missing", "missing-tid", "int", "int-val", "bool", "era", "seq",
+        "tid"])
+def test_parse_rejects_with_line_number(tmp_path, bad, message):
+    path = tmp_path / "bad.jsonl"
+    # the blank line counts: line numbers are the file's
+    path.write_text(BEGIN + "\n\n" + bad + "\n")
+    with pytest.raises(TraceError) as exc:
+        parse_trace(path)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith("line 3: " + message)
+
+
+def test_parse_follows_eras_across_crashes(tmp_path):
+    path = tmp_path / "h.jsonl"
+    path.write_text("\n".join([
+        BEGIN, line(kind="crash", era=0, seq=1),
+        line(kind="inv", era=1, seq=2, tid=1, txid=1, op="begin")]) + "\n")
+    assert parse_trace(path) == (("inv", 0, "begin", None, None),
+                                 ("crash",),
+                                 ("inv", 1, "begin", None, None))
+    path.write_text("\n".join([
+        BEGIN, line(kind="crash", era=0, seq=1),
+        line(kind="inv", era=0, seq=2, tid=1, txid=1, op="begin")]) + "\n")
+    with pytest.raises(TraceError, match="^line 3: era 0 out of sequence"):
+        parse_trace(path)
+
+
+# txid 0 begins on thread 0 and commits on thread 1
+CROSS_THREAD = [
+    line(kind="inv", era=0, seq=0, tid=0, txid=0, op="begin"),
+    line(kind="res", era=0, seq=1, tid=0, txid=0, op="begin"),
+    line(kind="inv", era=0, seq=2, tid=1, txid=0, op="commit"),
+    line(kind="res", era=0, seq=3, tid=1, txid=0, op="commit"),
+]
+
+
+@pytest.mark.parametrize("what", ["wf", "opacity"])
+def test_cli_exits_2_on_malformed_trace(tmp_path, capsys, what):
+    path = tmp_path / "h.jsonl"
+    path.write_text("\n".join(CROSS_THREAD) + "\n")
+    assert cli.main(["check", what, "--history", str(path)]) == 2
+    assert capsys.readouterr().out.startswith(
+        "trace error: line 3: tid 1 is not txid 0")
+    path.write_text("\n".join(CROSS_THREAD[:2]) + "\n{\n")
+    assert cli.main(["check", what, "--history", str(path)]) == 2
+    assert capsys.readouterr().out.startswith(
+        "trace error: line 3: malformed JSON")
+    # the same history on one thread is accepted
+    path.write_text("\n".join(CROSS_THREAD[:2]
+                              + [s.replace('"tid":1', '"tid":0')
+                                 for s in CROSS_THREAD[2:]]) + "\n")
+    assert cli.main(["check", what, "--history", str(path)]) == 0
