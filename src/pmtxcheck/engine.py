@@ -2,7 +2,7 @@
 
 A machine is one flat tuple, cheap to hash and copy:
 
-    (mem, glb, free, txns, rec, crashes, hist)
+    (mem, glb, free, txns, rec, crashes)
 
 * ``mem``  -- (nvm, pbufs, sbufs) from the pmem simulator
 * ``glb``  -- the volatile SC lock/counter used by the concurrency layers
@@ -27,7 +27,10 @@ A machine is one flat tuple, cheap to hash and copy:
 * ``rec``  -- None, or the transaction id recovery is at
 * ``crashes`` -- the crashes so far, which number the current era: a
   script's transaction begins in the era its ``era_min`` names or later
-* ``hist`` -- interned history id (maintained by the explorer)
+
+The history a state has emitted is not part of its machine: no step reads
+it, and the explorer keeps its id beside the machine on the DFS stack
+(``explorer.explore``).
 
 Transactions are driven by client *decision* steps (which emit invocation
 records and install an op program) and per-line program steps from the
@@ -76,7 +79,7 @@ nothing when there is room).
 from __future__ import annotations
 
 # machine tuple layout
-M_MEM, M_GLB, M_FREE, M_TXNS, M_REC, M_CRASH, M_HIST = range(7)
+M_MEM, M_GLB, M_FREE, M_TXNS, M_REC, M_CRASH = range(6)
 
 # transaction slot layout
 S_ST, S_IP, S_REGS, S_AM, S_RD, S_WR, S_USED, S_RETR, S_LOC = range(9)
@@ -110,7 +113,7 @@ def spent_slot(cfg, status):
 def initial_machine(cfg):
     free = ((1 << cfg.locs) - 1) & ~((1 << cfg.prealloc) - 1)
     return (cfg.pmem.initial(), 0, free, (fresh_slot(cfg),) * cfg.txns,
-            None, 0, 0)
+            None, 0)
 
 
 def set_slot(m, ti, slot):
@@ -152,7 +155,7 @@ def bits(mask):
 def ended(m):
     """No transaction can act again: each one ended, or one faulted, which
     ends the run."""
-    # a loop, not all() over a generator: the explorer asks this of every
+    # a loop, not all() over a generator: frontier dedup asks this of every
     # state it pops
     done = True
     for s in m[M_TXNS]:
@@ -185,7 +188,7 @@ def crash_tail(cfg, m, rec):
     t = m[M_REC]
     if t is not None:
         txns = txns[:t] + (slot_upd(txns[t], *AT_REST),) + txns[t + 1:]
-    return (txns, rec, m[M_CRASH] + 1, m[M_HIST])
+    return (txns, rec, m[M_CRASH] + 1)
 
 
 def run_recovery(cfg, m):

@@ -7,8 +7,10 @@ once per exploration and packing their ids into one int.  Histories are
 interned in a trie so shared prefixes are checked once: an incrementally
 maintained frontier of reference-spec states accompanies every history
 prefix, and an empty frontier at an emit is a refinement violation (the
-violating record prefix is the counterexample).  History dedup skips a
-state only when the same machine with the same history was pushed before
+violating record prefix is the counterexample).  A state is a machine
+and the id of the history it emitted; no step reads the history, so the
+DFS stack carries its id beside the machine.  History dedup skips a state
+only when the same machine with the same history was pushed before
 (``state_keyer``), and expands each machine once per call; frontier dedup
 skips it when the same machine up to a renaming of transaction ids was
 pushed with a subset of its frontier, renamed alike (``orbit_keyer``,
@@ -33,8 +35,8 @@ from itertools import filterfalse
 from operator import itemgetter
 
 from . import refspec
-from .engine import (ABRT, COMM, CUT, DEAD, FLT, M_CRASH, M_HIST, M_REC, NS,
-                     RDY, RUN, S_ST, ended, initial_machine, successors)
+from .engine import (ABRT, COMM, CUT, DEAD, FLT, M_CRASH, M_REC, NS, RDY,
+                     RUN, S_ST, ended, initial_machine, successors)
 from .pmdk import MUTATIONS, Layout
 from .pmem import MODELS, PMem
 from .stm import IMPLS, build_programs
@@ -152,8 +154,9 @@ def _new_id(table, value):
 
 def state_keyer():
     """A key function for one exploration under history dedup: ``key(m)``
-    is an int that identifies machine `m` without its history field; the
-    state key is ``key(m) << ID_BITS | hid``, hid being the history id.
+    is an int that identifies machine `m`.  A state is a machine and the
+    id `hid` of its history, which ``explore`` keeps beside the machine,
+    and its key is ``key(m) << ID_BITS | hid``.
 
     The memory, each transaction slot and the rest (glb, free, rec,
     crashes) are interned by value, each kind in its own table
@@ -166,7 +169,7 @@ def state_keyer():
     mems, slots, rests = {}, {}, {}
 
     def key(m):
-        mem, glb, free, txns, rec, crashes, _hist = m
+        mem, glb, free, txns, rec, crashes = m
         k = mems.get(mem)
         if k is None:
             k = mems[mem] = len(mems)
@@ -188,8 +191,8 @@ def state_keyer():
 def orbit_keyer(cfg, shared):
     """Key functions for one exploration under frontier dedup:
     ``key(m)`` is ``(k, order)``, where the int `k` identifies machine `m`
-    up to a renaming of transaction ids (its history field ignored) and
-    `order` is how its threads' views sort (None: as they are), and
+    up to a renaming of transaction ids and `order` is how its threads'
+    views sort (None: as they are), and
     ``relabel(f, order, ref)`` renames spec frontier `f` of a machine whose
     views sort in `order` into the transactions of the machine with the
     same key whose views sort in `ref`.  `shared` interns the renamed
@@ -280,7 +283,7 @@ def orbit_keyer(cfg, shared):
 
     def key(m):
         nonlocal last_mem, last_ids
-        mem, glb, free, txns, rec, crashes, _hist = m
+        mem, glb, free, txns, rec, crashes = m
         if mem is last_mem:
             ids = last_ids
         else:
@@ -369,16 +372,22 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     reference-spec frontier runs online and refinement violations prune
     their branch.
 
+    A state is a machine and the id `hid` of the history it emitted,
+    interned in a trie of (parent id, record) pairs.  No step reads the
+    history, so the DFS stack carries `hid` beside the machine, never in
+    it.  ``state_hook(cfg, m, hid)``, when given, sees every popped state.
+
     dedup="history" keys states on the full machine plus the emitted
     history (needed when the history *set* is the product, e.g. for the
     cross-checks); a state is skipped only when the same machine with the
-    same history was pushed before (``state_keyer``).  Successors depend
-    on the machine without its history field (the crash memo they read
-    is a function of its keys), so each machine's successors and their
-    keys are computed once per call, memoized on its exact key.  Frontier
-    dedup's orbit key is not exact, as a renamed machine has renamed
-    successors, so it expands every state.  dedup="frontier"
-    keeps, per machine up to a renaming of transaction ids
+    same history was pushed before, its state key being
+    ``key(m) << ID_BITS | hid``.  Successors depend on the machine alone
+    (the crash memo they read is a function of it), so each machine's
+    successors and their keys are computed once per call, memoized on its
+    exact key; so is whether it has ended outside recovery, memoized as no
+    successors.  Frontier dedup's orbit key is not exact, as a renamed
+    machine has renamed successors, so it expands every state.
+    dedup="frontier" keeps, per machine up to a renaming of transaction ids
     (``orbit_keyer``), the subset-minimal spec frontiers pushed so far (an
     antichain; De Wulf, Doyen, Henzinger & Raskin, CAV 2006) and skips a
     state whose frontier, renamed alike, contains one of them.  The
@@ -415,100 +424,104 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         # that is not the identity
         minimal = {k0: frontiers[0]}
         refs, orders = {}, {}             # orders: each order's one copy
-        stack = [(m0, None)]
+        mk0 = None
     else:
         key = state_keyer()
-        k0 = key(m0)
-        seen = {k0 << ID_BITS}            # pushed state keys
+        mk0 = key(m0)
+        seen = {mk0 << ID_BITS}           # pushed state keys
         # machine key -> the machine's successors as (m2, rec, key of m2
-        # or CUT), so a machine reached with many histories is expanded
-        # and its successors keyed once
+        # or CUT), () for a machine that ended outside recovery, so a
+        # machine reached with many histories is expanded and its
+        # successors keyed once
         expanded = {}
-        stack = [(m0, k0)]
     # crash outcomes per pre-crash memory and recovery outcomes per
     # post-crash memory (engine.successors).  One per call: callers reuse a
     # Config across calls, and a memo kept on it would make every call
     # after the first faster than a user's one run
     memo = {}
-    # stack entries: (machine, its key under history dedup, else None)
+    # stack entries: (machine, its key under history dedup, else None,
+    # history id)
+    stack = [(m0, mk0, 0)]
     push = stack.append
 
-    while stack:
-        m, mk = stack.pop()
-        if res.states >= cfg.max_states:
-            res.seconds = time.monotonic() - t0
-            raise BudgetExceeded("state budget exceeded (%d)"
-                                 % cfg.max_states, res)
-        res.states += 1
-        if state_hook is not None:
-            state_hook(cfg, m)
-        if m[M_REC] is None and ended(m):
-            res.complete.add(m[M_HIST])
-            continue
-        if by_frontier:
-            succs = successors(cfg, m, memo)
-        else:
-            succs = expanded.get(mk)
-            if succs is None:
-                succs = expanded[mk] = [
-                    (m2, rec, CUT if tag == CUT else key(m2))
-                    for m2, rec, tag in successors(cfg, m, memo)]
-        if not succs:
-            # maximal but not all-terminal: e.g. an allocation blocked on an
-            # empty free list (a disabled step) stalls its transaction and
-            # anything awaiting the lock behind it
-            res.complete.add(m[M_HIST])
-            continue
-        for m2, rec, mk2 in succs:
-            res.transitions += 1
-            if mk2 == CUT:
-                res.cut.add(m[M_HIST])
-                continue
-            hid = m[M_HIST]
-            if rec is not None:
-                hkey = (hid, rec)
-                h2 = intern.get(hkey)
-                if h2 is None:
-                    # bounded: history dedup keys states on it
-                    h2 = _new_id(intern, hkey)
-                    entries.append(hkey)
-                    if check:
-                        f2 = refspec.advance_frontier(frontiers[hid], rec)
-                        if by_frontier:
-                            # equal frontiers share one object: neither
-                            # `frontiers` nor the antichains hold copies
-                            f2 = shared.setdefault(f2, f2)
-                        frontiers[h2] = f2
-                        if f2 != refspec.ACCEPT_ALL and not f2:
-                            res.violations.append(res.history_records(h2))
-                            if stop_on_violation:
-                                res.seconds = time.monotonic() - t0
-                                return res
-                if check:
-                    f2 = frontiers[h2]
-                    if f2 != refspec.ACCEPT_ALL and not f2:
-                        continue  # prune: already-reported violation
-                hid = h2
+    # the counts live in locals while the loop runs, and reach `res` on
+    # every way out of it
+    states = transitions = 0
+    try:
+        while stack:
+            m, mk, hid = stack.pop()
+            if states >= cfg.max_states:
+                raise BudgetExceeded("state budget exceeded (%d)"
+                                     % cfg.max_states, res)
+            states += 1
+            if state_hook is not None:
+                state_hook(cfg, m, hid)
             if by_frontier:
-                k, order = key(m2)
-                f2 = frontiers[hid]
-                ref = refs.get(k)
-                if order != ref:
-                    if ref is None and k not in minimal:
-                        refs[k] = orders.setdefault(order, order)
-                    else:
-                        f2 = relabel(f2, order, ref)
-                if not _antichain_add(minimal, k, f2):
+                if m[M_REC] is None and ended(m):
+                    res.complete.add(hid)
                     continue
+                succs = successors(cfg, m, memo)
             else:
-                k = mk2 << ID_BITS | hid
-                if k in seen:
+                succs = expanded.get(mk)
+                if succs is None:
+                    succs = expanded[mk] = () \
+                        if m[M_REC] is None and ended(m) else [
+                            (m2, rec, CUT if tag == CUT else key(m2))
+                            for m2, rec, tag in successors(cfg, m, memo)]
+            if not succs:
+                # ended, or maximal but not all-terminal: e.g. an allocation
+                # blocked on an empty free list (a disabled step) stalls its
+                # transaction and anything awaiting the lock behind it
+                res.complete.add(hid)
+                continue
+            for m2, rec, mk2 in succs:
+                transitions += 1
+                if mk2 is CUT:
+                    res.cut.add(hid)
                     continue
-                seen.add(k)
-            if m2[M_HIST] != hid:
-                m2 = m2[:M_HIST] + (hid,) + m2[M_HIST + 1:]
-            push((m2, mk2))
-    res.seconds = time.monotonic() - t0
+                h2 = hid
+                if rec is not None:
+                    hkey = (hid, rec)
+                    h2 = intern.get(hkey)
+                    if h2 is None:
+                        # bounded: history dedup keys states on it
+                        h2 = _new_id(intern, hkey)
+                        entries.append(hkey)
+                        if check:
+                            f2 = refspec.advance_frontier(frontiers[hid], rec)
+                            if by_frontier:
+                                # equal frontiers share one object: neither
+                                # `frontiers` nor the antichains hold copies
+                                f2 = shared.setdefault(f2, f2)
+                            frontiers[h2] = f2
+                            if f2 != refspec.ACCEPT_ALL and not f2:
+                                res.violations.append(res.history_records(h2))
+                                if stop_on_violation:
+                                    return res
+                    if check:
+                        f2 = frontiers[h2]
+                        if f2 != refspec.ACCEPT_ALL and not f2:
+                            continue  # prune: already-reported violation
+                if by_frontier:
+                    k, order = key(m2)
+                    f2 = frontiers[h2]
+                    ref = refs.get(k)
+                    if order != ref:
+                        if ref is None and k not in minimal:
+                            refs[k] = orders.setdefault(order, order)
+                        else:
+                            f2 = relabel(f2, order, ref)
+                    if not _antichain_add(minimal, k, f2):
+                        continue
+                else:
+                    k = mk2 << ID_BITS | h2
+                    if k in seen:
+                        continue
+                    seen.add(k)
+                push((m2, mk2, h2))
+    finally:
+        res.states, res.transitions = states, transitions
+        res.seconds = time.monotonic() - t0
     return res
 
 

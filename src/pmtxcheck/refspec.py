@@ -149,7 +149,8 @@ def match_record(st, rec):
 
     # responses
     if op == "abort":
-        if pc not in (NS, RDY, COMMITTED, ABORTED, PI):
+        # an operation in flight may abort; no begin response is an abort
+        if pc not in (NS, RDY, BPEND, COMMITTED, ABORTED, PI):
             out.append((mems, _repl(txs, txid,
                                     (ABORTED, bidx, rset, wset, am))))
         return out

@@ -7,11 +7,11 @@ from itertools import permutations
 import pytest
 
 from pmtxcheck import cli, explorer
-from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_HIST,
-                              M_MEM, M_REC, M_TXNS, RDY, RUN, S_IP, S_REGS,
-                              S_RETR, S_ST, _crash_nvms, crash_machine,
-                              ended, fresh_slot, initial_machine,
-                              set_slot, slot_upd, spent_slot, successors)
+from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_MEM,
+                              M_REC, M_TXNS, RDY, RUN, S_IP, S_REGS, S_RETR,
+                              S_ST, _crash_nvms, crash_machine, ended,
+                              fresh_slot, initial_machine, set_slot,
+                              slot_upd, spent_slot, successors)
 from pmtxcheck.explorer import (ID_BITS, BudgetExceeded, Config,
                                 _antichain_add, check_lower, check_upper,
                                 explore, mutation_check_config, orbit_keyer,
@@ -30,7 +30,7 @@ def hist_set(cfg, **kw):
     return {tuple(r.history_records(h)) for h in r.complete | r.cut}, r
 
 
-def no_reduced_recovery(cfg, m):
+def no_reduced_recovery(cfg, m, hid):
     # the last crash folds recovery into its transition, so the explorer
     # never pops a reduced machine that is still mid-recovery
     assert not (cfg.reduced(m) and m[M_REC] is not None), m
@@ -80,11 +80,9 @@ def test_state_key_ignores_object_sharing():
     assert twin == m and twin[M_TXNS][0] is not twin[M_TXNS][1]
     key = state_keyer()
     assert key(m) == key(twin)
-    # the machine key leaves the history field out; the state key puts the
-    # history id below it
-    assert key(m[:M_HIST] + (1,)) == key(m)
-    # and the state key tells apart what differs: the history, or one
-    # slot's status, or which slot holds it
+    # the state key, with the history id below the machine key, tells
+    # apart what differs: the history, or one slot's status, or which slot
+    # holds it
     ended = m[:M_TXNS] + ((fresh_slot(cfg), spent_slot(cfg, COMM)),) \
         + m[M_TXNS + 1:]
     swapped = m[:M_TXNS] + (ended[M_TXNS][::-1],) + m[M_TXNS + 1:]
@@ -123,7 +121,7 @@ def explored_states(cfg):
     """Every state frontier dedup pops from `cfg`, with its spec frontier."""
     states = []
     r = explore(cfg, dedup="frontier",
-                state_hook=lambda cfg, m: states.append(m))
+                state_hook=lambda cfg, m, hid: states.append((m, hid)))
     frontiers = {}
 
     def frontier(hid):
@@ -134,7 +132,7 @@ def explored_states(cfg):
             frontiers[hid] = f
         return frontiers[hid]
 
-    return [(m, frontier(m[M_HIST])) for m in states]
+    return [(m, frontier(hid)) for m, hid in states]
 
 
 @pytest.mark.parametrize("impl,model,bounds", [
@@ -558,23 +556,44 @@ def test_por_history_sets_pinned(impl, model, crashes, count, digest):
 
 
 def test_history_dedup_expands_each_machine_once(monkeypatch):
-    # successors never read the history field, so under history dedup a
-    # machine reached with many histories is expanded once per call
-    expanded, popped = [], set()
+    # successors depend on the machine alone, not on the history it was
+    # reached with, so under history dedup a machine reached with many
+    # histories is expanded once per call, and asked once whether it ended
+    expanded, asked, popped, live = [], [], set(), set()
+    key = state_keyer()
+    states, ended_hids = [], set()
 
     def counted(cfg, m, memo):
-        expanded.append(m[:M_HIST])
+        expanded.append(m)
         return successors(cfg, m, memo)
 
-    def hook(cfg, m):
+    def counted_ended(m):
+        asked.append(m)
+        return ended(m)
+
+    def hook(cfg, m, hid):
+        popped.add(m)
+        states.append((key(m), hid))
         if m[M_REC] is not None or not ended(m):
-            popped.add(m[:M_HIST])
+            live.add(m)
+        else:
+            ended_hids.add(hid)
 
     monkeypatch.setattr(explorer, "successors", counted)
+    monkeypatch.setattr(explorer, "ended", counted_ended)
     r = explore(Config("pmdk-tml", "psc", txns=2, locs=1, vals=2, buf=2,
                        max_crashes=1, ops=1, por=True),
                 dedup="history", state_hook=hook)
-    assert len(expanded) == len(set(expanded)) == len(popped) == 3_805
+    assert len(expanded) == len(set(expanded)) == len(live) == 3_805
+    # ended is asked outside recovery only, once per machine, ended ones
+    # included
+    outside = {m for m in popped if m[M_REC] is None}
+    assert len(asked) == len(set(asked)) == len(outside) > 0
+    assert len(outside - live) > 0
+    # a state is a machine and a history id: each popped pair is distinct,
+    # and an ended machine's history is complete
+    assert len(states) == len(set(states)) == r.states
+    assert ended_hids and ended_hids <= r.complete
     # the counts without the memo: it changes no state or transition
     assert (r.states, r.transitions) == (99_834, 165_989)
     assert history_digest(r.histories()) == TML_1_CRASH
@@ -591,7 +610,7 @@ def test_slots_carry_only_live_fields(impl, model, crashes, por, ended):
     spent = {st: spent_slot(cfg, st) for st in (COMM, ABRT, DEAD)}
     statuses = set()
 
-    def hook(cfg, m):
+    def hook(cfg, m, hid):
         for t, s in enumerate(m[M_TXNS]):
             statuses.add(s[S_ST])
             if t == m[M_REC]:
@@ -630,8 +649,8 @@ def test_last_crash_folds_recovery(impl, model, ops):
     memo = {}
     crashes = []
 
-    def hook(cfg, m):
-        no_reduced_recovery(cfg, m)
+    def hook(cfg, m, hid):
+        no_reduced_recovery(cfg, m, hid)
         # explore expands no machine that has ended outside recovery
         if m[M_CRASH] or m[M_REC] is not None or ended(m):
             return

@@ -226,7 +226,7 @@ def test_undo_logged_before_overwrite_invariant():
                  max_crashes=1, ops=2, por=False)
     lay = cfg.layout
 
-    def hook(c, m):
+    def hook(c, m, hid):
         nvm, pbufs, sbufs = m[M_MEM]
         for ti, slot in enumerate(m[M_TXNS]):
             for x in range(c.locs):
@@ -252,7 +252,7 @@ def test_matching_persisted_redo_implies_data_persisted():
     lay = cfg.layout
     checked = []
 
-    def hook(c, m):
+    def hook(c, m, hid):
         nvm, pbufs, _sbufs = m[M_MEM]
         for ti, slot in enumerate(m[M_TXNS]):
             if slot[S_ST] != RUN or slot[S_IP] not in c.noabort_ips:
@@ -274,7 +274,7 @@ def test_freelist_matches_metadata_after_recovery():
                  max_crashes=1, ops=2, por=True)
     lay = cfg.layout
 
-    def hook(c, m):
+    def hook(c, m, hid):
         # immediately after recovery, before any new-era transaction begins
         # (and outside the abandoned fault regime): the free set equals the
         # unallocated-metadata set

@@ -151,6 +151,13 @@ def test_reader_abort_always_available_in_flight():
     assert drive(records)
 
 
+def test_no_abort_answers_begin():
+    # a begin responds only with success; histories.wf_violations calls an
+    # abort there wf:begin
+    assert not drive((("inv", 0, "begin", None, None),
+                      ("res", 0, "abort", None, None)))
+
+
 def test_pending_operations_accepted():
     records = (
         ("inv", 0, "begin", None, None), ("res", 0, "begin", None, None),

@@ -3,8 +3,8 @@ footprints, and the footprints checked against what every step does."""
 
 import pytest
 
-from pmtxcheck.engine import (M_CRASH, M_FREE, M_GLB, M_HIST, M_MEM, M_REC,
-                              M_TXNS, RUN, S_AM, S_IP, S_ST)
+from pmtxcheck.engine import (M_CRASH, M_FREE, M_GLB, M_MEM, M_REC, M_TXNS,
+                              RUN, S_AM, S_IP, S_ST)
 from pmtxcheck.explorer import Config, explore
 from pmtxcheck.pmdk import (DATA, FLUSH, FREE, GLB, LOG, META, MUTATIONS,
                             REC, SLOTS, EMIT)
@@ -153,9 +153,8 @@ def touched(cfg, m, ti, ip):
                 used.add("memory written without the simulator")
             if m2[M_REC] != m[M_REC]:
                 used.add(REC)
-            for f in (M_CRASH, M_HIST):
-                if m2[f] != m[f]:
-                    used.add("machine field %d" % f)
+            if m2[M_CRASH] != m[M_CRASH]:
+                used.add("machine field %d" % M_CRASH)
             for j, (s, s2) in enumerate(zip(m[M_TXNS], m2[M_TXNS])):
                 if j != ti and s != s2:
                     used.add("another transaction's slot")
@@ -195,7 +194,7 @@ def test_footprints_cover_every_step(impl):
             for ip, fn in enumerate(table):
                 table[ip] = counted(fn, cfg.step_names[ip], ran)
 
-            def hook(cfg, m):
+            def hook(cfg, m, hid):
                 steps = [(ti, slot[S_IP]) for ti, slot in enumerate(m[M_TXNS])
                          if slot[S_ST] == RUN]
                 if m[M_REC] is not None:
@@ -242,7 +241,7 @@ def test_private_steps_keep_fault_view(impl, model, mutation):
                  mutations=(mutation,) if mutation else (), **CONCURRENT)
     ran = set()
 
-    def hook(cfg, m):
+    def hook(cfg, m, hid):
         for ti, slot in enumerate(m[M_TXNS]):
             ip = slot[S_IP]
             if slot[S_ST] != RUN or ip not in cfg.private_ips:

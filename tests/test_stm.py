@@ -96,7 +96,7 @@ def test_write_lock_mutual_exclusion():
         cfg = Config(impl, "psc", txns=2, locs=2, vals=2, buf=2, ops=2,
                      por=True)
 
-        def hook(c, m):
+        def hook(c, m, hid):
             glb = m[M_GLB]
             if impl == "pmdk-tml":
                 # a TML holder's CAS installed glb == its odd snapshot
@@ -138,7 +138,7 @@ def test_recovery_resets_lock():
 
     from pmtxcheck.engine import DEAD, NS
 
-    def hook(c, m):
+    def hook(c, m, hid):
         # once recovery finished and before any new-era transaction has
         # begun, the lock counter is back to zero
         if m[M_REC] is None and m[M_CRASH] > 0:  # crashes happened
