@@ -19,23 +19,35 @@ from .histories import check_wellformed, events_of_records
 from .opacity import check_history_ddo, check_opacity_execution
 
 
+def _at_least(lo):
+    """An int option type that argparse rejects (exit 2) below `lo`."""
+    def count(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError("must be >= %d" % lo)
+        return int(text)
+    return count
+
+
+POSITIVE, NATURAL = _at_least(1), _at_least(0)
+
+
 def _add_bounds(p):
     """The bounds both `check upper` and `check lower` pass on; `check
     lower` fixes the crashes, reductions and allocation branching."""
     p.add_argument("--impl", default="pmdk-seq",
                    choices=("pmdk-seq", "pmdk-tml", "pmdk-norec"))
     p.add_argument("--model", default="psc", choices=("psc", "ptso"))
-    p.add_argument("--txns", type=int, default=2)
-    p.add_argument("--locs", type=int, default=2)
-    p.add_argument("--vals", type=int, default=2)
-    p.add_argument("--buf", type=int, default=2)
-    p.add_argument("--ops", type=int, default=2,
+    p.add_argument("--txns", type=POSITIVE, default=2)
+    p.add_argument("--locs", type=POSITIVE, default=2)
+    p.add_argument("--vals", type=POSITIVE, default=2)
+    p.add_argument("--buf", type=POSITIVE, default=2)
+    p.add_argument("--ops", type=NATURAL, default=2,
                    help="client operations per transaction")
-    p.add_argument("--retry-bound", type=int, default=1)
+    p.add_argument("--retry-bound", type=NATURAL, default=1)
     p.add_argument("--mutate", metavar="NAME", default=None,
                    help="run a registry mutation: %s"
                         % ", ".join(explorer.MUTATIONS))
-    p.add_argument("--max-states", type=int,
+    p.add_argument("--max-states", type=NATURAL,
                    default=explorer.DEFAULT_MAX_STATES)
 
 
@@ -60,7 +72,7 @@ def build_parser():
                     "With --emit-traces every history is explored, counted "
                     "and written.")
     _add_bounds(upper)
-    upper.add_argument("--crashes", type=int, default=0)
+    upper.add_argument("--crashes", type=NATURAL, default=0)
     upper.add_argument("--por", action="store_true",
                        help="enable partial-order reductions")
     upper.add_argument("--branch-alloc", action="store_true",

@@ -35,9 +35,12 @@ it, and the explorer keeps its id beside the machine on the DFS stack
 Transactions are driven by client *decision* steps (which emit invocation
 records and install an op program) and per-line program steps from the
 compiled step table.  System steps are store-buffer propagation, per-cell
-persists, and crashes.  After a crash, recovery runs before any
-transaction step: each transaction id in turn, as the thread of that id
-(``pmdk.recovery``); its steps emit nothing.  Under --por the crash that
+persists, and crashes.  Persist steps exist only in the ``EXACT`` regime
+(no --por; ``Config.regime``, whose rules are in the ``pmem`` docstring):
+under --por, in ``POR`` and ``REDUCED``, persists happen on demand.  After
+a crash, recovery runs before any transaction step: each transaction id in
+turn, as the thread of that id (``pmdk.recovery``); its steps emit
+nothing.  Under --por the crash that
 spends the last unit of the crash budget runs recovery to its end inside
 the crash transition (a macro-step): nothing else can act or crash until
 recovery ends, so its intermediate states are never explored.  Under --por
@@ -54,7 +57,7 @@ tried in this order:
   persistence buffer has room;
 * the enabled private step (``cfg.private_ips``: own log cells and
   flushes only) of the lowest thread for which either no crash is left
-  (reduced mode, where the lowest enabled one qualifies) or every
+  (``REDUCED``, where the lowest enabled one qualifies) or every
   successor of the step keeps the parent's NVM and only appends to the
   tails of its persistence buffers.
 
@@ -65,18 +68,17 @@ reads of its own slot (both checked in ``tests/test_steps.py``).  A crash
 the forced step displaces has the same successors after it: NVM is the
 same and every buffered value is still buffered, so each cell's crash
 candidates only grow, and the crashed tail is the same, since the slot
-dies either way and glb and free are reset.  A store into a full
-persistence buffer persists first and a flush of a non-empty one drains
-it; both persist, which takes a buffer's head, so such a step is not
-forced before the last crash, and neither is a propagation into a full
-persistence buffer.  Forced steps only move a program forward or shrink a
-store buffer, so they form no cycle.  After the last crash the
-propagation writes NVM directly (``propagate_direct``); before it, it
-appends to the persistence buffer (``propagate_forced``, which persists
-nothing when there is room).
+dies either way and glb and free are reset.  Under ``POR`` a store into
+a full persistence buffer persists first and a flush of a non-empty one
+drains it; both persist, which takes a buffer's head, so such a step is
+not forced before the last crash, and neither is a propagation into a
+full persistence buffer.  Forced steps only move a program forward or
+shrink a store buffer, so they form no cycle.
 """
 
 from __future__ import annotations
+
+from .pmem import EXACT, REDUCED
 
 # machine tuple layout
 M_MEM, M_GLB, M_FREE, M_TXNS, M_REC, M_CRASH = range(6)
@@ -194,14 +196,15 @@ def crash_tail(cfg, m, rec):
 def run_recovery(cfg, m):
     """The machine after recovery runs to its end from `m`, stepped one
     line at a time; when a step blocks, the recovering thread's store
-    buffer propagates its head.  Valid only in reduced mode, where recovery
-    is the sole actor and its persists need no scheduling."""
+    buffer propagates its head.  Valid only in the ``REDUCED`` regime,
+    where recovery is the sole actor and its persists need no
+    scheduling."""
     step = cfg.recovery_step
     pm = cfg.pmem
     while m[M_REC] is not None:
         r = step(m)
         if r is None:
-            m = set_mem(m, pm.propagate_direct(m[M_MEM], m[M_REC]))
+            m = set_mem(m, pm.propagate(m[M_MEM], m[M_REC], REDUCED))
         else:
             (m, _emit), = r
     return m
@@ -274,11 +277,11 @@ def successors(cfg, m, memo):
     must not share it between Configs."""
     out = []
     pm = cfg.pmem
-    reduced = cfg.reduced(m)
+    regime = cfg.regime(m)
 
     if m[M_REC] is not None:
         # recovery steps here are interleavable with propagation, persists
-        # and further crashes: reduced mode never reaches this branch,
+        # and further crashes: REDUCED never reaches this branch,
         # because the last crash folds recovery into its transition
         r = cfg.recovery_step(m)
         if r is not None:
@@ -290,7 +293,7 @@ def successors(cfg, m, memo):
         tried = {}
         if cfg.por:
             if pm.model == "ptso":
-                forced = _own_log_propagation(cfg, m, reduced)
+                forced = _own_log_propagation(cfg, m, regime)
                 if forced is not None:
                     return [(forced, None, None)]
             for ti in range(cfg.txns):
@@ -298,7 +301,8 @@ def successors(cfg, m, memo):
                 if slot[S_ST] == RUN and slot[S_IP] in cfg.private_ips:
                     r = tried[ti] = cfg.step_table[slot[S_IP]](m, ti)
                     if r is not None and (
-                            reduced or _keeps_crash_outcomes(m[M_MEM], r)):
+                            regime == REDUCED
+                            or _keeps_crash_outcomes(m[M_MEM], r)):
                         return [(m2, emit, None) for m2, emit in r]
         for ti in range(cfg.txns):
             slot = m[M_TXNS][ti]
@@ -322,22 +326,13 @@ def successors(cfg, m, memo):
     # room persists, which drops a crash outcome
     if pm.model == "ptso":
         for tid in range(cfg.txns):
-            if not m[M_MEM][2][tid]:
-                continue
-            if reduced:
-                out.append((set_mem(m, pm.propagate_direct(m[M_MEM], tid)),
-                            None, None))
-            elif cfg.por:
-                out.append((set_mem(m, pm.propagate_forced(m[M_MEM], tid)),
-                            None, None))
-            else:
-                mem2 = pm.propagate(m[M_MEM], tid)
-                if mem2 is not None:
-                    out.append((set_mem(m, mem2), None, None))
+            mem2 = pm.propagate(m[M_MEM], tid, regime)
+            if mem2 is not None:
+                out.append((set_mem(m, mem2), None, None))
 
-    # free persist steps only in the unreduced mode; under --por crash
-    # outcomes are enumerated at the crash step and flushes drain on demand
-    if not cfg.por:
+    # free persist steps only under EXACT; under --por crash outcomes are
+    # enumerated at the crash step and persists happen on demand
+    if regime == EXACT:
         for c in pm.persistable(m[M_MEM]):
             out.append((set_mem(m, pm.persist(m[M_MEM], c)), None, None))
 
@@ -365,7 +360,7 @@ def successors(cfg, m, memo):
     return out
 
 
-def _own_log_propagation(cfg, m, reduced):
+def _own_log_propagation(cfg, m, regime):
     """The machine after the first thread whose store-buffer head targets
     one of its own log cells propagates it, when that cell's persistence
     buffer has room; else None."""
@@ -375,9 +370,7 @@ def _own_log_propagation(cfg, m, reduced):
         if buf:
             cell = buf[0][0]
             if cell in cfg.log_cells[tid] and len(pbufs[cell]) < pm.cap:
-                if reduced:
-                    return set_mem(m, pm.propagate_direct(mem, tid))
-                return set_mem(m, pm.propagate_forced(mem, tid))
+                return set_mem(m, pm.propagate(mem, tid, regime))
     return None
 
 

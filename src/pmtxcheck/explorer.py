@@ -38,7 +38,7 @@ from . import refspec
 from .engine import (ABRT, COMM, CUT, DEAD, FLT, M_CRASH, M_REC, NS, RDY,
                      RUN, S_ST, ended, initial_machine, successors)
 from .pmdk import MUTATIONS, Layout
-from .pmem import MODELS, PMem
+from .pmem import EXACT, MODELS, POR, REDUCED, PMem
 from .stm import IMPLS, build_programs
 
 DEFAULT_MAX_STATES = 20_000_000
@@ -100,17 +100,15 @@ class Config:
                          self.layout.initial_nvm())
         build_programs(self)
 
-    def reduced(self, m):
-        """Under --por, once no crash is left: persist timing is no longer
-        observable, so PSC stores and PTSO propagations write NVM directly,
-        flushes drain on demand and the persistence buffers stay empty.  No
-        crash can follow, so the crash into this mode runs recovery to its
-        end as one transition and no explored reduced machine is
-        mid-recovery.  The forced steps of `engine.successors` apply under
-        --por in either mode; this mode only widens them: every enabled
-        private step qualifies, not just one that keeps each crash
-        outcome."""
-        return self.por and m[M_CRASH] >= self.max_crashes
+    def regime(self, m):
+        """The persist regime of `m` (``pmem`` docstring): ``EXACT`` without
+        --por; under --por, ``POR`` while a crash is left and ``REDUCED``
+        once none is.  No crash can follow ``REDUCED``, so the crash into it
+        runs recovery to its end as one transition and no explored
+        ``REDUCED`` machine is mid-recovery."""
+        if not self.por:
+            return EXACT
+        return REDUCED if m[M_CRASH] >= self.max_crashes else POR
 
 
 class ExploreResult:

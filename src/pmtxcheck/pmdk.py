@@ -35,7 +35,10 @@ it falls through into, running them within the same step.  ``link``
 numbers the entries in block order, the recovery blocks last, resolves the
 names to ips and compiles each entry into a closure ``step(m, ti)`` in
 ``cfg.step_table``, which returns ``[(machine', record-or-None), ...]``,
-None when blocked, or the cut sentinel.
+None when blocked, or the cut sentinel.  Steps store and flush through
+``cfg.pmem`` in the persist regime of their machine (``EXACT``, ``POR`` or
+``REDUCED``, from ``Config.regime``); whether a step blocks or persists
+on demand is decided there (``pmem`` docstring).
 
 Recovery of transaction id t runs as thread t: the machine's rec field
 names t, and slot t carries recovery's ip and registers, starting from
@@ -198,38 +201,6 @@ def fault_state(cfg, m, ti, op, loc):
     return [(set_slot(m, ti, slot), ("fault", ti, op, loc))]
 
 
-def store(cfg, m, tid, cell, val):
-    """Buffered store; None when blocked.
-
-    Reduced mode (persist timing unobservable): PSC stores land directly in
-    NVM; PTSO stores still go through the store buffer (visibility).  In
-    the pre-crash --por phase a full persistence buffer is drained on
-    demand (the completing schedule forces that drain anyway)."""
-    pm = cfg.pmem
-    if cfg.reduced(m) and pm.model == "psc":
-        return pm.store_direct(m[M_MEM], cell, val)
-    mem2 = pm.store(m[M_MEM], tid, cell, val)
-    if mem2 is None and cfg.por and pm.model == "psc":
-        mem2 = pm.store(pm.persist(m[M_MEM], cell), tid, cell, val)
-    return mem2
-
-
-def flush_mem(cfg, m, tid, cells):
-    """None until the flush may complete, else the post-flush memory.
-
-    Under --por the persistence buffers drain on demand (any schedule in
-    which this flush completes performed those persists); the thread's own
-    store buffer must still be clear of the flushed cells."""
-    pm = cfg.pmem
-    if cfg.por:
-        if not pm.sbuf_clear_of(m[M_MEM], tid, cells):
-            return None
-        return pm.drain_cells(m[M_MEM], cells)
-    if not pm.flush_ready(m[M_MEM], tid, cells):
-        return None
-    return m[M_MEM]
-
-
 # ---------------------------------------------------------------------------
 # entries, the shared kinds and the link pass
 # ---------------------------------------------------------------------------
@@ -246,7 +217,8 @@ def store_go(name, fp, cell, val, go, upd=None):
     def make(cfg, go):
         def step(m, ti):
             slot = m[M_TXNS][ti]
-            mem2 = store(cfg, m, ti, cell(ti, slot), val(slot))
+            mem2 = cfg.pmem.store(m[M_MEM], ti, cell(ti, slot), val(slot),
+                                   cfg.regime(m))
             if mem2 is None:
                 return None
             slot = slot_upd(slot, (S_IP, go), *upd(slot)) if upd \
@@ -261,7 +233,8 @@ def flush_go(name, cells, go):
     def make(cfg, go):
         def step(m, ti):
             slot = m[M_TXNS][ti]
-            mem2 = flush_mem(cfg, m, ti, cells(ti, slot))
+            mem2 = cfg.pmem.flush(m[M_MEM], ti, cells(ti, slot),
+                                   cfg.regime(m))
             if mem2 is None:
                 return None
             return [(set_mem_slot(m, mem2, ti, slot_upd(slot, (S_IP, go))),
@@ -289,9 +262,11 @@ def bit_loop(name, fp, k, cell, val=None, again=None, done=None, init=None):
             if mask:
                 x = lowbit(mask)
                 if val is None:
-                    mem2 = flush_mem(cfg, m, ti, (cell(x),))
+                    mem2 = cfg.pmem.flush(m[M_MEM], ti, (cell(x),),
+                                          cfg.regime(m))
                 else:
-                    mem2 = store(cfg, m, ti, cell(x), val(m, ti, x))
+                    mem2 = cfg.pmem.store(m[M_MEM], ti, cell(x),
+                                          val(m, ti, x), cfg.regime(m))
                 if mem2 is None:
                     return None
                 regs = regs[:k] + (mask & ~(1 << x),) + regs[k + 1:]
@@ -488,7 +463,9 @@ def pwrite(cfg, done):
             if fault_check(cfg, m, ti, l):
                 return fault_state(cfg, m, ti, "write", l)
             if cfg.pmem.load(m[M_MEM], ti, lay.undo(ti, l)) != -1:
-                mem2 = store(cfg, m, ti, lay.val(l), v)  # already logged
+                # already logged
+                mem2 = cfg.pmem.store(m[M_MEM], ti, lay.val(l), v,
+                                      cfg.regime(m))
                 if mem2 is None:
                     return None
                 return [(set_mem_slot(m, mem2, ti,
@@ -535,14 +512,16 @@ def redo_apply(cfg, done):
                 amask = cfg.pmem.load(m[M_MEM], ti, lay.pa(ti))
             if amask:
                 x = lowbit(amask)
-                mem2 = store(cfg, m, ti, lay.meta(x), 1)
+                mem2 = cfg.pmem.store(m[M_MEM], ti, lay.meta(x), 1,
+                                      cfg.regime(m))
                 if mem2 is None:
                     return None
                 slot = slot_upd(slot, (S_REGS, ("co", regs[1], amask)),
                                 (S_IP, flush))
                 return [(set_mem_slot(m, mem2, ti, slot), None)]
             if cfg.pmem.load(m[M_MEM], ti, lay.puv(ti)) == 0:
-                mem2 = store(cfg, m, ti, lay.guv(ti), 0)
+                mem2 = cfg.pmem.store(m[M_MEM], ti, lay.guv(ti), 0,
+                                      cfg.regime(m))
                 if mem2 is None:
                     return None
                 slot = slot_upd(slot, (S_REGS, regs), (S_IP, clear))

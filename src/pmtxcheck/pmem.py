@@ -7,9 +7,25 @@ Two models:
   moves the head of a store buffer to the target cell's persistence buffer.
 
 A ``persist`` step moves the head of a persistence buffer into NVM.  A crash
-discards all buffers and keeps NVM.  ``flush`` has no effect of its own: it is
-a *blocking* step, enabled only once the issuing thread's store buffer holds no
-write to the flushed cells and their persistence buffers are empty.
+discards all buffers and keeps NVM.  ``flush`` is a *blocking* step, enabled
+only once the issuing thread's store buffer holds no write to the flushed
+cells; what it needs of their persistence buffers depends on the regime.
+
+The explorer schedules persists in one of three regimes, which ``store``,
+``flush`` and ``propagate`` take as an argument (``explorer.Config.regime``):
+
+* ``EXACT`` (no --por): persists are scheduler steps of their own.  A store
+  or propagation into a full persistence buffer blocks, and a flush waits
+  until its cells' persistence buffers are empty.
+* ``POR`` (--por, a crash left): crash outcomes are enumerated at the crash
+  step, so persists happen on demand.  A store or propagation into a full
+  persistence buffer persists its head first, and a flush drains its cells'
+  buffers: any schedule in which the step completes performed those
+  persists.
+* ``REDUCED`` (--por, no crash left): persist timing is no longer
+  observable, so a PSC store and a propagation write NVM directly and the
+  persistence buffers stay empty; a PTSO store still goes through the store
+  buffer, which other threads' loads can tell apart.
 
 Memory state is a plain immutable triple ``(nvm, pbufs, sbufs)`` of tuples so
 the explorer can hash, copy and branch on it cheaply.  Cells are integer
@@ -22,6 +38,10 @@ from __future__ import annotations
 PSC = "psc"
 PTSO = "ptso"
 MODELS = (PSC, PTSO)
+
+EXACT = "exact"
+POR = "por"
+REDUCED = "reduced"
 
 
 def _repl(tup, i, v):
@@ -51,16 +71,28 @@ class PMem:
         sbufs = ((),) * self.nthreads if self.model == PTSO else None
         return (self.init_nvm, pbufs, sbufs)
 
+    def _to_pbuf(self, nvm, pbufs, cell, val, regime):
+        """(nvm, pbufs) once `val` joins `cell`'s persistence buffer, or
+        None when a full buffer blocks (``EXACT``)."""
+        if regime == REDUCED:
+            return _repl(nvm, cell, val), pbufs
+        buf = pbufs[cell]
+        if len(buf) >= self.cap:
+            if regime == EXACT:
+                return None
+            nvm = _repl(nvm, cell, buf[0])
+            buf = buf[1:]
+        return nvm, _repl(pbufs, cell, buf + (val,))
+
     # -- program-visible operations ------------------------------------
 
-    def store(self, st, tid, cell, val):
-        """Buffered store; returns the new state or None when at capacity."""
+    def store(self, st, tid, cell, val, regime):
+        """The state after `tid` stores `val` into `cell`; None when it
+        blocks on a full buffer."""
         nvm, pbufs, sbufs = st
         if self.model == PSC:
-            buf = pbufs[cell]
-            if len(buf) >= self.cap:
-                return None
-            return (nvm, _repl(pbufs, cell, buf + (val,)), sbufs)
+            r = self._to_pbuf(nvm, pbufs, cell, val, regime)
+            return None if r is None else r + (sbufs,)
         buf = sbufs[tid]
         if len(buf) >= self.cap:
             return None
@@ -79,53 +111,35 @@ class PMem:
             return buf[-1]
         return nvm[cell]
 
-    def flush_ready(self, st, tid, cells):
-        """True when a flush of `cells` by `tid` may complete."""
-        if not self.sbuf_clear_of(st, tid, cells):
-            return False
-        pbufs = st[1]
+    def flush(self, st, tid, cells, regime):
+        """The state once a flush of `cells` by `tid` completes; None while
+        it blocks."""
+        nvm, pbufs, sbufs = st
+        if sbufs is not None:
+            for c, _v in sbufs[tid]:
+                if c in cells:
+                    return None
         for c in cells:
             if pbufs[c]:
-                return False
-        return True
-
-    def sbuf_clear_of(self, st, tid, cells):
-        sbufs = st[2]
-        if sbufs is None:
-            return True
-        for c, _v in sbufs[tid]:
-            if c in cells:
-                return False
-        return True
+                if regime == EXACT:
+                    return None
+                nvm = _repl(nvm, c, pbufs[c][-1])
+                pbufs = _repl(pbufs, c, ())
+        return (nvm, pbufs, sbufs)
 
     # -- system steps ---------------------------------------------------
 
-    def propagate(self, st, tid):
+    def propagate(self, st, tid, regime):
         """Move the head of tid's store buffer into its cell's persistence
-        buffer; None when the store buffer is empty or the target is full."""
+        buffer, as ``store`` would under PSC; None when the store buffer is
+        empty or the move blocks."""
         nvm, pbufs, sbufs = st
         buf = sbufs[tid]
         if not buf:
             return None
         cell, val = buf[0]
-        target = pbufs[cell]
-        if len(target) >= self.cap:
-            return None
-        return (nvm, _repl(pbufs, cell, target + (val,)),
-                _repl(sbufs, tid, buf[1:]))
-
-    def propagate_forced(self, st, tid):
-        """Propagate the head, persisting the target's head first if full.
-        Only valid in reduced mode (persist timing invisible)."""
-        nvm, pbufs, sbufs = st
-        buf = sbufs[tid]
-        cell, val = buf[0]
-        target = pbufs[cell]
-        if len(target) >= self.cap:
-            nvm = _repl(nvm, cell, target[0])
-            target = target[1:]
-        return (nvm, _repl(pbufs, cell, target + (val,)),
-                _repl(sbufs, tid, buf[1:]))
+        r = self._to_pbuf(nvm, pbufs, cell, val, regime)
+        return None if r is None else r + (_repl(sbufs, tid, buf[1:]),)
 
     def persistable(self, st):
         pbufs = st[1]
@@ -136,35 +150,9 @@ class PMem:
         buf = pbufs[cell]
         return (_repl(nvm, cell, buf[0]), _repl(pbufs, cell, buf[1:]), sbufs)
 
-    def drain_cells(self, st, cells):
-        """Persist everything buffered for `cells` (reduced-mode flush)."""
-        nvm, pbufs, sbufs = st
-        nvm = list(nvm)
-        pbufs = list(pbufs)
-        for c in cells:
-            if pbufs[c]:
-                nvm[c] = pbufs[c][-1]
-                pbufs[c] = ()
-        return (tuple(nvm), tuple(pbufs), sbufs)
-
     def crash(self, st):
         """Discard all buffers; NVM survives."""
-        nvm = st[0]
-        pbufs = ((),) * self.ncells
-        sbufs = ((),) * self.nthreads if self.model == PTSO else None
-        return (nvm, pbufs, sbufs)
-
-    # -- reduced-mode fast paths (persist timing no longer observable) ---
-
-    def store_direct(self, st, cell, val):
-        nvm, pbufs, sbufs = st
-        return (_repl(nvm, cell, val), pbufs, sbufs)
-
-    def propagate_direct(self, st, tid):
-        nvm, pbufs, sbufs = st
-        buf = sbufs[tid]
-        cell, val = buf[0]
-        return (_repl(nvm, cell, val), pbufs, _repl(sbufs, tid, buf[1:]))
+        return (st[0],) + self.initial()[1:]
 
     def crash_nvm_candidates(self, st):
         """Per-cell candidate post-crash values.

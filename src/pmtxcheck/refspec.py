@@ -72,7 +72,7 @@ def crash_step(st):
     mems, txs = st
     new_txs = tuple(
         (ABORTED, t[1], t[2], t[3], t[4])
-        if t[0] not in (NS, COMMITTED) and t[0] != ABORTED else t
+        if t[0] not in (NS, COMMITTED, ABORTED) else t
         for t in txs)
     return ((mems[-1],), new_txs)
 
@@ -211,8 +211,7 @@ def fault_possible(st, txid, op, loc):
             return False
         return any(mems[n][loc] == BOT for n in _valid_ns(tx, mems))
     if op == "write":
-        if not (isinstance(pc, tuple) and len(pc) == 4
-                and pc[0] == "d" and pc[1] == "write" and pc[2] == loc):
+        if pc[:3] != ("d", "write", loc):
             return False
         return not (am >> loc) & 1 and mems[-1][loc] == BOT
     return False

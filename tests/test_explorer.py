@@ -20,6 +20,7 @@ from pmtxcheck.explorer import (ID_BITS, BudgetExceeded, Config,
 from pmtxcheck.histories import events_of_records
 from pmtxcheck.opacity import check_history_ddo
 from pmtxcheck.pmdk import MUTATIONS
+from pmtxcheck.pmem import POR, REDUCED
 from pmtxcheck.refspec import (ACCEPT_ALL, accepts_history, advance_frontier,
                                initial_frontier, rename_frontier,
                                sequential_histories)
@@ -33,7 +34,7 @@ def hist_set(cfg, **kw):
 def no_reduced_recovery(cfg, m, hid):
     # the last crash folds recovery into its transition, so the explorer
     # never pops a reduced machine that is still mid-recovery
-    assert not (cfg.reduced(m) and m[M_REC] is not None), m
+    assert not (cfg.regime(m) == REDUCED and m[M_REC] is not None), m
 
 
 def test_unknown_names_rejected():
@@ -322,8 +323,7 @@ def test_own_log_cell_propagation_is_forced(crashes):
     pm, lay = cfg.pmem, cfg.layout
     for cell in sorted(lay.log_cells(0)):
         m = ptso_machine(cfg, cell)
-        mem = pm.propagate_direct(m[M_MEM], 0) if crashes == 0 \
-            else pm.propagate(m[M_MEM], 0)
+        mem = pm.propagate(m[M_MEM], 0, cfg.regime(m))
         assert successors(cfg, m, {}) == [((mem,) + m[1:], None, None)]
     # thread 1's log cells are not thread 0's: its begin may act first
     m = ptso_machine(cfg, lay.pa(1))
@@ -388,7 +388,7 @@ def test_private_store_with_room_is_forced_before_last_crash():
         m = psc_machine(cfg, "pbegin.puv", cell=cell, pbuf=pbuf)
         [(m2, rec, tag)] = successors(cfg, m, {})
         assert (rec, tag) == (None, None)
-        assert m2[M_MEM] == cfg.pmem.store(m[M_MEM], 0, cell, 1)
+        assert m2[M_MEM] == cfg.pmem.store(m[M_MEM], 0, cell, 1, POR)
         assert m2[M_TXNS][0][S_IP] == cfg.step_names.index("pbegin.pck")
 
 
@@ -632,7 +632,7 @@ def stepped_recovery(cfg, m):
     while m[M_REC] is not None:
         r = cfg.recovery_step(m)
         if r is None:
-            m = (cfg.pmem.propagate_direct(m[M_MEM], m[M_REC]),) + m[1:]
+            m = (cfg.pmem.propagate(m[M_MEM], m[M_REC], REDUCED),) + m[1:]
         else:
             [(m, emit)] = r
             assert emit is None
@@ -757,6 +757,22 @@ def test_check_lower_rejects_bounds_it_fixes(capsys):
             cli.main(["check", "lower"] + opt)
         assert exc.value.code == 2, opt
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["upper", "lower"])
+def test_check_rejects_bounds_outside_the_model(what, capsys):
+    # exit 1 means a violation was found, so a bound no model has is a
+    # usage error (exit 2), not a traceback from deep in the explorer
+    bad = [("--txns", "0"), ("--txns", "-1"), ("--locs", "0"),
+           ("--vals", "0"), ("--buf", "0"), ("--ops", "-1"),
+           ("--retry-bound", "-1"), ("--max-states", "-1")]
+    if what == "upper":
+        bad.append(("--crashes", "-1"))
+    for opt, val in bad:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", what, opt, val])
+        assert exc.value.code == 2, opt
+        assert "argument %s: must be >= " % opt in capsys.readouterr().err
 
 
 def test_check_lower_smallest_bound():

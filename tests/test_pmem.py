@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from pmtxcheck.pmem import PMem, PSC, PTSO
+from pmtxcheck.pmem import EXACT, POR, PSC, PTSO, REDUCED, PMem
 
 
 def fresh(model, ncells=2, nthreads=2, cap=2):
@@ -14,23 +14,23 @@ def fresh(model, ncells=2, nthreads=2, cap=2):
 
 def test_psc_store_buffers_before_nvm():
     pm, st = fresh(PSC)
-    st = pm.store(st, 0, 0, 1)
+    st = pm.store(st, 0, 0, 1, EXACT)
     assert st[1][0] == (1,)
     assert st[0][0] == 0
 
 
 def test_ptso_store_invisible_to_other_thread():
     pm, st = fresh(PTSO)
-    st = pm.store(st, 0, 0, 1)
+    st = pm.store(st, 0, 0, 1, EXACT)
     assert pm.load(st, 0, 0) == 1   # own buffered store
     assert pm.load(st, 1, 0) == 0   # other thread sees NVM
 
 
 def test_load_order_own_buffer_then_persist_then_nvm():
     pm, st = fresh(PTSO)
-    st = pm.store(st, 0, 0, 5)
+    st = pm.store(st, 0, 0, 5, EXACT)
     assert pm.load(st, 0, 0) == 5
-    st = pm.propagate(st, 0)
+    st = pm.propagate(st, 0, EXACT)
     assert pm.load(st, 1, 0) == 5   # persistence buffer now visible to all
     st = pm.persist(st, 0)
     assert st[0][0] == 5
@@ -44,45 +44,45 @@ def test_fresh_load_returns_initial_zero():
 
 def test_psc_persist_then_visible_cross_thread():
     pm, st = fresh(PSC)
-    st = pm.store(st, 0, 0, 3)
+    st = pm.store(st, 0, 0, 3, EXACT)
     st = pm.persist(st, 0)
     assert pm.load(st, 1, 0) == 3
 
 
 def test_capacity_blocks_store():
     pm, st = fresh(PSC, cap=2)
-    st = pm.store(st, 0, 0, 1)
-    st = pm.store(st, 0, 0, 2)
-    assert pm.store(st, 0, 0, 3) is None
+    st = pm.store(st, 0, 0, 1, EXACT)
+    st = pm.store(st, 0, 0, 2, EXACT)
+    assert pm.store(st, 0, 0, 3, EXACT) is None
 
 
 def test_propagate_fifo_order_is_forced():
     # two same-cell stores propagate in order through every interleaving
     # of the (single-thread) propagate steps
     pm, st = fresh(PTSO)
-    st = pm.store(st, 0, 0, 1)
-    st = pm.store(st, 0, 0, 2)
-    st = pm.propagate(st, 0)
-    st = pm.propagate(st, 0)
+    st = pm.store(st, 0, 0, 1, EXACT)
+    st = pm.store(st, 0, 0, 2, EXACT)
+    st = pm.propagate(st, 0, EXACT)
+    st = pm.propagate(st, 0, EXACT)
     assert st[1][0] == (1, 2)
 
 
 def test_propagate_empty_buffer_disabled():
     pm, st = fresh(PTSO)
-    assert pm.propagate(st, 0) is None
+    assert pm.propagate(st, 0, EXACT) is None
 
 
 def test_propagate_interleaving_matches_persist_buffer_order():
     # per-location persistence order equals the order the propagate steps
     # were scheduled, whatever the interleaving across threads
     pm, st0 = fresh(PTSO)
-    st0 = pm.store(st0, 0, 0, 1)
-    st0 = pm.store(st0, 1, 0, 2)
+    st0 = pm.store(st0, 0, 0, 1, EXACT)
+    st0 = pm.store(st0, 1, 0, 2, EXACT)
     orders = {(0, 1): None, (1, 0): None}
     for order in orders:
         st = st0
         for tid in order:
-            st = pm.propagate(st, tid)
+            st = pm.propagate(st, tid, EXACT)
         orders[order] = st[1][0]
     assert orders[(0, 1)] == (1, 2)
     assert orders[(1, 0)] == (2, 1)
@@ -90,26 +90,27 @@ def test_propagate_interleaving_matches_persist_buffer_order():
 
 def test_flush_ready_requires_drained_buffers():
     pm, st = fresh(PTSO)
-    st = pm.store(st, 0, 0, 1)
-    assert not pm.flush_ready(st, 0, (0,))
-    assert pm.flush_ready(st, 1, (0,))  # other thread has nothing pending
-    st = pm.propagate(st, 0)
-    assert not pm.flush_ready(st, 0, (0,))
+    st = pm.store(st, 0, 0, 1, EXACT)
+    assert pm.flush(st, 0, (0,), EXACT) is None
+    # the other thread has nothing pending
+    assert pm.flush(st, 1, (0,), EXACT) == st
+    st = pm.propagate(st, 0, EXACT)
+    assert pm.flush(st, 0, (0,), EXACT) is None
     st = pm.persist(st, 0)
-    assert pm.flush_ready(st, 0, (0,))
+    assert pm.flush(st, 0, (0,), EXACT) == st
 
 
 def test_flush_on_untouched_location_is_ready():
     pm, st = fresh(PSC)
-    assert pm.flush_ready(st, 0, (1,))
+    assert pm.flush(st, 0, (1,), EXACT) == st
 
 
 def test_crash_discards_buffers_keeps_nvm():
     pm, st = fresh(PTSO)
-    st = pm.store(st, 0, 0, 1)
-    st = pm.propagate(st, 0)
+    st = pm.store(st, 0, 0, 1, EXACT)
+    st = pm.propagate(st, 0, EXACT)
     st = pm.persist(st, 0)
-    st = pm.store(st, 0, 1, 9)
+    st = pm.store(st, 0, 1, 9, EXACT)
     st = pm.crash(st)
     assert st[0] == (1, 0)
     assert st[1] == ((), ())
@@ -142,7 +143,7 @@ def _system_steps(pm, st):
     out = []
     if st[2] is not None:
         for tid in range(pm.nthreads):
-            nxt = pm.propagate(st, tid)
+            nxt = pm.propagate(st, tid, EXACT)
             if nxt is not None:
                 out.append(nxt)
     for c in pm.persistable(st):
@@ -154,8 +155,8 @@ def test_crash_prefix_persistence_by_enumeration():
     # two buffered writes to one location: post-crash NVM is exactly the
     # value after some prefix of the persist history
     pm, st = fresh(PSC, ncells=1, cap=2)
-    st = pm.store(st, 0, 0, 1)
-    st = pm.store(st, 0, 0, 2)
+    st = pm.store(st, 0, 0, 1, EXACT)
+    st = pm.store(st, 0, 0, 2, EXACT)
     nvms = {pm.crash(s)[0][0] for s in _reachable(pm, st, _system_steps)}
     assert nvms == {0, 1, 2}
 
@@ -163,10 +164,10 @@ def test_crash_prefix_persistence_by_enumeration():
 def test_crash_candidates_match_enumerated_prefixes():
     for model in (PSC, PTSO):
         pm, st = fresh(model, ncells=2, cap=2)
-        st = pm.store(st, 0, 0, 1)
-        st = pm.store(st, 0, 1, 2)
+        st = pm.store(st, 0, 0, 1, EXACT)
+        st = pm.store(st, 0, 1, 2, EXACT)
         if model == PTSO:
-            st = pm.store(st, 1, 0, 2)
+            st = pm.store(st, 1, 0, 2, EXACT)
         enumerated = {pm.crash(s)[0]
                       for s in _reachable(pm, st, _system_steps)}
         cands = pm.crash_nvm_candidates(st)
@@ -179,10 +180,10 @@ def test_flush_forces_target_only():
     # after flushing x, every completed-flush state has x persisted while
     # y may remain buffered in at least one of them
     pm, st = fresh(PTSO, ncells=2, cap=2)
-    st = pm.store(st, 0, 0, 1)
-    st = pm.store(st, 0, 1, 2)
+    st = pm.store(st, 0, 0, 1, EXACT)
+    st = pm.store(st, 0, 1, 2, EXACT)
     ready = [s for s in _reachable(pm, st, _system_steps)
-             if pm.flush_ready(s, 0, (0,))]
+             if pm.flush(s, 0, (0,), EXACT) is not None]
     assert ready
     assert all(s[0][0] == 1 for s in ready)
     assert any(s[0][1] == 0 for s in ready)
@@ -206,7 +207,7 @@ def _client_outcomes(pm, program):
         if pos < len(program):
             op = program[pos]
             if op[0] == "store":
-                mem2 = pm.store(mem, 0, op[1], op[2])
+                mem2 = pm.store(mem, 0, op[1], op[2], EXACT)
                 if mem2 is not None:
                     work.append((mem2, loads, pos + 1))
             elif op[0] == "load":
@@ -233,8 +234,80 @@ def test_single_thread_outcomes_agree_across_models(program):
 def test_load_never_observes_unwritten_value():
     pm, st = fresh(PTSO, ncells=1, cap=2)
     written = {0, 1, 2}
-    st = pm.store(st, 0, 0, 1)
-    st = pm.store(st, 1, 0, 2)
+    st = pm.store(st, 0, 0, 1, EXACT)
+    st = pm.store(st, 1, 0, 2, EXACT)
     for s in _reachable(pm, st, _system_steps):
         for tid in range(2):
             assert pm.load(s, tid, 0) in written
+
+
+# ---------------------------------------------------------------------------
+# persist regimes
+# ---------------------------------------------------------------------------
+
+def psc(nvm, pbuf):
+    """A PSC state of one cell."""
+    return ((nvm,), (pbuf,), None)
+
+
+def ptso(nvm, pbuf, sbuf):
+    """A PTSO state of one cell and one thread."""
+    return ((nvm,), (pbuf,), (sbuf,))
+
+
+# (model, operation) -> [(before, {regime: after})] for one cell, one thread
+# and capacity 1: thread 0 stores 2 into the cell, flushes it or propagates
+# its store-buffer head; after is None when the operation blocks.  PSC has
+# no store buffer to propagate from.
+REGIME_TABLE = {
+    (PSC, "store"): [
+        (psc(0, ()), {EXACT: psc(0, (2,)), POR: psc(0, (2,)),
+                      REDUCED: psc(2, ())}),
+        # a full persistence buffer blocks, or its head persists first
+        (psc(0, (1,)), {EXACT: None, POR: psc(1, (2,))}),
+    ],
+    (PTSO, "store"): [
+        # every regime stores through the store buffer, which other
+        # threads' loads tell apart, and a full one blocks
+        (ptso(0, (), ()), {r: ptso(0, (), ((0, 2),))
+                           for r in (EXACT, POR, REDUCED)}),
+        (ptso(0, (), ((0, 1),)), {r: None for r in (EXACT, POR, REDUCED)}),
+    ],
+    (PSC, "flush"): [
+        (psc(0, ()), {r: psc(0, ()) for r in (EXACT, POR, REDUCED)}),
+        # EXACT waits for the persists; the others drain the buffer
+        (psc(0, (1,)), {EXACT: None, POR: psc(1, ()), REDUCED: psc(1, ())}),
+    ],
+    (PTSO, "flush"): [
+        # the thread's own buffered store to the cell blocks in every regime
+        (ptso(0, (), ((0, 1),)), {r: None for r in (EXACT, POR, REDUCED)}),
+        (ptso(0, (1,), ()), {EXACT: None, POR: ptso(1, (), ()),
+                             REDUCED: ptso(1, (), ())}),
+    ],
+    (PTSO, "propagate"): [
+        (ptso(0, (), ()), {r: None for r in (EXACT, POR, REDUCED)}),
+        (ptso(0, (), ((0, 2),)), {EXACT: ptso(0, (2,), ()),
+                                  POR: ptso(0, (2,), ()),
+                                  REDUCED: ptso(2, (), ())}),
+        # into a full persistence buffer, as a store under PSC
+        (ptso(0, (1,), ((0, 2),)), {EXACT: None, POR: ptso(1, (2,), ())}),
+    ],
+}
+
+
+def test_operations_follow_their_regime():
+    covered = set()
+    for (model, op), cases in REGIME_TABLE.items():
+        pm = PMem(1, 1, 1, model)
+        run = {"store": lambda st, r: pm.store(st, 0, 0, 2, r),
+               "flush": lambda st, r: pm.flush(st, 0, (0,), r),
+               "propagate": lambda st, r: pm.propagate(st, 0, r)}[op]
+        for before, outcomes in cases:
+            for regime, after in outcomes.items():
+                assert run(before, regime) == after, \
+                    (model, op, regime, before)
+                covered.add((model, regime, op))
+    assert covered == set(itertools.product(
+        (PSC, PTSO), (EXACT, POR, REDUCED),
+        ("store", "flush", "propagate"))) - {
+            (PSC, r, "propagate") for r in (EXACT, POR, REDUCED)}

@@ -3,12 +3,13 @@ footprints, and the footprints checked against what every step does."""
 
 import pytest
 
-from pmtxcheck.engine import (M_CRASH, M_FREE, M_GLB, M_MEM, M_REC, M_TXNS,
-                              RUN, S_AM, S_IP, S_ST)
+from pmtxcheck.engine import (ABRT, M_CRASH, M_FREE, M_GLB, M_MEM, M_REC,
+                              M_TXNS, RUN, S_AM, S_IP, S_ST, initial_machine,
+                              set_mem, set_slot, slot_upd, spent_slot)
 from pmtxcheck.explorer import Config, explore
 from pmtxcheck.pmdk import (DATA, FLUSH, FREE, GLB, LOG, META, MUTATIONS,
                             REC, SLOTS, EMIT)
-from pmtxcheck.pmem import MODELS, PMem
+from pmtxcheck.pmem import EXACT, MODELS, PMem
 from pmtxcheck.stm import IMPLS
 
 # the private steps every implementation links: the begin's stores, the
@@ -71,25 +72,13 @@ class RecordingPMem(PMem):
         self.log.append(("load", cell))
         return PMem.load(self, st, tid, cell)
 
-    def store(self, st, tid, cell, val):
+    def store(self, st, tid, cell, val, regime):
         self.log.append(("store", cell))
-        return PMem.store(self, st, tid, cell, val)
+        return PMem.store(self, st, tid, cell, val, regime)
 
-    def store_direct(self, st, cell, val):
-        self.log.append(("store", cell))
-        return PMem.store_direct(self, st, cell, val)
-
-    def persist(self, st, cell):
-        self.log.append(("store", cell))
-        return PMem.persist(self, st, cell)
-
-    def sbuf_clear_of(self, st, tid, cells):
+    def flush(self, st, tid, cells, regime):
         self.log.extend(("flush", c) for c in cells)
-        return PMem.sbuf_clear_of(self, st, tid, cells)
-
-    def drain_cells(self, st, cells):
-        self.log.extend(("flush", c) for c in cells)
-        return PMem.drain_cells(self, st, cells)
+        return PMem.flush(self, st, tid, cells, regime)
 
 
 class Machine(tuple):
@@ -211,6 +200,65 @@ def test_footprints_cover_every_step(impl):
             assert not r.violations
     # every linked entry ran, at rest or fallen through into
     assert set(cfg.step_names) == ran
+
+
+@pytest.mark.parametrize("por", [False, True], ids=["exact", "por"])
+@pytest.mark.parametrize("model", MODELS)
+def test_abort_rolls_back_a_logged_write(model, por):
+    # no explored schedule aborts a transaction that holds an undo entry
+    # (TML aborts only before its first logged write), so the abort runs
+    # here on a hand-built machine, each step within its footprint:
+    # transaction 0 logged location 0's old value 1 and flushed it,
+    # allocated location 1 and wrote 0 over location 0, a store still
+    # buffered
+    cfg = Config("pmdk-tml", model, txns=2, locs=2, max_crashes=1,
+                 prealloc=1, por=por)
+    cfg.pmem.__class__ = RecordingPMem
+    lay, pm = cfg.layout, cfg.pmem
+    m = initial_machine(cfg)
+    nvm, pbufs, sbufs = m[M_MEM]
+    nvm = nvm[:lay.val(0)] + (1,) + nvm[lay.val(0) + 1:]
+    nvm = nvm[:lay.undo(0, 0)] + (1,) + nvm[lay.undo(0, 0) + 1:]
+    if model == "psc":
+        pbufs = ((0,),) + pbufs[1:]
+    else:
+        sbufs = (((lay.val(0), 0),),) + sbufs[1:]
+    slot = slot_upd(m[M_TXNS][0], (S_ST, RUN), (S_AM, 0b10),
+                    (S_IP, cfg.step_names.index("pabort.rb")))
+    m = set_slot(set_mem(m, (nvm, pbufs, sbufs))[:M_FREE] + (0,)
+                 + m[M_FREE + 1:], 0, slot)
+    assert pm.load(m[M_MEM], 0, lay.val(0)) == 0
+
+    # run transaction 0 alone; when it blocks, its store buffer propagates
+    # or, under EXACT, a buffered cell persists
+    respond = cfg.step_names.index("respond.abort")
+    while m[M_TXNS][0][S_IP] != respond:
+        ip = m[M_TXNS][0][S_IP]
+        assert touched(cfg, m, 0, ip) <= cfg.footprints[ip], \
+            cfg.step_names[ip]
+        r = cfg.step_table[ip](m, 0)
+        if r is None:
+            mem = m[M_MEM]
+            if model == "ptso" and mem[2][0]:
+                mem = pm.propagate(mem, 0, cfg.regime(m))
+            else:
+                assert cfg.regime(m) == EXACT
+                mem = pm.persist(mem, pm.persistable(mem)[0])
+            m = set_mem(m, mem)
+        else:
+            [(m, rec)] = r
+            assert rec is None
+    [(m, rec)] = cfg.step_table[respond](m, 0)
+    assert rec == ("res", 0, "abort", None, None)
+    assert m[M_TXNS][0] == spent_slot(cfg, ABRT)
+
+    # the logged value is restored and persisted, the undo flag is cleared
+    # and persisted, and the allocation is free again
+    nvm, pbufs, sbufs = m[M_MEM]
+    assert nvm[lay.val(0)] == 1 and nvm[lay.guv(0)] == 0
+    assert pbufs[lay.val(0)] == pbufs[lay.guv(0)] == ()
+    assert sbufs is None or sbufs[0] == ()
+    assert m[M_FREE] == 0b10
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,16 @@ whatever else the file holds.  Per metric it records both sides' raw
 values, their medians, ``change_pct`` (change median against the
 parent's), ``pairs_change_better`` (pairs in which the change's value is
 strictly better, ties counting for neither) and both sides' interquartile
-ranges.  Per side it records ``correct``,
-``attempted`` and ``failed`` of every run and the distinct summary lines
-perfbench printed about the counts it checks.  Which way is better comes
-from the change's ``BENCHMARK.json``.  The tool only reads perfbench's
-output; it changes nothing under ``perfbench/``.
+ranges; for an end-to-end metric also its ``bound_pct`` and
+``worse_than_bound``, whether ``change_pct`` is worse than the bound.  Per
+side it records ``correct``, ``attempted`` and ``failed`` of every run,
+each run's mean ``host_speed`` (from perfbench's ``timed repetitions``
+line) and the distinct summary lines perfbench printed about the counts
+it checks.  Which way is better and the bounds come from the change's
+``BENCHMARK.json``.  After each workload it prints every end-to-end
+metric's ``change_pct`` against its bound, flagging any that is worse.
+The tool only reads perfbench's output; it changes nothing under
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -35,11 +41,12 @@ PAIRS = 10
 DEFAULT_SEED = 1
 # perfbench lines that name the exact counts a run checked
 ECHO = ("pool:", "check_upper:", "mutations caught:")
+HOST_SPEED = re.compile(r"^timed repetitions: .* host speed ([0-9.]+);")
 
 
 def run_once(checkout, workload, seed, seconds):
     """One untraced benchmark run in `checkout`: (its JSON result, the
-    distinct ECHO lines it printed)."""
+    distinct ECHO lines it printed, its mean host speed)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -51,7 +58,11 @@ def run_once(checkout, workload, seed, seconds):
                            % (" ".join(cmd), checkout, p.returncode,
                               p.stderr.strip()[-500:]))
     echo = [l for l in lines if l.startswith(ECHO)]
-    return json.loads(lines[-1]), echo
+    speeds = [float(m.group(1)) for m in map(HOST_SPEED.match, lines) if m]
+    if len(speeds) != 1:
+        raise RuntimeError("%s in %s printed %d host speed lines"
+                           % (" ".join(cmd), checkout, len(speeds)))
+    return json.loads(lines[-1]), echo, speeds[0]
 
 
 def quartiles(xs):
@@ -59,36 +70,52 @@ def quartiles(xs):
     return [round(q[0], 4), round(q[2], 4)]
 
 
-def summarize(runs, better):
-    """The workload's entry from `runs`: side -> list of (result, echo)."""
+def summarize(runs, better, bounds):
+    """The workload's entry from `runs`: side -> list of (result, echo,
+    host speed)."""
     out = {"pairs": len(runs["parent"]), "metrics": {}}
     names = runs["parent"][0][0]["metrics"]
     for name, first in names.items():
-        vals = {s: [r["metrics"][name]["value"] for r, _ in runs[s]]
+        vals = {s: [r["metrics"][name]["value"] for r, _e, _h in runs[s]]
                 for s in SIDES}
         lower = better.get(name, "lower") == "lower"
         wins = sum(1 for p, c in zip(vals["parent"], vals["change"])
                    if (c < p if lower else c > p))
         med = {s: statistics.median(vals[s]) for s in SIDES}
-        out["metrics"][name] = {
+        pct = round(100 * med["change"] / med["parent"] - 100, 1)
+        entry = out["metrics"][name] = {
             "unit": first["unit"],
             "parent": [round(v, 4) for v in vals["parent"]],
             "change": [round(v, 4) for v in vals["change"]],
             "parent_median": round(med["parent"], 4),
             "change_median": round(med["change"], 4),
-            "change_pct": round(100 * med["change"] / med["parent"] - 100, 1),
+            "change_pct": pct,
             "pairs_change_better": wins,
             "parent_iqr": quartiles(vals["parent"]),
             "change_iqr": quartiles(vals["change"]),
         }
+        if name in bounds:
+            entry["bound_pct"] = round(100 * bounds[name], 1)
+            entry["worse_than_bound"] = (pct if lower else -pct) \
+                > entry["bound_pct"]
     for s in SIDES:
-        results = [r for r, _ in runs[s]]
+        results = [r for r, _e, _h in runs[s]]
         out[s] = {"correct": [r["correct"] for r in results],
                   "attempted": results[0]["attempted"],
                   "failed": [r["failed"] for r in results],
-                  "printed": sorted({l for _, echo in runs[s]
+                  "host_speed": [h for _r, _e, h in runs[s]],
+                  "printed": sorted({l for _r, echo, _h in runs[s]
                                      for l in echo})}
     return out
+
+
+def report(workload, entry):
+    """Print each end-to-end metric's change against its bound."""
+    for name, m in entry["metrics"].items():
+        if "bound_pct" in m:
+            print("%s %s: change %+.1f%%, bound %.1f%%%s"
+                  % (workload, name, m["change_pct"], m["bound_pct"],
+                     "  WORSE THAN BOUND" if m["worse_than_bound"] else ""))
 
 
 def main(argv=None):
@@ -105,6 +132,7 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     path = os.path.join(args.change, "BENCH_%s.json" % args.label)
@@ -128,8 +156,9 @@ def main(argv=None):
                 runs[s].append(run_once(checkout, w, args.seed, seconds))
             print("%s seed %d: pair %d of %d done"
                   % (w, args.seed, i + 1, PAIRS), flush=True)
-        section[w] = dict(summarize(runs, better), seed=args.seed,
+        section[w] = dict(summarize(runs, better, bounds), seed=args.seed,
                           seconds=seconds)
+        report(w, section[w])
         # written after each workload, so a cut run keeps what finished
         with open(path, "w") as f:
             json.dump(doc, f, indent=1)
