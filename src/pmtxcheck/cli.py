@@ -118,7 +118,10 @@ def _print_budget_error(exc):
 
 def cmd_upper(args):
     if args.mutate == "skip-validate":
-        cfg = explorer.skip_validate_config(mutate=True, por=args.por)
+        cfg = explorer.mutation_check_config(args.mutate, por=args.por)
+        print("skip-validate runs its scripted cell (%s/%s, %d txns, "
+              "%d locs, %d crashes); the bound flags are ignored"
+              % (cfg.impl, cfg.model, cfg.txns, cfg.locs, cfg.max_crashes))
     else:
         cfg = _cfg_from_args(args)
     # frontier dedup keeps, per machine up to txid renaming, histories of

@@ -34,13 +34,14 @@ it, and the explorer keeps its id beside the machine on the DFS stack
 
 Transactions are driven by client *decision* steps (which emit invocation
 records and install an op program) and per-line program steps from the
-compiled step table.  System steps are store-buffer propagation, per-cell
-persists, and crashes.  Persist steps exist only in the ``EXACT`` regime
-(no --por; ``Config.regime``, whose rules are in the ``pmem`` docstring):
-under --por, in ``POR`` and ``REDUCED``, persists happen on demand.  After
-a crash, recovery runs before any transaction step: each transaction id in
-turn, as the thread of that id (``pmdk.recovery``); its steps emit
-nothing.  Under --por the crash that
+compiled step table.  The system steps (store-buffer propagations, and
+per-cell persists in the ``EXACT`` regime only) and the memories a crash
+can leave are ``PMem``'s to decide per persist regime
+(``PMem.system_steps``, ``PMem.crash``; ``Config.regime``, whose rules
+are in the ``pmem`` docstring); ``crash_machine`` is the one crash
+transition.  After a crash, recovery runs before any transaction step:
+each transaction id in turn, as the thread of that id
+(``pmdk.recovery``); its steps emit nothing.  Under --por the crash that
 spends the last unit of the crash budget runs recovery to its end inside
 the crash transition (a macro-step): nothing else can act or crash until
 recovery ends, so its intermediate states are never explored.  Under --por
@@ -78,7 +79,7 @@ shrink a store buffer, so they form no cycle.
 
 from __future__ import annotations
 
-from .pmem import EXACT, REDUCED
+from .pmem import REDUCED
 
 # machine tuple layout
 M_MEM, M_GLB, M_FREE, M_TXNS, M_REC, M_CRASH = range(6)
@@ -173,10 +174,34 @@ def ended(m):
 # successors
 # ---------------------------------------------------------------------------
 
-def crash_machine(cfg, m):
-    """Buffers discarded, volatile state lost, live transactions die,
-    recovery starts over from transaction id 0 in a fresh era."""
-    return (cfg.pmem.crash(m[M_MEM]), 0, 0) + crash_tail(cfg, m, 0)
+def crash_machine(cfg, m, memo):
+    """The distinct machines a crash of `m` leaves, in first-seen order:
+    each memory ``PMem.crash`` gives, volatile state lost, live
+    transactions dead, recovery from transaction id 0 in a fresh era.
+    Under --por the crash that spends the last unit of the budget runs
+    recovery to its end (``run_recovery``), and the outcomes, which depend
+    on the pre-crash memory alone, are memoized in `memo` on it, as a
+    recovery's on its post-crash memory (the key's flag keeps the two
+    apart).  Without --por a crash has one outcome, not worth memoizing."""
+    last = cfg.por and m[M_CRASH] + 1 == cfg.max_crashes
+    tail = crash_tail(cfg, m, None if last else 0)
+    key = (last, m[M_MEM])
+    heads = memo.get(key) if cfg.por else None
+    if heads is None:
+        heads = {}
+        for mem in cfg.pmem.crash(m[M_MEM], cfg.regime(m)):
+            head = (mem, 0, 0)
+            if last:
+                head = memo.get(mem)
+                if head is None:
+                    # the crashed machine: the tail, recovery at its start
+                    crashed = (mem, 0, 0, tail[0], 0) + tail[2:]
+                    head = memo[mem] = run_recovery(cfg, crashed)[:M_TXNS]
+            heads[head] = None
+        heads = tuple(heads)
+        if cfg.por:
+            memo[key] = heads
+    return [head + tail for head in heads]
 
 
 def crash_tail(cfg, m, rec):
@@ -273,7 +298,7 @@ def successors(cfg, m, memo):
     """All scheduler steps from `m` as (machine', record|None, tag) where
     tag is None or "cut".  `m` has not ended outside recovery: the
     explorer expands no such machine (``ended``).  `memo` is a dict
-    memoizing crash outcomes (see the crash branch); the caller owns it and
+    memoizing crash outcomes (``crash_machine``); the caller owns it and
     must not share it between Configs."""
     out = []
     pm = cfg.pmem
@@ -319,43 +344,21 @@ def successors(cfg, m, memo):
             elif slot[S_ST] in (NS, RDY):
                 _decision_steps(cfg, m, ti, out)
 
-    # store-buffer propagation, one branch per non-empty store buffer: a
-    # head bound for a data or metadata cell changes what other threads
-    # load (TSO visibility); under --por one bound for an own log cell
-    # reaches here only when its persistence buffer is full, and making
-    # room persists, which drops a crash outcome
-    if pm.model == "ptso":
-        for tid in range(cfg.txns):
-            mem2 = pm.propagate(m[M_MEM], tid, regime)
-            if mem2 is not None:
-                out.append((set_mem(m, mem2), None, None))
-
-    # free persist steps only under EXACT; under --por crash outcomes are
-    # enumerated at the crash step and persists happen on demand
-    if regime == EXACT:
-        for c in pm.persistable(m[M_MEM]):
-            out.append((set_mem(m, pm.persist(m[M_MEM], c)), None, None))
+    # system steps.  Under PTSO, a store-buffer head bound for a data or
+    # metadata cell changes what other threads load (TSO visibility); under
+    # --por one bound for an own log cell reaches here only when its
+    # persistence buffer is full, and making room persists, which drops a
+    # crash outcome
+    for mem2 in pm.system_steps(m[M_MEM], regime):
+        out.append((set_mem(m, mem2), None, None))
 
     # crash (disabled once every transaction is terminal: a trailing crash
     # marker is accepted whenever the history without it is; outside
     # recovery the explorer has checked that already)
     if m[M_CRASH] < cfg.max_crashes \
             and (m[M_REC] is None or not ended(m)):
-        if not cfg.por:
-            out.append((crash_machine(cfg, m), ("crash",), None))
-            return out
-        # under --por, one successor per distinct crash outcome, each
-        # joined to the one crashed tail.  The outcomes depend on the
-        # pre-crash memory alone, so they are memoized on it; the key's
-        # flag keeps it apart from the post-crash memories keyed below
-        last = m[M_CRASH] + 1 == cfg.max_crashes
-        tail = crash_tail(cfg, m, None if last else 0)
-        key = (last, m[M_MEM])
-        heads = memo.get(key)
-        if heads is None:
-            heads = memo[key] = _crash_heads(cfg, m, tail, last, memo)
-        for head in heads:
-            out.append((head + tail, ("crash",), None))
+        for m2 in crash_machine(cfg, m, memo):
+            out.append((m2, ("crash",), None))
 
     return out
 
@@ -388,49 +391,3 @@ def _keeps_crash_outcomes(mem, r):
                 if b2 is not b and b2[:len(b)] != b:
                     return False
     return True
-
-
-def _crash_heads(cfg, m, tail, last, memo):
-    """The distinct leading fields (mem, glb, free) of `m`'s crash
-    successors under --por, in first-seen order: the reachable post-crash
-    memories, or after the last crash the outcomes of recovery.  Recovery
-    is then the sole actor and emits nothing, so it runs to its end within
-    the crash transition; its outcome depends on the post-crash memory
-    alone and is memoized on it."""
-    bufs = cfg.pmem.crash(m[M_MEM])[1:]
-    heads = {}
-    for nvm in _crash_nvms(cfg, m):
-        mem = (nvm,) + bufs
-        if not last:
-            heads[(mem, 0, 0)] = None
-            continue
-        head = memo.get(mem)
-        if head is None:
-            # the crashed machine: the tail, with recovery at its start
-            crashed = (mem, 0, 0, tail[0], 0) + tail[2:]
-            head = memo[mem] = run_recovery(cfg, crashed)[:M_TXNS]
-        heads[head] = None
-    return tuple(heads)
-
-
-def _crash_nvms(cfg, m):
-    """Distinct reachable post-crash memories (per-cell prefix choices)."""
-    cands = cfg.pmem.crash_nvm_candidates(m[M_MEM])
-    dirty = [(c, vals) for c, vals in enumerate(cands) if len(vals) > 1]
-    base = list(m[M_MEM][0])
-    if not dirty:
-        return [tuple(base)]
-    out = []
-
-    def rec(i):
-        if i == len(dirty):
-            out.append(tuple(base))
-            return
-        c, vals = dirty[i]
-        for v in vals:
-            base[c] = v
-            rec(i + 1)
-        base[c] = m[M_MEM][0][c]
-
-    rec(0)
-    return out

@@ -101,11 +101,13 @@ class Config:
         build_programs(self)
 
     def regime(self, m):
-        """The persist regime of `m` (``pmem`` docstring): ``EXACT`` without
-        --por; under --por, ``POR`` while a crash is left and ``REDUCED``
-        once none is.  No crash can follow ``REDUCED``, so the crash into it
-        runs recovery to its end as one transition and no explored
-        ``REDUCED`` machine is mid-recovery."""
+        """The persist regime of `m` (``pmem`` docstring), which every
+        memory operation, system step and crash of `m` takes: ``EXACT``
+        without --por; under --por, ``POR`` while a crash is left and
+        ``REDUCED`` once none is.  No crash can follow ``REDUCED``, so the
+        crash into it runs recovery to its end as one transition
+        (``engine.crash_machine``) and no explored ``REDUCED`` machine is
+        mid-recovery."""
         if not self.por:
             return EXACT
         return REDUCED if m[M_CRASH] >= self.max_crashes else POR
@@ -455,10 +457,8 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             if state_hook is not None:
                 state_hook(cfg, m, hid)
             if by_frontier:
-                if m[M_REC] is None and ended(m):
-                    res.complete.add(hid)
-                    continue
-                succs = successors(cfg, m, memo)
+                succs = () if m[M_REC] is None and ended(m) \
+                    else successors(cfg, m, memo)
             else:
                 succs = expanded.get(mk)
                 if succs is None:
@@ -628,7 +628,8 @@ def skip_validate_config(mutate=True, por=True):
 
 def mutation_check_config(name, impl="pmdk-seq", model="psc", por=True):
     """The criterion-1 style configuration on which `name` must produce a
-    counterexample (skip-validate needs the scripted 3-txn scenario)."""
+    counterexample.  skip-validate needs its scripted cell
+    (``skip_validate_config``), which ignores `impl` and `model`."""
     if name == "skip-validate":
         return skip_validate_config(mutate=True, por=por)
     return Config(impl, model, txns=2, locs=2, vals=2, buf=2, max_crashes=1,

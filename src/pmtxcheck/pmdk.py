@@ -623,8 +623,9 @@ def pabort(cfg, done):
 # recovery: per transaction id, the checksum test jumps into the commit's
 # apply, the undo-flag test into the abort's rollback, and `next` moves on
 # to the next id.  While a crash can still interrupt it, the engine
-# schedules it one step at a time; after the last crash under --por,
-# `engine.run_recovery` runs it to its end inside the crash transition.
+# schedules it one step at a time; after the last crash under --por, the
+# crash transition (`engine.crash_machine`) runs it to its end, once per
+# post-crash memory.
 # ---------------------------------------------------------------------------
 
 def recovery(cfg):

@@ -11,21 +11,25 @@ discards all buffers and keeps NVM.  ``flush`` is a *blocking* step, enabled
 only once the issuing thread's store buffer holds no write to the flushed
 cells; what it needs of their persistence buffers depends on the regime.
 
-The explorer schedules persists in one of three regimes, which ``store``,
-``flush`` and ``propagate`` take as an argument (``explorer.Config.regime``):
+The explorer schedules persists in one of three regimes, which every
+operation but ``load`` takes as an argument (``explorer.Config.regime``).
+``PMem`` also answers what the memory can do on its own (``system_steps``)
+and what a crash can leave (``crash``), so the engine knows no regime's
+rules:
 
-* ``EXACT`` (no --por): persists are scheduler steps of their own.  A store
-  or propagation into a full persistence buffer blocks, and a flush waits
-  until its cells' persistence buffers are empty.
-* ``POR`` (--por, a crash left): crash outcomes are enumerated at the crash
-  step, so persists happen on demand.  A store or propagation into a full
-  persistence buffer persists its head first, and a flush drains its cells'
-  buffers: any schedule in which the step completes performed those
-  persists.
+* ``EXACT`` (no --por): persists are system steps of their own, and a
+  crash leaves NVM as it is.  A store or propagation into a full
+  persistence buffer blocks, and a flush waits until its cells'
+  persistence buffers are empty.
+* ``POR`` (--por, a crash left): persists happen on demand, and a crash
+  leaves any choice of each cell's candidates (``crash_nvm_candidates``).
+  A store or propagation into a full persistence buffer persists its head
+  first, and a flush drains its cells' buffers: any schedule in which the
+  step completes performed those persists.
 * ``REDUCED`` (--por, no crash left): persist timing is no longer
   observable, so a PSC store and a propagation write NVM directly and the
   persistence buffers stay empty; a PTSO store still goes through the store
-  buffer, which other threads' loads can tell apart.
+  buffer, which other threads' loads can tell apart.  No crash follows it.
 
 Memory state is a plain immutable triple ``(nvm, pbufs, sbufs)`` of tuples so
 the explorer can hash, copy and branch on it cheaply.  Cells are integer
@@ -34,6 +38,8 @@ machinery with sentinel encodings).
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 PSC = "psc"
 PTSO = "ptso"
@@ -141,18 +147,38 @@ class PMem:
         r = self._to_pbuf(nvm, pbufs, cell, val, regime)
         return None if r is None else r + (_repl(sbufs, tid, buf[1:]),)
 
-    def persistable(self, st):
-        pbufs = st[1]
-        return [c for c in range(self.ncells) if pbufs[c]]
-
     def persist(self, st, cell):
         nvm, pbufs, sbufs = st
         buf = pbufs[cell]
         return (_repl(nvm, cell, buf[0]), _repl(pbufs, cell, buf[1:]), sbufs)
 
-    def crash(self, st):
-        """Discard all buffers; NVM survives."""
-        return (st[0],) + self.initial()[1:]
+    def system_steps(self, st, regime):
+        """The states one system step of `st` makes: under PTSO each
+        thread's propagation, in thread order, then under ``EXACT`` only
+        each buffered cell's persist, in cell order."""
+        out = []
+        if self.model == PTSO:
+            for tid in range(self.nthreads):
+                st2 = self.propagate(st, tid, regime)
+                if st2 is not None:
+                    out.append(st2)
+        if regime == EXACT:
+            pbufs = st[1]
+            for c in range(self.ncells):
+                if pbufs[c]:
+                    out.append(self.persist(st, c))
+        return out
+
+    def crash(self, st, regime):
+        """The distinct states a crash of `st` can leave, every buffer
+        discarded: under ``EXACT``, where persists are steps, NVM as it
+        is; else one per choice of each cell's candidate, in
+        ``itertools.product`` order."""
+        bufs = self.initial()[1:]
+        if regime == EXACT:
+            return [(st[0],) + bufs]
+        return [(nvm,) + bufs
+                for nvm in product(*self.crash_nvm_candidates(st))]
 
     def crash_nvm_candidates(self, st):
         """Per-cell candidate post-crash values.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 
-FIELD_ORDER = ("kind", "era", "seq", "tid", "txid", "op", "loc", "val")
 OPS = ("begin", "read", "write", "alloc", "commit", "abort")
 
 
@@ -43,7 +42,9 @@ def _loc_val_fields(kind, op):
 
 
 def records_to_dicts(records):
-    """Internal record tuples -> canonical JSON-ready dicts."""
+    """Internal record tuples -> canonical JSON-ready dicts, their keys
+    inserted in the canonical order: kind, era, seq, tid, txid, op, loc,
+    val."""
     out = []
     era = 0
     for seq, rec in enumerate(records):
@@ -88,8 +89,7 @@ def dicts_to_records(dicts):
 def emit_trace(records, path):
     with open(path, "w", encoding="utf-8") as fh:
         for d in records_to_dicts(records):
-            ordered = {k: d[k] for k in FIELD_ORDER if k in d}
-            fh.write(json.dumps(ordered, separators=(",", ":")) + "\n")
+            fh.write(json.dumps(d, separators=(",", ":")) + "\n")
 
 
 def parse_trace(path):

@@ -6,12 +6,12 @@ from itertools import permutations
 
 import pytest
 
-from pmtxcheck import cli, explorer
+from pmtxcheck import cli, engine, explorer
 from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_MEM,
                               M_REC, M_TXNS, RDY, RUN, S_IP, S_REGS, S_RETR,
-                              S_ST, _crash_nvms, crash_machine, ended,
-                              fresh_slot, initial_machine, set_slot,
-                              slot_upd, spent_slot, successors)
+                              S_ST, crash_tail, ended, fresh_slot,
+                              initial_machine, set_slot, slot_upd,
+                              spent_slot, successors)
 from pmtxcheck.explorer import (ID_BITS, BudgetExceeded, Config,
                                 _antichain_add, check_lower, check_upper,
                                 explore, mutation_check_config, orbit_keyer,
@@ -658,10 +658,9 @@ def test_last_crash_folds_recovery(impl, model, ops):
                   if rec == ("crash",)]
         if not folded:
             return
-        crashed = crash_machine(cfg, m)
-        stepped = [stepped_recovery(cfg, ((nvm,) + crashed[M_MEM][1:],)
-                                    + crashed[1:])
-                   for nvm in _crash_nvms(cfg, m)]
+        tail = crash_tail(cfg, m, 0)
+        stepped = [stepped_recovery(cfg, (mem, 0, 0) + tail)
+                   for mem in cfg.pmem.crash(m[M_MEM], POR)]
         assert folded == list(dict.fromkeys(stepped))
         assert len(set(folded)) == len(folded)
         crashes.append((m[M_MEM], len(folded), len(stepped)))
@@ -676,6 +675,57 @@ def test_last_crash_folds_recovery(impl, model, ops):
     assert sum(n for _, _, n in crashes) > len(post) > 0
     # recoveries from distinct post-crash memories do coincide
     assert sum(n for _, n, _ in crashes) < sum(n for _, _, n in crashes)
+
+
+def test_crash_machine_makes_every_crash_transition(monkeypatch):
+    # patched in engine's globals, as perfbench/tracer.py does: under --por
+    # its results are every crash successor, whether or not the crash is
+    # the last one (recovery folded in)
+    orig_crash, orig_succ = engine.crash_machine, explorer.successors
+    made, crash_succs = [], []
+
+    def crash_traced(cfg, m, memo):
+        out = orig_crash(cfg, m, memo)
+        made.append(len(out))
+        return out
+
+    def succ_traced(cfg, m, memo):
+        out = orig_succ(cfg, m, memo)
+        crash_succs.append(sum(rec == ("crash",) for _m2, rec, _t in out))
+        return out
+
+    monkeypatch.setattr(engine, "crash_machine", crash_traced)
+    monkeypatch.setattr(explorer, "successors", succ_traced)
+    cfg = Config("pmdk-tml", "psc", txns=2, locs=1, ops=1, max_crashes=2,
+                 por=True)
+    r = check_upper(cfg)
+    assert not r.violations
+    assert len(made) == len([n for n in crash_succs if n])
+    assert sum(made) == sum(crash_succs) > len(made)
+
+
+def test_skip_validate_cli_names_its_cell(monkeypatch, capsys):
+    # skip-validate runs its scripted cell whatever the bound flags say,
+    # and says so
+    ran = []
+
+    def fake_check_upper(cfg, dedup):
+        ran.append(cfg)
+        return explorer.ExploreResult()
+
+    monkeypatch.setattr(explorer, "check_upper", fake_check_upper)
+    assert cli.main(["check", "upper", "--mutate", "skip-validate",
+                     "--impl", "pmdk-tml", "--txns", "3",
+                     "--crashes", "1"]) == 0
+    [cfg] = ran
+    want = skip_validate_config(mutate=True, por=False)
+    assert (cfg.impl, cfg.model, cfg.txns, cfg.max_crashes, cfg.scripts,
+            cfg.mutations) == (want.impl, want.model, want.txns,
+                               want.max_crashes, want.scripts,
+                               want.mutations)
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "skip-validate runs its scripted cell (pmdk-norec/psc, 2 txns, "
+        "2 locs, 0 crashes); the bound flags are ignored")
 
 
 def test_emit_traces_writes_every_history(tmp_path, capsys):

@@ -111,7 +111,7 @@ def test_crash_discards_buffers_keeps_nvm():
     st = pm.propagate(st, 0, EXACT)
     st = pm.persist(st, 0)
     st = pm.store(st, 0, 1, 9, EXACT)
-    st = pm.crash(st)
+    [st] = pm.crash(st, EXACT)
     assert st[0] == (1, 0)
     assert st[1] == ((), ())
     assert st[2] == ((), ())
@@ -119,36 +119,30 @@ def test_crash_discards_buffers_keeps_nvm():
 
 def test_crash_on_fresh_state_is_identity_on_nvm():
     pm, st = fresh(PSC)
-    assert pm.crash(st)[0] == st[0]
+    assert pm.crash(st, EXACT) == [st]
 
 
 # ---------------------------------------------------------------------------
 # enumeration oracles over raw memory steps
 # ---------------------------------------------------------------------------
 
-def _reachable(pm, st0, steps):
-    """All states reachable by interleaving the enabled system steps."""
+def _reachable(pm, st0):
+    """All states reachable by interleaving the enabled system steps, each
+    persist a step of its own (``EXACT``)."""
     seen = {st0}
     work = [st0]
     while work:
         st = work.pop()
-        for nxt in steps(pm, st):
+        for nxt in pm.system_steps(st, EXACT):
             if nxt not in seen:
                 seen.add(nxt)
                 work.append(nxt)
     return seen
 
 
-def _system_steps(pm, st):
-    out = []
-    if st[2] is not None:
-        for tid in range(pm.nthreads):
-            nxt = pm.propagate(st, tid, EXACT)
-            if nxt is not None:
-                out.append(nxt)
-    for c in pm.persistable(st):
-        out.append(pm.persist(st, c))
-    return out
+def _crashed_nvm(pm, st):
+    [crashed] = pm.crash(st, EXACT)
+    return crashed[0]
 
 
 def test_crash_prefix_persistence_by_enumeration():
@@ -157,7 +151,7 @@ def test_crash_prefix_persistence_by_enumeration():
     pm, st = fresh(PSC, ncells=1, cap=2)
     st = pm.store(st, 0, 0, 1, EXACT)
     st = pm.store(st, 0, 0, 2, EXACT)
-    nvms = {pm.crash(s)[0][0] for s in _reachable(pm, st, _system_steps)}
+    nvms = {_crashed_nvm(pm, s)[0] for s in _reachable(pm, st)}
     assert nvms == {0, 1, 2}
 
 
@@ -168,12 +162,14 @@ def test_crash_candidates_match_enumerated_prefixes():
         st = pm.store(st, 0, 1, 2, EXACT)
         if model == PTSO:
             st = pm.store(st, 1, 0, 2, EXACT)
-        enumerated = {pm.crash(s)[0]
-                      for s in _reachable(pm, st, _system_steps)}
+        enumerated = {_crashed_nvm(pm, s) for s in _reachable(pm, st)}
         cands = pm.crash_nvm_candidates(st)
         product = {tuple(pick)
                    for pick in itertools.product(*cands)}
         assert enumerated == product
+        # a crash under --por leaves each of them once, without steps
+        assert [m[0] for m in pm.crash(st, POR)] == list(
+            itertools.product(*cands))
 
 
 def test_flush_forces_target_only():
@@ -182,7 +178,7 @@ def test_flush_forces_target_only():
     pm, st = fresh(PTSO, ncells=2, cap=2)
     st = pm.store(st, 0, 0, 1, EXACT)
     st = pm.store(st, 0, 1, 2, EXACT)
-    ready = [s for s in _reachable(pm, st, _system_steps)
+    ready = [s for s in _reachable(pm, st)
              if pm.flush(s, 0, (0,), EXACT) is not None]
     assert ready
     assert all(s[0][0] == 1 for s in ready)
@@ -201,8 +197,8 @@ def _client_outcomes(pm, program):
         if key in seen:
             continue
         seen.add(key)
-        results.add((loads, pm.crash(mem)[0]))
-        for mem2 in _system_steps(pm, mem):
+        results.add((loads, _crashed_nvm(pm, mem)))
+        for mem2 in pm.system_steps(mem, EXACT):
             work.append((mem2, loads, pos))
         if pos < len(program):
             op = program[pos]
@@ -236,7 +232,7 @@ def test_load_never_observes_unwritten_value():
     written = {0, 1, 2}
     st = pm.store(st, 0, 0, 1, EXACT)
     st = pm.store(st, 1, 0, 2, EXACT)
-    for s in _reachable(pm, st, _system_steps):
+    for s in _reachable(pm, st):
         for tid in range(2):
             assert pm.load(s, tid, 0) in written
 
@@ -311,3 +307,61 @@ def test_operations_follow_their_regime():
         (PSC, PTSO), (EXACT, POR, REDUCED),
         ("store", "flush", "propagate"))) - {
             (PSC, r, "propagate") for r in (EXACT, POR, REDUCED)}
+
+
+# model -> [(before, {regime: (system steps, crash outcomes)})] for two
+# cells, two threads and capacity 2, both lists in the order PMem gives.
+# PTSO: thread 0 has buffered a store of 3 to cell 1, thread 1 one of 4
+# to cell 0; cell 0 holds 1 in NVM and 2 in its persistence buffer.
+# REDUCED has empty persistence buffers, since no crash is left to
+# discard them
+SYSTEM_TABLE = {
+    PSC: [
+        (((0, 0), ((), ()), None),
+         {r: ([], [((0, 0), ((), ()), None)])
+          for r in (EXACT, POR, REDUCED)}),
+        (((1, 0), ((2,), (1, 2)), None), {
+            # persists in cell order, under EXACT only
+            EXACT: ([((2, 0), ((), (1, 2)), None),
+                     ((1, 1), ((2,), (2,)), None)],
+                    [((1, 0), ((), ()), None)]),
+            # every choice of each cell's candidate, the last cell fastest
+            POR: ([], [((nvm, (0, 1, 2)[k]), ((), ()), None)
+                       for nvm in (1, 2) for k in range(3)]),
+        }),
+    ],
+    PTSO: [
+        (((1, 0), ((2,), ()), (((1, 3),), ((0, 4),))), {
+            # propagations in thread order, then persists
+            EXACT: ([((1, 0), ((2,), (3,)), ((), ((0, 4),))),
+                     ((1, 0), ((2, 4), ()), (((1, 3),), ())),
+                     ((2, 0), ((), ()), (((1, 3),), ((0, 4),)))],
+                    [((1, 0), ((), ()), ((), ()))]),
+            POR: ([((1, 0), ((2,), (3,)), ((), ((0, 4),))),
+                   ((1, 0), ((2, 4), ()), (((1, 3),), ()))],
+                  [((nvm, v), ((), ()), ((), ()))
+                   for nvm in (1, 2, 4) for v in (0, 3)]),
+        }),
+        (((1, 0), ((), ()), (((1, 3),), ((0, 4),))), {
+            REDUCED: ([((1, 3), ((), ()), ((), ((0, 4),))),
+                       ((4, 0), ((), ()), (((1, 3),), ()))],
+                      [((nvm, v), ((), ()), ((), ()))
+                       for nvm in (1, 4) for v in (0, 3)]),
+        }),
+    ],
+}
+
+
+def test_system_steps_and_crash_follow_their_regime():
+    covered = set()
+    for model, cases in SYSTEM_TABLE.items():
+        pm = PMem(2, 2, 2, model)
+        for before, outcomes in cases:
+            for regime, (steps, crashed) in outcomes.items():
+                assert pm.system_steps(before, regime) == steps, \
+                    (model, regime, before)
+                assert pm.crash(before, regime) == crashed, \
+                    (model, regime, before)
+                covered.add((model, regime))
+    assert covered == set(itertools.product((PSC, PTSO),
+                                            (EXACT, POR, REDUCED)))

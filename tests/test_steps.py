@@ -243,7 +243,7 @@ def test_abort_rolls_back_a_logged_write(model, por):
                 mem = pm.propagate(mem, 0, cfg.regime(m))
             else:
                 assert cfg.regime(m) == EXACT
-                mem = pm.persist(mem, pm.persistable(mem)[0])
+                mem = pm.system_steps(mem, EXACT)[0]
             m = set_mem(m, mem)
         else:
             [(m, rec)] = r
