@@ -2,8 +2,8 @@
 
 Exit codes are the machine contract: 0 all checks pass, 1 a violation was
 found (counterexample written when a path was given), 2 usage, budget or
-trace-format errors.  A budget error is followed by the counts of the
-search it cut short, each labelled partial.
+trace errors (a --history file unreadable or malformed).  A budget error
+is followed by the counts of the search it cut short, each labelled partial.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 
 from . import explorer, refspec, traces
 from .fixtures import fig4_suite
-from .histories import check_wellformed, events_of_records
+from .histories import events_of_records, wf_violations
 from .opacity import check_history_ddo, check_opacity_execution
 
 
@@ -192,12 +192,7 @@ def cmd_opacity(args):
     if not args.history:
         print("check opacity needs --history PATH or --fixtures fig4")
         return 2
-    try:
-        records = traces.parse_trace(args.history)
-    except traces.TraceError as exc:
-        print("trace error: %s" % exc)
-        return 2
-    events = events_of_records(records)
+    events = events_of_records(traces.parse_trace(args.history))
     try:
         verdict, failing, _w = check_history_ddo(events)
     except ValueError as exc:   # ill-formed; the message names the clauses
@@ -212,13 +207,8 @@ def cmd_opacity(args):
 
 
 def cmd_wf(args):
-    try:
-        records = traces.parse_trace(args.history)
-    except traces.TraceError as exc:
-        print("trace error: %s" % exc)
-        return 2
-    ok, bad = check_wellformed(events_of_records(records))
-    if ok:
+    bad = wf_violations(events_of_records(traces.parse_trace(args.history)))
+    if not bad:
         print("well-formed")
         return 0
     for name in bad:
@@ -228,16 +218,13 @@ def cmd_wf(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        if args.what == "upper":
-            return cmd_upper(args)
-        if args.what == "lower":
-            return cmd_lower(args)
-        if args.what == "opacity":
-            return cmd_opacity(args)
-        if args.what == "wf":
-            return cmd_wf(args)
-    return 2
+    commands = {"upper": cmd_upper, "lower": cmd_lower,
+                "opacity": cmd_opacity, "wf": cmd_wf}
+    try:
+        return commands[args.what](args)
+    except traces.TraceError as exc:    # a --history file
+        print("trace error: %s" % exc)
+        return 2
 
 
 if __name__ == "__main__":

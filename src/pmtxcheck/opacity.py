@@ -5,8 +5,9 @@ client order (between transactions), a reads-from relation (total and
 functional on reads, value- and location-matching) and a per-location
 modification order over writes and allocations.  One axiom core,
 ``_violation``, checks a candidate (rf, mo) against a history's facts
-(``_ctx``: txid, thread and kind per event, each transaction's status,
-client order) and names the first axiom violated, in this order:
+(``ctx`` in ``histories``: txid, thread and kind per event, each
+transaction's status, client order) and names the first axiom violated,
+in this order:
 
 * ``vis-rf``: every transaction read from by another is visible, i.e. it
   succeeded or is commit-pending and read from (``_vis``).
@@ -18,11 +19,24 @@ client order) and names the first axiom violated, in this order:
 
 The graph-level checks build the facts from a ``Graph`` once;
 serializability is the core on all-successful input, where every
-transaction is visible.  History-level checks need a witness (rf, mo) for
-every prefix: ``history_opaque`` advances the facts event by event, and each
-prefix first extends the witness of the one before it (``_extend``) and only
-when that fails runs the complete search ``find_witness`` (every rf choice
-times every po-respecting mo order).  No candidate builds a graph.  The
+transaction is visible.
+
+History-level checks need a witness (rf, mo) for every prefix.  dDO is one
+step, ``advance(state, e)`` from ``START``, and a ``verdict`` read off the
+final state; ``check_history_ddo`` folds the step over a history, and plain
+opacity folds the same step with ``dynamic=False``.  The state is
+``(facts, witnesses, failing)``: the history's facts
+(``histories.advance``: the core's facts, the markerless history and the
+well-formedness state), the witness of every prefix so far, and the first
+failing prefix length or None.  It is a value, like the facts: a step
+builds a new tuple and never changes a witness, so one prefix's state can
+be advanced along several continuations.
+
+Each event advances the facts.  Then, unless a prefix has failed, the event
+is a crash marker or the history is already ill-formed, the new prefix
+first extends the witness of the one before it (``_extend``) and only when
+that fails runs the complete search ``find_witness`` (every rf choice times
+every po-respecting mo order).  No candidate builds a graph.  The
 extension runs the core only where the new event can break the witness:
 
 * ``B`` keeps it: the new transaction has no other event and is not
@@ -36,17 +50,20 @@ extension runs the core only where the new event can break the witness:
 * ``W`` and ``M`` try every insertion point in their location's mo, last
   first, and ``R`` every source, each checked by the core.
 
-Durable opacity checks well-formedness with the crash markers, then erases
-them.  Allocations count as writes of 0 for rf and mo purposes.
+The verdict raises on an ill-formed history, naming every violated clause;
+live-last and alloc-once, which need final statuses, are decided there.
+Well-formedness sees the crash markers and the witnesses do not.
+Allocations count as writes of 0 for rf and mo purposes.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .histories import (CRASH, client_order, strip_crash_markers,
-                        txn_statuses, wf_violations)
+from .histories import (CRASH, EMPTY, advance as advance_facts,
+                        client_order, fold, txn_statuses, wf_clauses)
 
 
 class Graph(NamedTuple):
@@ -70,17 +87,6 @@ def graph_from_events(events, rf, mo, clo=None):
         clo = client_order(events)
     return Graph(tuple(events), {t: tuple(v) for t, v in po.items()},
                  dict(rf), {l: tuple(v) for l, v in mo.items()}, clo)
-
-
-def _ctx(events, status, clo):
-    """A history's facts for the axiom core: (tx, tid, kind, status, clo),
-    the txid, thread id and kind of each eid, txid -> status as in
-    ``txn_statuses``, and client order as (txid, txid) pairs.  Event ids
-    are positions, so a is po-before b when tid[a] == tid[b] and a < b.
-    A tuple, not a class: perfbench imports the package afresh at each
-    set-up, and a NamedTuple class costs set-up time and memory there."""
-    return ([e.txid for e in events], [e.tid for e in events],
-            [e.kind for e in events], status, clo)
 
 
 def _vis(status, tx, rf):
@@ -153,31 +159,29 @@ def _violation(ctx, rf, mo, dynamic):
     return None
 
 
-def _graph_violation(g, dynamic):
-    ctx = _ctx(g.events, txn_statuses(g.events), g.clo)
-    return _violation(ctx, g.rf, g.mo, dynamic)
+def _graph_check(g, dynamic):
+    tx, tid, kind, status, _clo = fold(g.events)[0]
+    why = _violation((tx, tid, kind, status, g.clo), g.rf, g.mo, dynamic)
+    return why is None, why
 
 
 def check_opacity_execution(g):
     """(opaque?, violated axiom name or None)."""
-    why = _graph_violation(g, False)
-    return why is None, why
+    return _graph_check(g, False)
 
 
 def check_dynamic_opacity_execution(g):
     """Opacity plus: visible writes are mo-preceded by a visible alloc."""
-    why = _graph_violation(g, True)
-    return why is None, why
+    return _graph_check(g, True)
 
 
 def check_serializability_execution(g):
     """Both SER axioms; input must contain only successful transactions,
     so every transaction is visible."""
-    statuses = txn_statuses(g.events)
-    if any(st != "success" for st in statuses.values()):
+    if any(st != "success" for st in txn_statuses(g.events).values()):
         raise ValueError("serializability requires all transactions complete")
-    why = _graph_violation(g, False)
-    return why is None, why and "ser-" + why
+    ok, why = _graph_check(g, False)
+    return ok, why and "ser-" + why
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +210,14 @@ def _mo_orders(ctx, loc_events):
                    for i, a in enumerate(perm) for b in perm[i + 1:])]
 
 
-def find_witness(events, dynamic=True, ctx=None):
+def find_witness(events, dynamic, ctx):
     """Search rf and mo making the (markerless) history opaque; None if no
-    witness exists.  `ctx` holds the history's facts (built from `events`
-    when None).  Candidate mo orders are filtered per location and rf
-    choices by the core on rf alone, then combined with a global check."""
-    if ctx is None:
-        ctx = _ctx(events, txn_statuses(events), client_order(events))
-    cands = [(e.eid, _sources(events, e)) for e in events if e.kind == "R"]
-    if not all(opts for _eid, opts in cands):
+    witness exists.  `ctx` holds the history's facts.  Candidate mo orders
+    are filtered per location and rf choices by the core on rf alone, then
+    combined with a global check."""
+    reads = [e.eid for e in events if e.kind == "R"]
+    sources = [_sources(events, events[r]) for r in reads]
+    if not all(sources):
         return None
 
     locs = sorted({e.loc for e in events if e.kind in ("W", "M")})
@@ -224,9 +227,8 @@ def find_witness(events, dynamic=True, ctx=None):
     if not all(per_loc):
         return None
 
-    read_ids = [eid for eid, _opts in cands]
-    for rf_choice in product(*[opts for _eid, opts in cands]):
-        rf = dict(zip(read_ids, rf_choice))
+    for rf_choice in product(*sources):
+        rf = dict(zip(reads, rf_choice))
         if _violation(ctx, rf, {}, False):   # no mo order can repair it
             continue
         for mo_choice in product(*per_loc):
@@ -240,8 +242,6 @@ def _extend(events, w, ctx, dynamic):
     """Extend `w`, a witness of events[:-1], to one of `events`, or None,
     by the rule in the module docstring."""
     e = events[-1]
-    if e.kind in ("B", "C"):
-        return w
     if e.kind == "A":
         tx = ctx[0]
         readers = {tx[r] for r, s in w.rf.items() if tx[s] == e.txid}
@@ -261,59 +261,40 @@ def _extend(events, w, ctx, dynamic):
     return None
 
 
-_STATUS = {"B": "pending", "C": "commit-pending", "A": "aborted",
-           "S": "success"}
+# the dDO state of the empty history: its facts, its only witness, and no
+# failing prefix
+START = (EMPTY, (Witness({}, {}),), None)
 
 
-def _wellformed(events):
-    bad = wf_violations(events)
+def advance(state, e, dynamic=True):
+    """The dDO state of a history extended by event `e` (the module
+    docstring), with plain opacity's witnesses when not `dynamic`."""
+    facts, witnesses, failing = state
+    facts = advance_facts(facts, e)
+    k = e.kind
+    if failing is not None or k == CRASH or facts[3]:   # a clause found
+        return facts, witnesses, failing
+    w = witnesses[-1]
+    if k != "B" and k != "C":      # which keep it without the core
+        ctx, events = facts[:2]
+        w = (_extend(events, w, ctx, dynamic)
+             or find_witness(events, dynamic, ctx))
+        if w is None:
+            return facts, witnesses, len(events)
+    return facts, witnesses + (w,), None
+
+
+def verdict(state):
+    """(ok, failing_prefix_len, witnesses) of the history `state` was
+    advanced along, witnesses mapping prefix length -> Witness; ValueError
+    naming every violated clause when the history is ill-formed."""
+    facts, witnesses, failing = state
+    bad = wf_clauses(facts)
     if bad:
         raise ValueError("ill-formed history: %s" % ", ".join(bad))
-    return events
-
-
-def history_opaque(events, dynamic=True):
-    """Prefix-closed history opacity: every prefix must admit a witness.
-    Input must be well-formed and crash-marker free; its eids are
-    renumbered to positions, which the witnesses name.  Returns (ok,
-    failing_prefix_len, witnesses) where witnesses maps prefix length ->
-    Witness."""
-    if any(e.kind == CRASH for e in events):
-        raise ValueError("history_opaque expects a crashless history")
-    return _prefixes_opaque(strip_crash_markers(_wellformed(events)),
-                            dynamic)
-
-
-def _prefixes_opaque(events, dynamic):
-    """``history_opaque`` on a history known to be well-formed.  The
-    history's facts (``_ctx``) are read once and advanced one event at a
-    time: a status event updates its transaction's status and a begin adds
-    client order from every ended transaction.  Each prefix first tries to
-    extend the previous prefix's witness and runs the complete search
-    ``find_witness`` only when no extension works, so every prefix gets the
-    verdict of a search from scratch."""
-    status, clo, ended = {}, set(), []
-    ctx = _ctx(events, status, clo)
-    w = Witness({}, {})              # the empty history's only witness
-    witnesses = {0: w}
-    for n, e in enumerate(events, 1):
-        if e.kind in _STATUS:
-            status[e.txid] = _STATUS[e.kind]
-        if e.kind == "B":
-            clo.update((u, e.txid) for u in ended)
-        elif e.kind in ("A", "S"):
-            ended.append(e.txid)
-        prefix = events[:n]
-        w = (_extend(prefix, w, ctx, dynamic)
-             or find_witness(prefix, dynamic, ctx))
-        if w is None:
-            return False, n, witnesses
-        witnesses[n] = w
-    return True, None, witnesses
+    return failing is None, failing, dict(enumerate(witnesses))
 
 
 def check_history_ddo(events):
-    """Dynamic durable opacity of a history: check well-formedness, crash
-    markers included, then erase the markers and require a dynamic-opacity
-    witness for every prefix."""
-    return _prefixes_opaque(strip_crash_markers(_wellformed(events)), True)
+    """Dynamic durable opacity of a history, crash markers included."""
+    return verdict(reduce(advance, events, START))

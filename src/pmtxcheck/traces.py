@@ -93,54 +93,59 @@ def emit_trace(records, path):
 
 
 def parse_trace(path):
-    """Parse a trace file back into record tuples; strict field checking."""
+    """Parse a trace file back into record tuples; strict field checking.
+    A file that cannot be read as UTF-8 text is a TraceError too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError("cannot read %s: %s" % (path, exc)) from None
     dicts = []
     era = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError("malformed JSON (%s)" % exc, ln) from None
-            if not isinstance(d, dict):
-                raise TraceError("record is not an object", ln)
-            kind = d.get("kind")
-            if kind in ("crash", "fault-hidden-note"):
-                allowed = {"kind", "era", "seq"}
-            elif kind in ("inv", "res"):
-                op = d.get("op")
-                if op not in OPS:
-                    raise TraceError("bad op %r" % (op,), ln)
-                if kind == "inv" and op == "abort":
-                    raise TraceError("abort is response-only", ln)
-                allowed = {"kind", "era", "seq", "tid", "txid", "op"}
-                allowed.update(_loc_val_fields(kind, op))
-            else:
-                raise TraceError("bad kind %r" % (kind,), ln)
-            extra = set(d) - allowed
-            if extra:
-                raise TraceError("unexpected field(s) %s"
-                                 % ", ".join(sorted(extra)), ln)
-            missing = allowed - set(d)
-            if missing:
-                raise TraceError("missing field(s) %s"
-                                 % ", ".join(sorted(missing)), ln)
-            for f in ("era", "seq", "tid", "txid", "loc", "val"):
-                # JSON true/false load as bool, which is an int subclass
-                if f in d and type(d[f]) is not int:
-                    raise TraceError("field %s must be an integer" % f, ln)
-            if "tid" in d and d["tid"] != d["txid"]:
-                raise TraceError("tid %r is not txid %r (transaction t "
-                                 "runs on thread t)" % (d["tid"], d["txid"]),
-                                 ln)
-            if d["era"] != era:
-                raise TraceError("era %r out of sequence" % (d["era"],), ln)
-            if kind == "crash":
-                era += 1
-            if dicts and d["seq"] <= dicts[-1]["seq"]:
-                raise TraceError("seq not strictly increasing", ln)
-            dicts.append(d)
+    for ln, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError("malformed JSON (%s)" % exc, ln) from None
+        if not isinstance(d, dict):
+            raise TraceError("record is not an object", ln)
+        kind = d.get("kind")
+        if kind in ("crash", "fault-hidden-note"):
+            allowed = {"kind", "era", "seq"}
+        elif kind in ("inv", "res"):
+            op = d.get("op")
+            if op not in OPS:
+                raise TraceError("bad op %r" % (op,), ln)
+            if kind == "inv" and op == "abort":
+                raise TraceError("abort is response-only", ln)
+            allowed = {"kind", "era", "seq", "tid", "txid", "op"}
+            allowed.update(_loc_val_fields(kind, op))
+        else:
+            raise TraceError("bad kind %r" % (kind,), ln)
+        extra = set(d) - allowed
+        if extra:
+            raise TraceError("unexpected field(s) %s"
+                             % ", ".join(sorted(extra)), ln)
+        missing = allowed - set(d)
+        if missing:
+            raise TraceError("missing field(s) %s"
+                             % ", ".join(sorted(missing)), ln)
+        for f in ("era", "seq", "tid", "txid", "loc", "val"):
+            # JSON true/false load as bool, which is an int subclass
+            if f in d and type(d[f]) is not int:
+                raise TraceError("field %s must be an integer" % f, ln)
+        if "tid" in d and d["tid"] != d["txid"]:
+            raise TraceError("tid %r is not txid %r (transaction t "
+                             "runs on thread t)" % (d["tid"], d["txid"]),
+                             ln)
+        if d["era"] != era:
+            raise TraceError("era %r out of sequence" % (d["era"],), ln)
+        if kind == "crash":
+            era += 1
+        if dicts and d["seq"] <= dicts[-1]["seq"]:
+            raise TraceError("seq not strictly increasing", ln)
+        dicts.append(d)
     return dicts_to_records(dicts)

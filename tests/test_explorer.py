@@ -896,11 +896,11 @@ def test_intro_cases_ptso_matches_psc():
 
 
 def test_histories_pass_wellformedness():
-    from pmtxcheck.histories import check_wellformed, events_of_records
+    from pmtxcheck.histories import events_of_records, wf_violations
     cfg = Config("pmdk-tml", "psc", txns=2, locs=1, vals=2, buf=2,
                  max_crashes=1, ops=1, por=True)
     hs, r = hist_set(cfg)
     assert not r.violations
     for h in hs:
-        ok, bad = check_wellformed(events_of_records(h))
-        assert ok, (bad, h)
+        bad = wf_violations(events_of_records(h))
+        assert not bad, (bad, h)

@@ -1,12 +1,15 @@
 """Event histories: record mapping, well-formedness, client order."""
 
+import copy
+from functools import reduce
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmtxcheck.histories import (CRASH, WF_CLAUSES, Ev, check_wellformed,
+from pmtxcheck.histories import (CRASH, WF_CLAUSES, Ev, advance,
                                  client_order, crash_marker,
-                                 events_of_records, strip_crash_markers,
-                                 txn_statuses, wf_violations)
+                                 events_of_records, fold, txn_statuses,
+                                 wf_clauses, wf_violations)
 
 
 def ev(seq):
@@ -40,8 +43,7 @@ def test_records_to_events_mapping():
 
 
 def test_wellformed_accepts_good_history():
-    ok, bad = check_wellformed(GOOD)
-    assert ok and bad == []
+    assert wf_violations(GOOD) == []
 
 
 def test_statuses():
@@ -101,8 +103,8 @@ def test_wf_success_not_immediately_after_commit():
     h2 = ev([(1, 1, "B"), (1, 1, "C"), (1, 1, "A"), (1, 1, "S")])
     assert "wf:commit-tail" in wf_violations(h2) \
         or "wf:terminal-unique" in wf_violations(h2)
-    ok, _ = check_wellformed(h)
-    assert ok  # other-thread events between commit and success are fine
+    # other-thread events between commit and success are fine
+    assert not wf_violations(h)
 
 
 def test_wf_two_live_transactions_one_thread():
@@ -124,8 +126,7 @@ def test_wf_double_alloc_fine_when_one_aborted():
         (1, 1, "B"), (1, 1, "M", 0, 0), (1, 1, "A"),
         (2, 2, "B"), (2, 2, "M", 0, 0), (2, 2, "C"), (2, 2, "S"),
     ])
-    ok, _ = check_wellformed(h)
-    assert ok
+    assert not wf_violations(h)
 
 
 def test_wf_thread_reuse_across_crash():
@@ -160,19 +161,20 @@ def test_client_order_pending_excluded():
     assert client_order(h) == frozenset()
 
 
-def test_strip_crash_markers_renumbers():
+def test_facts_drop_crash_markers_and_renumber():
     h = (Ev(0, 1, 1, "B"), crash_marker(1), Ev(2, 2, 2, "B"))
-    out = strip_crash_markers(h)
+    out = fold(h)[1]
     assert [e.eid for e in out] == [0, 1]
     assert [e.kind for e in out] == ["B", "B"]
 
 
-def test_strip_crash_markers_returns_markerless_history_unchanged():
-    assert strip_crash_markers(GOOD) is GOOD
-    assert strip_crash_markers(()) == ()
+def test_facts_keep_events_whose_eids_are_positions():
+    out = fold(GOOD)[1]
+    assert out == GOOD and all(a is b for a, b in zip(out, GOOD))
+    assert fold(())[1] == ()
     # eids that are not positions are still renumbered
     h = (Ev(1, 1, 1, "B"), Ev(0, 1, 1, "M", 0, 0))
-    assert [e.eid for e in strip_crash_markers(h)] == [0, 1]
+    assert [e.eid for e in fold(h)[1]] == [0, 1]
 
 
 # the one-pass wf_violations against the multi-pass code it replaced --------
@@ -376,3 +378,20 @@ def test_wf_violations_matches_multi_pass_reference(h):
     assert bad == ref_wf_violations(h)
     assert bad == [c for c in WF_CLAUSES if c in bad]
     assert list(txn_statuses(h).items()) == list(ref_txn_statuses(h).items())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(edited_histories(), RAW_HISTORIES),
+       st.one_of(edited_histories(), RAW_HISTORIES), st.integers(0, 8))
+def test_facts_advance_along_any_continuation(h, other, cut):
+    # ill-formed input included: the facts of h's prefix, advanced along
+    # h's rest and along another history's tail, are each history's own
+    # facts, and the prefix's facts are unchanged afterwards
+    prefix = h[:cut]
+    facts = fold(prefix)
+    before = copy.deepcopy(facts)
+    for whole in (h, prefix + other[len(prefix):]):
+        end = reduce(advance, whole[len(prefix):], facts)
+        assert end == fold(whole)
+        assert wf_clauses(end) == wf_violations(whole)
+    assert facts == before

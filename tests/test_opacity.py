@@ -1,7 +1,9 @@
 """Opacity axioms over execution graphs and history-level witness search."""
 
+import copy
 import hashlib
 import itertools
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,19 +11,31 @@ from hypothesis import strategies as st
 
 from pmtxcheck.explorer import Config, explore
 from pmtxcheck.fixtures import fig4_suite
-from pmtxcheck.histories import (Ev, check_wellformed, client_order,
-                                 crash_marker, events_of_records,
-                                 strip_crash_markers, txn_statuses)
-from pmtxcheck.opacity import (Witness, _ctx, _sources, _violation,
+from pmtxcheck.histories import (Ev, crash_marker, events_of_records, fold,
+                                 txn_statuses, wf_clauses, wf_violations)
+from pmtxcheck.opacity import (START, Witness, _sources, _violation, advance,
                                check_dynamic_opacity_execution,
                                check_history_ddo, check_opacity_execution,
                                check_serializability_execution,
-                               find_witness, graph_from_events,
-                               history_opaque)
+                               find_witness, graph_from_events, verdict)
 
 
 def ev(seq):
     return tuple(Ev(i, *e) for i, e in enumerate(seq))
+
+
+def markerless(events):
+    """The history without crash markers, eids renumbered: its facts'."""
+    return fold(events)[1]
+
+
+def opaque(events, dynamic=True):
+    """The dDO step folded over `events` and its verdict; plain opacity
+    when not `dynamic`."""
+    state = START
+    for e in events:
+        state = advance(state, e, dynamic)
+    return verdict(state)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +186,7 @@ def test_client_order_closes_a_stale_read_cycle():
     assert check_opacity_execution(g) == (False, "ext")
     assert check_opacity_execution(g._replace(clo=frozenset())) == (True,
                                                                      None)
-    assert history_opaque(events)[:2] == (False, 10)
+    assert check_history_ddo(events)[:2] == (False, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +241,7 @@ def test_prefix_closure_of_accepted_history():
     ok, _f, witnesses = check_history_ddo(events)
     assert ok
     # every prefix was checked and has a stored witness
-    stripped = strip_crash_markers(events)
-    assert set(witnesses) == set(range(len(stripped) + 1))
+    assert set(witnesses) == set(range(len(markerless(events)) + 1))
 
 
 def test_crash_marker_erasure_irrelevant():
@@ -263,8 +276,8 @@ def test_read_before_any_write_rejected_at_its_prefix():
 
 def test_witness_relations_are_well_typed():
     events = events_of_records(records_committed_alloc_crash_read())
-    stripped = strip_crash_markers(events)
-    w = find_witness(list(stripped), dynamic=True)
+    ctx, stripped = fold(events)[:2]
+    w = find_witness(stripped, True, ctx)
     assert w is not None
     reads = [e for e in stripped if e.kind == "R"]
     assert set(w.rf) == {e.eid for e in reads}
@@ -285,8 +298,8 @@ def test_non_dynamic_variant_permits_unallocated_writes():
         ("inv", 0, "commit", None, None), ("res", 0, "commit", None, None),
     )
     events = events_of_records(records)
-    ok_plain, _f, _w = history_opaque(events, dynamic=False)
-    ok_dyn, _f2, _w2 = history_opaque(events, dynamic=True)
+    ok_plain, _f, _w = opaque(events, dynamic=False)
+    ok_dyn, _f2, _w2 = opaque(events, dynamic=True)
     assert ok_plain and not ok_dyn
 
 
@@ -513,7 +526,7 @@ def ref_find_witness(events):
 def ddo_by_search_per_prefix(events):
     """Reference: (ok, first failing prefix) with the brute-force reference
     search run from scratch on every prefix of the markerless history."""
-    stripped = strip_crash_markers(events)
+    stripped = markerless(events)
     for n in range(len(stripped) + 1):
         if ref_find_witness(stripped[:n]) is None:
             return False, n
@@ -523,7 +536,7 @@ def ddo_by_search_per_prefix(events):
 def assert_matches_reference(events):
     ok, failing, witnesses = check_history_ddo(events)
     assert (ok, failing) == ddo_by_search_per_prefix(events)
-    stripped = strip_crash_markers(events)
+    stripped = markerless(events)
     for n, w in witnesses.items():
         g = graph_from_events(stripped[:n], w.rf, w.mo)
         assert check_dynamic_opacity_execution(g) == (True, None)
@@ -621,18 +634,38 @@ ACTIONS = st.lists(st.tuples(st.integers(0, 2),
 @given(ACTIONS)
 def test_history_ddo_matches_per_prefix_search_on_random_histories(actions):
     events = events_of_records(records_from_actions(actions))
-    assert check_wellformed(events) == (True, [])
+    assert wf_violations(events) == []
     assert_matches_reference(events)
 
 
+@settings(max_examples=200, deadline=None)
+@given(ACTIONS, ACTIONS, ACTIONS, st.booleans())
+def test_state_advances_along_any_continuation(prefix, left, right, dynamic):
+    # two well-formed histories sharing a prefix: the prefix's state,
+    # advanced along each continuation, is each history's own fold, and the
+    # prefix's state is unchanged afterwards
+    step = partial(advance, dynamic=dynamic)
+    base = events_of_records(records_from_actions(prefix))
+    state = reduce(step, base, START)
+    before = copy.deepcopy(state)
+    for rest in (left, right):
+        events = events_of_records(records_from_actions(prefix + rest))
+        assert events[:len(base)] == base
+        end = reduce(step, events[len(base):], state)
+        assert verdict(end) == opaque(events, dynamic)
+        assert wf_clauses(end[0]) == wf_violations(events) == []
+        assert end == reduce(step, events, START)
+    assert state == before
+
+
 def opaque_checking_every_event(events, dynamic):
-    """``history_opaque`` without the re-check rule: every event's extension
+    """The dDO step without the re-check rule: every event's extension
     candidates go through the core, on facts rebuilt for each prefix."""
     w = Witness({}, {})
     witnesses = {0: w}
     for n, e in enumerate(events, 1):
         prefix = events[:n]
-        ctx = _ctx(prefix, txn_statuses(prefix), client_order(prefix))
+        ctx = fold(prefix)[0]
         cands = [w]
         if e.kind in ("W", "M"):
             seq = w.mo.get(e.loc, ())
@@ -678,12 +711,12 @@ def interleaved_programs(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(
-    st.builds(lambda actions: strip_crash_markers(
+    st.builds(lambda actions: markerless(
         events_of_records(records_from_actions(actions))), ACTIONS),
-    interleaved_programs().filter(lambda h: check_wellformed(h)[0])),
+    interleaved_programs().filter(lambda h: not wf_violations(h))),
     st.booleans())
 def test_recheck_rule_matches_checking_every_event(events, dynamic):
-    assert (history_opaque(events, dynamic)
+    assert (opaque(events, dynamic)
             == opaque_checking_every_event(events, dynamic))
 
 
@@ -692,7 +725,7 @@ def test_abort_read_by_another_breaks_the_witness():
     # read no visible source
     events = ev([(1, 1, "B"), (1, 1, "M", 0, 0), (1, 1, "W", 0, 1),
                  (1, 1, "C"), (2, 2, "B"), (2, 2, "R", 0, 1), (1, 1, "A")])
-    ok, failing, witnesses = history_opaque(events)
+    ok, failing, witnesses = opaque(events)
     assert (ok, failing) == (False, 7)
     assert witnesses[6].rf == {5: 2}
     assert (ok, failing, witnesses) == opaque_checking_every_event(events,
@@ -704,7 +737,7 @@ def test_witness_names_positions_when_eids_are_not():
     # the begin carries eid 1 and the allocation eid 0: both checks name
     # the allocation by its position, 1
     events = (Ev(1, 1, 1, "B"), Ev(0, 1, 1, "M", 0, 0))
-    for check in (history_opaque, check_history_ddo):
+    for check in (partial(opaque, dynamic=False), check_history_ddo):
         ok, _failing, witnesses = check(events)
         assert ok and witnesses[2].mo == {0: (1,)}
 
@@ -713,7 +746,7 @@ def test_ill_formed_history_raises_naming_clauses_in_order():
     # an event after the abort, and a second begin
     events = ev([(1, 1, "B"), (1, 1, "A"), (1, 1, "B")])
     msg = "ill-formed history: wf:begin, wf:terminal-unique"
-    for check in (history_opaque, check_history_ddo):
+    for check in (partial(opaque, dynamic=False), check_history_ddo):
         with pytest.raises(ValueError) as exc:
             check(events)
         assert str(exc.value) == msg
@@ -724,7 +757,7 @@ def test_history_ddo_checks_thread_eras_before_erasing_markers():
     events = (Ev(0, 1, 1, "B"), Ev(1, 1, 1, "C"), Ev(2, 1, 1, "S"),
               crash_marker(3),
               Ev(4, 1, 2, "B"), Ev(5, 1, 2, "C"), Ev(6, 1, 2, "S"))
-    assert check_wellformed(events) == (False, ["wf:era-threads"])
+    assert wf_violations(events) == ["wf:era-threads"]
     with pytest.raises(ValueError, match="wf:era-threads"):
         check_history_ddo(events)
 

@@ -124,6 +124,14 @@ def test_cli_exits_2_on_malformed_trace(tmp_path, capsys, what):
     assert cli.main(["check", what, "--history", str(path)]) == 2
     assert capsys.readouterr().out.startswith(
         "trace error: line 3: malformed JSON")
+    # a file that cannot be read as UTF-8 text: missing, a directory, or
+    # bytes that do not decode
+    (tmp_path / "latin1.jsonl").write_bytes(BEGIN.encode() + b"\n\xff\n")
+    for name in ("missing.jsonl", ".", "latin1.jsonl"):
+        argv = ["check", what, "--history", str(tmp_path / name)]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("trace error: "), out
     # the same history on one thread is accepted
     path.write_text("\n".join(CROSS_THREAD[:2]
                               + [s.replace('"tid":1', '"tid":0')
