@@ -45,6 +45,7 @@ def _add_bounds(p):
                    help="client operations per transaction")
     p.add_argument("--retry-bound", type=NATURAL, default=1)
     p.add_argument("--mutate", metavar="NAME", default=None,
+                   choices=explorer.MUTATIONS,
                    help="run a registry mutation: %s"
                         % ", ".join(explorer.MUTATIONS))
     p.add_argument("--max-states", type=NATURAL,

@@ -13,11 +13,12 @@ commits take an internal step between invocation and response.  A read or
 write of a location that is unallocated in some consistent memory may fault;
 implementation fault events are matched against these fault transitions.
 
-``accepts_history`` decides whether a record sequence is a trace of the
-system; ``sequential_histories`` enumerates its serial, crash-free,
-abort-free traces, the lower bound on implementations, by advancing the
-same frontier over serial record sequences: the bound has no rules of its
-own that could drift from the spec's.
+``advance_frontier`` steps the set of spec states a history may reach, the
+explorer's online form; ``accepts_history`` decides one recorded history by
+a depth-first search for one accepting run.  ``sequential_histories``
+enumerates the serial, crash-free, abort-free traces, the lower bound on
+implementations, by advancing the frontier over serial record sequences:
+the bound has no rules of its own that could drift from the spec's.
 """
 
 from __future__ import annotations
@@ -257,48 +258,47 @@ def advance_frontier(frontier, rec):
 
 
 def accepts_history(records, txns, locs, witness=False, prealloc=0):
-    """Membership of an inv/res/crash/fault record sequence.
-
-    With witness=True also returns, on acceptance, one spec-state sequence
-    (the state after each consumed record; a trailing ACCEPT_ALL marks a
+    """Membership of an inv/res/crash/fault record sequence: one iterative
+    depth-first search for an accepting run over (position, spec state)
+    nodes, record matches before commit steps, failed nodes kept in a dead
+    set for the call.  With witness=True also returns, on acceptance, the
+    run's state after each consumed record (a trailing ACCEPT_ALL marks a
     matched fault), else None.
     """
     records = tuple(records)
+    dead, path, frames = set(), [], []  # path: the nodes above `node`
+    node = (0, initial_state(txns, locs, prealloc))
+    while True:
+        pos, st = node
+        rec = records[pos] if pos < len(records) else None
+        if rec is None or rec[0] == "fault" and fault_possible(st, *rec[1:]):
+            break
+        path.append(node)
+        frames.append(_children(pos, st, rec))
+        while True:
+            node = next(frames[-1], None)
+            if node is None:
+                dead.add(path.pop())
+                frames.pop()
+                if not frames:
+                    return (False, None) if witness else False
+            elif not dead or node not in dead:
+                break
     if not witness:
-        frontier = initial_frontier(txns, locs, prealloc)
-        for rec in records:
-            frontier = advance_frontier(frontier, rec)
-            if frontier != ACCEPT_ALL and not frontier:
-                return False
         return True
-
-    dead = set()
-
-    def dfs(pos, st, path):
-        if (pos, st) in dead:
-            return None
-        if pos == len(records):
-            return path
-        rec = records[pos]
-        if rec[0] == "fault":
-            if fault_possible(st, rec[1], rec[2], rec[3]):
-                return path + [ACCEPT_ALL]
-        else:
-            for st2 in match_record(st, rec):
-                r = dfs(pos + 1, st2, path + [st2])
-                if r is not None:
-                    return r
-        for st2 in eps_successors(st):
-            r = dfs(pos, st2, path)
-            if r is not None:
-                return r
-        dead.add((pos, st))
-        return None
-
-    chain = dfs(0, initial_state(txns, locs, prealloc), [])
-    if chain is None:
-        return False, None
+    path.append(node)
+    chain = [s for (p, s), (q, _) in zip(path[1:], path) if p != q]
+    if rec:     # a matched fault
+        chain.append(ACCEPT_ALL)
     return True, chain
+
+
+def _children(pos, st, rec):
+    if rec[0] != "fault":
+        for st2 in match_record(st, rec):
+            yield pos + 1, st2
+    for st2 in eps_successors(st):
+        yield pos, st2
 
 
 # ---------------------------------------------------------------------------

@@ -825,6 +825,16 @@ def test_check_rejects_bounds_outside_the_model(what, capsys):
         assert "argument %s: must be >= " % opt in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what", ["upper", "lower"])
+def test_check_rejects_unknown_mutation(what, capsys):
+    # a name outside the registry is a usage error too
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", what, "--mutate", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --mutate: invalid choice: 'bogus'" \
+        in capsys.readouterr().err
+
+
 def test_check_lower_smallest_bound():
     res = check_lower("pmdk-seq", txns=1, locs=1, vals=1, ops=1)
     assert res.ok and res.total == 2  # commit-only and alloc-commit

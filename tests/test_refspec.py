@@ -4,10 +4,13 @@ and equivariance under a renaming of transaction ids."""
 from itertools import permutations
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pmtxcheck.explorer import Config, explore
 from pmtxcheck.refspec import (ACCEPT_ALL, BOT, RDY, accepts_history,
-                               advance_frontier, crash_step, eps_successors,
+                               advance_frontier, closure, crash_step,
+                               eps_successors, fault_possible,
                                initial_frontier, initial_state, match_record,
                                rename_frontier, sequential_histories,
                                valid_idx)
@@ -164,6 +167,97 @@ def test_pending_operations_accepted():
         ("inv", 0, "alloc", None, None),
     )
     assert drive(records)
+
+
+def test_long_trace_accepted_in_both_modes():
+    # one alloc, then 3,000 read pairs: a search that recursed per record
+    # overflowed the interpreter stack past about 1,000 records
+    records = (("inv", 0, "begin", None, None),
+               ("res", 0, "begin", None, None),
+               ("inv", 0, "alloc", None, None),
+               ("res", 0, "alloc", 0, None),
+               *(("inv", 0, "read", 0, None), ("res", 0, "read", 0, 0))
+               * 3000,
+               ("inv", 0, "commit", None, None),
+               ("res", 0, "commit", None, None))
+    assert len(records) == 6006
+    assert accepts_history(records, 1, 1)
+    ok, chain = accepts_history(records, 1, 1, witness=True)
+    assert ok and len(chain) == len(records)
+    assert replays(records, chain, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the membership search against the frontier fold, the reference oracle
+# ---------------------------------------------------------------------------
+
+def fold_accepts(records, txns, locs):
+    f = initial_frontier(txns, locs)
+    for rec in records:
+        f = advance_frontier(f, rec)
+    return bool(f)
+
+
+def replays(records, chain, txns, locs):
+    """Each chain state is reached from the one before it (the initial
+    state first) by commit steps, then by matching its record; a trailing
+    ACCEPT_ALL by commit steps, then a possible fault."""
+    state = initial_state(txns, locs)
+    for rec, nxt in zip(records, chain):
+        pre = closure({state})
+        if nxt == ACCEPT_ALL:
+            return nxt is chain[-1] and rec[0] == "fault" and any(
+                fault_possible(s, *rec[1:]) for s in pre)
+        if not any(nxt in match_record(s, rec) for s in pre):
+            return False
+        state = nxt
+    return len(chain) == len(records)
+
+
+def alphabet(txns, locs, vals):
+    recs = [("crash",)]
+    for t in range(txns):
+        for op in ("begin", "commit"):
+            recs += [("inv", t, op, None, None), ("res", t, op, None, None)]
+        recs += [("res", t, "abort", None, None),
+                 ("inv", t, "alloc", None, None)]
+        recs += [("res", t, "alloc", l, None) for l in range(locs)]
+        for l in range(locs):
+            recs += [("inv", t, "read", l, None), ("fault", t, "read", l),
+                     ("fault", t, "write", l)]
+            for v in range(vals):
+                recs += [("res", t, "read", l, v), ("inv", t, "write", l, v),
+                         ("res", t, "write", l, v)]
+    return recs
+
+
+@st.composite
+def record_sequences(draw):
+    """A walk that mostly takes records the spec allows next and sometimes
+    any record of the alphabet: crashes, faults and aborts included."""
+    txns, locs = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    every = alphabet(txns, locs, 2)
+    f, records = initial_frontier(txns, locs), []
+    for _ in range(draw(st.integers(0, 24))):
+        allowed = [r for r in every if advance_frontier(f, r)]
+        perturb = not allowed or draw(st.integers(0, 9)) == 0
+        rec = draw(st.sampled_from(every if perturb else allowed))
+        records.append(rec)
+        f = advance_frontier(f, rec)
+    return txns, locs, tuple(records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_sequences())
+def test_search_agrees_with_frontier_fold(case):
+    txns, locs, records = case
+    want = fold_accepts(records, txns, locs)
+    event("accepted" if want else "rejected")
+    assert accepts_history(records, txns, locs) == want
+    ok, chain = accepts_history(records, txns, locs, witness=True)
+    assert ok == want and (chain is None) == (not want)
+    if ok:
+        assert replays(records, chain, txns, locs)
 
 
 # ---------------------------------------------------------------------------
