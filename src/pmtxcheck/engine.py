@@ -48,10 +48,10 @@ recovery ends, so its intermediate states are never explored.  Under --por
 the distinct outcomes of a crash depend on the pre-crash memory alone and
 are computed once per memory in each exploration.
 
-Under --por, outside recovery, a state may have one forced successor: an
-ample set of one invisible step independent of every other thread's
-(Peled, CAV 1993; Godefroid, LNCS 1032, 1996).  Two kinds of step qualify,
-tried in this order:
+Under --por, outside recovery, a machine may have one forced step
+(``forced``): an ample set of one invisible step independent of every
+other thread's (Peled, CAV 1993; Godefroid, LNCS 1032, 1996).  Two kinds
+of step qualify, tried in this order:
 
 * under PTSO, the propagation of the first store-buffer head that targets
   one of its thread's own log cells (``cfg.log_cells``), when that cell's
@@ -74,7 +74,9 @@ a full persistence buffer persists first and a flush of a non-empty one
 drains it; both persist, which takes a buffer's head, so such a step is
 not forced before the last crash, and neither is a propagation into a
 full persistence buffer.  Forced steps only move a program forward or
-shrink a store buffer, so they form no cycle.
+shrink a store buffer, so they form no cycle: the explorer runs each chain
+of them to its end within one transition (a macro-step, like the last
+crash's recovery) and expands only machines with no forced step.
 """
 
 from __future__ import annotations
@@ -294,16 +296,38 @@ def _may_begin(cfg, m, ti):
     return True
 
 
-def successors(cfg, m, memo):
-    """All scheduler steps from `m` as (machine', record|None, tag) where
-    tag is None or "cut".  `m` has not ended outside recovery: the
-    explorer expands no such machine (``ended``).  `memo` is a dict
-    memoizing crash outcomes (``crash_machine``); the caller owns it and
-    must not share it between Configs."""
-    out = []
-    pm = cfg.pmem
-    regime = cfg.regime(m)
+def forced(cfg, m, tried):
+    """The machine after `m`'s forced step (module docstring), or None, as
+    always without --por or in recovery; the private steps it tried and
+    did not force are left in `tried`, by thread, for ``successors``."""
+    if not cfg.por or m[M_REC] is not None:
+        return None
+    _nvm, pbufs, sbufs = mem = m[M_MEM]
+    if cfg.pmem.model == "ptso":
+        # a store-buffer head bound for its thread's own log cell, if room
+        for tid, buf in enumerate(sbufs):
+            if buf and buf[0][0] in cfg.log_cells[tid] \
+                    and len(pbufs[buf[0][0]]) < cfg.pmem.cap:
+                return set_mem(m, cfg.pmem.propagate(mem, tid, cfg.regime(m)))
+    for ti in range(cfg.txns):
+        slot = m[M_TXNS][ti]
+        if slot[S_ST] == RUN and slot[S_IP] in cfg.private_ips:
+            r = tried[ti] = cfg.step_table[slot[S_IP]](m, ti)
+            if r is not None and (cfg.regime(m) == REDUCED
+                                  or _keeps_crash_outcomes(mem, r)):
+                # a private step has one successor and emits nothing
+                [(m2, _emit)] = r
+                return m2
+    return None
 
+
+def successors(cfg, m, memo, tried):
+    """All scheduler steps from `m` as (machine', record|None, tag) where
+    tag is None or "cut".  `m` has not ended outside recovery and has no
+    forced step; `tried` holds the private steps ``forced`` tried at it.
+    `memo` is a dict memoizing crash outcomes (``crash_machine``); the
+    caller owns it and must not share it between Configs."""
+    out = []
     if m[M_REC] is not None:
         # recovery steps here are interleavable with propagation, persists
         # and further crashes: REDUCED never reaches this branch,
@@ -313,22 +337,6 @@ def successors(cfg, m, memo):
             for m2, emit in r:
                 out.append((m2, emit, None))
     else:
-        # the forced successors of the module docstring; the private steps
-        # tried and not forced are reused by the general loop below
-        tried = {}
-        if cfg.por:
-            if pm.model == "ptso":
-                forced = _own_log_propagation(cfg, m, regime)
-                if forced is not None:
-                    return [(forced, None, None)]
-            for ti in range(cfg.txns):
-                slot = m[M_TXNS][ti]
-                if slot[S_ST] == RUN and slot[S_IP] in cfg.private_ips:
-                    r = tried[ti] = cfg.step_table[slot[S_IP]](m, ti)
-                    if r is not None and (
-                            regime == REDUCED
-                            or _keeps_crash_outcomes(m[M_MEM], r)):
-                        return [(m2, emit, None) for m2, emit in r]
         for ti in range(cfg.txns):
             slot = m[M_TXNS][ti]
             if slot[S_ST] == RUN:
@@ -349,7 +357,7 @@ def successors(cfg, m, memo):
     # --por one bound for an own log cell reaches here only when its
     # persistence buffer is full, and making room persists, which drops a
     # crash outcome
-    for mem2 in pm.system_steps(m[M_MEM], regime):
+    for mem2 in cfg.pmem.system_steps(m[M_MEM], cfg.regime(m)):
         out.append((set_mem(m, mem2), None, None))
 
     # crash (disabled once every transaction is terminal: a trailing crash
@@ -361,20 +369,6 @@ def successors(cfg, m, memo):
             out.append((m2, ("crash",), None))
 
     return out
-
-
-def _own_log_propagation(cfg, m, regime):
-    """The machine after the first thread whose store-buffer head targets
-    one of its own log cells propagates it, when that cell's persistence
-    buffer has room; else None."""
-    pm = cfg.pmem
-    _nvm, pbufs, sbufs = mem = m[M_MEM]
-    for tid, buf in enumerate(sbufs):
-        if buf:
-            cell = buf[0][0]
-            if cell in cfg.log_cells[tid] and len(pbufs[cell]) < pm.cap:
-                return set_mem(m, pm.propagate(mem, tid, regime))
-    return None
 
 
 def _keeps_crash_outcomes(mem, r):

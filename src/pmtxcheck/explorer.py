@@ -36,7 +36,7 @@ from operator import itemgetter
 
 from . import refspec
 from .engine import (ABRT, COMM, CUT, DEAD, FLT, M_CRASH, M_REC, NS, RDY,
-                     RUN, S_ST, ended, initial_machine, successors)
+                     RUN, S_ST, ended, forced, initial_machine, successors)
 from .pmdk import MUTATIONS, Layout
 from .pmem import EXACT, MODELS, POR, REDUCED, PMem
 from .stm import IMPLS, build_programs
@@ -375,7 +375,11 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     A state is a machine and the id `hid` of the history it emitted,
     interned in a trie of (parent id, record) pairs.  No step reads the
     history, so the DFS stack carries `hid` beside the machine, never in
-    it.  ``state_hook(cfg, m, hid)``, when given, sees every popped state.
+    it.  A popped machine's chain of forced steps (``engine.forced``),
+    which emit nothing, is followed to its end, which is deduplicated as a
+    pushed state is and expanded in its place.  ``states`` counts popped
+    states.  ``state_hook(cfg, m, hid)``, when given, sees every popped
+    state and every machine a chain reaches (memoized under history dedup).
 
     dedup="history" keys states on the full machine plus the emitted
     history (needed when the history *set* is the product, e.g. for the
@@ -383,10 +387,10 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     same history was pushed before, its state key being
     ``key(m) << ID_BITS | hid``.  Successors depend on the machine alone
     (the crash memo they read is a function of it), so each machine's
-    successors and their keys are computed once per call, memoized on its
-    exact key; so is whether it has ended outside recovery, memoized as no
-    successors.  Frontier dedup's orbit key is not exact, as a renamed
-    machine has renamed successors, so it expands every state.
+    chain end and the end's keyed successors are computed once per call,
+    memoized on its exact key, as is whether it ended outside recovery.
+    Frontier dedup's orbit key is not exact, as a renamed machine has
+    renamed successors, so it expands every state.
     dedup="frontier" keeps, per machine up to a renaming of transaction ids
     (``orbit_keyer``), the subset-minimal spec frontiers pushed so far (an
     antichain; De Wulf, Doyen, Henzinger & Raskin, CAV 2006) and skips a
@@ -397,7 +401,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     complete for violation finding, and the histories it keeps are
     representatives of subset-minimal frontiers up to txid renaming.
 
-    When more than `cfg.max_states` states would be expanded, raises
+    When more than `cfg.max_states` states would be popped, raises
     BudgetExceeded carrying the counts so far.
     """
     if dedup not in ("history", "frontier"):
@@ -416,31 +420,58 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     by_frontier = dedup == "frontier"
     m0 = initial_machine(cfg)
     shared = {}                           # frontier -> its one copy
+    # history dedup's memo: machine key -> (its forced chain's end's key,
+    # the end's successors as (m2, rec, key of m2 or CUT), None until known,
+    # () if the machine ended outside recovery); frontier dedup's successors
+    # keep their tag in place of the key and are keyed when pushed
+    expanded = {}
+    # new(mk, h) records the state (machine keyed mk, history h): was it new?
     if by_frontier:
         key, relabel = orbit_keyer(cfg, shared)
-        k0, _order = key(m0)              # all slots equal: the identity
         # orbit key -> the minimal frontiers pushed with it, in the thread
         # order of the first machine pushed with it, kept in refs[k] when
         # that is not the identity
-        minimal = {k0: frontiers[0]}
+        minimal = {}
         refs, orders = {}, {}             # orders: each order's one copy
-        mk0 = None
+
+        def new(mk, h):
+            k, order = mk
+            f = frontiers[h]
+            ref = refs.get(k)
+            if order != ref:
+                if ref is None and k not in minimal:
+                    refs[k] = orders.setdefault(order, order)
+                else:
+                    f = relabel(f, order, ref)
+            return _antichain_add(minimal, k, f)
     else:
         key = state_keyer()
-        mk0 = key(m0)
-        seen = {mk0 << ID_BITS}           # pushed state keys
-        # machine key -> the machine's successors as (m2, rec, key of m2
-        # or CUT), () for a machine that ended outside recovery, so a
-        # machine reached with many histories is expanded and its
-        # successors keyed once
-        expanded = {}
+        seen = set()                      # pushed state keys
+
+        def new(mk, h):
+            n = len(seen)
+            seen.add(mk << ID_BITS | h)
+            return len(seen) > n
+    mk0 = key(m0)                         # all slots equal: the identity
+    new(mk0, 0)
+
+    def settle(m, hid):
+        # the end of m's forced chain and the private steps tried there
+        tried = {}
+        m2 = forced(cfg, m, tried)
+        while m2 is not None:
+            m, tried = m2, {}
+            if state_hook is not None:
+                state_hook(cfg, m, hid)
+            m2 = forced(cfg, m, tried)
+        return m, tried
+
     # crash outcomes per pre-crash memory and recovery outcomes per
     # post-crash memory (engine.successors).  One per call: callers reuse a
     # Config across calls, and a memo kept on it would make every call
     # after the first faster than a user's one run
     memo = {}
-    # stack entries: (machine, its key under history dedup, else None,
-    # history id)
+    # stack entries: (machine, its key, history id)
     stack = [(m0, mk0, 0)]
     push = stack.append
 
@@ -456,16 +487,30 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             states += 1
             if state_hook is not None:
                 state_hook(cfg, m, hid)
-            if by_frontier:
-                succs = () if m[M_REC] is None and ended(m) \
-                    else successors(cfg, m, memo)
-            else:
-                succs = expanded.get(mk)
-                if succs is None:
-                    succs = expanded[mk] = () \
-                        if m[M_REC] is None and ended(m) else [
-                            (m2, rec, CUT if tag == CUT else key(m2))
-                            for m2, rec, tag in successors(cfg, m, memo)]
+            # m's forced chain's end is deduplicated and expanded in its place
+            entry = None if by_frontier else expanded.get(mk)
+            end = None
+            if entry is None:
+                if m[M_REC] is None and ended(m):
+                    entry = (mk, ())
+                else:
+                    end, tried = settle(m, hid)
+                    entry = (mk if end is m else key(end), None)
+                if not by_frontier:
+                    expanded[mk] = entry
+            ek, succs = entry
+            if ek != mk and not new(ek, hid):
+                continue
+            if succs is None:
+                succs = expanded.get(ek, entry)[1]
+            if succs is None:
+                if end is None:           # settled on an earlier pop
+                    end, tried = settle(m, hid)
+                succs = successors(cfg, end, memo, tried)
+                if not by_frontier:
+                    succs = [(m2, rec, CUT if tag == CUT else key(m2))
+                             for m2, rec, tag in succs]
+                    expanded[mk] = expanded[ek] = (ek, succs)
             if not succs:
                 # ended, or maximal but not all-terminal: e.g. an allocation
                 # blocked on an empty free list (a disabled step) stalls its
@@ -501,22 +546,9 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                         if f2 != refspec.ACCEPT_ALL and not f2:
                             continue  # prune: already-reported violation
                 if by_frontier:
-                    k, order = key(m2)
-                    f2 = frontiers[h2]
-                    ref = refs.get(k)
-                    if order != ref:
-                        if ref is None and k not in minimal:
-                            refs[k] = orders.setdefault(order, order)
-                        else:
-                            f2 = relabel(f2, order, ref)
-                    if not _antichain_add(minimal, k, f2):
-                        continue
-                else:
-                    k = mk2 << ID_BITS | h2
-                    if k in seen:
-                        continue
-                    seen.add(k)
-                push((m2, mk2, h2))
+                    mk2 = key(m2)         # it held the tag so far
+                if new(mk2, h2):
+                    push((m2, mk2, h2))
     finally:
         res.states, res.transitions = states, transitions
         res.seconds = time.monotonic() - t0

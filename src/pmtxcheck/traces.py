@@ -9,7 +9,8 @@ Record kinds:
   transaction t runs on thread t, so tid must equal txid.
 * ``crash`` -- carries only era and seq.
 * ``fault-hidden-note`` -- marks where the run entered the fault regime;
-  carries only era and seq (the remainder of the trace is not claimed).
+  carries era, seq and the faulting access's txid, op (read or write) and
+  loc (the remainder of the trace is not claimed).
 
 Unknown fields and fields not allowed for a record's kind/op are rejected
 with the offending line number.  ``parse -> emit`` is byte-stable.
@@ -54,8 +55,9 @@ def records_to_dicts(records):
             era += 1
             continue
         if kind == "fault":
-            out.append({"kind": "fault-hidden-note", "era": era,
-                        "seq": seq})
+            _k, txid, op, loc = rec
+            out.append({"kind": "fault-hidden-note", "era": era, "seq": seq,
+                        "txid": txid, "op": op, "loc": loc})
             continue
         _k, txid, op, loc, val = rec
         d = {"kind": kind, "era": era, "seq": seq, "tid": txid,
@@ -77,9 +79,7 @@ def dicts_to_records(dicts):
         if kind == "crash":
             out.append(("crash",))
         elif kind == "fault-hidden-note":
-            # location/op of the fault are not serialized; the note only
-            # marks that the remainder of the run is unchecked
-            out.append(("fault", None, None, None))
+            out.append(("fault", d["txid"], d["op"], d["loc"]))
         else:
             out.append((kind, d["txid"], d["op"], d.get("loc"),
                         d.get("val")))
@@ -113,8 +113,12 @@ def parse_trace(path):
         if not isinstance(d, dict):
             raise TraceError("record is not an object", ln)
         kind = d.get("kind")
-        if kind in ("crash", "fault-hidden-note"):
+        if kind == "crash":
             allowed = {"kind", "era", "seq"}
+        elif kind == "fault-hidden-note":
+            if d.get("op") not in ("read", "write"):
+                raise TraceError("bad fault op %r" % (d.get("op"),), ln)
+            allowed = {"kind", "era", "seq", "txid", "op", "loc"}
         elif kind in ("inv", "res"):
             op = d.get("op")
             if op not in OPS:

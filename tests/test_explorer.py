@@ -11,7 +11,7 @@ from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_MEM,
                               M_REC, M_TXNS, RDY, RUN, S_IP, S_REGS, S_RETR,
                               S_ST, crash_tail, ended, fresh_slot,
                               initial_machine, set_slot, slot_upd,
-                              spent_slot, successors)
+                              forced, spent_slot, successors)
 from pmtxcheck.explorer import (ID_BITS, BudgetExceeded, Config,
                                 _antichain_add, check_lower, check_upper,
                                 explore, mutation_check_config, orbit_keyer,
@@ -55,17 +55,20 @@ def test_budget_exceeded(capsys):
     with pytest.raises(BudgetExceeded) as exc:
         explore(cfg)
     part = exc.value.result
-    assert (part.states, part.transitions, part.violations) == (100, 114, [])
+    # 114 transitions before forced chains ran inside one transition
+    assert (part.states, part.transitions, part.violations) == (100, 113, [])
     assert part.seconds > 0
     # the counts so far survive to the CLI, violations included
     assert cli.main(["check", "upper", "--txns", "2", "--locs", "1",
                      "--crashes", "1", "--por", "--mutate",
                      "skip-undo-flush", "--max-states", "1000"]) == 2
     out = capsys.readouterr().out.splitlines()
+    # 1,055 transitions and 1 violation before forced chains ran inside one
+    # transition: 1,000 states now reach further
     assert out[:4] == ["budget error: state budget exceeded (1000)",
                        "partial states explored: 1000",
-                       "partial transitions:     1055",
-                       "partial violations:      1"]
+                       "partial transitions:     1092",
+                       "partial violations:      3"]
     assert out[4].startswith("partial wall time:")
 
 
@@ -324,10 +327,11 @@ def test_own_log_cell_propagation_is_forced(crashes):
     for cell in sorted(lay.log_cells(0)):
         m = ptso_machine(cfg, cell)
         mem = pm.propagate(m[M_MEM], 0, cfg.regime(m))
-        assert successors(cfg, m, {}) == [((mem,) + m[1:], None, None)]
+        assert forced(cfg, m, {}) == (mem,) + m[1:]
     # thread 1's log cells are not thread 0's: its begin may act first
     m = ptso_machine(cfg, lay.pa(1))
-    assert len(successors(cfg, m, {})) > 1
+    assert forced(cfg, m, {}) is None
+    assert len(successors(cfg, m, {}, {})) > 1
 
 
 @pytest.mark.parametrize("crashes", [0, 1], ids=["reduced", "pre-crash"])
@@ -335,8 +339,9 @@ def test_data_cell_propagation_branches(crashes):
     cfg = Config("pmdk-tml", "ptso", txns=2, locs=1, max_crashes=crashes,
                  por=True)
     for cell in (cfg.layout.val(0), cfg.layout.meta(0)):
-        recs = [rec for _m2, rec, _tag in
-                successors(cfg, ptso_machine(cfg, cell), {})]
+        m = ptso_machine(cfg, cell)
+        assert forced(cfg, m, {}) is None
+        recs = [rec for _m2, rec, _tag in successors(cfg, m, {}, {})]
         # thread 0's begin, the propagation and, before the crash, one
         # crash per outcome
         assert recs[:2] == [("inv", 0, "begin", None, None), None]
@@ -351,7 +356,8 @@ def test_full_log_cell_propagation_branches_before_last_crash():
                  por=True)
     cell = cfg.layout.pa(0)
     m = ptso_machine(cfg, cell, pbuf=(2,))
-    succs = successors(cfg, m, {})
+    assert forced(cfg, m, {}) is None
+    succs = successors(cfg, m, {}, {})
     assert [rec for _m2, rec, _tag in succs] \
         == [("inv", 0, "begin", None, None), None] + [("crash",)] * 3
     assert {m2[M_MEM][0][cell] for m2, rec, _tag in succs
@@ -386,8 +392,7 @@ def test_private_store_with_room_is_forced_before_last_crash():
     cell = cfg.layout.puv(0)
     for pbuf in ((), (0,)):
         m = psc_machine(cfg, "pbegin.puv", cell=cell, pbuf=pbuf)
-        [(m2, rec, tag)] = successors(cfg, m, {})
-        assert (rec, tag) == (None, None)
+        m2 = forced(cfg, m, {})
         assert m2[M_MEM] == cfg.pmem.store(m[M_MEM], 0, cell, 1, POR)
         assert m2[M_TXNS][0][S_IP] == cfg.step_names.index("pbegin.pck")
 
@@ -397,7 +402,9 @@ def test_private_store_into_full_buffer_branches():
     # crash outcome: thread 1's begin and the crashes stay successors
     cfg = private_cfg()
     m = psc_machine(cfg, "pbegin.puv", cell=cfg.layout.puv(0), pbuf=(0, 0))
-    recs = [rec for _m2, rec, _tag in successors(cfg, m, {})]
+    tried = {}
+    assert forced(cfg, m, tried) is None
+    recs = [rec for _m2, rec, _tag in successors(cfg, m, {}, tried)]
     assert recs[:2] == [None, ("inv", 1, "begin", None, None)]
     assert ("crash",) in recs[2:]
 
@@ -407,13 +414,15 @@ def test_private_flush_of_buffered_cell_is_not_forced():
     cell = cfg.layout.undo(0, 0)
     m = psc_machine(cfg, "pwrite.flush", regs=(0, 1, 0), cell=cell,
                     pbuf=(0,))
-    recs = [rec for _m2, rec, _tag in successors(cfg, m, {})]
+    tried = {}
+    assert forced(cfg, m, tried) is None
+    recs = [rec for _m2, rec, _tag in successors(cfg, m, {}, tried)]
     assert recs[:2] == [None, ("inv", 1, "begin", None, None)]
     assert ("crash",) in recs[2:]
     # with nothing buffered the flush persists nothing: it is forced
     m = psc_machine(cfg, "pwrite.flush", regs=(0, 1, 0))
-    [(m2, rec, _tag)] = successors(cfg, m, {})
-    assert rec is None and m2[M_MEM] == m[M_MEM]
+    m2 = forced(cfg, m, {})
+    assert m2 is not None and m2[M_MEM] == m[M_MEM]
 
 
 def test_private_recovery_step_is_not_forced():
@@ -426,7 +435,8 @@ def test_private_recovery_step_is_not_forced():
                     (S_IP, cfg.step_names.index("undo.guvf")))
     m = set_slot(m, 0, slot)
     m = m[:M_REC] + (0, 1) + m[M_CRASH + 1:]
-    recs = [rec for _m2, rec, _tag in successors(cfg, m, {})]
+    assert forced(cfg, m, {}) is None
+    recs = [rec for _m2, rec, _tag in successors(cfg, m, {}, {})]
     assert recs[0] is None and len(recs) > 1
     assert set(recs[1:]) == {("crash",)}
 
@@ -495,21 +505,28 @@ def test_frontier_antichain():
     # (5,414, 6,303, 238) before private steps that keep every crash
     # outcome were forced before the last crash, then (5,414, 6,058, 238)
     # before frontier dedup kept only the subset-minimal frontiers, then
-    # (5,150, 5,785, 238) before it keyed machines up to txid renaming
-    ("pmdk-seq", "psc", 1, 1, 2, "frontier", (5_117, 5_785, 229)),
-    ("pmdk-tml", "psc", 1, 0, 1, "history", (32_259, 36_587, 1_720)),
+    # (5,150, 5,785, 238) before it keyed machines up to txid renaming,
+    # then (5,117, 5,785, 229) before forced chains ran inside one
+    # transition
+    ("pmdk-seq", "psc", 1, 1, 2, "frontier", (2_540, 3_208, 229)),
+    # (32,259, 36,587, 1,720) before forced chains ran inside one
+    # transition
+    ("pmdk-tml", "psc", 1, 0, 1, "history", (14_582, 16_752, 1_720)),
     # store buffers are part of the deduplicated memory only under ptso
     # (26,085, 92,421, 264) before a thread's own log cells were
     # propagated as a forced step, then (10,926, 21,467, 264) before
     # private steps were forced before the last crash too, then
     # (9,578, 15,051, 264) before frontier dedup kept only the
     # subset-minimal frontiers, then (7,295, 11,259, 236) before it keyed
-    # machines up to txid renaming
-    ("pmdk-norec", "ptso", 1, 1, 1, "frontier", (4_284, 6_366, 144)),
+    # machines up to txid renaming, then (4,284, 6,366, 144) before forced
+    # chains ran inside one transition
+    ("pmdk-norec", "ptso", 1, 1, 1, "frontier", (2_035, 3_881, 144)),
     # the cells of the benchmark's upper-* workloads.  (52,984, 102,917,
-    # 1,768) before slots dropped the operation name no step read
-    ("pmdk-tml", "psc", 2, 1, 2, "frontier", (52_928, 102_917, 1_768)),
-    ("pmdk-norec", "ptso", 2, 0, 2, "frontier", (30_148, 38_236, 568)),
+    # 1,768) before slots dropped the operation name no step read, then
+    # (52,928, 102,917, 1,768) and (30,148, 38,236, 568) before forced
+    # chains ran inside one transition
+    ("pmdk-tml", "psc", 2, 1, 2, "frontier", (35_415, 81_503, 1_768)),
+    ("pmdk-norec", "ptso", 2, 0, 2, "frontier", (13_261, 18_664, 568)),
 ], ids=[  # the 1-location rows keep the ids they had before the model and
     # locs parameters
     "pmdk-seq-1-2-frontier-counts0", "pmdk-tml-0-1-history-counts1",
@@ -559,44 +576,91 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
     # successors depend on the machine alone, not on the history it was
     # reached with, so under history dedup a machine reached with many
     # histories is expanded once per call, and asked once whether it ended
-    expanded, asked, popped, live = [], [], set(), set()
+    expanded, asked, popped, live, chains = [], [], set(), set(), set()
     key = state_keyer()
     states, ended_hids = [], set()
+    # the last machine a forced chain stepped to: the hook's next call
+    # shows it, not a popped state
+    chained = [None]
 
-    def counted(cfg, m, memo):
+    def counted(cfg, m, memo, tried):
         expanded.append(m)
-        return successors(cfg, m, memo)
+        return successors(cfg, m, memo, tried)
 
     def counted_ended(m):
         asked.append(m)
         return ended(m)
 
+    def counted_forced(cfg, m, tried):
+        chained[0] = forced(cfg, m, tried)
+        return chained[0]
+
     def hook(cfg, m, hid):
-        popped.add(m)
-        states.append((key(m), hid))
         if m[M_REC] is not None or not ended(m):
-            live.add(m)
+            if forced(cfg, m, {}) is None:
+                live.add(m)
         else:
             ended_hids.add(hid)
+        if m is chained[0]:
+            chained[0] = None
+            chains.add(m)
+            return
+        popped.add(m)
+        states.append((key(m), hid))
 
     monkeypatch.setattr(explorer, "successors", counted)
     monkeypatch.setattr(explorer, "ended", counted_ended)
+    monkeypatch.setattr(explorer, "forced", counted_forced)
     r = explore(Config("pmdk-tml", "psc", txns=2, locs=1, vals=2, buf=2,
                        max_crashes=1, ops=1, por=True),
                 dedup="history", state_hook=hook)
-    assert len(expanded) == len(set(expanded)) == len(live) == 3_805
-    # ended is asked outside recovery only, once per machine, ended ones
-    # included
+    # every machine with no forced step, popped or at a chain's end, is
+    # expanded once (3,805 before forced chains ran inside one transition,
+    # when a machine with a forced step was expanded to it)
+    assert len(expanded) == len(set(expanded)) == len(live) == 1_772
+    # ended is asked of popped machines outside recovery only, once per
+    # machine, ended ones included, but not of one a forced chain reached
+    # first: a chain's end is expanded and memoized where the chain ends
     outside = {m for m in popped if m[M_REC] is None}
-    assert len(asked) == len(set(asked)) == len(outside) > 0
-    assert len(outside - live) > 0
+    assert len(asked) == len(set(asked)) > 0
+    assert set(asked) <= outside and outside - set(asked) <= chains
+    assert any(m[M_REC] is None and ended(m) for m in outside)
     # a state is a machine and a history id: each popped pair is distinct,
     # and an ended machine's history is complete
     assert len(states) == len(set(states)) == r.states
     assert ended_hids and ended_hids <= r.complete
-    # the counts without the memo: it changes no state or transition
-    assert (r.states, r.transitions) == (99_834, 165_989)
+    # the counts without the memo: it changes no state or transition.
+    # (99,834, 165,989) before forced chains ran inside one transition
+    assert (r.states, r.transitions) == (70_979, 131_506)
     assert history_digest(r.histories()) == TML_1_CRASH
+
+
+@pytest.mark.parametrize("dedup", ["history", "frontier"])
+@pytest.mark.parametrize("impl,model,crashes", [
+    ("pmdk-tml", "psc", 1), ("pmdk-norec", "ptso", 1)])
+def test_explorer_expands_no_machine_with_a_forced_step(impl, model, crashes,
+                                                        dedup, monkeypatch):
+    # explore follows each forced chain to its end before it expands: the
+    # machines it expands have no forced step, and the chains did run
+    expanded, chained = [], []
+
+    def checked(cfg, m, memo, tried):
+        assert forced(cfg, m, {}) is None, m
+        expanded.append(m)
+        return successors(cfg, m, memo, tried)
+
+    def counted(cfg, m, tried):
+        m2 = forced(cfg, m, tried)
+        if m2 is not None:
+            chained.append(m2)
+        return m2
+
+    monkeypatch.setattr(explorer, "successors", checked)
+    monkeypatch.setattr(explorer, "forced", counted)
+    r = explore(Config(impl, model, txns=2, locs=1, max_crashes=crashes,
+                       ops=1, por=True), dedup=dedup)
+    assert not r.violations
+    assert expanded and chained
 
 
 @pytest.mark.parametrize("impl,model,crashes,por,ended", [
@@ -654,7 +718,7 @@ def test_last_crash_folds_recovery(impl, model, ops):
         # explore expands no machine that has ended outside recovery
         if m[M_CRASH] or m[M_REC] is not None or ended(m):
             return
-        folded = [m2 for m2, rec, _tag in successors(cfg, m, memo)
+        folded = [m2 for m2, rec, _tag in successors(cfg, m, memo, {})
                   if rec == ("crash",)]
         if not folded:
             return
@@ -689,8 +753,8 @@ def test_crash_machine_makes_every_crash_transition(monkeypatch):
         made.append(len(out))
         return out
 
-    def succ_traced(cfg, m, memo):
-        out = orig_succ(cfg, m, memo)
+    def succ_traced(cfg, m, memo, tried):
+        out = orig_succ(cfg, m, memo, tried)
         crash_succs.append(sum(rec == ("crash",) for _m2, rec, _t in out))
         return out
 
@@ -789,12 +853,13 @@ def test_check_lower_enforces_state_budget(capsys):
     with pytest.raises(BudgetExceeded) as exc:
         check_lower("pmdk-seq", max_states=10)
     part = exc.value.result
-    assert (part.states, part.transitions, part.violations) == (10, 16, [])
+    # 16 transitions before forced chains ran inside one transition
+    assert (part.states, part.transitions, part.violations) == (10, 14, [])
     assert cli.main(["check", "lower", "--max-states", "10"]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[:4] == ["budget error: state budget exceeded (10)",
                        "partial states explored: 10",
-                       "partial transitions:     16",
+                       "partial transitions:     14",
                        "partial violations:      0"]
     assert out[4].startswith("partial wall time:")
 
@@ -876,8 +941,16 @@ ORACLE_RACE = ((((("write", 1, 1), ("write", 1, 1)), 0),
                 ((("alloc",), ("read", 1)), 0)))
 
 
-@pytest.mark.parametrize("impl,states", [("pmdk-tml", 7_456),
-                                         ("pmdk-norec", 6_911)])
+# sorted-history sha256 of the 4 violations, the same for both impls
+ORACLE_RACE_VIOLATIONS = \
+    "d89b4eaf426c01aa2898578a89ff0c5a8c7167c92b8747bf5979b2a193f19f81"
+
+
+# (7,456) and (6,911) states before forced chains ran inside one
+# transition; the ids keep the names those counts gave them
+@pytest.mark.parametrize("impl,states", [("pmdk-tml", 3_718),
+                                         ("pmdk-norec", 3_479)],
+                         ids=["pmdk-tml-7456", "pmdk-norec-6911"])
 def test_three_txn_oracle_disagreement_pinned(impl, states):
     # a known disagreement, not yet judged (ROADMAP item 10): an
     # allocating reader commits without validation after T0 committed its
@@ -887,6 +960,7 @@ def test_three_txn_oracle_disagreement_pinned(impl, states):
     r = check_upper(Config(impl, "psc", txns=3, locs=2, por=True,
                            scripts=ORACLE_RACE))
     assert (r.states, len(r.violations)) == (states, 4)
+    assert history_digest(r.violations) == ORACLE_RACE_VIOLATIONS
     for records in r.violations:
         assert not accepts_history(records, 3, 2)
         assert check_history_ddo(events_of_records(records))[0]

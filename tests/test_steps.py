@@ -298,6 +298,9 @@ def test_private_steps_keep_fault_view(impl, model, mutation):
             if r is None:
                 continue
             ran.add(ip)
+            # the explorer follows a forced private step to its one
+            # successor (engine.forced)
+            assert len(r) == 1, (cfg.step_names[ip], m)
             for m2, rec in r:
                 assert rec is None, (cfg.step_names[ip], rec)
                 assert fault_view(cfg, m2[M_TXNS][ti]) \

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from pmtxcheck import cli
-from pmtxcheck.explorer import Config, explore
+from pmtxcheck.explorer import (Config, check_upper, explore,
+                                mutation_check_config)
+from pmtxcheck.refspec import accepts_history
 from pmtxcheck.traces import TraceError, emit_trace, parse_trace
 
 
@@ -29,16 +31,31 @@ def test_emit_parse_round_trip(tmp_path):
     for records in explored_histories():
         emit_trace(records, path)
         parsed = parse_trace(path)
-        # a fault note keeps only where the fault happened
-        assert parsed == tuple(("fault", None, None, None)
-                               if rec[0] == "fault" else rec
-                               for rec in records)
+        # a fault note keeps the faulting access
+        assert parsed == records
         emit_trace(parsed, again)
         assert again.read_bytes() == path.read_bytes()
         kinds.update(rec[0] if rec[0] in ("crash", "fault") else rec[2]
                      for rec in records)
     assert kinds == {"crash", "fault", "begin", "read", "write", "alloc",
                      "commit", "abort"}
+
+
+@pytest.mark.parametrize("impl", ["pmdk-seq", "pmdk-tml"])
+def test_fault_counterexamples_keep_their_verdict(tmp_path, impl):
+    # skip-flush-commit5's counterexamples that end in a fault parse back
+    # to the records written, and the spec judges them alike
+    cfg = mutation_check_config("skip-flush-commit5", impl=impl)
+    r = check_upper(cfg)
+    faults = [v for v in r.violations if v[-1][0] == "fault"]
+    assert (len(r.violations), len(faults)) == (15, 9)
+    path = tmp_path / "cx.jsonl"
+    for records in faults:
+        emit_trace(records, path)
+        parsed = parse_trace(path)
+        assert parsed == records
+        assert accepts_history(parsed, cfg.txns, cfg.locs) \
+            == accepts_history(records, cfg.txns, cfg.locs) is False
 
 
 def line(**fields):
@@ -59,6 +76,14 @@ BEGIN = line(kind="inv", era=0, seq=0, tid=0, txid=0, op="begin")
     (line(kind="res", era=0, seq=1, tid=0, txid=0, op="begin", loc=0),
      "unexpected field(s) loc"),
     (line(kind="crash", era=0, seq=1, tid=0), "unexpected field(s) tid"),
+    (line(kind="crash", era=0, seq=1, txid=0, op="read", loc=0),
+     "unexpected field(s) loc, op, txid"),
+    (line(kind="fault-hidden-note", era=0, seq=1, txid=0, op="read"),
+     "missing field(s) loc"),
+    (line(kind="fault-hidden-note", era=0, seq=1, tid=0, txid=0, op="read",
+          loc=0), "unexpected field(s) tid"),
+    (line(kind="fault-hidden-note", era=0, seq=1, txid=0, op="alloc",
+          loc=0), "bad fault op 'alloc'"),
     (line(kind="res", era=0, seq=1, tid=0, txid=0, op="read", loc=0),
      "missing field(s) val"),
     (line(kind="res", era=0, seq=1, txid=0, op="begin"),
@@ -77,6 +102,7 @@ BEGIN = line(kind="inv", era=0, seq=0, tid=0, txid=0, op="begin")
     (line(kind="res", era=0, seq=1, tid=1, txid=0, op="begin"),
      "tid 1 is not txid 0"),
 ], ids=["json", "object", "kind", "op", "inv-abort", "extra", "extra-crash",
+        "crash-fault-fields", "fault-missing", "fault-tid", "fault-op",
         "missing", "missing-tid", "int", "int-val", "bool", "era", "seq",
         "tid"])
 def test_parse_rejects_with_line_number(tmp_path, bad, message):
