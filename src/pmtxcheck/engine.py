@@ -77,6 +77,21 @@ full persistence buffer.  Forced steps only move a program forward or
 shrink a store buffer, so they form no cycle: the explorer runs each chain
 of them to its end within one transition (a macro-step, like the last
 crash's recovery) and expands only machines with no forced step.
+
+Under --por a crash is also postponed (``successors``), in recovery too: a
+machine makes no crash transition when one of its successors is silent (a
+thread or system step that emits no record and is not cut) and keeps every
+crash outcome (``_keeps_crash_outcomes``: the same NVM, and each
+persistence buffer a prefix of its own).  This is a persistent set for the
+crash transition alone (Godefroid, LNCS 1032, 1996).  A silent step keeps
+every slot's status and emits nothing, so the crash after it leaves the
+same crashed tail and the same history, with at least the same memories:
+it covers the crash before it.  The postponed crash is taken further down
+unless silent, outcome-keeping steps form a cycle.  None is expected:
+programs move forward, retry loop-backs raise the retry count, busy-waits
+are guarded steps that block, and propagations shrink a store buffer.
+``tests/test_explorer.py`` checks that their graph is acyclic on small
+cells of every implementation and model with one and two crashes.
 """
 
 from __future__ import annotations
@@ -313,11 +328,12 @@ def forced(cfg, m, tried):
         slot = m[M_TXNS][ti]
         if slot[S_ST] == RUN and slot[S_IP] in cfg.private_ips:
             r = tried[ti] = cfg.step_table[slot[S_IP]](m, ti)
-            if r is not None and (cfg.regime(m) == REDUCED
-                                  or _keeps_crash_outcomes(mem, r)):
+            if r is not None:
                 # a private step has one successor and emits nothing
                 [(m2, _emit)] = r
-                return m2
+                if cfg.regime(m) == REDUCED \
+                        or _keeps_crash_outcomes(mem, m2[M_MEM]):
+                    return m2
     return None
 
 
@@ -325,8 +341,11 @@ def successors(cfg, m, memo, tried):
     """All scheduler steps from `m` as (machine', record|None, tag) where
     tag is None or "cut".  `m` has not ended outside recovery and has no
     forced step; `tried` holds the private steps ``forced`` tried at it.
-    `memo` is a dict memoizing crash outcomes (``crash_machine``); the
-    caller owns it and must not share it between Configs."""
+    Under --por there is no crash successor when another successor is
+    silent and keeps every crash outcome (module docstring): the crash
+    after that step covers this one.  `memo` is a dict memoizing crash
+    outcomes (``crash_machine``); the caller owns it and must not share it
+    between Configs."""
     out = []
     if m[M_REC] is not None:
         # recovery steps here are interleavable with propagation, persists
@@ -362,26 +381,38 @@ def successors(cfg, m, memo, tried):
 
     # crash (disabled once every transaction is terminal: a trailing crash
     # marker is accepted whenever the history without it is; outside
-    # recovery the explorer has checked that already)
+    # recovery the explorer has checked that already).  Under --por it is
+    # postponed past a silent step that keeps every crash outcome (module
+    # docstring)
     if m[M_CRASH] < cfg.max_crashes \
-            and (m[M_REC] is None or not ended(m)):
+            and (m[M_REC] is None or not ended(m)) \
+            and not (cfg.por and _crash_postponed(m[M_MEM], out)):
         for m2 in crash_machine(cfg, m, memo):
             out.append((m2, ("crash",), None))
 
     return out
 
 
-def _keeps_crash_outcomes(mem, r):
-    """True when every successor in `r` keeps the NVM of `mem` and each
-    persistence buffer of `mem` as a prefix of its own: then a crash after
-    the step has every outcome a crash before it has."""
+def _crash_postponed(mem, out):
+    """True when some successor in `out` is silent (no record, not cut)
+    and keeps every crash outcome of memory `mem`."""
+    for m2, emit, tag in out:
+        if emit is None and tag is None \
+                and _keeps_crash_outcomes(mem, m2[M_MEM]):
+            return True
+    return False
+
+
+def _keeps_crash_outcomes(mem, mem2):
+    """True when `mem2` keeps the NVM of `mem` and each persistence buffer
+    of `mem` as a prefix of its own: then a crash at `mem2` has every
+    outcome a crash at `mem` has."""
     nvm, pbufs, _sbufs = mem
-    for m2, _emit in r:
-        nvm2, pbufs2, _sbufs2 = m2[M_MEM]
-        if nvm2 != nvm:
-            return False
-        if pbufs2 is not pbufs:
-            for b, b2 in zip(pbufs, pbufs2):
-                if b2 is not b and b2[:len(b)] != b:
-                    return False
+    nvm2, pbufs2, _sbufs2 = mem2
+    if nvm2 != nvm:
+        return False
+    if pbufs2 is not pbufs:
+        for b, b2 in zip(pbufs, pbufs2):
+            if b2 is not b and b2[:len(b)] != b:
+                return False
     return True

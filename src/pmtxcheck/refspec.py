@@ -261,20 +261,30 @@ def accepts_history(records, txns, locs, witness=False, prealloc=0):
     """Membership of an inv/res/crash/fault record sequence: one iterative
     depth-first search for an accepting run over (position, spec state)
     nodes, record matches before commit steps, failed nodes kept in a dead
-    set for the call.  With witness=True also returns, on acceptance, the
-    run's state after each consumed record (a trailing ACCEPT_ALL marks a
-    matched fault), else None.
+    set for the call; a record naming a transaction or location out of
+    range matches nothing.  With witness=True also returns, on acceptance,
+    the run's state after each consumed record (a trailing ACCEPT_ALL marks
+    a matched fault), else None.
     """
     records = tuple(records)
+    # no spec step matches a record naming a transaction or a location out
+    # of range: the search stops at the first one
+    stop = len(records)
+    for i, rec in enumerate(records):
+        if rec[0] != "crash" and not (0 <= rec[1] < txns and (
+                rec[3] is None or 0 <= rec[3] < locs)):
+            stop = i
+            break
     dead, path, frames = set(), [], []  # path: the nodes above `node`
     node = (0, initial_state(txns, locs, prealloc))
     while True:
         pos, st = node
         rec = records[pos] if pos < len(records) else None
-        if rec is None or rec[0] == "fault" and fault_possible(st, *rec[1:]):
+        if rec is None or pos < stop and rec[0] == "fault" \
+                and fault_possible(st, *rec[1:]):
             break
         path.append(node)
-        frames.append(_children(pos, st, rec))
+        frames.append(_children(pos, st, rec) if pos < stop else iter(()))
         while True:
             node = next(frames[-1], None)
             if node is None:

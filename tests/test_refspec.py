@@ -118,6 +118,49 @@ def test_fault_matches_only_at_invalid_access():
     assert not drive(records)
 
 
+BEGIN_0 = (("inv", 0, "begin", None, None), ("res", 0, "begin", None, None))
+
+
+@pytest.mark.parametrize("txid", [2, 5, -1])
+def test_rejects_transaction_out_of_range(txid):
+    # no spec step matches a record naming a transaction at or past `txns`:
+    # the search rejects it instead of indexing past the transactions
+    for records in ((("inv", txid, "begin", None, None),),
+                    BEGIN_0 + (("res", txid, "begin", None, None),),
+                    BEGIN_0 + (("inv", 0, "read", 0, None),
+                               ("fault", txid, "read", 0))):
+        assert accepts_history(records, 2, 1) is False
+        assert accepts_history(records, 2, 1, witness=True) == (False, None)
+
+
+@pytest.mark.parametrize("records", [
+    (("inv", 0, "read", 3, None), ("fault", 0, "read", 3)),
+    (("inv", 0, "read", 1, None), ("res", 0, "read", 1, 0)),
+    (("inv", 0, "write", 1, 0), ("res", 0, "write", 1, 0)),
+    (("inv", 0, "write", 1, 0), ("fault", 0, "write", 1)),
+    (("inv", 0, "read", 0, None), ("fault", 0, "read", -1)),
+], ids=["fault-read", "read", "write", "fault-write", "negative"])
+def test_rejects_location_out_of_range(records):
+    # likewise a read, write or fault of a location at or past `locs`; the
+    # same access in range is matched, by a fault or by a response
+    assert accepts_history(BEGIN_0 + records, 2, 1) is False
+    assert accepts_history(BEGIN_0 + records, 2, 1, witness=True) \
+        == (False, None)
+    inv, last = records
+    in_range = (inv[:3] + (0,) + inv[4:],) if inv[3] != 0 else (inv,)
+    assert accepts_history(BEGIN_0 + in_range + (last[:3] + (0,)
+                                                 + last[4:],), 2, 1,
+                           prealloc=last[0] == "res") is True
+
+
+def test_matched_fault_accepts_any_continuation():
+    # as in the frontier fold, a matched fault accepts whatever follows,
+    # a record out of range included
+    records = BEGIN_0 + (("inv", 0, "read", 0, None), ("fault", 0, "read", 0),
+                         ("inv", 5, "begin", None, None))
+    assert accepts_history(records, 2, 1) is True
+
+
 def test_fault_frontier_accepts_everything_after():
     f = initial_frontier(1, 1)
     for rec in (("inv", 0, "begin", None, None),
