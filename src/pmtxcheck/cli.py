@@ -69,7 +69,10 @@ def build_parser():
                     "explored with a subset of its spec frontier, renamed "
                     "alike, so 'histories checked' counts representative "
                     "histories of the subset-minimal frontiers per machine "
-                    "up to txid renaming; violations are real histories.  "
+                    "up to txid renaming, plus, with --por, every history "
+                    "ending in a last crash after which no transaction is "
+                    "left to run; "
+                    "violations are real histories.  "
                     "With --emit-traces every history is explored, counted "
                     "and written.")
     _add_bounds(upper)

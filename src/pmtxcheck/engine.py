@@ -38,15 +38,16 @@ compiled step table.  The system steps (store-buffer propagations, and
 per-cell persists in the ``EXACT`` regime only) and the memories a crash
 can leave are ``PMem``'s to decide per persist regime
 (``PMem.system_steps``, ``PMem.crash``; ``Config.regime``, whose rules
-are in the ``pmem`` docstring); ``crash_machine`` is the one crash
-transition.  After a crash, recovery runs before any transaction step:
-each transaction id in turn, as the thread of that id
-(``pmdk.recovery``); its steps emit nothing.  Under --por the crash that
-spends the last unit of the crash budget runs recovery to its end inside
-the crash transition (a macro-step): nothing else can act or crash until
-recovery ends, so its intermediate states are never explored.  Under --por
-the distinct outcomes of a crash depend on the pre-crash memory alone and
-are computed once per memory in each exploration.
+are in the ``pmem`` docstring); ``crash_machine`` builds the machines of
+every crash transition but a run-ending one, which has none.  After a
+crash, recovery runs before any transaction step: each transaction id in
+turn, as the thread of that id (``pmdk.recovery``); its steps emit
+nothing.  Under --por the crash that spends the last unit of the crash
+budget runs recovery to its end inside the crash transition (a
+macro-step): nothing else can act or crash until recovery ends, so its
+intermediate states are never explored.  Under --por the distinct
+outcomes of a crash depend on the pre-crash memory alone and are computed
+once per memory in each exploration.
 
 Under --por, outside recovery, a machine may have one forced step
 (``forced``): an ample set of one invisible step independent of every
@@ -92,6 +93,21 @@ programs move forward, retry loop-backs raise the retry count, busy-waits
 are guarded steps that block, and propagations shrink a store buffer.
 ``tests/test_explorer.py`` checks that their graph is acyclic on small
 cells of every implementation and model with one and two crashes.
+
+Under --por a crash that ends the run is one leaf transition
+(``_crash_ends_run``): it spends the last unit of the crash budget and no
+slot is ``NS``.  ``successors`` gives it as one successor with no machine,
+tagged ``END``, and enumerates, recovers and keys none of its outcomes.
+Sound, because every outcome leaves one history: the crash makes each
+``RUN`` and ``RDY`` slot ``DEAD`` and keeps the ended ones (``crash_tail``),
+so with none yet to begin every slot is terminal; recovery emits nothing
+and sets no status, and no crash is left, so each machine the crash leaves
+has ended once recovered.  Whatever memory survived, the run's one
+history is the history so far followed by the crash record, which the
+explorer checks and records as complete at the leaf.  A crash with a
+crash left after it is not a leaf: a further crash may interrupt
+recovery, so its histories are the history so far followed by one crash
+record or more, up to the budget.
 """
 
 from __future__ import annotations
@@ -108,7 +124,10 @@ S_ST, S_IP, S_REGS, S_AM, S_RD, S_WR, S_USED, S_RETR, S_LOC = range(9)
 NS, RUN, RDY, COMM, ABRT, DEAD, FLT = range(7)
 TERMINAL = (COMM, ABRT, DEAD, FLT)
 
+# successor tags: a step cut at the retry bound, and a run-ending crash
+# (``_crash_ends_run``); neither successor carries a machine
 CUT = "cut"
+END = "end"
 
 OPS = ("read", "write", "alloc", "commit")
 
@@ -199,7 +218,9 @@ def crash_machine(cfg, m, memo):
     recovery to its end (``run_recovery``), and the outcomes, which depend
     on the pre-crash memory alone, are memoized in `memo` on it, as a
     recovery's on its post-crash memory (the key's flag keeps the two
-    apart).  Without --por a crash has one outcome, not worth memoizing."""
+    apart).  Without --por a crash has one outcome, not worth memoizing.
+    ``successors`` calls it for every crash but a run-ending one
+    (``_crash_ends_run``), whose machines it never builds."""
     last = cfg.por and m[M_CRASH] + 1 == cfg.max_crashes
     tail = crash_tail(cfg, m, None if last else 0)
     key = (last, m[M_MEM])
@@ -339,13 +360,14 @@ def forced(cfg, m, tried):
 
 def successors(cfg, m, memo, tried):
     """All scheduler steps from `m` as (machine', record|None, tag) where
-    tag is None or "cut".  `m` has not ended outside recovery and has no
-    forced step; `tried` holds the private steps ``forced`` tried at it.
-    Under --por there is no crash successor when another successor is
-    silent and keeps every crash outcome (module docstring): the crash
-    after that step covers this one.  `memo` is a dict memoizing crash
-    outcomes (``crash_machine``); the caller owns it and must not share it
-    between Configs."""
+    tag is None, ``CUT`` or ``END``; a tagged successor has no machine.
+    `m` has not ended outside recovery and has no forced step; `tried`
+    holds the private steps ``forced`` tried at it.  Under --por there is
+    no crash successor when another successor is silent and keeps every
+    crash outcome (module docstring): the crash after that step covers this
+    one; and a run-ending crash is the one successor (None, ("crash",),
+    END).  `memo` is a dict memoizing crash outcomes (``crash_machine``);
+    the caller owns it and must not share it between Configs."""
     out = []
     if m[M_REC] is not None:
         # recovery steps here are interleavable with propagation, persists
@@ -387,10 +409,25 @@ def successors(cfg, m, memo, tried):
     if m[M_CRASH] < cfg.max_crashes \
             and (m[M_REC] is None or not ended(m)) \
             and not (cfg.por and _crash_postponed(m[M_MEM], out)):
-        for m2 in crash_machine(cfg, m, memo):
-            out.append((m2, ("crash",), None))
+        if _crash_ends_run(cfg, m):
+            out.append((None, ("crash",), END))
+        else:
+            for m2 in crash_machine(cfg, m, memo):
+                out.append((m2, ("crash",), None))
 
     return out
+
+
+def _crash_ends_run(cfg, m):
+    """True when, under --por, a crash of `m` ends the run: it spends the
+    last unit of the budget and no slot of `m` is yet to begin (module
+    docstring)."""
+    if not cfg.por or m[M_CRASH] + 1 != cfg.max_crashes:
+        return False
+    for s in m[M_TXNS]:
+        if s[S_ST] == NS:
+            return False
+    return True
 
 
 def _crash_postponed(mem, out):

@@ -35,8 +35,9 @@ from itertools import filterfalse
 from operator import itemgetter
 
 from . import refspec
-from .engine import (ABRT, COMM, CUT, DEAD, FLT, M_CRASH, M_REC, NS, RDY,
-                     RUN, S_ST, ended, forced, initial_machine, successors)
+from .engine import (ABRT, COMM, CUT, DEAD, END, FLT, M_CRASH, M_REC, NS,
+                     RDY, RUN, S_ST, ended, forced, initial_machine,
+                     successors)
 from .pmdk import MUTATIONS, Layout
 from .pmem import EXACT, MODELS, POR, REDUCED, PMem
 from .stm import IMPLS, build_programs
@@ -378,8 +379,13 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     it.  A popped machine's chain of forced steps (``engine.forced``),
     which emit nothing, is followed to its end, which is deduplicated as a
     pushed state is and expanded in its place.  ``states`` counts popped
-    states.  ``state_hook(cfg, m, hid)``, when given, sees every popped
-    state and every machine a chain reaches (memoized under history dedup).
+    states and ``transitions`` the successors taken from expanded ones,
+    tagged ones included.  ``state_hook(cfg, m, hid)``, when given, sees
+    every popped state and every machine a chain reaches (memoized under
+    history dedup), and no machine a run-ending crash would leave: that
+    crash (tagged ``engine.END``) has none.  Its history is checked like
+    any other successor's and, unless it violates, added to ``complete``
+    with no key, dedup or push, as a ``CUT`` successor's is to ``cut``.
 
     dedup="history" keys states on the full machine plus the emitted
     history (needed when the history *set* is the product, e.g. for the
@@ -399,7 +405,8 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     reachable from (m, F) is reachable, no later, from an already pushed
     (m, G) with G a subset of F: with ``orbit_keyer``'s argument this is
     complete for violation finding, and the histories it keeps are
-    representatives of subset-minimal frontiers up to txid renaming.
+    representatives of subset-minimal frontiers up to txid renaming, plus
+    every history a run-ending crash leaves, which no antichain filters.
 
     When more than `cfg.max_states` states would be popped, raises
     BudgetExceeded carrying the counts so far.
@@ -421,9 +428,9 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     m0 = initial_machine(cfg)
     shared = {}                           # frontier -> its one copy
     # history dedup's memo: machine key -> (its forced chain's end's key,
-    # the end's successors as (m2, rec, key of m2 or CUT), None until known,
-    # () if the machine ended outside recovery); frontier dedup's successors
-    # keep their tag in place of the key and are keyed when pushed
+    # the end's successors as (m2, rec, key of m2 or its tag), None until
+    # known, () if the machine ended outside recovery); frontier dedup's
+    # successors keep their tag in place of the key and are keyed when pushed
     expanded = {}
     # new(mk, h) records the state (machine keyed mk, history h): was it new?
     if by_frontier:
@@ -508,7 +515,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                     end, tried = settle(m, hid)
                 succs = successors(cfg, end, memo, tried)
                 if not by_frontier:
-                    succs = [(m2, rec, CUT if tag == CUT else key(m2))
+                    succs = [(m2, rec, key(m2) if tag is None else tag)
                              for m2, rec, tag in succs]
                     expanded[mk] = expanded[ek] = (ek, succs)
             if not succs:
@@ -545,6 +552,9 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                         f2 = frontiers[h2]
                         if f2 != refspec.ACCEPT_ALL and not f2:
                             continue  # prune: already-reported violation
+                if mk2 is END:
+                    res.complete.add(h2)
+                    continue
                 if by_frontier:
                     mk2 = key(m2)         # it held the tag so far
                 if new(mk2, h2):

@@ -12,8 +12,10 @@ Record kinds:
   carries era, seq and the faulting access's txid, op (read or write) and
   loc (the remainder of the trace is not claimed).
 
-Unknown fields and fields not allowed for a record's kind/op are rejected
-with the offending line number.  ``parse -> emit`` is byte-stable.
+Every record's seq is its position among the records, from 0.  Unknown
+fields, fields not allowed for a record's kind/op and a seq that is not the
+record's position are rejected with the offending line number.
+``parse -> emit`` is byte-stable.
 """
 
 from __future__ import annotations
@@ -149,7 +151,10 @@ def parse_trace(path):
             raise TraceError("era %r out of sequence" % (d["era"],), ln)
         if kind == "crash":
             era += 1
-        if dicts and d["seq"] <= dicts[-1]["seq"]:
-            raise TraceError("seq not strictly increasing", ln)
+        if d["seq"] != len(dicts):
+            # emit_trace writes each record's position, which parse -> emit
+            # must give back
+            raise TraceError("seq %r is not the record's position %d"
+                             % (d["seq"], len(dicts)), ln)
         dicts.append(d)
     return dicts_to_records(dicts)

@@ -8,9 +8,9 @@ from itertools import permutations
 import pytest
 
 from pmtxcheck import cli, engine, explorer
-from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, M_CRASH, M_MEM,
-                              M_REC, M_TXNS, RDY, RUN, S_IP, S_REGS, S_RETR,
-                              S_ST, crash_tail, ended, fresh_slot,
+from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, END, M_CRASH, M_MEM,
+                              M_REC, M_TXNS, NS, RDY, RUN, S_IP, S_REGS,
+                              S_RETR, S_ST, crash_tail, ended, fresh_slot,
                               initial_machine, set_slot, slot_upd,
                               forced, spent_slot, successors)
 from pmtxcheck.explorer import (ID_BITS, BudgetExceeded, Config,
@@ -600,8 +600,10 @@ def test_frontier_antichain():
     # (5,150, 5,785, 238) before it keyed machines up to txid renaming,
     # then (5,117, 5,785, 229) before forced chains ran inside one
     # transition, then (2,540, 3,208, 229) before a crash was postponed
-    # past a silent step that keeps every crash outcome
-    ("pmdk-seq", "psc", 1, 1, 2, "frontier", (2_540, 3_103, 229)),
+    # past a silent step that keeps every crash outcome, then (2,540,
+    # 3,103, 229) before a run-ending crash became one leaf transition,
+    # which also counts every history such a crash leaves
+    ("pmdk-seq", "psc", 1, 1, 2, "frontier", (2_450, 2_945, 335)),
     # (32,259, 36,587, 1,720) before forced chains ran inside one
     # transition
     ("pmdk-tml", "psc", 1, 0, 1, "history", (14_582, 16_752, 1_720)),
@@ -613,15 +615,18 @@ def test_frontier_antichain():
     # subset-minimal frontiers, then (7,295, 11,259, 236) before it keyed
     # machines up to txid renaming, then (4,284, 6,366, 144) before forced
     # chains ran inside one transition, then (2,035, 3,881, 144) before a
-    # crash was postponed past a silent outcome-keeping step
-    ("pmdk-norec", "ptso", 1, 1, 1, "frontier", (2_035, 3_288, 144)),
+    # crash was postponed past a silent outcome-keeping step, then (2,035,
+    # 3,288, 144) before a run-ending crash became one leaf transition
+    ("pmdk-norec", "ptso", 1, 1, 1, "frontier", (1_763, 2_689, 198)),
     # the cells of the benchmark's upper-* workloads.  (52,984, 102,917,
     # 1,768) before slots dropped the operation name no step read, then
     # (52,928, 102,917, 1,768) and (30,148, 38,236, 568) before forced
     # chains ran inside one transition, then (35,415, 81,503, 1,768)
     # before a crash was postponed past a silent outcome-keeping step: the
-    # frontier representatives differ, not the verdict
-    ("pmdk-tml", "psc", 2, 1, 2, "frontier", (35_418, 68_451, 1_767)),
+    # frontier representatives differ, not the verdict; then (35,418,
+    # 68,451, 1,767) before a run-ending crash became one leaf transition,
+    # after which every history such a crash leaves is counted
+    ("pmdk-tml", "psc", 2, 1, 2, "frontier", (31_757, 54_302, 2_978)),
     ("pmdk-norec", "ptso", 2, 0, 2, "frontier", (13_261, 18_664, 568)),
 ], ids=[  # the 1-location rows keep the ids they had before the model and
     # locs parameters
@@ -728,8 +733,10 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
     # the counts without the memo: it changes no state or transition.
     # (99,834, 165,989) before forced chains ran inside one transition, then
     # (70,979, 131,506) before a crash was postponed past a silent
-    # outcome-keeping step, which drops transitions only
-    assert (r.states, r.transitions) == (70_979, 110_591)
+    # outcome-keeping step, which drops transitions only, then (70,979,
+    # 110,591) before a run-ending crash became one leaf transition, which
+    # pops none of the ended machines it used to leave
+    assert (r.states, r.transitions) == (48_012, 78_751)
     assert history_digest(r.histories()) == TML_1_CRASH
 
 
@@ -806,29 +813,43 @@ def stepped_recovery(cfg, m):
     ("pmdk-tml", "psc", 1),
 ])
 def test_last_crash_folds_recovery(impl, model, ops):
+    # the last crash runs recovery inside its transition.  A run-ending one
+    # (no slot yet to begin) is a leaf instead: every machine it could
+    # leave has ended once recovered, so it has one history and none is
+    # built.  Any other last crash leaves the distinct recovered machines
     cfg = Config(impl, model, txns=2, locs=1, max_crashes=1, ops=ops,
                  por=True)
     memo = {}
-    crashes = []
+    crashes, leaves = [], 0
 
     def hook(cfg, m, hid):
+        nonlocal leaves
         no_reduced_recovery(cfg, m, hid)
         # explore expands no machine that has ended outside recovery
         if m[M_CRASH] or m[M_REC] is not None or ended(m):
             return
-        folded = [m2 for m2, rec, _tag in successors(cfg, m, memo, {})
-                  if rec == ("crash",)]
-        if not folded:
+        succs = [(m2, tag) for m2, rec, tag in successors(cfg, m, memo, {})
+                 if rec == ("crash",)]
+        if not succs:
             return
         tail = crash_tail(cfg, m, 0)
         stepped = [stepped_recovery(cfg, (mem, 0, 0) + tail)
                    for mem in cfg.pmem.crash(m[M_MEM], POR)]
+        ends = engine._crash_ends_run(cfg, m)
+        assert ends == (NS not in {s[S_ST] for s in m[M_TXNS]})
+        if ends:
+            assert succs == [(None, END)]
+            assert all(ended(m2) for m2 in stepped)
+            leaves += 1
+            return
+        folded = [m2 for m2, _tag in succs]
         assert folded == list(dict.fromkeys(stepped))
         assert len(set(folded)) == len(folded)
         crashes.append((m[M_MEM], len(folded), len(stepped)))
 
     r = explore(cfg, state_hook=hook)
     assert not r.violations
+    assert leaves
     pre = [k for k in memo if len(k) == 2]   # (last, pre-crash memory)
     post = [k for k in memo if len(k) == 3]  # a post-crash memory
     # both memos were hit: more states crashed than pre-crash memories
@@ -841,19 +862,31 @@ def test_last_crash_folds_recovery(impl, model, ops):
 
 def test_crash_machine_makes_every_crash_transition(monkeypatch):
     # patched in engine's globals, as perfbench/tracer.py does: under --por
-    # its results are every crash successor, whether or not the crash is
-    # the last one (recovery folded in)
+    # its results are exactly the crash successors that carry a machine,
+    # whether or not the crash is the last one (recovery folded in); a
+    # run-ending crash is one leaf and calls it not at all
     orig_crash, orig_succ = engine.crash_machine, explorer.successors
-    made, crash_succs = [], []
+    made = []
+    full = leaves = 0
 
     def crash_traced(cfg, m, memo):
         out = orig_crash(cfg, m, memo)
-        made.append(len(out))
+        made.append(out)
         return out
 
     def succ_traced(cfg, m, memo, tried):
+        nonlocal full, leaves
+        n = len(made)
         out = orig_succ(cfg, m, memo, tried)
-        crash_succs.append(sum(rec == ("crash",) for _m2, rec, _t in out))
+        crashes = [(m2, tag) for m2, rec, tag in out if rec == ("crash",)]
+        if len(made) > n:
+            assert len(made) == n + 1
+            assert crashes == [(m2, None) for m2 in made[-1]]
+            full += 1
+        elif crashes:
+            assert crashes == [(None, END)]
+            assert engine._crash_ends_run(cfg, m)
+            leaves += 1
         return out
 
     monkeypatch.setattr(engine, "crash_machine", crash_traced)
@@ -862,8 +895,45 @@ def test_crash_machine_makes_every_crash_transition(monkeypatch):
                  por=True)
     r = check_upper(cfg)
     assert not r.violations
-    assert len(made) == len([n for n in crash_succs if n])
-    assert sum(made) == sum(crash_succs) > len(made)
+    assert full == len(made) and leaves
+    assert sum(map(len, made)) > len(made)
+
+
+def enumerate_every_crash(monkeypatch):
+    """No crash ends the run: each one enumerates and recovers every
+    outcome, as before a run-ending crash became a leaf."""
+    monkeypatch.setattr(engine, "_crash_ends_run", lambda cfg, m: False)
+
+
+@pytest.mark.parametrize("crashes", [1, 2])
+@pytest.mark.parametrize("impl,model", [
+    (impl, model) for impl in ("pmdk-seq", "pmdk-tml", "pmdk-norec")
+    for model in ("psc", "ptso")])
+def test_run_ending_crash_leaf_keeps_history_sets(monkeypatch, impl, model,
+                                                  crashes):
+    def run():
+        return explore(Config(impl, model, txns=2, locs=1, vals=1, buf=1,
+                              max_crashes=crashes, ops=1, por=True),
+                       check=False)
+
+    leaf = run()
+    enumerate_every_crash(monkeypatch)
+    full = run()
+    assert full.histories() == leaf.histories()
+    # the leaf fired: the ended machines it used to leave are not popped
+    assert full.states > leaf.states
+
+
+@pytest.mark.parametrize("name", [n for n in MUTATIONS
+                                  if n != "skip-validate"])
+def test_run_ending_crash_leaf_keeps_violations(monkeypatch, name):
+    # frontier dedup keeps representatives, so compare what it reports: the
+    # violations of each crash mutation on its criterion-1 cell
+    leaf = check_upper(mutation_check_config(name)).violations
+    assert leaf
+    enumerate_every_crash(monkeypatch)
+    assert sorted(check_upper(mutation_check_config(name)).violations) \
+        == sorted(leaf)
 
 
 def test_skip_validate_cli_names_its_cell(monkeypatch, capsys):

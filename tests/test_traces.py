@@ -97,14 +97,17 @@ BEGIN = line(kind="inv", era=0, seq=0, tid=0, txid=0, op="begin")
     (line(kind="res", era=1, seq=1, tid=0, txid=0, op="begin"),
      "era 1 out of sequence"),
     (line(kind="res", era=0, seq=0, tid=0, txid=0, op="begin"),
-     "seq not strictly increasing"),
+     "seq 0 is not the record's position 1"),
+    # increasing, but emit_trace would write 1: parse -> emit is byte-stable
+    (line(kind="res", era=0, seq=5, tid=0, txid=0, op="begin"),
+     "seq 5 is not the record's position 1"),
     # records carry no thread of their own: transaction t runs on thread t
     (line(kind="res", era=0, seq=1, tid=1, txid=0, op="begin"),
      "tid 1 is not txid 0"),
 ], ids=["json", "object", "kind", "op", "inv-abort", "extra", "extra-crash",
         "crash-fault-fields", "fault-missing", "fault-tid", "fault-op",
         "missing", "missing-tid", "int", "int-val", "bool", "era", "seq",
-        "tid"])
+        "seq-gap", "tid"])
 def test_parse_rejects_with_line_number(tmp_path, bad, message):
     path = tmp_path / "bad.jsonl"
     # the blank line counts: line numbers are the file's
