@@ -668,6 +668,13 @@ def skip_validate_config(mutate=True, por=True):
                            ((("write", 0, 1),), 0)))
 
 
+# ROADMAP item 10's scripted three-transaction cell, whose oracles
+# disagree: T0 writes location 1 twice; T1 and T2 each allocate, then read it
+ORACLE_RACE = (((("write", 1, 1), ("write", 1, 1)), 0),
+               ((("alloc",), ("read", 1)), 0),
+               ((("alloc",), ("read", 1)), 0))
+
+
 def mutation_check_config(name, impl="pmdk-seq", model="psc", por=True):
     """The criterion-1 style configuration on which `name` must produce a
     counterexample.  skip-validate needs its scripted cell

@@ -13,11 +13,11 @@ from pmtxcheck.engine import (ABRT, AT_REST, COMM, DEAD, END, M_CRASH, M_MEM,
                               S_RETR, S_ST, crash_tail, ended, fresh_slot,
                               initial_machine, set_slot, slot_upd,
                               forced, spent_slot, successors)
-from pmtxcheck.explorer import (ID_BITS, BudgetExceeded, Config,
-                                _antichain_add, check_lower, check_upper,
-                                explore, mutation_check_config, orbit_keyer,
-                                run_intro_cases, skip_validate_config,
-                                state_keyer)
+from pmtxcheck.explorer import (ID_BITS, ORACLE_RACE, BudgetExceeded,
+                                Config, _antichain_add, check_lower,
+                                check_upper, explore, mutation_check_config,
+                                orbit_keyer, run_intro_cases,
+                                skip_validate_config, state_keyer)
 from pmtxcheck.histories import events_of_records
 from pmtxcheck.opacity import check_history_ddo
 from pmtxcheck.pmdk import MUTATIONS
@@ -1101,12 +1101,6 @@ def test_mutations_caught_on_concurrent_cell():
             cfg = mutation_check_config(name, impl=impl, model="psc")
             r = check_upper(cfg, stop_on_violation=True)
             assert r.violations, (impl, name)
-
-
-# T0 writes location 1 twice; T1 and T2 each allocate, then read it
-ORACLE_RACE = ((((("write", 1, 1), ("write", 1, 1)), 0),
-                ((("alloc",), ("read", 1)), 0),
-                ((("alloc",), ("read", 1)), 0)))
 
 
 # sorted-history sha256 of the 4 violations, the same for both impls

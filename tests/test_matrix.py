@@ -2,6 +2,7 @@
 exact counts of an in-process run, --compare reports every exact-field
 change as an error, and a budget-cut cell keeps its partial counts."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -55,12 +56,11 @@ def test_matrix_records_and_compares(tmp_path):
     assert lines[-1] == "1 exact-field change(s) against %s" % old
 
 
-def test_matrix_cell_cut_by_budget_keeps_partial_counts(tmp_path):
-    out = tmp_path / "MATRIX.json"
-    p = matrix("--out", str(out), "--cell", "base/tml-psc-2txn-1crash",
-               "--max-states", "100")
-    assert p.returncode == 0, p.stdout + p.stderr
-    entry = json.loads(out.read_text())["cells"]["base/tml-psc-2txn-1crash"]
+def test_matrix_cell_cut_by_budget_keeps_partial_counts():
+    spec = importlib.util.spec_from_file_location("matrix", MATRIX)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    entry = tool.run_cell("base/tml-psc-2txn-1crash", 100)
     assert (entry["states"], entry["exit_code"], entry["cut"]) \
         == (100, 2, True)
     assert entry["transitions"] > 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pmtxcheck.explorer import Config, explore
+from pmtxcheck.explorer import ORACLE_RACE, Config, explore
 from pmtxcheck.refspec import (ACCEPT_ALL, BOT, RDY, accepts_history,
                                advance_frontier, closure, crash_step,
                                eps_successors, fault_possible,
@@ -407,9 +407,7 @@ def inverse(pi):
 # the frontier representatives: a writer racing two allocating readers,
 # recovery interleaved with a crash, and an access that faults
 THREE_TXN_CELLS = {
-    "race": ("pmdk-tml", dict(locs=2, scripts=(
-        ((("write", 1, 1), ("write", 1, 1)), 0),
-        ((("alloc",), ("read", 1)), 0), ((("alloc",), ("read", 1)), 0)))),
+    "race": ("pmdk-tml", dict(locs=2, scripts=ORACLE_RACE)),
     "recovery": ("pmdk-seq", dict(
         locs=1, prealloc=1, max_crashes=2, buf=1, ops=1, scripts=(
             ((("write", 0, 1),), 0), ((("write", 0, 1),), 1),

@@ -1,31 +1,32 @@
 """Run the fixed matrix of checker cells and record their exact counts.
 
     python3 tools/matrix.py [--cell NAME ...] [--out MATRIX.json]
-                            [--max-states N] [--timeout S]
                             [--compare OLD.json]
 
 Each cell is one ``check_upper`` run (``--por``, frontier dedup) of a
 declared configuration:
 
 * ``base/...``: the baseline rows of ROADMAP.md;
-* ``mut/<mutation>/<impl>/<model>``: the 30 ``mutation_check_config``
-  cells (``skip-validate`` runs its one scripted cell under every name);
+* ``mut/<mutation>/<impl>/<model>``: the ``mutation_check_config``
+  cells, 25 distinct ones: ``skip-validate`` has one scripted cell
+  whatever the impl and model, so it is the one cell ``mut/skip-validate``;
 * ``race/<impl>``: the scripted three-transaction cell whose oracles
-  disagree (ROADMAP item 10), on TML and NOrec.
+  disagree (ROADMAP item 10, ``explorer.ORACLE_RACE``), on TML and NOrec.
 
 Cells run one at a time, each in a fresh process (this script with
-``--run NAME``) under a state budget and a wall-clock timeout.  Per cell
-the matrix records the exact fields ``states``, ``transitions``,
-``histories``, ``violations``, ``violations_sha256`` (of the sorted
-violations, one ``repr`` a line), ``exit_code`` (as ``check upper``: 0 no
-violation, 1 violations, 2 budget exceeded), ``cut`` (the budget cut the
-cell short; its counts are then the partial ones) and ``timed_out`` (the
-timeout killed it; its counts are then null), and the informational
-``cpu_s``, ``wall_s`` and ``peak_rss_mb``.  The exact fields repeat run
-to run; the timings do not.  The result goes to ``--out``.  With
-``--compare OLD.json`` every change of an exact field against OLD's cell
-of the same name is printed as an error, and the exit code is 1 if there
-is one; a cell OLD lacks is noted, and OLD's cells not run are skipped.
+``--run NAME``) under the state budget ``DEFAULT_MAX_STATES`` and the
+wall-clock timeout ``TIMEOUT_S``.  Per cell the matrix records the exact
+fields ``states``, ``transitions``, ``histories``, ``violations``,
+``violations_sha256`` (of the sorted violations, one ``repr`` a line),
+``exit_code`` (as ``check upper``: 0 no violation, 1 violations, 2
+budget exceeded), ``cut`` (the budget cut the cell short; its counts are
+then the partial ones) and ``timed_out`` (the timeout killed it; its
+counts are then null), and the informational ``cpu_s``, ``wall_s`` and
+``peak_rss_mb``.  The exact fields repeat run to run; the timings do
+not.  The result goes to ``--out``.  With ``--compare OLD.json`` every
+change of an exact field against OLD's cell of the same name is printed
+as an error, and the exit code is 1 if there is one; a cell OLD lacks is
+noted, and OLD's cells not run are skipped.
 """
 
 from __future__ import annotations
@@ -43,24 +44,20 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from pmtxcheck.explorer import (DEFAULT_MAX_STATES,  # noqa: E402
-                                BudgetExceeded, Config, check_upper,
-                                mutation_check_config)
+                                ORACLE_RACE, BudgetExceeded, Config,
+                                check_upper, mutation_check_config)
 from pmtxcheck.pmdk import MUTATIONS  # noqa: E402
 from pmtxcheck.pmem import MODELS  # noqa: E402
 from pmtxcheck.stm import IMPLS  # noqa: E402
 
 EXACT = ("states", "transitions", "histories", "violations",
          "violations_sha256", "exit_code", "cut", "timed_out")
-DEFAULT_TIMEOUT_S = 600
-# T0 writes location 1 twice; T1 and T2 each allocate, then read it
-RACE = (((("write", 1, 1), ("write", 1, 1)), 0),
-        ((("alloc",), ("read", 1)), 0),
-        ((("alloc",), ("read", 1)), 0))
+TIMEOUT_S = 600
 
 
 def cells():
     """Cell name -> the Config keywords (impl and model included), or the
-    (mutation, impl, model) of a mutation_check_config cell."""
+    arguments of a mutation_check_config cell."""
     base = dict(locs=2, vals=2, buf=2, ops=2, por=True)
     out = {
         "base/tml-psc-2txn-1crash": dict(base, impl="pmdk-tml", model="psc",
@@ -77,14 +74,17 @@ def cells():
         "base/tml-psc-3txn": dict(base, impl="pmdk-tml", model="psc",
                                   txns=3),
     }
+    out["mut/skip-validate"] = ("skip-validate",)
     for name in MUTATIONS:
+        if name == "skip-validate":
+            continue
         for impl in IMPLS:
             for model in MODELS:
                 out["mut/%s/%s/%s" % (name, impl, model)] = \
                     (name, impl, model)
     for impl in ("pmdk-tml", "pmdk-norec"):
         out["race/%s" % impl] = dict(base, impl=impl, model="psc", txns=3,
-                                     scripts=RACE)
+                                     scripts=ORACLE_RACE)
     return out
 
 
@@ -93,8 +93,7 @@ def run_cell(name, max_states):
     aside) and its cpu_s and peak_rss_mb."""
     spec = cells()[name]
     if isinstance(spec, tuple):
-        mut, impl, model = spec
-        cfg = mutation_check_config(mut, impl=impl, model=model)
+        cfg = mutation_check_config(*spec)
         cfg.max_states = max_states
     else:
         cfg = Config(max_states=max_states, **spec)
@@ -120,14 +119,13 @@ def run_cell(name, max_states):
     }
 
 
-def spawn_cell(name, max_states, timeout):
+def spawn_cell(name):
     """Cell `name` run in a fresh process: its matrix entry."""
-    cmd = [sys.executable, os.path.abspath(__file__), "--run", name,
-           "--max-states", str(max_states)]
+    cmd = [sys.executable, os.path.abspath(__file__), "--run", name]
     t0 = time.monotonic()
     try:
         p = subprocess.run(cmd, capture_output=True, text=True,
-                           timeout=timeout, check=False)
+                           timeout=TIMEOUT_S, check=False)
     except subprocess.TimeoutExpired:
         entry = dict.fromkeys(EXACT)
         entry.update(cut=False, timed_out=True, cpu_s=None, peak_rss_mb=None)
@@ -168,28 +166,21 @@ def main(argv=None):
     p.add_argument("--cell", action="append", metavar="NAME",
                    help="repeatable; default: every cell")
     p.add_argument("--out", default="MATRIX.json")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
-                   help="state budget of each cell")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
-                   help="seconds before a cell is killed")
     p.add_argument("--compare", metavar="OLD.json")
     p.add_argument("--run", metavar="NAME", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     known = cells()
     if args.run:
-        entry = run_cell(args.run, args.max_states)
+        entry = run_cell(args.run, DEFAULT_MAX_STATES)
         print(json.dumps(entry))
         return entry["exit_code"]
     names = args.cell or list(known)
     unknown = [n for n in names if n not in known]
     if unknown:
         p.error("unknown cell(s): %s" % ", ".join(unknown))
-    doc = {"command": "check_upper, --por, frontier dedup",
-           "max_states": args.max_states, "timeout_s": args.timeout,
-           "cells": {}}
+    doc = {"command": "check_upper, --por, frontier dedup", "cells": {}}
     for name in names:
-        entry = doc["cells"][name] = spawn_cell(name, args.max_states,
-                                                args.timeout)
+        entry = doc["cells"][name] = spawn_cell(name)
         print("%s: %s" % (name, " ".join("%s=%s" % (k, entry[k])
                                         for k in EXACT[:4] + ("wall_s",))),
               flush=True)
