@@ -70,8 +70,8 @@ def build_parser():
                     "alike, so 'histories checked' counts representative "
                     "histories of the subset-minimal frontiers per machine "
                     "up to txid renaming, plus, with --por, every history "
-                    "ending in a last crash after which no transaction is "
-                    "left to run; "
+                    "ending in a crash after which no transaction is "
+                    "left to begin; "
                     "violations are real histories.  "
                     "With --emit-traces every history is explored, counted "
                     "and written.")

@@ -42,17 +42,19 @@ are in the ``pmem`` docstring); ``crash_machine`` builds the machines of
 every crash transition but a run-ending one, which has none.  After a
 crash, recovery runs before any transaction step: each transaction id in
 turn, as the thread of that id (``pmdk.recovery``); its steps emit
-nothing.  Under --por the crash that spends the last unit of the crash
-budget runs recovery to its end inside the crash transition (a
-macro-step): nothing else can act or crash until recovery ends, so its
-intermediate states are never explored.  Under --por the distinct
-outcomes of a crash depend on the pre-crash memory alone and are computed
-once per memory in each exploration.
+nothing.
 
-Under --por, outside recovery, a machine may have one forced step
-(``forced``): an ample set of one invisible step independent of every
-other thread's (Peled, CAV 1993; Godefroid, LNCS 1032, 1996).  Two kinds
-of step qualify, tried in this order:
+Under --por a machine may have one forced step (``forced``): an ample set
+of one invisible step independent of every other thread's (Peled, CAV
+1993; Godefroid, LNCS 1032, 1996).  In recovery once no crash is left
+(``REDUCED``) it is the recovery step, or, when that step blocks under
+PTSO, the propagation of the recovering thread's store-buffer head that
+it waits on.  Recovery is then the sole actor: no transaction steps
+before it ends, the crash emptied every other store buffer, ``REDUCED``
+has no persist steps, and no crash can interrupt it.  Its steps emit
+nothing, and its flushes wait for its stores to propagate, so every order
+of its steps and its thread's propagations ends in the same machine.
+Outside recovery two kinds of step qualify, tried in this order:
 
 * under PTSO, the propagation of the first store-buffer head that targets
   one of its thread's own log cells (``cfg.log_cells``), when that cell's
@@ -74,10 +76,12 @@ dies either way and glb and free are reset.  Under ``POR`` a store into
 a full persistence buffer persists first and a flush of a non-empty one
 drains it; both persist, which takes a buffer's head, so such a step is
 not forced before the last crash, and neither is a propagation into a
-full persistence buffer.  Forced steps only move a program forward or
-shrink a store buffer, so they form no cycle: the explorer runs each chain
-of them to its end within one transition (a macro-step, like the last
-crash's recovery) and expands only machines with no forced step.
+full persistence buffer.  Forced steps only move a program forward,
+recovery's included, or shrink a store buffer, so they form no cycle: the
+explorer runs each chain of them to its end within one transition (a
+macro-step) and expands only machines with no forced step.  So recovery
+after the last crash is one chain, and no ``REDUCED`` machine the
+explorer expands is mid-recovery.
 
 Under --por a crash is also postponed (``successors``), in recovery too: a
 machine makes no crash transition when one of its successors is silent (a
@@ -94,20 +98,21 @@ are guarded steps that block, and propagations shrink a store buffer.
 ``tests/test_explorer.py`` checks that their graph is acyclic on small
 cells of every implementation and model with one and two crashes.
 
-Under --por a crash that ends the run is one leaf transition
-(``_crash_ends_run``): it spends the last unit of the crash budget and no
-slot is ``NS``.  ``successors`` gives it as one successor with no machine,
+So under --por a crash has one of two shapes.  A crash of a machine with
+no ``NS`` slot ends the run (``_crash_ends_run``), whatever crash budget
+is left: ``successors`` gives it as one leaf successor with no machine,
 tagged ``END``, and enumerates, recovers and keys none of its outcomes.
 Sound, because every outcome leaves one history: the crash makes each
 ``RUN`` and ``RDY`` slot ``DEAD`` and keeps the ended ones (``crash_tail``),
 so with none yet to begin every slot is terminal; recovery emits nothing
-and sets no status, and no crash is left, so each machine the crash leaves
-has ended once recovered.  Whatever memory survived, the run's one
-history is the history so far followed by the crash record, which the
-explorer checks and records as complete at the leaf.  A crash with a
-crash left after it is not a leaf: a further crash may interrupt
-recovery, so its histories are the history so far followed by one crash
-record or more, up to the budget.
+and sets no status, and no further crash can interrupt it, since a
+machine mid-recovery whose slots have all ended makes no crash transition
+(``successors``).  Whatever memory survived, the run's one history is the
+history so far followed by the crash record, which the explorer checks
+and records as complete at the leaf.  Any other crash leaves a crashed
+machine per memory ``PMem.crash`` gives (``crash_machine``), whose
+recovery the explorer steps: one step at a time while a crash is left,
+as one forced chain once none is.
 """
 
 from __future__ import annotations
@@ -210,40 +215,19 @@ def ended(m):
 # successors
 # ---------------------------------------------------------------------------
 
-def crash_machine(cfg, m, memo):
-    """The distinct machines a crash of `m` leaves, in first-seen order:
-    each memory ``PMem.crash`` gives, volatile state lost, live
-    transactions dead, recovery from transaction id 0 in a fresh era.
-    Under --por the crash that spends the last unit of the budget runs
-    recovery to its end (``run_recovery``), and the outcomes, which depend
-    on the pre-crash memory alone, are memoized in `memo` on it, as a
-    recovery's on its post-crash memory (the key's flag keeps the two
-    apart).  Without --por a crash has one outcome, not worth memoizing.
-    ``successors`` calls it for every crash but a run-ending one
-    (``_crash_ends_run``), whose machines it never builds."""
-    last = cfg.por and m[M_CRASH] + 1 == cfg.max_crashes
-    tail = crash_tail(cfg, m, None if last else 0)
-    key = (last, m[M_MEM])
-    heads = memo.get(key) if cfg.por else None
-    if heads is None:
-        heads = {}
-        for mem in cfg.pmem.crash(m[M_MEM], cfg.regime(m)):
-            head = (mem, 0, 0)
-            if last:
-                head = memo.get(mem)
-                if head is None:
-                    # the crashed machine: the tail, recovery at its start
-                    crashed = (mem, 0, 0, tail[0], 0) + tail[2:]
-                    head = memo[mem] = run_recovery(cfg, crashed)[:M_TXNS]
-            heads[head] = None
-        heads = tuple(heads)
-        if cfg.por:
-            memo[key] = heads
-    return [head + tail for head in heads]
+def crash_machine(cfg, m):
+    """The machines a crash of `m` leaves, one per memory ``PMem.crash``
+    gives: volatile state lost, live transactions dead, recovery at
+    transaction id 0 in a fresh era.  ``successors`` calls it for every
+    crash but a run-ending one (``_crash_ends_run``), whose machines it
+    never builds."""
+    tail = crash_tail(cfg, m)
+    return [(mem, 0, 0) + tail
+            for mem in cfg.pmem.crash(m[M_MEM], cfg.regime(m))]
 
 
-def crash_tail(cfg, m, rec):
-    """The fields of `m` crashed from txns on, with recovery at id `rec`.
+def crash_tail(cfg, m):
+    """The fields of `m` crashed from txns on, with recovery at id 0.
     A dead transaction keeps nothing of its volatile state: its slot
     becomes the spent DEAD slot, and the slots of ended transactions are
     spent already; a crash during recovery puts the recovering slot back
@@ -253,24 +237,7 @@ def crash_tail(cfg, m, rec):
     t = m[M_REC]
     if t is not None:
         txns = txns[:t] + (slot_upd(txns[t], *AT_REST),) + txns[t + 1:]
-    return (txns, rec, m[M_CRASH] + 1)
-
-
-def run_recovery(cfg, m):
-    """The machine after recovery runs to its end from `m`, stepped one
-    line at a time; when a step blocks, the recovering thread's store
-    buffer propagates its head.  Valid only in the ``REDUCED`` regime,
-    where recovery is the sole actor and its persists need no
-    scheduling."""
-    step = cfg.recovery_step
-    pm = cfg.pmem
-    while m[M_REC] is not None:
-        r = step(m)
-        if r is None:
-            m = set_mem(m, pm.propagate(m[M_MEM], m[M_REC], REDUCED))
-        else:
-            (m, _emit), = r
-    return m
+    return (txns, 0, m[M_CRASH] + 1)
 
 
 def _decision_steps(cfg, m, ti, out):
@@ -334,17 +301,29 @@ def _may_begin(cfg, m, ti):
 
 def forced(cfg, m, tried):
     """The machine after `m`'s forced step (module docstring), or None, as
-    always without --por or in recovery; the private steps it tried and
-    did not force are left in `tried`, by thread, for ``successors``."""
-    if not cfg.por or m[M_REC] is not None:
+    always without --por or in recovery while a crash is left; the private
+    steps it tried and did not force are left in `tried`, by thread, for
+    ``successors``."""
+    if not cfg.por:
         return None
+    regime = cfg.regime(m)
+    rec = m[M_REC]
+    if rec is not None:
+        if regime != REDUCED:
+            return None
+        r = cfg.recovery_step(m)
+        if r is None:
+            # blocked: its flush waits on its own store buffer
+            return set_mem(m, cfg.pmem.propagate(m[M_MEM], rec, REDUCED))
+        [(m2, _emit)] = r
+        return m2
     _nvm, pbufs, sbufs = mem = m[M_MEM]
     if cfg.pmem.model == "ptso":
         # a store-buffer head bound for its thread's own log cell, if room
         for tid, buf in enumerate(sbufs):
             if buf and buf[0][0] in cfg.log_cells[tid] \
                     and len(pbufs[buf[0][0]]) < cfg.pmem.cap:
-                return set_mem(m, cfg.pmem.propagate(mem, tid, cfg.regime(m)))
+                return set_mem(m, cfg.pmem.propagate(mem, tid, regime))
     for ti in range(cfg.txns):
         slot = m[M_TXNS][ti]
         if slot[S_ST] == RUN and slot[S_IP] in cfg.private_ips:
@@ -352,27 +331,28 @@ def forced(cfg, m, tried):
             if r is not None:
                 # a private step has one successor and emits nothing
                 [(m2, _emit)] = r
-                if cfg.regime(m) == REDUCED \
+                if regime == REDUCED \
                         or _keeps_crash_outcomes(mem, m2[M_MEM]):
                     return m2
     return None
 
 
-def successors(cfg, m, memo, tried):
+def successors(cfg, m, tried):
     """All scheduler steps from `m` as (machine', record|None, tag) where
     tag is None, ``CUT`` or ``END``; a tagged successor has no machine.
-    `m` has not ended outside recovery and has no forced step; `tried`
-    holds the private steps ``forced`` tried at it.  Under --por there is
-    no crash successor when another successor is silent and keeps every
-    crash outcome (module docstring): the crash after that step covers this
-    one; and a run-ending crash is the one successor (None, ("crash",),
-    END).  `memo` is a dict memoizing crash outcomes (``crash_machine``);
-    the caller owns it and must not share it between Configs."""
+    `m` has not ended outside recovery and has no forced step, so under
+    --por it is mid-recovery only while a crash is left; `tried` holds the
+    private steps ``forced`` tried at it.  Under --por there is no crash
+    successor when another successor is silent and keeps every crash
+    outcome (module docstring): the crash after that step covers this one;
+    and a run-ending crash is the one successor (None, ("crash",), END).
+    Any other crash gives a successor per machine ``crash_machine``
+    builds."""
     out = []
     if m[M_REC] is not None:
         # recovery steps here are interleavable with propagation, persists
-        # and further crashes: REDUCED never reaches this branch,
-        # because the last crash folds recovery into its transition
+        # and further crashes: under --por, once no crash is left, recovery
+        # is a forced chain and never reaches this branch
         r = cfg.recovery_step(m)
         if r is not None:
             for m2, emit in r:
@@ -412,17 +392,16 @@ def successors(cfg, m, memo, tried):
         if _crash_ends_run(cfg, m):
             out.append((None, ("crash",), END))
         else:
-            for m2 in crash_machine(cfg, m, memo):
+            for m2 in crash_machine(cfg, m):
                 out.append((m2, ("crash",), None))
 
     return out
 
 
 def _crash_ends_run(cfg, m):
-    """True when, under --por, a crash of `m` ends the run: it spends the
-    last unit of the budget and no slot of `m` is yet to begin (module
-    docstring)."""
-    if not cfg.por or m[M_CRASH] + 1 != cfg.max_crashes:
+    """True when, under --por, a crash of `m` ends the run: no slot of `m`
+    is yet to begin (module docstring)."""
+    if not cfg.por:
         return False
     for s in m[M_TXNS]:
         if s[S_ST] == NS:

@@ -105,10 +105,9 @@ class Config:
         """The persist regime of `m` (``pmem`` docstring), which every
         memory operation, system step and crash of `m` takes: ``EXACT``
         without --por; under --por, ``POR`` while a crash is left and
-        ``REDUCED`` once none is.  No crash can follow ``REDUCED``, so the
-        crash into it runs recovery to its end as one transition
-        (``engine.crash_machine``) and no explored ``REDUCED`` machine is
-        mid-recovery."""
+        ``REDUCED`` once none is.  No crash can follow ``REDUCED``, so
+        recovery in it is one forced chain (``engine.forced``) and no
+        expanded ``REDUCED`` machine is mid-recovery."""
         if not self.por:
             return EXACT
         return REDUCED if m[M_CRASH] >= self.max_crashes else POR
@@ -376,25 +375,26 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     A state is a machine and the id `hid` of the history it emitted,
     interned in a trie of (parent id, record) pairs.  No step reads the
     history, so the DFS stack carries `hid` beside the machine, never in
-    it.  A popped machine's chain of forced steps (``engine.forced``),
-    which emit nothing, is followed to its end, which is deduplicated as a
-    pushed state is and expanded in its place.  ``states`` counts popped
-    states and ``transitions`` the successors taken from expanded ones,
-    tagged ones included.  ``state_hook(cfg, m, hid)``, when given, sees
-    every popped state and every machine a chain reaches (memoized under
-    history dedup), and no machine a run-ending crash would leave: that
-    crash (tagged ``engine.END``) has none.  Its history is checked like
-    any other successor's and, unless it violates, added to ``complete``
-    with no key, dedup or push, as a ``CUT`` successor's is to ``cut``.
+    it.  A popped machine's chain of forced steps (``engine.forced``, such
+    as recovery after the last crash), which emit nothing, is followed to
+    its end, which is deduplicated as a pushed state is and expanded in
+    its place.  ``states`` counts popped states and ``transitions`` the
+    successors taken from expanded ones, tagged ones included.
+    ``state_hook(cfg, m, hid)``, when given, sees every popped state and
+    every machine a chain reaches (memoized under history dedup), and no
+    machine a run-ending crash would leave: that crash (tagged
+    ``engine.END``) has none.  Its history is checked like any other
+    successor's and, unless it violates, added to ``complete`` with no
+    key, dedup or push, as a ``CUT`` successor's is to ``cut``.
 
     dedup="history" keys states on the full machine plus the emitted
     history (needed when the history *set* is the product, e.g. for the
     cross-checks); a state is skipped only when the same machine with the
     same history was pushed before, its state key being
-    ``key(m) << ID_BITS | hid``.  Successors depend on the machine alone
-    (the crash memo they read is a function of it), so each machine's
-    chain end and the end's keyed successors are computed once per call,
-    memoized on its exact key, as is whether it ended outside recovery.
+    ``key(m) << ID_BITS | hid``.  Successors depend on the machine alone,
+    so each machine's chain end and the end's keyed successors are
+    computed once per call, memoized on its exact key, as is whether it
+    ended outside recovery.
     Frontier dedup's orbit key is not exact, as a renamed machine has
     renamed successors, so it expands every state.
     dedup="frontier" keeps, per machine up to a renaming of transaction ids
@@ -473,11 +473,6 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             m2 = forced(cfg, m, tried)
         return m, tried
 
-    # crash outcomes per pre-crash memory and recovery outcomes per
-    # post-crash memory (engine.successors).  One per call: callers reuse a
-    # Config across calls, and a memo kept on it would make every call
-    # after the first faster than a user's one run
-    memo = {}
     # stack entries: (machine, its key, history id)
     stack = [(m0, mk0, 0)]
     push = stack.append
@@ -513,7 +508,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             if succs is None:
                 if end is None:           # settled on an earlier pop
                     end, tried = settle(m, hid)
-                succs = successors(cfg, end, memo, tried)
+                succs = successors(cfg, end, tried)
                 if not by_frontier:
                     succs = [(m2, rec, key(m2) if tag is None else tag)
                              for m2, rec, tag in succs]

@@ -622,10 +622,10 @@ def pabort(cfg, done):
 # ---------------------------------------------------------------------------
 # recovery: per transaction id, the checksum test jumps into the commit's
 # apply, the undo-flag test into the abort's rollback, and `next` moves on
-# to the next id.  While a crash can still interrupt it, the engine
-# schedules it one step at a time; after the last crash under --por, the
-# crash transition (`engine.crash_machine`) runs it to its end, once per
-# post-crash memory.
+# to the next id.  The engine schedules it one step at a time, interleaved
+# with persists and crashes while a crash can still interrupt it; after
+# the last crash under --por each step is forced (`engine.forced`), so
+# the explorer runs it to its end within one transition.
 # ---------------------------------------------------------------------------
 
 def recovery(cfg):

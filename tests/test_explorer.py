@@ -32,10 +32,14 @@ def hist_set(cfg, **kw):
     return {tuple(r.history_records(h)) for h in r.complete | r.cut}, r
 
 
-def no_reduced_recovery(cfg, m, hid):
-    # the last crash folds recovery into its transition, so the explorer
-    # never pops a reduced machine that is still mid-recovery
-    assert not (cfg.regime(m) == REDUCED and m[M_REC] is not None), m
+def expand_no_reduced_recovery(monkeypatch):
+    """Make explore check that it expands no ``REDUCED`` machine that is
+    mid-recovery: once no crash is left, recovery is a forced chain."""
+    def checked(cfg, m, tried):
+        assert not (cfg.regime(m) == REDUCED and m[M_REC] is not None), m
+        return successors(cfg, m, tried)
+
+    monkeypatch.setattr(explorer, "successors", checked)
 
 
 def test_unknown_names_rejected():
@@ -66,10 +70,12 @@ def test_budget_exceeded(capsys):
     out = capsys.readouterr().out.splitlines()
     # 1,055 transitions and 1 violation before forced chains ran inside one
     # transition: 1,000 states now reach further; then 1,092 transitions
-    # before a crash was postponed past a silent outcome-keeping step
+    # before a crash was postponed past a silent outcome-keeping step, then
+    # 1,088 before every crash that leaves no transaction to begin became
+    # one leaf and recovery after the last crash a forced chain
     assert out[:4] == ["budget error: state budget exceeded (1000)",
                        "partial states explored: 1000",
-                       "partial transitions:     1088",
+                       "partial transitions:     1085",
                        "partial violations:      3"]
     assert out[4].startswith("partial wall time:")
 
@@ -214,8 +220,8 @@ def test_scripted_orbit_key_never_reorders():
 
 
 def test_same_config_explores_identically_twice():
-    # the crash-outcome memo lives for one explore call: a second call on
-    # the same Config must redo every recovery and count the same states
+    # an explore call keeps no state on its Config: a second call on the
+    # same Config counts the same states
     cfg = Config("pmdk-seq", "ptso", txns=2, locs=1, max_crashes=1,
                  por=True)
     first, second = explore(cfg), explore(cfg)
@@ -255,7 +261,8 @@ DOUBLE_ROLLBACK = dict(
 @pytest.mark.parametrize("impl,model,base,count,digest", [
     ("pmdk-seq", "psc", dict(locs=2, max_crashes=1), 57, SEQ_1_CRASH),
     ("pmdk-seq", "ptso", dict(locs=2, max_crashes=1), 57, SEQ_1_CRASH),
-    # a crash during interleaved recovery, then a folded last crash
+    # a crash during interleaved recovery, then a last crash whose
+    # recovery is one forced chain
     ("pmdk-seq", "psc", dict(locs=2, max_crashes=2), 99,
      "9e7c5aa3a2825f1caed2300d141fc3d05e76e1e94ae28fc4e05bf852cca9b66e"),
     ("pmdk-seq", "ptso", dict(locs=1, max_crashes=2), 63,
@@ -275,15 +282,16 @@ DOUBLE_ROLLBACK = dict(
 ], ids=["pmdk-seq-psc-1", "pmdk-seq-ptso-1", "pmdk-seq-psc-2",
         "pmdk-seq-ptso-2", "pmdk-seq-psc-3-scripted",
         "pmdk-seq-ptso-3-scripted", "pmdk-tml-psc-2-scripted"])
-def test_reductions_preserve_history_sets(impl, model, base, count, digest):
+def test_reductions_preserve_history_sets(monkeypatch, impl, model, base,
+                                          count, digest):
     # the unreduced explorer is the reference semantics; its history set is
     # pinned as it was before spent slots were made canonical, since that
     # quotient applies to both explorers
     base = dict(dict(txns=1, vals=2, buf=2, ops=2), **base)
     naive, _ = hist_set(Config(impl, model, por=False, **base), check=False)
     assert (len(naive), history_digest(naive)) == (count, digest)
-    reduced, _ = hist_set(Config(impl, model, por=True, **base), check=False,
-                          state_hook=no_reduced_recovery)
+    expand_no_reduced_recovery(monkeypatch)
+    reduced, _ = hist_set(Config(impl, model, por=True, **base), check=False)
     assert naive == reduced
 
 
@@ -333,11 +341,11 @@ def test_own_log_cell_propagation_is_forced(crashes):
     # thread 1's log cells are not thread 0's: its begin may act first
     m = ptso_machine(cfg, lay.pa(1))
     assert forced(cfg, m, {}) is None
-    assert len(successors(cfg, m, {}, {})) > 1
+    assert len(successors(cfg, m, {})) > 1
 
 
 def crash_outcomes(cfg, m):
-    return set(engine.crash_machine(cfg, m, {}))
+    return set(engine.crash_machine(cfg, m))
 
 
 @pytest.mark.parametrize("crashes", [0, 1], ids=["reduced", "pre-crash"])
@@ -347,7 +355,7 @@ def test_data_cell_propagation_branches(crashes):
     for cell in (cfg.layout.val(0), cfg.layout.meta(0)):
         m = ptso_machine(cfg, cell)
         assert forced(cfg, m, {}) is None
-        succs = successors(cfg, m, {}, {})
+        succs = successors(cfg, m, {})
         # thread 0's begin and the propagation, and no crash: before the
         # crash the propagation only appends to a persistence buffer, so
         # the crash after it has every outcome of the crash it postpones
@@ -368,7 +376,7 @@ def test_full_log_cell_propagation_branches_before_last_crash():
     cell = cfg.layout.pa(0)
     m = ptso_machine(cfg, cell, pbuf=(2,))
     assert forced(cfg, m, {}) is None
-    succs = successors(cfg, m, {}, {})
+    succs = successors(cfg, m, {})
     assert [rec for _m2, rec, _tag in succs] \
         == [("inv", 0, "begin", None, None), None] + [("crash",)] * 3
     assert {m2[M_MEM][0][cell] for m2, rec, _tag in succs
@@ -415,7 +423,7 @@ def test_private_store_into_full_buffer_branches():
     m = psc_machine(cfg, "pbegin.puv", cell=cfg.layout.puv(0), pbuf=(0, 0))
     tried = {}
     assert forced(cfg, m, tried) is None
-    recs = [rec for _m2, rec, _tag in successors(cfg, m, {}, tried)]
+    recs = [rec for _m2, rec, _tag in successors(cfg, m, tried)]
     assert recs[:2] == [None, ("inv", 1, "begin", None, None)]
     assert ("crash",) in recs[2:]
 
@@ -427,7 +435,7 @@ def test_private_flush_of_buffered_cell_is_not_forced():
                     pbuf=(0,))
     tried = {}
     assert forced(cfg, m, tried) is None
-    succs = successors(cfg, m, {}, tried)
+    succs = successors(cfg, m, tried)
     recs = [rec for _m2, rec, _tag in succs]
     assert recs[:2] == [None, ("inv", 1, "begin", None, None)]
     # the flush, the one silent step, persists the 0 over NVM's value and
@@ -461,13 +469,13 @@ def test_private_recovery_step_is_not_forced():
     cfg = private_cfg(max_crashes=2)
     m = recovery_at(cfg, "undo.guvf")
     assert forced(cfg, m, {}) is None
-    succs = successors(cfg, m, {}, {})
+    succs = successors(cfg, m, {})
     assert [rec for _m2, rec, _tag in succs] == [None]
     assert crash_outcomes(cfg, m) <= crash_outcomes(cfg, succs[0][0])
     # with the flag buffered the flush drains it, which drops NVM's value
     # as a crash outcome: the crash stays a successor
     m = recovery_at(cfg, "undo.guvf", pbuf=(0,))
-    recs = [rec for _m2, rec, _tag in successors(cfg, m, {}, {})]
+    recs = [rec for _m2, rec, _tag in successors(cfg, m, {})]
     assert recs[0] is None and len(recs) > 1
     assert set(recs[1:]) == {("crash",)}
 
@@ -480,7 +488,7 @@ def test_crash_postponed_past_silent_load():
                  prealloc=1, por=True)
     m = psc_machine(cfg, "pread.load", regs=(0,))
     assert forced(cfg, m, {}) is None
-    succs = successors(cfg, m, {}, {})
+    succs = successors(cfg, m, {})
     assert [rec for _m2, rec, _tag in succs] \
         == [None, ("inv", 1, "begin", None, None)]
     assert succs[0][0][M_MEM] == m[M_MEM]
@@ -489,7 +497,7 @@ def test_crash_postponed_past_silent_load():
                    prealloc=1)
     m = psc_machine(naive, "pread.load", regs=(0,))
     assert ("crash",) in [rec for _m2, rec, _tag in
-                          successors(naive, m, {}, {})]
+                          successors(naive, m, {})]
 
 
 @pytest.mark.parametrize("crashes", [1, 2])
@@ -509,12 +517,12 @@ def test_silent_outcome_keeping_steps_form_no_cycle(monkeypatch, impl,
 
     def edge(m, m2):
         if engine._keeps_crash_outcomes(m[M_MEM], m2[M_MEM]):
-            assert crash_tail(cfg, m2, 0) == crash_tail(cfg, m, 0)
+            assert crash_tail(cfg, m2) == crash_tail(cfg, m)
             assert ended(m2) == ended(m)
             edges.setdefault(key(m), set()).add(key(m2))
 
-    def counted(cfg, m, memo, tried):
-        succs = successors(cfg, m, memo, tried)
+    def counted(cfg, m, tried):
+        succs = successors(cfg, m, tried)
         for m2, rec, tag in succs:
             if rec is None and tag is None:
                 edge(m, m2)
@@ -602,8 +610,11 @@ def test_frontier_antichain():
     # transition, then (2,540, 3,208, 229) before a crash was postponed
     # past a silent step that keeps every crash outcome, then (2,540,
     # 3,103, 229) before a run-ending crash became one leaf transition,
-    # which also counts every history such a crash leaves
-    ("pmdk-seq", "psc", 1, 1, 2, "frontier", (2_450, 2_945, 335)),
+    # which also counts every history such a crash leaves, then (2,450,
+    # 2,945, 335) before recovery after the last crash became a forced
+    # chain, whose crash transitions lead to each crashed machine, not to
+    # the distinct recovered ones
+    ("pmdk-seq", "psc", 1, 1, 2, "frontier", (2_460, 2_957, 335)),
     # (32,259, 36,587, 1,720) before forced chains ran inside one
     # transition
     ("pmdk-tml", "psc", 1, 0, 1, "history", (14_582, 16_752, 1_720)),
@@ -616,8 +627,10 @@ def test_frontier_antichain():
     # machines up to txid renaming, then (4,284, 6,366, 144) before forced
     # chains ran inside one transition, then (2,035, 3,881, 144) before a
     # crash was postponed past a silent outcome-keeping step, then (2,035,
-    # 3,288, 144) before a run-ending crash became one leaf transition
-    ("pmdk-norec", "ptso", 1, 1, 1, "frontier", (1_763, 2_689, 198)),
+    # 3,288, 144) before a run-ending crash became one leaf transition,
+    # then (1,763, 2,689, 198) before recovery after the last crash became
+    # a forced chain
+    ("pmdk-norec", "ptso", 1, 1, 1, "frontier", (1_767, 2_692, 198)),
     # the cells of the benchmark's upper-* workloads.  (52,984, 102,917,
     # 1,768) before slots dropped the operation name no step read, then
     # (52,928, 102,917, 1,768) and (30,148, 38,236, 568) before forced
@@ -625,8 +638,10 @@ def test_frontier_antichain():
     # before a crash was postponed past a silent outcome-keeping step: the
     # frontier representatives differ, not the verdict; then (35,418,
     # 68,451, 1,767) before a run-ending crash became one leaf transition,
-    # after which every history such a crash leaves is counted
-    ("pmdk-tml", "psc", 2, 1, 2, "frontier", (31_757, 54_302, 2_978)),
+    # after which every history such a crash leaves is counted, then
+    # (31,757, 54,302, 2,978) before recovery after the last crash became a
+    # forced chain
+    ("pmdk-tml", "psc", 2, 1, 2, "frontier", (31_770, 54_317, 2_978)),
     ("pmdk-norec", "ptso", 2, 0, 2, "frontier", (13_261, 18_664, 568)),
 ], ids=[  # the 1-location rows keep the ids they had before the model and
     # locs parameters
@@ -684,9 +699,9 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
     # shows it, not a popped state
     chained = [None]
 
-    def counted(cfg, m, memo, tried):
+    def counted(cfg, m, tried):
         expanded.append(m)
-        return successors(cfg, m, memo, tried)
+        return successors(cfg, m, tried)
 
     def counted_ended(m):
         asked.append(m)
@@ -735,8 +750,9 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
     # (70,979, 131,506) before a crash was postponed past a silent
     # outcome-keeping step, which drops transitions only, then (70,979,
     # 110,591) before a run-ending crash became one leaf transition, which
-    # pops none of the ended machines it used to leave
-    assert (r.states, r.transitions) == (48_012, 78_751)
+    # pops none of the ended machines it used to leave, then (48,012,
+    # 78,751) before recovery after the last crash became a forced chain
+    assert (r.states, r.transitions) == (48_015, 78_754)
     assert history_digest(r.histories()) == TML_1_CRASH
 
 
@@ -749,10 +765,10 @@ def test_explorer_expands_no_machine_with_a_forced_step(impl, model, crashes,
     # machines it expands have no forced step, and the chains did run
     expanded, chained = [], []
 
-    def checked(cfg, m, memo, tried):
+    def checked(cfg, m, tried):
         assert forced(cfg, m, {}) is None, m
         expanded.append(m)
-        return successors(cfg, m, memo, tried)
+        return successors(cfg, m, tried)
 
     def counted(cfg, m, tried):
         m2 = forced(cfg, m, tried)
@@ -795,89 +811,62 @@ def test_slots_carry_only_live_fields(impl, model, crashes, por, ended):
     assert statuses & {RDY, COMM, ABRT, DEAD} == {RDY} | ended
 
 
-def stepped_recovery(cfg, m):
-    """Recovery from `m` one scheduler step at a time, propagating the
-    recovering thread's store buffer whenever a step blocks."""
-    while m[M_REC] is not None:
-        r = cfg.recovery_step(m)
-        if r is None:
-            m = (cfg.pmem.propagate(m[M_MEM], m[M_REC], REDUCED),) + m[1:]
-        else:
-            [(m, emit)] = r
-            assert emit is None
-    return m
-
-
 @pytest.mark.parametrize("impl,model,ops", [
     ("pmdk-seq", "ptso", 2),
     ("pmdk-tml", "psc", 1),
 ])
-def test_last_crash_folds_recovery(impl, model, ops):
-    # the last crash runs recovery inside its transition.  A run-ending one
-    # (no slot yet to begin) is a leaf instead: every machine it could
-    # leave has ended once recovered, so it has one history and none is
-    # built.  Any other last crash leaves the distinct recovered machines
+def test_last_crash_recovery_is_a_forced_chain(monkeypatch, impl, model,
+                                               ops):
+    # after the last crash recovery is the sole actor: its step is forced,
+    # or, when it blocks under ptso, the propagation of the recovering
+    # thread's store-buffer head.  Only a crash that leaves a slot yet to
+    # begin leaves machines; any other is a leaf
     cfg = Config(impl, model, txns=2, locs=1, max_crashes=1, ops=ops,
                  por=True)
-    memo = {}
-    crashes, leaves = [], 0
+    stepped = propagated = 0
 
     def hook(cfg, m, hid):
-        nonlocal leaves
-        no_reduced_recovery(cfg, m, hid)
-        # explore expands no machine that has ended outside recovery
-        if m[M_CRASH] or m[M_REC] is not None or ended(m):
+        nonlocal stepped, propagated
+        if cfg.regime(m) != REDUCED or m[M_REC] is None:
             return
-        succs = [(m2, tag) for m2, rec, tag in successors(cfg, m, memo, {})
-                 if rec == ("crash",)]
-        if not succs:
-            return
-        tail = crash_tail(cfg, m, 0)
-        stepped = [stepped_recovery(cfg, (mem, 0, 0) + tail)
-                   for mem in cfg.pmem.crash(m[M_MEM], POR)]
-        ends = engine._crash_ends_run(cfg, m)
-        assert ends == (NS not in {s[S_ST] for s in m[M_TXNS]})
-        if ends:
-            assert succs == [(None, END)]
-            assert all(ended(m2) for m2 in stepped)
-            leaves += 1
-            return
-        folded = [m2 for m2, _tag in succs]
-        assert folded == list(dict.fromkeys(stepped))
-        assert len(set(folded)) == len(folded)
-        crashes.append((m[M_MEM], len(folded), len(stepped)))
+        assert NS in {s[S_ST] for s in m[M_TXNS]}, m
+        r = cfg.recovery_step(m)
+        if r is None:
+            want = (cfg.pmem.propagate(m[M_MEM], m[M_REC], REDUCED),) + m[1:]
+            propagated += 1
+        else:
+            [(want, emit)] = r
+            assert emit is None
+            stepped += 1
+        assert forced(cfg, m, {}) == want
 
+    expand_no_reduced_recovery(monkeypatch)
     r = explore(cfg, state_hook=hook)
     assert not r.violations
-    assert leaves
-    pre = [k for k in memo if len(k) == 2]   # (last, pre-crash memory)
-    post = [k for k in memo if len(k) == 3]  # a post-crash memory
-    # both memos were hit: more states crashed than pre-crash memories
-    # were seen, and more crash outcomes were enumerated than recovered
-    assert len(crashes) > len(pre) == len({mem for mem, _, _ in crashes})
-    assert sum(n for _, _, n in crashes) > len(post) > 0
-    # recoveries from distinct post-crash memories do coincide
-    assert sum(n for _, n, _ in crashes) < sum(n for _, _, n in crashes)
+    assert stepped and bool(propagated) == (model == "ptso")
 
 
 def test_crash_machine_makes_every_crash_transition(monkeypatch):
     # patched in engine's globals, as perfbench/tracer.py does: under --por
     # its results are exactly the crash successors that carry a machine,
-    # whether or not the crash is the last one (recovery folded in); a
-    # run-ending crash is one leaf and calls it not at all
+    # each at the start of recovery, whether or not a crash is left after
+    # it; a run-ending crash, which leaves no slot yet to begin, is one
+    # leaf and calls it not at all, with a crash left or not
     orig_crash, orig_succ = engine.crash_machine, explorer.successors
     made = []
-    full = leaves = 0
+    full = leaves = early = 0
 
-    def crash_traced(cfg, m, memo):
-        out = orig_crash(cfg, m, memo)
+    def crash_traced(cfg, m):
+        assert NS in {s[S_ST] for s in m[M_TXNS]}, m
+        out = orig_crash(cfg, m)
+        assert {m2[M_REC] for m2 in out} == {0}
         made.append(out)
         return out
 
-    def succ_traced(cfg, m, memo, tried):
-        nonlocal full, leaves
+    def succ_traced(cfg, m, tried):
+        nonlocal full, leaves, early
         n = len(made)
-        out = orig_succ(cfg, m, memo, tried)
+        out = orig_succ(cfg, m, tried)
         crashes = [(m2, tag) for m2, rec, tag in out if rec == ("crash",)]
         if len(made) > n:
             assert len(made) == n + 1
@@ -887,6 +876,7 @@ def test_crash_machine_makes_every_crash_transition(monkeypatch):
             assert crashes == [(None, END)]
             assert engine._crash_ends_run(cfg, m)
             leaves += 1
+            early += m[M_CRASH] + 1 < cfg.max_crashes
         return out
 
     monkeypatch.setattr(engine, "crash_machine", crash_traced)
@@ -895,7 +885,8 @@ def test_crash_machine_makes_every_crash_transition(monkeypatch):
                  por=True)
     r = check_upper(cfg)
     assert not r.violations
-    assert full == len(made) and leaves
+    # some leaves come from a first crash, with a crash left after it
+    assert full == len(made) and 0 < early < leaves
     assert sum(map(len, made)) > len(made)
 
 
@@ -934,6 +925,24 @@ def test_run_ending_crash_leaf_keeps_violations(monkeypatch, name):
     enumerate_every_crash(monkeypatch)
     assert sorted(check_upper(mutation_check_config(name)).violations) \
         == sorted(leaf)
+
+
+@pytest.mark.parametrize("name", [n for n in MUTATIONS
+                                  if n != "skip-validate"])
+@pytest.mark.parametrize("impl", ["pmdk-seq", "pmdk-tml"])
+def test_crash_leaf_with_a_crash_left_keeps_violations(monkeypatch, impl,
+                                                       name):
+    # with 2 crashes a first crash that leaves no slot yet to begin is a
+    # leaf too: no further crash can interrupt the recovery it starts
+    def run():
+        return sorted(check_upper(Config(
+            impl, "psc", txns=2, locs=1, max_crashes=2, por=True,
+            mutations=(name,))).violations)
+
+    leaf = run()
+    assert leaf
+    enumerate_every_crash(monkeypatch)
+    assert run() == leaf
 
 
 def test_skip_validate_cli_names_its_cell(monkeypatch, capsys):
@@ -1095,12 +1104,15 @@ def test_mutations_caught_on_concurrent_cell():
     # the orbit key merges renamed machines of two concurrent transactions:
     # every mutation must still be caught on their criterion-1 cell.
     # NOrec's write-back runs the core's logged write, so skip-undo-flush
-    # reaches it only through ``pwrite``
-    for impl in ("pmdk-tml", "pmdk-norec"):
-        for name in MUTATIONS:
-            cfg = mutation_check_config(name, impl=impl, model="psc")
-            r = check_upper(cfg, stop_on_violation=True)
-            assert r.violations, (impl, name)
+    # reaches it only through ``pwrite``.  skip-validate has one scripted
+    # cell whatever the impl, so it runs once
+    cells = [mutation_check_config("skip-validate")] + [
+        mutation_check_config(name, impl=impl, model="psc")
+        for impl in ("pmdk-tml", "pmdk-norec") for name in MUTATIONS
+        if name != "skip-validate"]
+    for cfg in cells:
+        r = check_upper(cfg, stop_on_violation=True)
+        assert r.violations, (cfg.impl, cfg.mutations)
 
 
 # sorted-history sha256 of the 4 violations, the same for both impls
@@ -1126,6 +1138,34 @@ def test_three_txn_oracle_disagreement_pinned(impl, states):
     for records in r.violations:
         assert not accepts_history(records, 3, 2)
         assert check_history_ddo(events_of_records(records))[0]
+
+
+# ROADMAP item 18's smallest cell: T1 allocates location 0 and invokes
+# commit, T0 writes location 0; after the crash T2 writes it
+CRASH_ALLOC_RACE = (((("write", 0, 1),), 0), ((("alloc",),), 0),
+                    ((("write", 0, 1),), 1))
+# sorted-history sha256 of its 3 violations, the same for both impls
+CRASH_ALLOC_RACE_VIOLATIONS = \
+    "82b61ff11ab08c0ae3d7af009501425a2ea6547de8f5eecb4fc96d60f82f6356"
+
+
+@pytest.mark.parametrize("impl", ["pmdk-tml", "pmdk-norec"])
+def test_three_txn_crash_violations_pinned(impl):
+    # a known disagreement, not yet judged (ROADMAP item 18).  In the
+    # smallest violation T0's write of location 0 succeeds while T1's
+    # allocation of it is commit-pending, and T2's write of it faults
+    # after the crash: refspec rejects it and dDO accepts it.  Of the two
+    # longer ones dDO accepts the first and rejects the second
+    r = check_upper(Config(impl, "psc", txns=3, locs=1, max_crashes=1,
+                           por=True, scripts=CRASH_ALLOC_RACE))
+    assert history_digest(r.violations) == CRASH_ALLOC_RACE_VIOLATIONS
+    found = sorted(r.violations, key=len)
+    assert [len(records) for records in found] == [14, 15, 16]
+    assert [records[-1] for records in found] == [("fault", 2, "write", 0)] * 3
+    for records in found:
+        assert not accepts_history(records, 3, 1)
+    assert [check_history_ddo(events_of_records(records))[0]
+            for records in found] == [True, True, False]
 
 
 def test_skip_validate_clean_twin_passes():

@@ -158,11 +158,12 @@ def counted(fn, name, ran):
 
 
 # tiny cells with one crash, and one with two.  Frontier dedup visits every reachable
-# machine at least once.  The naive explorer runs one transaction (two do
-# not fit in a test's time); --por runs two, unscripted with one operation,
-# and scripted to race a reader that then writes against a writer.  --por
-# folds the last crash's recovery into the crash, so a second crash makes
-# the recovery of every transaction id, run as its thread, a visited step
+# machine at least once, and the hook sees every machine a forced chain
+# reaches, recovery after the last crash included.  The naive explorer runs
+# one transaction (two do not fit in a test's time); --por runs two,
+# unscripted with one operation, and scripted to race a reader that then
+# writes against a writer.  With two crashes a crash may interrupt the
+# recovery of any transaction id, run as its thread
 SEQUENTIAL = dict(txns=1, locs=1, vals=1, buf=1, ops=2)
 CONCURRENT = dict(txns=2, locs=1, vals=2, buf=1, ops=1)
 RACE = dict(txns=2, locs=1, vals=2, buf=1, ops=2, prealloc=1,

@@ -74,6 +74,13 @@ def cells():
         "base/tml-psc-3txn": dict(base, impl="pmdk-tml", model="psc",
                                   txns=3),
     }
+    # ROADMAP item 18: the cells where a last crash leaves a transaction
+    # yet to begin
+    for impl in ("tml", "norec"):
+        for model in MODELS:
+            out["base/%s-%s-3txn-1crash-ops1" % (impl, model)] = dict(
+                base, impl="pmdk-" + impl, model=model, txns=3,
+                max_crashes=1, ops=1)
     out["mut/skip-validate"] = ("skip-validate",)
     for name in MUTATIONS:
         if name == "skip-validate":
