@@ -66,9 +66,10 @@ def build_parser():
         description="Check that every history of the implementation is a "
                     "trace of the spec.  A state is skipped when the same "
                     "machine, up to a renaming of transaction ids, was "
-                    "explored with a subset of its spec frontier, renamed "
-                    "alike, so 'histories checked' counts representative "
-                    "histories of the subset-minimal frontiers per machine "
+                    "explored with no more crashes used and a subset of "
+                    "its spec frontier, renamed alike, so 'histories "
+                    "checked' counts representative histories of the "
+                    "minimal (crashes used, frontier) pairs per machine "
                     "up to txid renaming, plus, with --por, every history "
                     "ending in a crash after which no transaction is "
                     "left to begin; "
@@ -129,8 +130,8 @@ def cmd_upper(args):
     else:
         cfg = _cfg_from_args(args)
     # frontier dedup keeps, per machine up to txid renaming, histories of
-    # the subset-minimal spec frontiers only; the traces are the whole
-    # history set
+    # the minimal (crashes used, spec frontier) pairs only; the traces are
+    # the whole history set
     dedup = "history" if args.emit_traces else "frontier"
     try:
         res = explorer.check_upper(cfg, dedup=dedup)

@@ -13,8 +13,8 @@ DFS stack carries its id beside the machine.  History dedup skips a state
 only when the same machine with the same history was pushed before
 (``state_keyer``), and expands each machine once per call; frontier dedup
 skips it when the same machine up to a renaming of transaction ids was
-pushed with a subset of its frontier, renamed alike (``orbit_keyer``,
-``explore``).
+pushed with no more crashes used and a subset of its frontier, renamed
+alike (``orbit_keyer``, ``explore``).
 
 ``check_upper`` is trace inclusion implementation <= spec; ``check_lower``
 explores the implementation's serial schedules once, crash-free and with
@@ -48,6 +48,8 @@ DEFAULT_MAX_STATES = 20_000_000
 # width of every state-key field below the memory id (see state_keyer)
 ID_BITS = 32
 ID_LIMIT = 1 << ID_BITS
+# an orbit key's lowest field: the crashes used (see orbit_keyer)
+CRASHES = ID_LIMIT - 1
 # a thread's view in an orbit key: its status's rank in PROGRESS, then its
 # slot id, then its memory part id
 VIEW_BITS = 2 * ID_BITS + 2
@@ -107,7 +109,9 @@ class Config:
         without --por; under --por, ``POR`` while a crash is left and
         ``REDUCED`` once none is.  No crash can follow ``REDUCED``, so
         recovery in it is one forced chain (``engine.forced``) and no
-        expanded ``REDUCED`` machine is mid-recovery."""
+        expanded ``REDUCED`` machine is mid-recovery.  ``POR`` and
+        ``REDUCED`` give a machine the same crash-free histories: persist
+        timing shows only in what a crash leaves."""
         if not self.por:
             return EXACT
         return REDUCED if m[M_CRASH] >= self.max_crashes else POR
@@ -206,12 +210,13 @@ def orbit_keyer(cfg, shared):
     parts are interned, all threads' parts in one table, so equal parts of
     two threads get one id.  A thread's view is its slot's id, ranked by
     the slot's status (``PROGRESS``), and its part's id.  The key packs
-    the shared part's id, the rest's (glb, free, rec, crashes) id
-    and the views in ascending order; the sort is stable, so equal views
-    keep ascending ids.  While recovery runs (rec is not None) the order
-    is the identity, since recovery visits ids in ascending order, and so
-    it is whenever ``cfg.scripts`` is set, since a script gives each id
-    its own program: the same key with its order fixed.  Equal keys mean
+    the shared part's id, the rest's (glb, free, rec) id, the views in
+    ascending order and, in the lowest ``ID_BITS``, the crashes used; the
+    sort is stable, so equal views keep ascending ids.  While recovery
+    runs (rec is not None) the order is the identity, since recovery
+    visits ids in ascending order, and so it is whenever ``cfg.scripts``
+    is set, since a script gives each id its own program: the same key
+    with its order fixed.  Equal keys mean
     machines equal up to the renamings that sort both; the spec state
     entries of their frontiers correspond alike, so a frontier compares
     with another machine's once renamed, position by sorted position.
@@ -241,7 +246,9 @@ def orbit_keyer(cfg, shared):
       frontier that, renamed, is a subset of its own is a renaming of that
       state with a frontier that contains the renamed pushed one, so each
       of its violations is, up to renaming, reachable no later from the
-      pushed state.
+      pushed state.  So does ``explore``'s crashes-used order: the
+      machines of one key with each count differ in the crash field alone,
+      and their views sort alike.
 
     The pushed machine is always the real one, so violations and
     counterexamples are real histories; symmetry only prunes."""
@@ -291,7 +298,7 @@ def orbit_keyer(cfg, shared):
             if ids is None:
                 ids = mems[mem] = split(mem)
             last_mem, last_ids = mem, ids
-        rest = (glb, free, rec, crashes)
+        rest = (glb, free, rec)
         i = rests.get(rest)
         if i is None:
             i = _new_id(rests, rest)
@@ -312,6 +319,7 @@ def orbit_keyer(cfg, shared):
         ordered = views if fixed or rec is not None else sorted(views)
         for v in ordered:
             k = k << VIEW_BITS | v
+        k = k << ID_BITS | crashes
         if ordered == views:
             return k, None
         return k, tuple(sorted(identity, key=views.__getitem__))
@@ -336,33 +344,45 @@ def orbit_keyer(cfg, shared):
     return key, relabel
 
 
+def _covered(kept, f):
+    """True when one of the frontiers `kept` (an antichain as
+    ``_antichain_add`` stores it, or None: none) is a subset of `f`.
+
+    A frontier is a frozenset of spec states or ``refspec.ACCEPT_ALL``, the
+    top element (a matched fault accepts every continuation)."""
+    if kept is None:
+        return False
+    if f == refspec.ACCEPT_ALL:
+        return True
+    if kept == refspec.ACCEPT_ALL:
+        return False
+    if type(kept) is not list:
+        return kept <= f
+    return any(map(f.issuperset, kept))
+
+
 def _antichain_add(minimal, k, f):
     """Add spec frontier `f` to ``minimal[k]``, the pairwise incomparable
     frontiers pushed with machine key `k`, dropping those `f` is a strict
     subset of.  Returns False, leaving them as they are, when one of them
-    is a subset of `f`.
+    is a subset of `f` (``_covered``).
 
-    A frontier is a frozenset of spec states or ``refspec.ACCEPT_ALL``, the
-    top element (a matched fault accepts every continuation), so a kept
-    ACCEPT_ALL has no other frontier beside it.  A lone frontier is stored
-    bare, not in a list: most machines have one, and a list each would add
-    a tenth to peak memory."""
+    A kept ACCEPT_ALL has no other frontier beside it.  A lone frontier is
+    stored bare, not in a list: most machines have one, and a list each
+    would add a tenth to peak memory."""
     kept = minimal.get(k)
-    if kept is None or kept == refspec.ACCEPT_ALL != f:
+    if kept is None:
         minimal[k] = f
-        return True
-    if f == refspec.ACCEPT_ALL:
+    elif _covered(kept, f):
         return False
-    if type(kept) is not list:
-        if kept <= f:
-            return False
+    elif kept == refspec.ACCEPT_ALL:
+        minimal[k] = f
+    elif type(kept) is not list:
         minimal[k] = f if f <= kept else [kept, f]
-        return True
-    if any(map(f.issuperset, kept)):
-        return False
-    if any(map(f.issubset, kept)):
-        kept[:] = filterfalse(f.issubset, kept)
-    kept.append(f)
+    else:
+        if any(map(f.issubset, kept)):
+            kept[:] = filterfalse(f.issubset, kept)
+        kept.append(f)
     return True
 
 
@@ -398,14 +418,20 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     Frontier dedup's orbit key is not exact, as a renamed machine has
     renamed successors, so it expands every state.
     dedup="frontier" keeps, per machine up to a renaming of transaction ids
-    (``orbit_keyer``), the subset-minimal spec frontiers pushed so far (an
-    antichain; De Wulf, Doyen, Henzinger & Raskin, CAV 2006) and skips a
-    state whose frontier, renamed alike, contains one of them.  The
-    frontier is monotone in its set of spec states, so every violation
-    reachable from (m, F) is reachable, no later, from an already pushed
-    (m, G) with G a subset of F: with ``orbit_keyer``'s argument this is
+    (``orbit_keyer``) and crashes used, the subset-minimal spec frontiers
+    pushed so far (an antichain; De Wulf, Doyen, Henzinger & Raskin, CAV
+    2006) and skips a state (m, c, F) when some (m, c0, G) with c0 <= c
+    and G a subset of F, renamed alike, was pushed.  Both are monotone, as
+    in well-structured transition systems (Finkel & Schnoebelen, TCS
+    2001): the frontier in its set of spec states, and the crashes used
+    since a crash is optional.  Fewer used leave more budget, and
+    ``Config.regime``'s two --por regimes give a machine the same
+    crash-free histories; a script's ``era_min`` is not monotone, so when
+    one is above 0 only equal counts compare.  So every violation
+    reachable from (m, c, F) is reachable, with no more records, from an
+    already pushed (m, c0, G): with ``orbit_keyer``'s argument this is
     complete for violation finding, and the histories it keeps are
-    representatives of subset-minimal frontiers up to txid renaming, plus
+    representatives of minimal (c, F) pairs up to txid renaming, plus
     every history a run-ending crash leaves, which no antichain filters.
 
     When more than `cfg.max_states` states would be popped, raises
@@ -440,10 +466,23 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         # that is not the identity
         minimal = {}
         refs, orders = {}, {}             # orders: each order's one copy
+        # fewer crashes used cover more only where no script waits for an era
+        monotone = cfg.max_crashes and not (
+            cfg.scripts and any(era for _ops, era in cfg.scripts))
 
         def new(mk, h):
             k, order = mk
             f = frontiers[h]
+            c = monotone and k & CRASHES
+            if c:
+                # the same machine pushed with fewer crashes used
+                for k0 in range(k - c, k):
+                    kept = minimal.get(k0)
+                    if kept is not None:
+                        ref = refs.get(k0)
+                        if _covered(kept, f if order == ref
+                                    else relabel(f, order, ref)):
+                            return False
             ref = refs.get(k)
             if order != ref:
                 if ref is None and k not in minimal:
