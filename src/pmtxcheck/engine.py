@@ -38,7 +38,9 @@ compiled step table.  The system steps (store-buffer propagations, and
 per-cell persists in the ``EXACT`` regime only) and the memories a crash
 can leave are ``PMem``'s to decide per persist regime
 (``PMem.system_steps``, ``PMem.crash``; ``Config.regime``, whose rules
-are in the ``pmem`` docstring); ``crash_machine`` builds the machines of
+are in the ``pmem`` docstring).  ``forced`` and ``successors`` ask
+``Config.regime`` once per machine and pass the regime to every step they
+run; ``crash_machine`` builds the machines of
 every crash transition but a run-ending one, which has none.  After a
 crash, recovery runs before any transaction step: each transaction id in
 turn, as the thread of that id (``pmdk.recovery``); its steps emit
@@ -54,16 +56,19 @@ before it ends, the crash emptied every other store buffer, ``REDUCED``
 has no persist steps, and no crash can interrupt it.  Its steps emit
 nothing, and its flushes wait for its stores to propagate, so every order
 of its steps and its thread's propagations ends in the same machine.
-Outside recovery two kinds of step qualify, tried in this order:
+Outside recovery a ``REDUCED`` machine with buffered persists, which the
+begin that left no slot yet to begin makes (below), first persists them
+all (``PMem.persist_all``).  Then two kinds of step qualify, tried in
+this order:
 
 * under PTSO, the propagation of the first store-buffer head that targets
   one of its thread's own log cells (``cfg.log_cells``), when that cell's
   persistence buffer has room;
 * the enabled private step (``cfg.private_ips``: own log cells and
-  flushes only) of the lowest thread for which either no crash is left
-  (``REDUCED``, where the lowest enabled one qualifies) or every
-  successor of the step keeps the parent's NVM and only appends to the
-  tails of its persistence buffers.
+  flushes only) of the lowest thread for which either the machine is
+  ``REDUCED`` (no crash left, or every crash left ends the run; the
+  lowest enabled one qualifies) or every successor of the step keeps the
+  parent's NVM and only appends to the tails of its persistence buffers.
 
 Both emit nothing and touch only their thread's own log cells, or flush:
 only thread t's steps, and recovery of t run as thread t, load, store or
@@ -72,47 +77,80 @@ reads of its own slot (both checked in ``tests/test_steps.py``).  A crash
 the forced step displaces has the same successors after it: NVM is the
 same and every buffered value is still buffered, so each cell's crash
 candidates only grow, and the crashed tail is the same, since the slot
-dies either way and glb and free are reset.  Under ``POR`` a store into
-a full persistence buffer persists first and a flush of a non-empty one
-drains it; both persist, which takes a buffer's head, so such a step is
-not forced before the last crash, and neither is a propagation into a
-full persistence buffer.  Forced steps only move a program forward,
-recovery's included, or shrink a store buffer, so they form no cycle: the
-explorer runs each chain of them to its end within one transition (a
-macro-step) and expands only machines with no forced step.  So recovery
-after the last crash is one chain, and no ``REDUCED`` machine the
-explorer expands is mid-recovery.
+dies either way and glb and free are reset.  In ``REDUCED`` the one crash
+left is the run-ending leaf, the same after the step, which emits nothing
+and keeps every slot's status.  Under ``POR`` a store into a full
+persistence buffer persists first and a flush of a non-empty one drains
+it; both persist, which takes a buffer's head, so such a step is not
+forced while a crash can read memory, and neither is a propagation into
+a full persistence buffer.  Forced steps only move a program forward,
+recovery's included, shrink a store buffer, or empty the persistence
+buffers, so they form no cycle: the explorer runs each chain of them to
+its end within one transition (a macro-step) and expands only machines
+with no forced step.  So recovery after the last crash is one chain, and
+no ``REDUCED`` machine the explorer expands is mid-recovery or has a
+buffered persist.
+
+``REDUCED`` before the last crash.  Once no slot is yet to begin, every
+crash left ends the run (below), and its one history is the history so
+far and a crash record, whatever memory it finds: as after the last
+crash, nothing reads what persisted when.  So ``Config.regime`` gives
+such a machine ``REDUCED`` outside recovery (``only_leaf_crashes``; a
+machine mid-recovery has a slot yet to begin, or has every slot ended and
+makes no crash transition).  The two regimes agree up to the
+persist step P (``PMem.persist_all``).  For each memory operation op,
+P(op in ``POR``) = (op in ``REDUCED``)(P): a PSC store or a propagation
+into cell c appends to c's buffer, making room by persisting its head,
+and P leaves c holding the appended value, which the ``REDUCED`` op
+writes into NVM; a flush persists its cells' buffers, which P does
+anyway; a PTSO store only appends to the store buffer.  An operation
+blocks in the same machines in both (neither blocks on a full
+persistence buffer), and ``load`` reads the same value at m and at P(m):
+a buffer's tail, else NVM (all three checked in ``tests/test_pmem.py``).
+So a run from a ``POR`` machine m and the
+run from P(m) in ``REDUCED`` emit the same records.  In particular a
+private step p of thread t commutes with the begin b that flips the
+regime, up to P: from m, p then b then P and b then P then p reach one
+machine, since P(p in ``POR``)(m) = (p in ``REDUCED``)(P(m)), and b
+writes only its own slot and reads only statuses, which p keeps.  So
+forcing p, which the ``POR`` rule may not, drops no history.
 
 Under --por a crash is also postponed (``successors``), in recovery too: a
 machine makes no crash transition when one of its successors is silent (a
 thread or system step that emits no record and is not cut) and keeps every
 crash outcome (``_keeps_crash_outcomes``: the same NVM, and each
-persistence buffer a prefix of its own).  This is a persistent set for the
-crash transition alone (Godefroid, LNCS 1032, 1996).  A silent step keeps
-every slot's status and emits nothing, so the crash after it leaves the
-same crashed tail and the same history, with at least the same memories:
+persistence buffer a prefix of its own), or, in ``REDUCED``, when any
+successor is silent, since its crash is a run-ending leaf that reads no
+memory.  This is a persistent set for the crash transition alone
+(Godefroid, LNCS 1032, 1996).  A silent step keeps every slot's status
+and emits nothing, so the crash after it leaves the same crashed tail and
+the same history, with at least the same memories, or is the same leaf:
 it covers the crash before it.  The postponed crash is taken further down
-unless silent, outcome-keeping steps form a cycle.  None is expected:
+unless silent steps of this kind form a cycle.  None is expected:
 programs move forward, retry loop-backs raise the retry count, busy-waits
-are guarded steps that block, and propagations shrink a store buffer.
-``tests/test_explorer.py`` checks that their graph is acyclic on small
-cells of every implementation and model with one and two crashes.
+are guarded steps that block, propagations shrink a store buffer, and a
+persist empties the persistence buffers.  ``tests/test_explorer.py``
+checks that their graph is acyclic on small cells of every
+implementation and model with one and two crashes, every silent step of
+a machine whose crash ends the run included.
 
 So under --por a crash has one of two shapes.  A crash of a machine with
 no ``NS`` slot ends the run (``_crash_ends_run``), whatever crash budget
 is left: ``successors`` gives it as one leaf successor with no machine,
-tagged ``END``, and enumerates, recovers and keys none of its outcomes.
-Sound, because every outcome leaves one history: the crash makes each
-``RUN`` and ``RDY`` slot ``DEAD`` and keeps the ended ones (``crash_tail``),
-so with none yet to begin every slot is terminal; recovery emits nothing
-and sets no status, and no further crash can interrupt it, since a
-machine mid-recovery whose slots have all ended makes no crash transition
-(``successors``).  Whatever memory survived, the run's one history is the
-history so far followed by the crash record, which the explorer checks
-and records as complete at the leaf.  Any other crash leaves a crashed
-machine per memory ``PMem.crash`` gives (``crash_machine``), whose
-recovery the explorer steps: one step at a time while a crash is left,
-as one forced chain once none is.
+tagged ``END``, and enumerates, recovers and keys none of its outcomes;
+such a machine runs in ``REDUCED``, so it holds no persist for the crash
+to read.  Sound, because every outcome leaves one history: the crash
+makes each ``RUN`` and ``RDY`` slot ``DEAD`` and keeps the ended ones
+(``crash_tail``), so with none yet to begin every slot is terminal;
+recovery emits nothing and sets no status, and no further crash can
+interrupt it, since a machine mid-recovery whose slots have all ended
+makes no crash transition (``successors``).  Whatever memory survived,
+the run's one history is the history so far followed by the crash
+record, which the explorer checks and records as complete at the leaf.
+Any other crash, of a ``POR`` machine, leaves a crashed machine per
+memory ``PMem.crash`` gives (``crash_machine``), whose recovery the
+explorer steps: one step at a time while a crash is left, as one forced
+chain once none is.
 """
 
 from __future__ import annotations
@@ -311,13 +349,21 @@ def forced(cfg, m, tried):
     if rec is not None:
         if regime != REDUCED:
             return None
-        r = cfg.recovery_step(m)
+        r = cfg.recovery_step(m, REDUCED)
         if r is None:
             # blocked: its flush waits on its own store buffer
             return set_mem(m, cfg.pmem.propagate(m[M_MEM], rec, REDUCED))
         [(m2, _emit)] = r
         return m2
-    _nvm, pbufs, sbufs = mem = m[M_MEM]
+    mem = m[M_MEM]
+    if regime == REDUCED and m[M_CRASH] < cfg.max_crashes:
+        # entered by the begin that left no slot to begin: persist first.
+        # After the last crash nothing is buffered: the crash emptied
+        # every buffer, and no REDUCED operation fills one
+        mem2 = cfg.pmem.persist_all(mem)
+        if mem2 is not mem:
+            return set_mem(m, mem2)
+    _nvm, pbufs, sbufs = mem
     if cfg.pmem.model == "ptso":
         # a store-buffer head bound for its thread's own log cell, if room
         for tid, buf in enumerate(sbufs):
@@ -327,7 +373,7 @@ def forced(cfg, m, tried):
     for ti in range(cfg.txns):
         slot = m[M_TXNS][ti]
         if slot[S_ST] == RUN and slot[S_IP] in cfg.private_ips:
-            r = tried[ti] = cfg.step_table[slot[S_IP]](m, ti)
+            r = tried[ti] = cfg.step_table[slot[S_IP]](m, ti, regime)
             if r is not None:
                 # a private step has one successor and emits nothing
                 [(m2, _emit)] = r
@@ -343,17 +389,18 @@ def successors(cfg, m, tried):
     `m` has not ended outside recovery and has no forced step, so under
     --por it is mid-recovery only while a crash is left; `tried` holds the
     private steps ``forced`` tried at it.  Under --por there is no crash
-    successor when another successor is silent and keeps every crash
-    outcome (module docstring): the crash after that step covers this one;
-    and a run-ending crash is the one successor (None, ("crash",), END).
-    Any other crash gives a successor per machine ``crash_machine``
-    builds."""
+    successor when another successor is silent and, unless `m` is
+    ``REDUCED``, keeps every crash outcome (module docstring): the crash
+    after that step covers this one; and a run-ending crash is the one
+    successor (None, ("crash",), END).  Any other crash gives a successor
+    per machine ``crash_machine`` builds."""
     out = []
+    regime = cfg.regime(m)
     if m[M_REC] is not None:
         # recovery steps here are interleavable with propagation, persists
         # and further crashes: under --por, once no crash is left, recovery
         # is a forced chain and never reaches this branch
-        r = cfg.recovery_step(m)
+        r = cfg.recovery_step(m, regime)
         if r is not None:
             for m2, emit in r:
                 out.append((m2, emit, None))
@@ -362,7 +409,7 @@ def successors(cfg, m, tried):
             slot = m[M_TXNS][ti]
             if slot[S_ST] == RUN:
                 r = tried[ti] if ti in tried \
-                    else cfg.step_table[slot[S_IP]](m, ti)
+                    else cfg.step_table[slot[S_IP]](m, ti, regime)
                 if r is None:
                     continue
                 if r == CUT:
@@ -378,17 +425,19 @@ def successors(cfg, m, tried):
     # --por one bound for an own log cell reaches here only when its
     # persistence buffer is full, and making room persists, which drops a
     # crash outcome
-    for mem2 in cfg.pmem.system_steps(m[M_MEM], cfg.regime(m)):
+    for mem2 in cfg.pmem.system_steps(m[M_MEM], regime):
         out.append((set_mem(m, mem2), None, None))
 
     # crash (disabled once every transaction is terminal: a trailing crash
     # marker is accepted whenever the history without it is; outside
     # recovery the explorer has checked that already).  Under --por it is
-    # postponed past a silent step that keeps every crash outcome (module
-    # docstring)
+    # postponed past a silent step that keeps every crash outcome, or past
+    # any silent step once the crash is a leaf that reads no memory
+    # (``REDUCED``; module docstring)
     if m[M_CRASH] < cfg.max_crashes \
             and (m[M_REC] is None or not ended(m)) \
-            and not (cfg.por and _crash_postponed(m[M_MEM], out)):
+            and not (cfg.por and _crash_postponed(m[M_MEM], out,
+                                                  regime == REDUCED)):
         if _crash_ends_run(cfg, m):
             out.append((None, ("crash",), END))
         else:
@@ -409,12 +458,22 @@ def _crash_ends_run(cfg, m):
     return True
 
 
-def _crash_postponed(mem, out):
+def only_leaf_crashes(cfg, m):
+    """True when every crash `m` can still make is a run-ending leaf
+    (``_crash_ends_run``) that reads no memory: `m` is outside recovery
+    and no slot is yet to begin.  ``Config.regime`` then runs `m` in
+    ``REDUCED`` before the last crash (module docstring); this is that
+    rule's one switch."""
+    return m[M_REC] is None and _crash_ends_run(cfg, m)
+
+
+def _crash_postponed(mem, out, blind):
     """True when some successor in `out` is silent (no record, not cut)
-    and keeps every crash outcome of memory `mem`."""
+    and keeps every crash outcome of memory `mem`, or, when the crash is
+    `blind` to memory (a run-ending leaf), is silent at all."""
     for m2, emit, tag in out:
         if emit is None and tag is None \
-                and _keeps_crash_outcomes(mem, m2[M_MEM]):
+                and (blind or _keeps_crash_outcomes(mem, m2[M_MEM])):
             return True
     return False
 

@@ -1,7 +1,11 @@
 """Bounded exhaustive exploration with crash injection and online checks.
 
 The explorer enumerates every interleaving of client decisions, algorithm
-line-steps, buffer propagation/persist steps and crash points.  Machines
+line-steps, buffer propagation/persist steps and crash points.  Under
+--por each machine has a persist regime (``Config.regime``): ``POR``
+while a crash that reads memory is left, and ``REDUCED``, with no persist
+steps or persistence buffers, once none is: no crash is left, or every
+crash left ends the run.  Machines
 are keyed by interning memory, slots and the remaining fields by value
 once per exploration and packing their ids into one int.  Histories are
 interned in a trie so shared prefixes are checked once: an incrementally
@@ -34,7 +38,7 @@ from hashlib import blake2b  # noqa: F401
 from itertools import filterfalse
 from operator import itemgetter
 
-from . import refspec
+from . import engine, refspec
 from .engine import (ABRT, COMM, CUT, DEAD, END, FLT, M_CRASH, M_REC, NS,
                      RDY, RUN, S_ST, ended, forced, initial_machine,
                      successors)
@@ -106,15 +110,23 @@ class Config:
     def regime(self, m):
         """The persist regime of `m` (``pmem`` docstring), which every
         memory operation, system step and crash of `m` takes: ``EXACT``
-        without --por; under --por, ``POR`` while a crash is left and
-        ``REDUCED`` once none is.  No crash can follow ``REDUCED``, so
-        recovery in it is one forced chain (``engine.forced``) and no
-        expanded ``REDUCED`` machine is mid-recovery.  ``POR`` and
-        ``REDUCED`` give a machine the same crash-free histories: persist
-        timing shows only in what a crash leaves."""
+        without --por; under --por, ``REDUCED`` once no crash that reads
+        memory is left: none is left, or `m` is outside recovery and every
+        crash left ends the run (``engine.only_leaf_crashes``), a leaf
+        whose one history is the history so far and a crash record.  Else
+        ``POR``.  So no crash but such a leaf follows ``REDUCED``:
+        recovery in it is one forced chain (``engine.forced``), no
+        expanded ``REDUCED`` machine is mid-recovery, and one entered with
+        buffered persists persists them first.  ``POR`` and ``REDUCED``
+        give a machine the same crash-free histories: persist timing shows
+        only in what a crash leaves.  The engine asks once per machine and
+        passes the answer to its steps."""
         if not self.por:
             return EXACT
-        return REDUCED if m[M_CRASH] >= self.max_crashes else POR
+        if m[M_CRASH] >= self.max_crashes \
+                or engine.only_leaf_crashes(self, m):
+            return REDUCED
+        return POR
 
 
 class ExploreResult:

@@ -33,12 +33,14 @@ jump), ``load`` or ``respond`` -- or a custom step for a line that fits no
 kind.  An entry names the targets it goes to by setting ip apart from those
 it falls through into, running them within the same step.  ``link``
 numbers the entries in block order, the recovery blocks last, resolves the
-names to ips and compiles each entry into a closure ``step(m, ti)`` in
-``cfg.step_table``, which returns ``[(machine', record-or-None), ...]``,
-None when blocked, or the cut sentinel.  Steps store and flush through
-``cfg.pmem`` in the persist regime of their machine (``EXACT``, ``POR`` or
-``REDUCED``, from ``Config.regime``); whether a step blocks or persists
-on demand is decided there (``pmem`` docstring).
+names to ips and compiles each entry into a closure
+``step(m, ti, regime)`` in ``cfg.step_table``, which returns
+``[(machine', record-or-None), ...]``, None when blocked, or the cut
+sentinel.  Steps store and flush through ``cfg.pmem`` in `regime`, the
+persist regime of their machine (``EXACT``, ``POR`` or ``REDUCED``), which
+the engine takes from ``Config.regime`` once per machine and passes in, so
+no step reads another slot to learn it; whether a step blocks or persists
+on demand is decided in ``pmem`` (its docstring).
 
 Recovery of transaction id t runs as thread t: the machine's rec field
 names t, and slot t carries recovery's ip and registers, starting from
@@ -58,8 +60,9 @@ from them:
 * ``cfg.private_ips``: a step is private when it touches only its own
   log cells, or flushes, and every step it falls through into is private.
   Under --por, outside recovery, the engine schedules one as the state's
-  only successor once no crash is left, and before that when it keeps NVM
-  and only appends to persistence buffers (``engine`` docstring);
+  only successor in the ``REDUCED`` regime (no crash left, or every crash
+  left ends the run), and otherwise when it keeps NVM and only appends to
+  persistence buffers (``engine`` docstring);
 * ``cfg.log_cells``, per thread t the cells of class ``LOG`` for t
   (``Layout.log_cells``): no step run as another thread touches them,
   so under --por and PTSO the engine propagates a store-buffer head
@@ -215,10 +218,10 @@ def store_go(name, fp, cell, val, go, upd=None):
     """Store val(slot) into cell(ti, slot), then continue at `go`; upd(slot)
     gives further slot updates."""
     def make(cfg, go):
-        def step(m, ti):
+        def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             mem2 = cfg.pmem.store(m[M_MEM], ti, cell(ti, slot), val(slot),
-                                   cfg.regime(m))
+                                   regime)
             if mem2 is None:
                 return None
             slot = slot_upd(slot, (S_IP, go), *upd(slot)) if upd \
@@ -231,10 +234,10 @@ def store_go(name, fp, cell, val, go, upd=None):
 def flush_go(name, cells, go):
     """Flush cells(ti, slot), then continue at `go`."""
     def make(cfg, go):
-        def step(m, ti):
+        def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             mem2 = cfg.pmem.flush(m[M_MEM], ti, cells(ti, slot),
-                                   cfg.regime(m))
+                                   regime)
             if mem2 is None:
                 return None
             return [(set_mem_slot(m, mem2, ti, slot_upd(slot, (S_IP, go))),
@@ -253,7 +256,7 @@ def bit_loop(name, fp, k, cell, val=None, again=None, done=None, init=None):
         table = cfg.step_table
         upd = () if again is None else ((S_IP, again),)
 
-        def step(m, ti):
+        def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             regs = slot[S_REGS]
             if init is not None:
@@ -263,10 +266,10 @@ def bit_loop(name, fp, k, cell, val=None, again=None, done=None, init=None):
                 x = lowbit(mask)
                 if val is None:
                     mem2 = cfg.pmem.flush(m[M_MEM], ti, (cell(x),),
-                                          cfg.regime(m))
+                                          regime)
                 else:
                     mem2 = cfg.pmem.store(m[M_MEM], ti, cell(x),
-                                          val(m, ti, x), cfg.regime(m))
+                                          val(m, ti, x), regime)
                 if mem2 is None:
                     return None
                 regs = regs[:k] + (mask & ~(1 << x),) + regs[k + 1:]
@@ -274,7 +277,7 @@ def bit_loop(name, fp, k, cell, val=None, again=None, done=None, init=None):
                                       slot_upd(slot, (S_REGS, regs), *upd)),
                          None)]
             slot = slot_upd(slot, (S_REGS, regs), (S_IP, done))
-            return table[done](set_slot(m, ti, slot), ti)
+            return table[done](set_slot(m, ti, slot), ti, regime)
         return step
     return Entry(name, fp, make, again and {"again": again},
                  done and {"done": done})
@@ -288,11 +291,11 @@ def jump(name, fp, pick, go=None, falls=None):
         table = cfg.step_table
         to = {k: (ip, k in (falls or ())) for k, ip in ips.items()}
 
-        def step(m, ti):
+        def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             ip, now = to[pick(m, ti, slot)]
             m2 = set_slot(m, ti, slot_upd(slot, (S_IP, ip)))
-            return table[ip](m2, ti) if now else [(m2, None)]
+            return table[ip](m2, ti, regime) if now else [(m2, None)]
         return step
     return Entry(name, fp, make, go, falls)
 
@@ -301,7 +304,7 @@ def load(name, done):
     """One load of the value cell, after the access-validity check; regs
     (l, ...) gain v at index 1."""
     def make(cfg, done):
-        def step(m, ti):
+        def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             l = slot[S_REGS][0]
             if fault_check(cfg, m, ti, l):
@@ -322,7 +325,7 @@ def respond(op, status, name="res"):
     def make(cfg):
         spent = None if status == RDY else spent_slot(cfg, status)
 
-        def step(m, ti):
+        def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             loc = val = None
             if op == "read" or op == "write":
@@ -426,7 +429,7 @@ def pbegin(cfg, done):
 def _take(cfg, res):
     """Take a free location (lowest, or every choice under branch-alloc),
     record it in the volatile redo log."""
-    def step(m, ti):
+    def step(m, ti, regime):
         free = m[M_FREE]
         if free == 0:
             return None  # out of memory: step disabled
@@ -457,7 +460,7 @@ def pwrite(cfg, done):
     lay = cfg.layout
 
     def make_guard(cfg, log, done):
-        def step(m, ti):
+        def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             l, v = slot[S_REGS][0], slot[S_REGS][1]
             if fault_check(cfg, m, ti, l):
@@ -465,7 +468,7 @@ def pwrite(cfg, done):
             if cfg.pmem.load(m[M_MEM], ti, lay.undo(ti, l)) != -1:
                 # already logged
                 mem2 = cfg.pmem.store(m[M_MEM], ti, lay.val(l), v,
-                                      cfg.regime(m))
+                                      regime)
                 if mem2 is None:
                     return None
                 return [(set_mem_slot(m, mem2, ti,
@@ -504,7 +507,7 @@ def redo_apply(cfg, done):
     def make_ap(cfg, flush, clear, done):
         table = cfg.step_table
 
-        def step(m, ti):
+        def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             regs = _co_regs(slot[S_REGS])
             amask = regs[2]
@@ -513,7 +516,7 @@ def redo_apply(cfg, done):
             if amask:
                 x = lowbit(amask)
                 mem2 = cfg.pmem.store(m[M_MEM], ti, lay.meta(x), 1,
-                                      cfg.regime(m))
+                                      regime)
                 if mem2 is None:
                     return None
                 slot = slot_upd(slot, (S_REGS, ("co", regs[1], amask)),
@@ -521,13 +524,13 @@ def redo_apply(cfg, done):
                 return [(set_mem_slot(m, mem2, ti, slot), None)]
             if cfg.pmem.load(m[M_MEM], ti, lay.puv(ti)) == 0:
                 mem2 = cfg.pmem.store(m[M_MEM], ti, lay.guv(ti), 0,
-                                      cfg.regime(m))
+                                      regime)
                 if mem2 is None:
                     return None
                 slot = slot_upd(slot, (S_REGS, regs), (S_IP, clear))
                 return [(set_mem_slot(m, mem2, ti, slot), None)]
             slot = slot_upd(slot, (S_REGS, regs), (S_IP, done))
-            return table[done](set_slot(m, ti, slot), ti)
+            return table[done](set_slot(m, ti, slot), ti, regime)
         return step
 
     return [Entry("ap", (LOG, META), make_ap,
@@ -607,7 +610,7 @@ def pcommit(cfg, done):
 def pabort(cfg, done):
     """Roll back, then release allocations."""
     def make_free(cfg, done):
-        def step(m, ti):
+        def step(m, ti, regime):
             slot = slot_upd(m[M_TXNS][ti], (S_IP, done))
             m2 = m[:M_FREE] + (m[M_FREE] | slot[S_AM],
                                m[M_TXNS][:ti] + (slot,) + m[M_TXNS][ti + 1:]) \
@@ -649,7 +652,7 @@ def recovery(cfg):
     def make_next(cfg):
         """Put the slot back at rest and move to the next id; after the
         last, rebuild the free list from metadata and reset glb."""
-        def step(m, ti):
+        def step(m, ti, regime):
             m = set_slot(m, ti, slot_upd(m[M_TXNS][ti], *AT_REST))
             if ti + 1 < cfg.txns:
                 return [(m[:M_REC] + (ti + 1,) + m[M_REC + 1:], None)]
@@ -673,11 +676,12 @@ def recovery(cfg):
 
 
 def recovery_step(cfg, start):
-    """One scheduler step of recovery: the step of the recovering thread,
-    which starts at `start` while its slot is at rest."""
+    """One scheduler step of recovery in the persist regime the engine
+    gives: the step of the recovering thread, which starts at `start`
+    while its slot is at rest."""
     table = cfg.step_table
 
-    def step(m):
+    def step(m, regime):
         ti = m[M_REC]
-        return table[m[M_TXNS][ti][S_IP] or start](m, ti)
+        return table[m[M_TXNS][ti][S_IP] or start](m, ti, regime)
     return step

@@ -26,10 +26,13 @@ rules:
   A store or propagation into a full persistence buffer persists its head
   first, and a flush drains its cells' buffers: any schedule in which the
   step completes performed those persists.
-* ``REDUCED`` (--por, no crash left): persist timing is no longer
-  observable, so a PSC store and a propagation write NVM directly and the
-  persistence buffers stay empty; a PTSO store still goes through the store
-  buffer, which other threads' loads can tell apart.  No crash follows it.
+* ``REDUCED`` (--por, no crash left that reads memory): persist timing is
+  not observable, so a PSC store and a propagation write NVM directly and
+  the persistence buffers stay empty; a PTSO store still goes through the
+  store buffer, which other threads' loads can tell apart.  No crash
+  follows it but one that ends the run and reads nothing (``engine``
+  docstring).  A machine that enters it with buffered persists takes
+  ``persist_all`` first, which no load can tell apart.
 
 Memory state is a plain immutable triple ``(nvm, pbufs, sbufs)`` of tuples so
 the explorer can hash, copy and branch on it cheaply.  Cells are integer
@@ -151,6 +154,16 @@ class PMem:
         nvm, pbufs, sbufs = st
         buf = pbufs[cell]
         return (_repl(nvm, cell, buf[0]), _repl(pbufs, cell, buf[1:]), sbufs)
+
+    def persist_all(self, st):
+        """`st` once every persistence buffer persisted: each cell takes
+        its buffer's tail, the value ``load`` reads, and store buffers are
+        kept.  Returns `st` itself when nothing is buffered."""
+        nvm, pbufs, sbufs = st
+        if not any(pbufs):
+            return st
+        nvm = tuple([buf[-1] if buf else v for v, buf in zip(nvm, pbufs)])
+        return (nvm, ((),) * self.ncells, sbufs)
 
     def system_steps(self, st, regime):
         """The states one system step of `st` makes: under PTSO each

@@ -65,7 +65,7 @@ def _snapshot(*pairs):
     def make(cfg, go):
         upd = ((S_IP, go),) + pairs
 
-        def step(m, ti):
+        def step(m, ti, regime):
             g = m[M_GLB]
             if g % 2:
                 return None
@@ -88,7 +88,7 @@ def _stable(time_of, ok_pairs=lambda time: ()):
     """Continue at `ok` when glb still equals the snapshot time_of(slot),
     with the slot updates ok_pairs(time); else retry from `again`."""
     def make(cfg, ok, again):
-        def s_stable(m, ti):
+        def s_stable(m, ti, regime):
             slot = m[M_TXNS][ti]
             time = time_of(slot)
             if m[M_GLB] == time:
@@ -105,12 +105,12 @@ def _release(holds, step):
     def make(cfg, go, now):
         table = cfg.step_table
 
-        def s_release(m, ti):
+        def s_release(m, ti, regime):
             slot = slot_upd(m[M_TXNS][ti], (S_IP, go))
             if holds(slot):
                 return [(set_slot(_set_glb(m, slot[S_LOC] + step), ti, slot),
                          None)]
-            return table[now](set_slot(m, ti, slot), ti)
+            return table[now](set_slot(m, ti, slot), ti, regime)
         return s_release
     return ("release", False, [Entry("glb", (GLB,), make,
                                      {"go": "respond.commit"},
@@ -131,12 +131,12 @@ def _tml_blocks(cfg):
         """The first write CAS-acquires the lock or aborts."""
         table = cfg.step_table
 
-        def s_acquire(m, ti):
+        def s_acquire(m, ti, regime):
             slot = m[M_TXNS][ti]
             loc = slot[S_LOC]
             if loc % 2:  # already holds the lock
                 return table[now](set_slot(m, ti, slot_upd(slot, (S_IP, now))),
-                                  ti)
+                                  ti, regime)
             if m[M_GLB] == loc:
                 slot = slot_upd(slot, (S_LOC, loc + 1), (S_IP, go))
                 return [(set_slot(_set_glb(m, loc + 1), ti, slot), None)]
@@ -183,7 +183,7 @@ def _validate(cfg, name, get_tv, set_tv, ok_pairs, ok):
     lay = cfg.layout
 
     def make_snap(cfg, go):
-        def s_snap(m, ti):
+        def s_snap(m, ti, regime):
             g = m[M_GLB]
             if g % 2:
                 return None
@@ -195,7 +195,7 @@ def _validate(cfg, name, get_tv, set_tv, ok_pairs, ok):
     def make_check(cfg, abort, done):
         table = cfg.step_table
 
-        def s_check(m, ti):
+        def s_check(m, ti, regime):
             slot = m[M_TXNS][ti]
             time, vmask = get_tv(slot)
             if vmask:
@@ -209,7 +209,7 @@ def _validate(cfg, name, get_tv, set_tv, ok_pairs, ok):
                 slot = set_tv(slot, time, vmask & ~(1 << x))
                 return [(set_slot(m, ti, slot), None)]
             slot = slot_upd(slot, (S_IP, done))
-            return table[done](set_slot(m, ti, slot), ti)
+            return table[done](set_slot(m, ti, slot), ti, regime)
         return s_check
 
     return (name, False, [
@@ -226,7 +226,7 @@ def _norec_blocks(cfg):
 
     # ---- read: regs (l, v, time, vmask) --------------------------------
     def make_n0(cfg, go):
-        def s_n0(m, ti):
+        def s_n0(m, ti, regime):
             slot = m[M_TXNS][ti]
             l = slot[S_REGS][0]
             wr = slot[S_WR]
@@ -247,7 +247,7 @@ def _norec_blocks(cfg):
         is deferred to write-back, but the client handed over the address
         now)."""
         def make(cfg):
-            def s_add(m, ti):
+            def s_add(m, ti, regime):
                 slot = m[M_TXNS][ti]
                 l, v = slot[S_REGS][0], slot[S_REGS][1]
                 if op == "write" and fault_check(cfg, m, ti, l):
@@ -267,12 +267,12 @@ def _norec_blocks(cfg):
     def make_c0(cfg, go, core, validate):
         table = cfg.step_table
 
-        def s_c0(m, ti):
+        def s_c0(m, ti, regime):
             slot = m[M_TXNS][ti]
             wmask = _mask(slot[S_WR])
             if wmask == 0:  # read-only: commit the core directly
                 slot2 = slot_upd(slot, (S_REGS, ()), (S_IP, core))
-                return table[core](set_slot(m, ti, slot2), ti)
+                return table[core](set_slot(m, ti, slot2), ti, regime)
             loc = slot[S_LOC]
             if m[M_GLB] == loc:
                 slot2 = slot_upd(slot, (S_REGS, ()), (S_IP, go))
@@ -287,7 +287,7 @@ def _norec_blocks(cfg):
         none is."""
         table = cfg.step_table
 
-        def s_wb(m, ti):
+        def s_wb(m, ti, regime):
             slot = m[M_TXNS][ti]
             wr, regs = slot[S_WR], slot[S_REGS]
             left = _mask(wr)
@@ -296,9 +296,9 @@ def _norec_blocks(cfg):
             if left:
                 x = lowbit(left)
                 slot = slot_upd(slot, (S_REGS, (x, wr[x])), (S_IP, write))
-                return table[write](set_slot(m, ti, slot), ti)
+                return table[write](set_slot(m, ti, slot), ti, regime)
             slot = slot_upd(slot, (S_REGS, ()), (S_IP, core))
-            return table[core](set_slot(m, ti, slot), ti)
+            return table[core](set_slot(m, ti, slot), ti, regime)
         return s_wb
 
     if "skip-validate" in cfg.mutations:

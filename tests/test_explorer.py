@@ -36,9 +36,12 @@ def hist_set(cfg, **kw):
 
 def expand_no_reduced_recovery(monkeypatch):
     """Make explore check that it expands no ``REDUCED`` machine that is
-    mid-recovery: once no crash is left, recovery is a forced chain."""
+    mid-recovery or holds a buffered persist: once no crash is left,
+    recovery is a forced chain, and a machine that enters ``REDUCED`` with
+    buffered persists persists them as a forced step."""
     def checked(cfg, m, tried):
-        assert not (cfg.regime(m) == REDUCED and m[M_REC] is not None), m
+        if cfg.regime(m) == REDUCED:
+            assert m[M_REC] is None and not any(m[M_MEM][1]), m
         return successors(cfg, m, tried)
 
     monkeypatch.setattr(explorer, "successors", checked)
@@ -510,18 +513,26 @@ def test_crash_postponed_past_silent_load():
 def test_silent_outcome_keeping_steps_form_no_cycle(monkeypatch, impl,
                                                      model, crashes):
     # the premise of postponing a crash past a silent step that keeps every
-    # crash outcome: such steps, forced or expanded, form no cycle, so a
+    # crash outcome, or past any silent step of a machine whose crash ends
+    # the run: such steps, forced or expanded, form no cycle, so a
     # postponed crash is taken further down.  Each such step keeps every
-    # slot's status, so the crash after it leaves the same crashed tail
+    # slot's status, so the crash after it leaves the same crashed tail,
+    # or is the same leaf
     cfg = Config(impl, model, txns=2, locs=1, vals=1, buf=1,
                  max_crashes=crashes, ops=1, por=True)
     key = state_keyer()
     edges = {}
+    leaves = 0
 
     def edge(m, m2):
-        if engine._keeps_crash_outcomes(m[M_MEM], m2[M_MEM]):
+        nonlocal leaves
+        leaf = engine._crash_ends_run(cfg, m)
+        if leaf or engine._keeps_crash_outcomes(m[M_MEM], m2[M_MEM]):
             assert crash_tail(cfg, m2) == crash_tail(cfg, m)
             assert ended(m2) == ended(m)
+            if leaf:
+                assert engine._crash_ends_run(cfg, m2)
+                leaves += 1
             edges.setdefault(key(m), set()).add(key(m2))
 
     def counted(cfg, m, tried):
@@ -540,7 +551,7 @@ def test_silent_outcome_keeping_steps_form_no_cycle(monkeypatch, impl,
     monkeypatch.setattr(explorer, "successors", counted)
     monkeypatch.setattr(explorer, "forced", counted_forced)
     explore(cfg, check=False)
-    assert edges
+    assert edges and leaves
     TopologicalSorter(edges).prepare()    # raises CycleError on a cycle
 
 
@@ -666,8 +677,10 @@ def test_era_scripts_keep_reads_after_crash(monkeypatch, impl):
     # 2,945, 335) before recovery after the last crash became a forced
     # chain, whose crash transitions lead to each crashed machine, not to
     # the distinct recovered ones, then (2,460, 2,957, 335) before frontier
-    # dedup let fewer crashes used cover more
-    ("pmdk-seq", "psc", 1, 1, 2, "frontier", (2_180, 2_654, 293)),
+    # dedup let fewer crashes used cover more, then (2,180, 2,654, 293)
+    # before a machine whose every crash left ends the run ran in the
+    # REDUCED regime
+    ("pmdk-seq", "psc", 1, 1, 2, "frontier", (2_022, 2_338, 269)),
     # (32,259, 36,587, 1,720) before forced chains ran inside one
     # transition
     ("pmdk-tml", "psc", 1, 0, 1, "history", (14_582, 16_752, 1_720)),
@@ -683,8 +696,9 @@ def test_era_scripts_keep_reads_after_crash(monkeypatch, impl):
     # 3,288, 144) before a run-ending crash became one leaf transition,
     # then (1,763, 2,689, 198) before recovery after the last crash became
     # a forced chain, then (1,767, 2,692, 198) before frontier dedup let
-    # fewer crashes used cover more
-    ("pmdk-norec", "ptso", 1, 1, 1, "frontier", (1_286, 2_037, 154)),
+    # fewer crashes used cover more, then (1,286, 2,037, 154) before a
+    # machine whose every crash left ends the run ran in the REDUCED regime
+    ("pmdk-norec", "ptso", 1, 1, 1, "frontier", (902, 1_167, 154)),
     # the cells of the benchmark's upper-* workloads.  (52,984, 102,917,
     # 1,768) before slots dropped the operation name no step read, then
     # (52,928, 102,917, 1,768) and (30,148, 38,236, 568) before forced
@@ -696,8 +710,11 @@ def test_era_scripts_keep_reads_after_crash(monkeypatch, impl):
     # (31,757, 54,302, 2,978) before recovery after the last crash became a
     # forced chain, then (31,770, 54,317, 2,978) before frontier dedup let
     # fewer crashes used cover more: a crash of the initial machine no
-    # longer walks the crash-free space again
-    ("pmdk-tml", "psc", 2, 1, 2, "frontier", (22_414, 41_626, 2_504)),
+    # longer walks the crash-free space again; then (22,414, 41,626, 2,504)
+    # before a machine whose every crash left ends the run ran in the
+    # REDUCED regime, which merges machines that differ only in persist
+    # timing
+    ("pmdk-tml", "psc", 2, 1, 2, "frontier", (14_157, 19_498, 2_364)),
     ("pmdk-norec", "ptso", 2, 0, 2, "frontier", (13_261, 18_664, 568)),
 ], ids=[  # the 1-location rows keep the ids they had before the model and
     # locs parameters
@@ -788,8 +805,10 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
                 dedup="history", state_hook=hook)
     # every machine with no forced step, popped or at a chain's end, is
     # expanded once (3,805 before forced chains ran inside one transition,
-    # when a machine with a forced step was expanded to it)
-    assert len(expanded) == len(set(expanded)) == len(live) == 1_772
+    # when a machine with a forced step was expanded to it; 1,772 before a
+    # machine whose every crash left ends the run ran in the REDUCED
+    # regime)
+    assert len(expanded) == len(set(expanded)) == len(live) == 1_171
     # ended is asked of popped machines outside recovery only, once per
     # machine, ended ones included, but not of one a forced chain reached
     # first: a chain's end is expanded and memoized where the chain ends
@@ -807,8 +826,10 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
     # outcome-keeping step, which drops transitions only, then (70,979,
     # 110,591) before a run-ending crash became one leaf transition, which
     # pops none of the ended machines it used to leave, then (48,012,
-    # 78,751) before recovery after the last crash became a forced chain
-    assert (r.states, r.transitions) == (48_015, 78_754)
+    # 78,751) before recovery after the last crash became a forced chain,
+    # then (48,015, 78,754) before a machine whose every crash left ends
+    # the run ran in the REDUCED regime
+    assert (r.states, r.transitions) == (29_725, 37_393)
     assert history_digest(r.histories()) == TML_1_CRASH
 
 
@@ -886,7 +907,7 @@ def test_last_crash_recovery_is_a_forced_chain(monkeypatch, impl, model,
         if cfg.regime(m) != REDUCED or m[M_REC] is None:
             return
         assert NS in {s[S_ST] for s in m[M_TXNS]}, m
-        r = cfg.recovery_step(m)
+        r = cfg.recovery_step(m, REDUCED)
         if r is None:
             want = (cfg.pmem.propagate(m[M_MEM], m[M_REC], REDUCED),) + m[1:]
             propagated += 1
@@ -999,6 +1020,49 @@ def test_crash_leaf_with_a_crash_left_keeps_violations(monkeypatch, impl,
     assert leaf
     enumerate_every_crash(monkeypatch)
     assert run() == leaf
+
+
+def reduce_at_last_crash_only(monkeypatch):
+    """``REDUCED`` only once no crash is left, as before a machine whose
+    every crash left ends the run ran in it: that rule switched off, the
+    run-ending leaf kept."""
+    monkeypatch.setattr(engine, "only_leaf_crashes", lambda cfg, m: False)
+
+
+@pytest.mark.parametrize("crashes", [1, 2])
+@pytest.mark.parametrize("impl,model", [
+    (impl, model) for impl in ("pmdk-seq", "pmdk-tml", "pmdk-norec")
+    for model in ("psc", "ptso")])
+def test_reduced_before_last_crash_keeps_history_sets(monkeypatch, impl,
+                                                      model, crashes):
+    # leave-one-out: --por with every rule against --por with only this one
+    # off, on concurrent cells the unreduced explorer cannot reach in time
+    def run():
+        return explore(Config(impl, model, txns=2, locs=1, vals=1, buf=1,
+                              max_crashes=crashes, ops=1, por=True),
+                       check=False)
+
+    rule = run()
+    reduce_at_last_crash_only(monkeypatch)
+    off = run()
+    assert off.histories() == rule.histories()
+    # the rule fired
+    assert off.states > rule.states
+
+
+@pytest.mark.parametrize("name", [n for n in MUTATIONS
+                                  if n != "skip-validate"])
+def test_reduced_before_last_crash_keeps_violations(monkeypatch, name):
+    # frontier dedup keeps representatives, so compare what it reports: the
+    # violations of each crash mutation on its criterion-1 cell, and on a
+    # concurrent cell with a crash left after the first
+    cells = (lambda: mutation_check_config(name),
+             lambda: Config("pmdk-tml", "psc", txns=2, locs=1, max_crashes=2,
+                            por=True, mutations=(name,)))
+    rule = [sorted(check_upper(cfg()).violations) for cfg in cells]
+    assert all(rule)
+    reduce_at_last_crash_only(monkeypatch)
+    assert [sorted(check_upper(cfg()).violations) for cfg in cells] == rule
 
 
 def test_skip_validate_cli_names_its_cell(monkeypatch, capsys):

@@ -365,3 +365,31 @@ def test_system_steps_and_crash_follow_their_regime():
                 covered.add((model, regime))
     assert covered == set(itertools.product((PSC, PTSO),
                                             (EXACT, POR, REDUCED)))
+
+
+def test_persist_all_commutes_with_every_operation():
+    # a machine that enters REDUCED with buffered persists persists them
+    # all first (engine.forced).  Persisting then running an operation in
+    # REDUCED reaches what running it in POR then persisting reaches, it
+    # blocks in the same states, and loads read the same values: so the
+    # two regimes emit the same records.  One cell, one thread, capacity 2
+    for model in (PSC, PTSO):
+        pm = PMem(1, 1, 2, model)
+        ops = [lambda st, r: pm.store(st, 0, 0, 2, r),
+               lambda st, r: pm.flush(st, 0, (0,), r)]
+        sbufs = [None]
+        if model == PTSO:
+            ops.append(lambda st, r: pm.propagate(st, 0, r))
+            sbufs = [((),), (((0, 1),),), (((0, 1), (0, 2)),)]
+        for nvm, pbuf, sb in itertools.product(
+                (0, 1), ((), (1,), (1, 2)), sbufs):
+            st = ((nvm,), (pbuf,), sb)
+            flat = pm.persist_all(st)
+            assert flat[1] == ((),) and flat[2] == sb
+            assert (flat is st) == (pbuf == ())
+            assert pm.load(flat, 0, 0) == pm.load(st, 0, 0)
+            for op in ops:
+                after = op(st, POR)
+                want = None if after is None else pm.persist_all(after)
+                assert op(flat, REDUCED) == want, (model, st)
+

@@ -11,8 +11,9 @@ transactions take the unreduced explorer 1-40 s per cell, so tier 1 runs
 them only for pmdk-seq, whose transactions run one after the other;
 ``tools/por_gate.py`` draws two transactions for every implementation.
 
-The verdict gate runs both dedups under --por on cells of the same shape.
-It draws an optional mutation per cell, and its writes store 1, not the
+The verdict gate runs both dedups under --por on cells of the same shape,
+about half of them pmdk-seq pairs that write, may crash, then read.  It
+draws an optional mutation per cell, and its writes store 1, not the
 initial 0, so a lost or misordered persist can show.
 """
 
@@ -46,11 +47,30 @@ def cells(draw, ops=OPS):
 
 
 @st.composite
+def write_crash_read(draw):
+    """A pmdk-seq pair in which T0 writes 1 to location 0, allocating it
+    first unless it is preallocated, and T1 reads it, with one or two
+    crashes that may fall in between: a lost or misordered persist shows
+    in what T1 reads.  Each script may end with one more op."""
+    model = draw(st.sampled_from(MODELS))
+    crashes = draw(st.integers(1, 2))
+    prealloc = draw(st.integers(0, 1))
+    more = st.lists(st.sampled_from(VERDICT_OPS), max_size=1).map(tuple)
+    writer = ((() if prealloc else (("alloc",),)) + (("write", 0, 1),)
+              + draw(more))
+    reader = (("read", 0),) + draw(more)
+    return ("pmdk-seq", model, crashes, prealloc,
+            ((writer, 0), (reader, draw(st.integers(0, crashes)))))
+
+
+@st.composite
 def verdict_cells(draw):
-    """A cell of VERDICT_OPS and a mutation or None.  In about half the
-    draws every era_min is 0, so frontier dedup lets a state with fewer
-    crashes used cover one with more."""
-    impl, model, crashes, prealloc, scripts = draw(cells(VERDICT_OPS))
+    """A cell of VERDICT_OPS, in about half the draws a write-crash-read
+    pair, and a mutation or None.  In about half the draws every era_min
+    is 0, so frontier dedup lets a state with fewer crashes used cover one
+    with more."""
+    impl, model, crashes, prealloc, scripts = draw(
+        st.one_of(cells(VERDICT_OPS), write_crash_read()))
     if draw(st.booleans()):
         scripts = tuple((ops, 0) for ops, _era in scripts)
     return ((impl, model, crashes, prealloc, scripts),

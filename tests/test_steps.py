@@ -112,13 +112,15 @@ class Txns(tuple):
 def touched(cfg, m, ti, ip):
     """Run step `ip` as thread `ti` on `m`; the footprint classes it
     used.  Asserts that it touches no other thread's log cells, which the
-    engine's forced propagation of log cells under --por and ptso needs."""
+    engine's forced propagation of log cells under --por and ptso needs.
+    The step gets its machine's persist regime as the engine passes it,
+    asked of the plain machine: the regime is not the step's read."""
     lay = cfg.layout
     own = cfg.log_cells[ti]
     w = Machine(m)
     w.ti, w.read = ti, set()
     del RecordingPMem.log[:]
-    r = cfg.step_table[ip](w, ti)
+    r = cfg.step_table[ip](w, ti, cfg.regime(m))
     used = set(w.read)
     others = set().union(*cfg.log_cells) - own
     foreign = [(kind, c) for kind, c in RecordingPMem.log if c in others]
@@ -151,9 +153,9 @@ def touched(cfg, m, ti, ip):
 
 
 def counted(fn, name, ran):
-    def step(m, ti):
+    def step(m, ti, regime):
         ran.add(name)
-        return fn(m, ti)
+        return fn(m, ti, regime)
     return step
 
 
@@ -237,7 +239,7 @@ def test_abort_rolls_back_a_logged_write(model, por):
         ip = m[M_TXNS][0][S_IP]
         assert touched(cfg, m, 0, ip) <= cfg.footprints[ip], \
             cfg.step_names[ip]
-        r = cfg.step_table[ip](m, 0)
+        r = cfg.step_table[ip](m, 0, cfg.regime(m))
         if r is None:
             mem = m[M_MEM]
             if model == "ptso" and mem[2][0]:
@@ -249,7 +251,7 @@ def test_abort_rolls_back_a_logged_write(model, por):
         else:
             [(m, rec)] = r
             assert rec is None
-    [(m, rec)] = cfg.step_table[respond](m, 0)
+    [(m, rec)] = cfg.step_table[respond](m, 0, cfg.regime(m))
     assert rec == ("res", 0, "abort", None, None)
     assert m[M_TXNS][0] == spent_slot(cfg, ABRT)
 
@@ -295,7 +297,7 @@ def test_private_steps_keep_fault_view(impl, model, mutation):
             ip = slot[S_IP]
             if slot[S_ST] != RUN or ip not in cfg.private_ips:
                 continue
-            r = cfg.step_table[ip](m, ti)
+            r = cfg.step_table[ip](m, ti, cfg.regime(m))
             if r is None:
                 continue
             ran.add(ip)
