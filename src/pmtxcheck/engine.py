@@ -86,10 +86,10 @@ forced while a crash can read memory, and neither is a propagation into
 a full persistence buffer.  Forced steps only move a program forward,
 recovery's included, shrink a store buffer, or empty the persistence
 buffers, so they form no cycle: the explorer runs each chain of them to
-its end within one transition (a macro-step) and expands only machines
-with no forced step.  So recovery after the last crash is one chain, and
-no ``REDUCED`` machine the explorer expands is mid-recovery or has a
-buffered persist.
+its end when it makes the successor the chain starts at (a macro-step),
+and keys, pushes and expands only machines with no forced step.  So
+recovery after the last crash is one chain, and no ``REDUCED`` machine
+the explorer expands is mid-recovery or has a buffered persist.
 
 ``REDUCED`` before the last crash.  Once no slot is yet to begin, every
 crash left ends the run (below), and its one history is the history so
@@ -337,11 +337,11 @@ def _may_begin(cfg, m, ti):
     return True
 
 
-def forced(cfg, m, tried):
+def forced(cfg, m):
     """The machine after `m`'s forced step (module docstring), or None, as
-    always without --por or in recovery while a crash is left; the private
-    steps it tried and did not force are left in `tried`, by thread, for
-    ``successors``."""
+    always without --por or in recovery while a crash is left.  The
+    explorer runs a successor's chain of them when it makes the successor
+    (``explorer.explore``)."""
     if not cfg.por:
         return None
     regime = cfg.regime(m)
@@ -373,7 +373,7 @@ def forced(cfg, m, tried):
     for ti in range(cfg.txns):
         slot = m[M_TXNS][ti]
         if slot[S_ST] == RUN and slot[S_IP] in cfg.private_ips:
-            r = tried[ti] = cfg.step_table[slot[S_IP]](m, ti, regime)
+            r = cfg.step_table[slot[S_IP]](m, ti, regime)
             if r is not None:
                 # a private step has one successor and emits nothing
                 [(m2, _emit)] = r
@@ -383,12 +383,13 @@ def forced(cfg, m, tried):
     return None
 
 
-def successors(cfg, m, tried):
+def successors(cfg, m):
     """All scheduler steps from `m` as (machine', record|None, tag) where
     tag is None, ``CUT`` or ``END``; a tagged successor has no machine.
     `m` has not ended outside recovery and has no forced step, so under
-    --por it is mid-recovery only while a crash is left; `tried` holds the
-    private steps ``forced`` tried at it.  Under --por there is no crash
+    --por it is mid-recovery only while a crash is left.  Under --por a
+    machine' may have a forced step, whose chain the explorer runs at
+    once (``forced``), and there is no crash
     successor when another successor is silent and, unless `m` is
     ``REDUCED``, keeps every crash outcome (module docstring): the crash
     after that step covers this one; and a run-ending crash is the one
@@ -408,8 +409,7 @@ def successors(cfg, m, tried):
         for ti in range(cfg.txns):
             slot = m[M_TXNS][ti]
             if slot[S_ST] == RUN:
-                r = tried[ti] if ti in tried \
-                    else cfg.step_table[slot[S_IP]](m, ti, regime)
+                r = cfg.step_table[slot[S_IP]](m, ti, regime)
                 if r is None:
                     continue
                 if r == CUT:

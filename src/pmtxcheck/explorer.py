@@ -407,26 +407,27 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     A state is a machine and the id `hid` of the history it emitted,
     interned in a trie of (parent id, record) pairs.  No step reads the
     history, so the DFS stack carries `hid` beside the machine, never in
-    it.  A popped machine's chain of forced steps (``engine.forced``, such
-    as recovery after the last crash), which emit nothing, is followed to
-    its end, which is deduplicated as a pushed state is and expanded in
-    its place.  ``states`` counts popped states and ``transitions`` the
-    successors taken from expanded ones, tagged ones included.
+    it.  A successor's chain of forced steps (``engine.forced``, such as
+    recovery after the last crash), which emit nothing, runs when the
+    successor is made, and only its end is keyed, deduplicated and pushed.
+    ``states`` counts popped states, all chain ends, and ``transitions``
+    the successors taken from expanded ones, tagged ones included.
     ``state_hook(cfg, m, hid)``, when given, sees every popped state and
-    every machine a chain reaches (memoized under history dedup), and no
-    machine a run-ending crash would leave: that crash (tagged
-    ``engine.END``) has none.  Its history is checked like any other
-    successor's and, unless it violates, added to ``complete`` with no
-    key, dedup or push, as a ``CUT`` successor's is to ``cut``.
+    each successor's chain but its end (under history dedup, once per
+    expanded machine), and no machine a run-ending crash would leave:
+    that crash (tagged ``engine.END``) has none.  Its history is checked
+    like any other successor's and, unless it violates, added to
+    ``complete`` with no key, dedup or push, as a ``CUT`` successor's is
+    to ``cut``.
 
     dedup="history" keys states on the full machine plus the emitted
     history (needed when the history *set* is the product, e.g. for the
     cross-checks); a state is skipped only when the same machine with the
     same history was pushed before, its state key being
     ``key(m) << ID_BITS | hid``.  Successors depend on the machine alone,
-    so each machine's chain end and the end's keyed successors are
-    computed once per call, memoized on its exact key, as is whether it
-    ended outside recovery.
+    so a popped machine's successors, their chains' ends and the ends'
+    keys are computed once per call, memoized on its exact key, as is
+    whether it ended outside recovery.
     Frontier dedup's orbit key is not exact, as a renamed machine has
     renamed successors, so it expands every state.
     dedup="frontier" keeps, per machine up to a renaming of transaction ids
@@ -465,10 +466,10 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     by_frontier = dedup == "frontier"
     m0 = initial_machine(cfg)
     shared = {}                           # frontier -> its one copy
-    # history dedup's memo: machine key -> (its forced chain's end's key,
-    # the end's successors as (m2, rec, key of m2 or its tag), None until
-    # known, () if the machine ended outside recovery); frontier dedup's
-    # successors keep their tag in place of the key and are keyed when pushed
+    # history dedup's memo: machine key -> its successors, () if it ended
+    # outside recovery; each (m2, rec, tag) until its forced chain runs,
+    # then (the chain's end, rec, the end's key).  Frontier dedup runs and
+    # keys every successor's chain afresh
     expanded = {}
     # new(mk, h) records the state (machine keyed mk, history h): was it new?
     if by_frontier:
@@ -510,19 +511,9 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             n = len(seen)
             seen.add(mk << ID_BITS | h)
             return len(seen) > n
-    mk0 = key(m0)                         # all slots equal: the identity
+    # m0 has no forced step, and all its slots are equal: the identity
+    mk0 = key(m0)
     new(mk0, 0)
-
-    def settle(m, hid):
-        # the end of m's forced chain and the private steps tried there
-        tried = {}
-        m2 = forced(cfg, m, tried)
-        while m2 is not None:
-            m, tried = m2, {}
-            if state_hook is not None:
-                state_hook(cfg, m, hid)
-            m2 = forced(cfg, m, tried)
-        return m, tried
 
     # stack entries: (machine, its key, history id)
     stack = [(m0, mk0, 0)]
@@ -540,37 +531,19 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             states += 1
             if state_hook is not None:
                 state_hook(cfg, m, hid)
-            # m's forced chain's end is deduplicated and expanded in its place
-            entry = None if by_frontier else expanded.get(mk)
-            end = None
-            if entry is None:
-                if m[M_REC] is None and ended(m):
-                    entry = (mk, ())
-                else:
-                    end, tried = settle(m, hid)
-                    entry = (mk if end is m else key(end), None)
-                if not by_frontier:
-                    expanded[mk] = entry
-            ek, succs = entry
-            if ek != mk and not new(ek, hid):
-                continue
+            succs = None if by_frontier else expanded.get(mk)
             if succs is None:
-                succs = expanded.get(ek, entry)[1]
-            if succs is None:
-                if end is None:           # settled on an earlier pop
-                    end, tried = settle(m, hid)
-                succs = successors(cfg, end, tried)
+                succs = () if m[M_REC] is None and ended(m) \
+                    else successors(cfg, m)
                 if not by_frontier:
-                    succs = [(m2, rec, key(m2) if tag is None else tag)
-                             for m2, rec, tag in succs]
-                    expanded[mk] = expanded[ek] = (ek, succs)
+                    expanded[mk] = succs
             if not succs:
                 # ended, or maximal but not all-terminal: e.g. an allocation
                 # blocked on an empty free list (a disabled step) stalls its
                 # transaction and anything awaiting the lock behind it
                 res.complete.add(hid)
                 continue
-            for m2, rec, mk2 in succs:
+            for i, (m2, rec, mk2) in enumerate(succs):
                 transitions += 1
                 if mk2 is CUT:
                     res.cut.add(hid)
@@ -601,8 +574,15 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                 if mk2 is END:
                     res.complete.add(h2)
                     continue
-                if by_frontier:
-                    mk2 = key(m2)         # it held the tag so far
+                if mk2 is None:           # its forced chain has not run yet
+                    m3 = forced(cfg, m2)
+                    while m3 is not None:
+                        if state_hook is not None:
+                            state_hook(cfg, m2, h2)
+                        m2, m3 = m3, forced(cfg, m3)
+                    mk2 = key(m2)
+                    if not by_frontier:
+                        succs[i] = (m2, rec, mk2)
                 if new(mk2, h2):
                     push((m2, mk2, h2))
     finally:

@@ -4,10 +4,13 @@ Run from anywhere, naming both checkouts:
 
     python3 tools/bench_pairs.py --parent ../parent --change . --label 18
 
-Each of ten pairs runs ``perfbench/run.py --trace 0`` once in each
-checkout for the ``run_seconds`` of the change's ``BENCHMARK.json``, the
-parent first on even pairs (0, 2, ...) and the change first on odd ones,
-one process at a time.  The runs of every workload are written to
+Before the first pair it copies what a run reads of each checkout
+(``SNAPSHOT``) into a temporary directory, so an edit made to either
+checkout while the pairs run is not measured.  Each of ten pairs runs
+``perfbench/run.py --trace 0`` once in each copy for the ``run_seconds``
+of the change's ``BENCHMARK.json``, the parent first on even pairs (0, 2,
+...) and the change first on odd ones, one process at a time.  The runs
+of every workload are written to
 ``BENCH_<label>.json`` in the change's checkout, under ``workloads`` for
 the default seed and ``workloads_seed_<n>`` for any other, keeping
 whatever else the file holds.  Per metric it records both sides' raw
@@ -32,9 +35,11 @@ import argparse
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
 PAIRS = 10
@@ -42,6 +47,22 @@ DEFAULT_SEED = 1
 # perfbench lines that name the exact counts a run checked
 ECHO = ("pool:", "check_upper:", "mutations caught:")
 HOST_SPEED = re.compile(r"^timed repetitions: .* host speed ([0-9.]+);")
+# what a benchmark run reads of a checkout
+SNAPSHOT = ("src", "perfbench", "BENCHMARK.json")
+
+
+def snapshot(checkout, into):
+    """Copy ``SNAPSHOT`` of `checkout` into the new directory `into` and
+    return `into`."""
+    os.makedirs(into)
+    for name in SNAPSHOT:
+        path = os.path.join(checkout, name)
+        if os.path.isdir(path):
+            shutil.copytree(path, os.path.join(into, name),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(path, into)
+    return into
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -128,8 +149,16 @@ def main(argv=None):
                    help="repeatable; default: every workload of "
                         "BENCHMARK.json")
     args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {s: snapshot(getattr(args, s), os.path.join(tmp, s))
+                  for s in SIDES}
+        return run_pairs(args, copies)
 
-    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+
+def run_pairs(args, copies):
+    """Run the pairs in `copies` (side -> its checkout's snapshot) and
+    write ``BENCH_<label>.json`` into the ``--change`` checkout."""
+    with open(os.path.join(copies["change"], "BENCHMARK.json")) as f:
         bench = json.load(f)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
@@ -144,7 +173,8 @@ def main(argv=None):
                    "--seed S --seconds %g --trace 0" % seconds)
     doc.setdefault("order", "parent and change alternate: even pairs run "
                    "the parent first, odd pairs the change first, one "
-                   "process at a time, each side from its own checkout")
+                   "process at a time, each side from a copy of its "
+                   "checkout taken before the first pair")
     section = doc.setdefault(
         "workloads" if args.seed == DEFAULT_SEED
         else "workloads_seed_%d" % args.seed, {})
@@ -152,8 +182,7 @@ def main(argv=None):
         runs = {s: [] for s in SIDES}
         for i in range(PAIRS):
             for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                checkout = args.parent if s == "parent" else args.change
-                runs[s].append(run_once(checkout, w, args.seed, seconds))
+                runs[s].append(run_once(copies[s], w, args.seed, seconds))
             print("%s seed %d: pair %d of %d done"
                   % (w, args.seed, i + 1, PAIRS), flush=True)
         section[w] = dict(summarize(runs, better, bounds), seed=args.seed,
