@@ -13,12 +13,12 @@ maintained frontier of reference-spec states accompanies every history
 prefix, and an empty frontier at an emit is a refinement violation (the
 violating record prefix is the counterexample).  A state is a machine
 and the id of the history it emitted; no step reads the history, so the
-DFS stack carries its id beside the machine.  History dedup skips a state
-only when the same machine with the same history was pushed before
-(``state_keyer``), and expands each machine once per call; frontier dedup
-skips it when the same machine up to a renaming of transaction ids was
-pushed with no more crashes used and a subset of its frontier, renamed
-alike (``orbit_keyer``, ``explore``).
+DFS stack carries its id beside the machine.  History dedup keeps every
+state and walks each history once, with the set of machines
+(``state_keyer``) that reach it, expanding each machine once per call;
+frontier dedup skips a state when the same machine up to a renaming of
+transaction ids was pushed with no more crashes used and a subset of its
+frontier, renamed alike (``orbit_keyer``, ``explore``).
 
 ``check_upper`` is trace inclusion implementation <= spec; ``check_lower``
 explores the implementation's serial schedules once, crash-free and with
@@ -170,9 +170,8 @@ def _new_id(table, value):
 
 def state_keyer():
     """A key function for one exploration under history dedup: ``key(m)``
-    is an int that identifies machine `m`.  A state is a machine and the
-    id `hid` of its history, which ``explore`` keeps beside the machine,
-    and its key is ``key(m) << ID_BITS | hid``.
+    is an int that identifies machine `m`, and a history-trie node carries
+    the frozenset of its machines' keys (``explore``).
 
     The memory, each transaction slot and the rest (glb, free, rec,
     crashes) are interned by value, each kind in its own table
@@ -181,7 +180,8 @@ def state_keyer():
     it is exact (machines get equal keys iff they are equal, for a fixed
     number of slots) and does not depend on which sub-tuples the machines
     share.  Only distinct components stay alive, not one tuple per state.
-    Being exact, it also keys ``explore``'s successor memo."""
+    Being exact, it also keys ``explore``'s memo of each machine's
+    successors, and so of each machine set's closure."""
     mems, slots, rests = {}, {}, {}
 
     def key(m):
@@ -406,48 +406,49 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
 
     A state is a machine and the id `hid` of the history it emitted,
     interned in a trie of (parent id, record) pairs.  No step reads the
-    history, so the DFS stack carries `hid` beside the machine, never in
-    it.  A successor's chain of forced steps (``engine.forced``, such as
-    recovery after the last crash), which emit nothing, runs when the
-    successor is made, and only its end is keyed, deduplicated and pushed.
-    ``states`` counts popped states, all chain ends, and ``transitions``
-    the successors taken from expanded ones, tagged ones included.
-    ``state_hook(cfg, m, hid)``, when given, sees every popped state and
-    each successor's chain but its end (under history dedup, once per
-    expanded machine), and no machine a run-ending crash would leave:
-    that crash (tagged ``engine.END``) has none.  Its history is checked
-    like any other successor's and, unless it violates, added to
-    ``complete`` with no key, dedup or push, as a ``CUT`` successor's is
-    to ``cut``.
+    history, so the stack carries `hid` and its frontier beside the
+    machines.  A successor's chain of forced steps (``engine.forced``),
+    which emit nothing, runs when the successor is made; only its end is
+    keyed.  ``states`` counts expanded states, all chain ends, and
+    ``transitions`` their successors.  A run-ending crash (tagged
+    ``engine.END``) leaves no machine: its history, unless it violates,
+    joins ``complete``, as a ``CUT`` successor's parent history joins
+    ``cut``.  ``state_hook(cfg, m, hid)``, when given, sees each expanded
+    machine and its history's id, then its successors' chains but their
+    ends, with the same id.
 
-    dedup="history" keys states on the full machine plus the emitted
-    history (needed when the history *set* is the product, e.g. for the
-    cross-checks); a state is skipped only when the same machine with the
-    same history was pushed before, its state key being
-    ``key(m) << ID_BITS | hid``.  Successors depend on the machine alone,
-    so a popped machine's successors, their chains' ends and the ends'
-    keys are computed once per call, memoized on its exact key, as is
-    whether it ended outside recovery.
-    Frontier dedup's orbit key is not exact, as a renamed machine has
-    renamed successors, so it expands every state.
-    dedup="frontier" keeps, per machine up to a renaming of transaction ids
-    (``orbit_keyer``) and crashes used, the subset-minimal spec frontiers
-    pushed so far (an antichain; De Wulf, Doyen, Henzinger & Raskin, CAV
-    2006) and skips a state (m, c, F) when some (m, c0, G) with c0 <= c
-    and G a subset of F, renamed alike, was pushed.  Both are monotone, as
-    in well-structured transition systems (Finkel & Schnoebelen, TCS
-    2001): the frontier in its set of spec states, and the crashes used
-    since a crash is optional.  Fewer used leave more budget, and
-    ``Config.regime``'s two --por regimes give a machine the same
-    crash-free histories; a script's ``era_min`` is not monotone, so when
-    one is above 0 only equal counts compare.  So every violation
-    reachable from (m, c, F) is reachable, with no more records, from an
-    already pushed (m, c0, G): with ``orbit_keyer``'s argument this is
-    complete for violation finding, and the histories it keeps are
-    representatives of minimal (c, F) pairs up to txid renaming, plus
-    every history a run-ending crash leaves, which no antichain filters.
+    dedup="history" keeps every state (needed when the history *set* is
+    the product, e.g. for the cross-checks) and walks the history trie,
+    not the states: the subset construction (Rabin & Scott, 1959), on the
+    fly.  A stack entry is a trie node: its id, its frontier and the
+    frozenset of machines (numbered by ``state_keyer``'s exact key) that
+    reach it.  A popped node closes its set under silent successors, whose
+    machines are its states, and groups the emitting successors by record
+    into its children's sets.  It is complete when one of its machines has
+    no successor: ended, or stalled (e.g. an allocation blocked on an
+    empty free list stalls its transaction and anything awaiting the lock
+    behind it).  Successors depend on the machine alone, so each machine
+    is expanded once per call, when the hook sees it with that node's id,
+    and each distinct set is closed once.
 
-    When more than `cfg.max_states` states would be popped, raises
+    dedup="frontier" pops one state at a time.  It keeps, per machine up
+    to a renaming of transaction ids (``orbit_keyer``) and crashes used,
+    the subset-minimal spec frontiers pushed so far (an antichain; De
+    Wulf, Doyen, Henzinger & Raskin, CAV 2006) and skips a state (m, c, F)
+    when some (m, c0, G) with c0 <= c and G a subset of F, renamed alike,
+    was pushed.  Both are monotone, as in well-structured transition
+    systems (Finkel & Schnoebelen, TCS 2001): the frontier in its set of
+    spec states, and the crashes used since a crash is optional (the two
+    --por regimes give a machine the same crash-free histories); a
+    script's ``era_min`` is not monotone, so when one is above 0 only
+    equal counts compare.  So every violation reachable from (m, c, F) is
+    reachable, with no more records, from an already pushed (m, c0, G):
+    with ``orbit_keyer``'s argument this is complete for violation
+    finding, and the histories it keeps are representatives of minimal
+    (c, F) pairs up to txid renaming, plus every history a run-ending
+    crash leaves.
+
+    When more than `cfg.max_states` states would be expanded, raises
     BudgetExceeded carrying the counts so far.
     """
     if dedup not in ("history", "frontier"):
@@ -457,134 +458,198 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     t0 = time.monotonic()
     res = ExploreResult()
     entries = [(0, None)]                 # hist id -> (parent, record)
-    intern = {entries[0]: 0}              # (parent, record) -> hist id
     res._entries = entries
-    frontiers = {0: refspec.initial_frontier(cfg.txns, cfg.locs,
-                                             cfg.prealloc)
-                 if check else None}
-
-    by_frontier = dedup == "frontier"
-    m0 = initial_machine(cfg)
     shared = {}                           # frontier -> its one copy
-    # history dedup's memo: machine key -> its successors, () if it ended
-    # outside recovery; each (m2, rec, tag) until its forced chain runs,
-    # then (the chain's end, rec, the end's key).  Frontier dedup runs and
-    # keys every successor's chain afresh
-    expanded = {}
-    # new(mk, h) records the state (machine keyed mk, history h): was it new?
-    if by_frontier:
-        key, relabel = orbit_keyer(cfg, shared)
-        # orbit key -> the minimal frontiers pushed with it, in the thread
-        # order of the first machine pushed with it, kept in refs[k] when
-        # that is not the identity
-        minimal = {}
-        refs, orders = {}, {}             # orders: each order's one copy
-        # fewer crashes used cover more only where no script waits for an era
-        monotone = cfg.max_crashes and not (
-            cfg.scripts and any(era for _ops, era in cfg.scripts))
+    f0 = refspec.initial_frontier(cfg.txns, cfg.locs, cfg.prealloc) \
+        if check else None
 
-        def new(mk, h):
-            k, order = mk
-            f = frontiers[h]
-            c = monotone and k & CRASHES
-            if c:
-                # the same machine pushed with fewer crashes used
-                for k0 in range(k - c, k):
-                    kept = minimal.get(k0)
-                    if kept is not None:
-                        ref = refs.get(k0)
-                        if _covered(kept, f if order == ref
-                                    else relabel(f, order, ref)):
-                            return False
-            ref = refs.get(k)
-            if order != ref:
-                if ref is None and k not in minimal:
-                    refs[k] = orders.setdefault(order, order)
-                else:
-                    f = relabel(f, order, ref)
-            return _antichain_add(minimal, k, f)
-    else:
-        key = state_keyer()
-        seen = set()                      # pushed state keys
+    def child(hkey, f):
+        """A new history, (parent id, record) `hkey` whose parent has
+        frontier `f`: its id and frontier, or () when that frontier is
+        empty, a violation."""
+        h2 = len(entries)
+        entries.append(hkey)
+        if not check:
+            return h2, None
+        f2 = refspec.advance_frontier(f, hkey[1])
+        if f2 != refspec.ACCEPT_ALL and not f2:
+            res.violations.append(res.history_records(h2))
+            return ()
+        return h2, shared.setdefault(f2, f2)
 
-        def new(mk, h):
-            n = len(seen)
-            seen.add(mk << ID_BITS | h)
-            return len(seen) > n
-    # m0 has no forced step, and all its slots are equal: the identity
-    mk0 = key(m0)
-    new(mk0, 0)
+    def expand(m, hid):
+        """`m`'s successors as (rec, CUT, END or its chain's end), () if
+        it ended outside recovery."""
+        if state_hook is not None:
+            state_hook(cfg, m, hid)
+        if m[M_REC] is None and ended(m):
+            return ()
+        out = []
+        for m2, rec, tag in successors(cfg, m):
+            if tag is None:
+                m3 = forced(cfg, m2)
+                while m3 is not None:
+                    if state_hook is not None:
+                        state_hook(cfg, m2, hid)
+                    m2, m3 = m3, forced(cfg, m3)
+                tag = m2
+            out.append((rec, tag))
+        return out
 
-    # stack entries: (machine, its key, history id)
-    stack = [(m0, mk0, 0)]
-    push = stack.append
+    def over_budget():
+        return BudgetExceeded("state budget exceeded (%d)" % cfg.max_states,
+                              res)
 
+    m0 = initial_machine(cfg)             # it has no forced step
     # the counts live in locals while the loop runs, and reach `res` on
     # every way out of it
     states = transitions = 0
     try:
+        if dedup == "frontier":
+            key, relabel = orbit_keyer(cfg, shared)
+            # orbit key -> the minimal frontiers pushed with it, in the
+            # thread order of the first machine pushed with it, kept in
+            # refs[k] when that is not the identity
+            minimal = {}
+            refs, orders = {}, {}         # orders: each order's one copy
+            # fewer crashes used cover more only where no script waits for
+            # an era
+            monotone = cfg.max_crashes and not (
+                cfg.scripts and any(era for _ops, era in cfg.scripts))
+
+            def new(mk, f):
+                """Was the state (machine keyed mk, frontier f) new?"""
+                k, order = mk
+                c = monotone and k & CRASHES
+                if c:
+                    # the same machine pushed with fewer crashes used
+                    for k0 in range(k - c, k):
+                        kept = minimal.get(k0)
+                        if kept is not None:
+                            ref = refs.get(k0)
+                            if _covered(kept, f if order == ref
+                                        else relabel(f, order, ref)):
+                                return False
+                ref = refs.get(k)
+                if order != ref:
+                    if ref is None and k not in minimal:
+                        refs[k] = orders.setdefault(order, order)
+                    else:
+                        f = relabel(f, order, ref)
+                return _antichain_add(minimal, k, f)
+
+            intern = {}           # (parent, record) -> child(...)
+            # m0's slots are all equal: the identity
+            new(key(m0), f0)
+            stack = [(m0, 0, f0)]         # (machine, history id, frontier)
+            push = stack.append
+            while stack:
+                m, hid, f = stack.pop()
+                if states >= cfg.max_states:
+                    raise over_budget()
+                states += 1
+                succs = expand(m, hid)
+                if not succs:
+                    res.complete.add(hid)
+                for rec, m2 in succs:
+                    transitions += 1
+                    if m2 is CUT:
+                        res.cut.add(hid)
+                        continue
+                    h2, f2 = hid, f
+                    if rec is not None:
+                        hkey = (hid, rec)
+                        got = intern.get(hkey)
+                        if got is None:
+                            got = intern[hkey] = child(hkey, f)
+                        if not got:
+                            if stop_on_violation:
+                                return res
+                            continue
+                        h2, f2 = got
+                    if m2 is END:
+                        res.complete.add(h2)
+                    elif new(key(m2), f2):
+                        push((m2, h2, f2))
+            return res
+
+        key = state_keyer()
+        ids = {}                          # machine key -> its number
+        # number -> the machine (None once expanded), and -> its `expand`
+        # with machines numbered (None until then)
+        machines, succ_of = [], []
+
+        def number(m):
+            k = key(m)
+            i = ids.get(k)
+            if i is None:
+                i = ids[k] = len(machines)
+                machines.append(m)
+                succ_of.append(None)
+            return i
+
+        def close(ms, hid):
+            """Closure size and successor count, complete?, cut? and
+            children as (rec, ends the run?, machine set) of the node with
+            machine set `ms`, then its closure in expansion order."""
+            reach, inside = list(ms), set(ms)
+            trans = 0
+            stalled = cut = False
+            kids = {}
+            for i in reach:               # grows as the closure does
+                out = succ_of[i]
+                if out is None:
+                    out = succ_of[i] = tuple(     # tags are strings
+                        (rec, m2 if type(m2) is str else number(m2))
+                        for rec, m2 in expand(machines[i], hid))
+                    machines[i] = None
+                trans += len(out)
+                stalled = stalled or not out
+                for rec, j in out:
+                    if j is CUT:
+                        cut = True
+                    elif rec is not None:
+                        kids.setdefault(rec, set()).add(j)
+                    elif j not in inside:
+                        inside.add(j)
+                        reach.append(j)
+            return (len(reach), trans, stalled, cut,
+                    tuple((rec, END in js, frozenset(js - {END}))
+                          for rec, js in kids.items()), reach)
+
+        nodes = {}                        # machine set -> close(...)[:5]
+        stack = [(0, f0, frozenset((number(m0),)))]
+        push = stack.append
         while stack:
-            m, mk, hid = stack.pop()
-            if states >= cfg.max_states:
-                raise BudgetExceeded("state budget exceeded (%d)"
-                                     % cfg.max_states, res)
-            states += 1
-            if state_hook is not None:
-                state_hook(cfg, m, hid)
-            succs = None if by_frontier else expanded.get(mk)
-            if succs is None:
-                succs = () if m[M_REC] is None and ended(m) \
-                    else successors(cfg, m)
-                if not by_frontier:
-                    expanded[mk] = succs
-            if not succs:
-                # ended, or maximal but not all-terminal: e.g. an allocation
-                # blocked on an empty free list (a disabled step) stalls its
-                # transaction and anything awaiting the lock behind it
+            hid, f, ms = stack.pop()
+            node = nodes.get(ms)
+            if node is None:
+                node = nodes[ms] = close(ms, hid)[:5]
+            n, trans, stalled, cut, kids = node
+            if states + n > cfg.max_states:
+                # count the closure's states one by one up to the budget
+                for i in close(ms, hid)[5]:
+                    if states >= cfg.max_states:
+                        raise over_budget()
+                    states += 1
+                    transitions += len(succ_of[i])
+            states += n
+            transitions += trans
+            if stalled:
                 res.complete.add(hid)
-                continue
-            for i, (m2, rec, mk2) in enumerate(succs):
-                transitions += 1
-                if mk2 is CUT:
-                    res.cut.add(hid)
+            if cut:
+                res.cut.add(hid)
+            for rec, end, ms2 in kids:
+                got = child((hid, rec), f)
+                if not got:
+                    if stop_on_violation:
+                        return res
                     continue
-                h2 = hid
-                if rec is not None:
-                    hkey = (hid, rec)
-                    h2 = intern.get(hkey)
-                    if h2 is None:
-                        # bounded: history dedup keys states on it
-                        h2 = _new_id(intern, hkey)
-                        entries.append(hkey)
-                        if check:
-                            f2 = refspec.advance_frontier(frontiers[hid], rec)
-                            if by_frontier:
-                                # equal frontiers share one object: neither
-                                # `frontiers` nor the antichains hold copies
-                                f2 = shared.setdefault(f2, f2)
-                            frontiers[h2] = f2
-                            if f2 != refspec.ACCEPT_ALL and not f2:
-                                res.violations.append(res.history_records(h2))
-                                if stop_on_violation:
-                                    return res
-                    if check:
-                        f2 = frontiers[h2]
-                        if f2 != refspec.ACCEPT_ALL and not f2:
-                            continue  # prune: already-reported violation
-                if mk2 is END:
+                h2, f2 = got
+                if end:
                     res.complete.add(h2)
-                    continue
-                if mk2 is None:           # its forced chain has not run yet
-                    m3 = forced(cfg, m2)
-                    while m3 is not None:
-                        if state_hook is not None:
-                            state_hook(cfg, m2, h2)
-                        m2, m3 = m3, forced(cfg, m3)
-                    mk2 = key(m2)
-                    if not by_frontier:
-                        succs[i] = (m2, rec, mk2)
-                if new(mk2, h2):
-                    push((m2, mk2, h2))
+                if ms2:
+                    push((h2, f2, ms2))
     finally:
         res.states, res.transitions = states, transitions
         res.seconds = time.monotonic() - t0

@@ -6,11 +6,12 @@ Draws EXAMPLES cells shaped like those of ``tests/test_por_gate.py``, but
 with up to two transactions for every implementation (tier 1 gives two to
 pmdk-seq only) and at most MAX_OPS ops per script, and asserts for each that
 the --por history set equals the unreduced explorer's.  A cell whose
-exploration would pop more than MAX_STATES states is reported as over budget
-and not compared.  Prints one line per cell and, at the first difference,
+exploration would expand more than MAX_STATES states is reported as over
+budget and not compared.  Prints one line per cell and, at the first difference,
 hypothesis's smallest failing cell; exits 1 then, else 0.  A two-transaction
-TML or NOrec cell takes the unreduced explorer 1-40 s and up to a few
-hundred MB.
+TML or NOrec cell takes the unreduced explorer up to about 15 s and a few
+hundred MB (two one-write tml/ptso transactions with a crash: 3.5M states,
+330 MB); cut at MAX_STATES, each cell here takes at most a few seconds.
 """
 
 from __future__ import annotations
