@@ -351,7 +351,11 @@ def forced(cfg, m):
             return None
         r = cfg.recovery_step(m, REDUCED)
         if r is None:
-            # blocked: its flush waits on its own store buffer
+            # blocked: a flush waiting on its own store buffer propagates;
+            # with nothing buffered the machine is expanded, and stalls
+            sbufs = m[M_MEM][2]
+            if not (sbufs and sbufs[rec]):
+                return None
             return set_mem(m, cfg.pmem.propagate(m[M_MEM], rec, REDUCED))
         [(m2, _emit)] = r
         return m2

@@ -63,25 +63,30 @@ def crash_marker(eid):
     return Ev(eid, None, None, CRASH)
 
 
-# (record kind, op) -> kind of the event the record leaves
+# (record kind, op) -> kind of the event the record leaves; a crash record
+# has no op, and rec[:3:2] keys it by its kind alone
 _EVENT = {("inv", "commit"): "C", ("res", "begin"): "B",
           ("res", "alloc"): "M", ("res", "read"): "R", ("res", "write"): "W",
-          ("res", "commit"): "S", ("res", "abort"): "A"}
+          ("res", "commit"): "S", ("res", "abort"): "A", ("crash",): CRASH}
+
+# Ev from a tuple of its fields, skipping the NamedTuple's Python __new__
+_ev = tuple.__new__
 
 
 def event_of_record(rec, eid):
     """The event numbered `eid` that explorer record `rec` leaves, or None.
     Responses, commit invocations and crashes leave one; fault notes and
     all other invocations none."""
-    if rec[0] == "crash":
-        return crash_marker(eid)
-    k = _EVENT.get((rec[0], rec[2]))
+    k = _EVENT.get(rec[:3:2])
     if k is None:
         if rec[0] == "res":
             raise ValueError("unknown op in record: %r" % (rec,))
         return None
+    if k == CRASH:
+        return _ev(Ev, (eid, None, None, CRASH, None, None))
     # an allocation's response carries no value: it is initialised to 0
-    return Ev(eid, rec[1], rec[1], k, rec[3], 0 if k == "M" else rec[4])
+    t = rec[1]
+    return _ev(Ev, (eid, t, t, k, rec[3], 0 if k == "M" else rec[4]))
 
 
 def events_of_records(records):

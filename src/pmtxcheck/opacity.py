@@ -36,8 +36,9 @@ Each event advances the facts.  Then, unless a prefix has failed, the event
 is a crash marker or the history is already ill-formed, the new prefix
 first extends the witness of the one before it (``_extend``) and only when
 that fails runs the complete search ``find_witness`` (every rf choice times
-every po-respecting mo order).  No candidate builds a graph.  The
-extension runs the core only where the new event can break the witness:
+every po-respecting mo order).  No candidate builds a graph, and only an
+accepted one becomes a ``Witness``.  The extension runs the core only
+where the new event can break the witness:
 
 * ``B`` keeps it: the new transaction has no other event and is not
   visible, and client order only enters it, so it closes no cycle.
@@ -89,12 +90,14 @@ def graph_from_events(events, rf, mo, clo=None):
                  dict(rf), {l: tuple(v) for l, v in mo.items()}, clo)
 
 
-def _vis(status, tx, rf):
-    """Successful transactions plus commit-pending ones read externally."""
+def _vis(status, lifted):
+    """Successful transactions plus commit-pending ones read externally;
+    `lifted` holds the (writer, reader) transactions of each external
+    read."""
     vis = {t for t, st in status.items() if st == "success"}
-    for r, w in rf.items():
-        if tx[w] != tx[r] and status.get(tx[w]) == "commit-pending":
-            vis.add(tx[w])
+    for w, _r in lifted:
+        if status.get(w) == "commit-pending":
+            vis.add(w)
     return vis
 
 
@@ -114,19 +117,24 @@ def _violation(ctx, rf, mo, dynamic):
     """The first axiom (rf, mo) violates on ctx's history, in the order
     vis-rf, int, ext, dyn-alloc (the last only if `dynamic`); else None."""
     tx, tid, kind, status, clo = ctx
-    vis = _vis(status, tx, rf)
-    # ext: clo plus lifted rf, mo and rb-into-vis; self-loops never count
-    edges = {(a, b) for a, b in clo if a != b}
+    # one rf pass: external reads lifted to transactions, for vis and ext
+    lifted = []
     why = None
     for r, w in rf.items():
         if tx[w] != tx[r]:
-            if tx[w] not in vis:
-                return "vis-rf"
-            edges.add((tx[w], tx[r]))
+            lifted.append((tx[w], tx[r]))
         elif not (tid[w] == tid[r] and w < r):  # po-before
             why = "int"
+    vis = _vis(status, lifted)
+    for w, _r in lifted:
+        if w not in vis:
+            return "vis-rf"
     if why:
         return why
+    # ext: clo plus lifted rf, mo and rb-into-vis; self-loops never count
+    edges = set(lifted)
+    if clo:
+        edges.update([(a, b) for a, b in clo if a != b])
     pos = {}
     for seq in mo.values():
         for i, a in enumerate(seq):
@@ -145,7 +153,7 @@ def _violation(ctx, rf, mo, dynamic):
                         edges.add((tx[r], tx[b]))
                 elif not (tid[r] == tid[b] and r < b):
                     return "int"
-    if _cyclic(edges):
+    if len(edges) > 1 and _cyclic(edges):     # a cycle takes two edges
         return "ext"
     if dynamic:              # visible writes need a visible alloc mo-before
         for seq in mo.values():
@@ -240,24 +248,30 @@ def find_witness(events, dynamic, ctx):
 
 def _extend(events, w, ctx, dynamic):
     """Extend `w`, a witness of events[:-1], to one of `events`, or None,
-    by the rule in the module docstring."""
+    by the rule in the module docstring.  The candidates overwrite the new
+    event's entry in one copy of the relation they change."""
     e = events[-1]
-    if e.kind == "A":
+    k = e.kind
+    rf, mo = w
+    if k == "A":
         tx = ctx[0]
-        readers = {tx[r] for r, s in w.rf.items() if tx[s] == e.txid}
+        readers = {tx[r] for r, s in rf.items() if tx[s] == e.txid}
         return None if readers - {e.txid} else w
-    if e.kind in ("W", "M"):
-        seq = w.mo.get(e.loc, ())
-        cands = (Witness(w.rf, {**w.mo, e.loc: seq[:i] + (e.eid,) + seq[i:]})
-                 for i in range(len(seq), -1, -1))
-    elif e.kind == "R":
-        cands = (Witness({**w.rf, e.eid: src}, w.mo)
-                 for src in _sources(events, e))
-    else:                    # S
-        cands = (w,)
-    for c in cands:
-        if _violation(ctx, c.rf, c.mo, dynamic) is None:
-            return c
+    if k == "S":
+        return w if _violation(ctx, rf, mo, dynamic) is None else None
+    if k == "R":
+        rf = rf.copy()
+        for src in _sources(events, e):
+            rf[e.eid] = src
+            if _violation(ctx, rf, mo, dynamic) is None:
+                return Witness(rf, mo)
+        return None
+    seq = mo.get(e.loc, ())        # W and M
+    mo = mo.copy()
+    for i in range(len(seq), -1, -1):
+        mo[e.loc] = seq[:i] + (e.eid,) + seq[i:]
+        if _violation(ctx, rf, mo, dynamic) is None:
+            return Witness(rf, mo)
     return None
 
 

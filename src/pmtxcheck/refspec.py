@@ -15,10 +15,12 @@ implementation fault events are matched against these fault transitions.
 
 ``advance_frontier`` steps the set of spec states a history may reach, the
 explorer's online form; ``accepts_history`` decides one recorded history by
-a depth-first search for one accepting run.  ``sequential_histories``
-enumerates the serial, crash-free, abort-free traces, the lower bound on
-implementations, by advancing the frontier over serial record sequences:
-the bound has no rules of its own that could drift from the spec's.
+a depth-first search for one accepting run, which opens a frame only where
+it can branch and takes a node's commit steps only on backtrack.
+``sequential_histories`` enumerates the serial, crash-free, abort-free
+traces, the lower bound on implementations, by advancing the frontier over
+serial record sequences: the bound has no rules of its own that could drift
+from the spec's.
 """
 
 from __future__ import annotations
@@ -262,53 +264,69 @@ def accepts_history(records, txns, locs, witness=False, prealloc=0):
     depth-first search for an accepting run over (position, spec state)
     nodes, record matches before commit steps, failed nodes kept in a dead
     set for the call; a record naming a transaction or location out of
-    range matches nothing.  With witness=True also returns, on acceptance,
-    the run's state after each consumed record (a trailing ACCEPT_ALL marks
-    a matched fault), else None.
+    range matches nothing.  A frame is opened only for a node with a record
+    match left or whose commit steps, taken on backtrack, are being tried.
+    With witness=True also returns, on acceptance, the run's state after
+    each consumed record (a trailing ACCEPT_ALL marks a matched fault),
+    else None.
     """
     records = tuple(records)
+    n = len(records)
     # no spec step matches a record naming a transaction or a location out
     # of range: the search stops at the first one
-    stop = len(records)
+    stop = n
     for i, rec in enumerate(records):
         if rec[0] != "crash" and not (0 <= rec[1] < txns and (
                 rec[3] is None or 0 <= rec[3] < locs)):
             stop = i
             break
-    dead, path, frames = set(), [], []  # path: the nodes above `node`
+    # path: the nodes from the root to `node`, `node` included; frames:
+    # (length of the path to it, its children left, whether they are its
+    # commit steps) of the nodes on the path that can still branch
+    dead, path, frames = set(), [], []
     node = (0, initial_state(txns, locs, prealloc))
     while True:
         pos, st = node
-        rec = records[pos] if pos < len(records) else None
-        if rec is None or pos < stop and rec[0] == "fault" \
-                and fault_possible(st, *rec[1:]):
-            break
         path.append(node)
-        frames.append(_children(pos, st, rec) if pos < stop else iter(()))
-        while True:
-            node = next(frames[-1], None)
-            if node is None:
-                dead.add(path.pop())
-                frames.pop()
-                if not frames:
-                    return (False, None) if witness else False
-            elif not dead or node not in dead:
+        if pos == stop:
+            if stop == n:
                 break
+        elif records[pos][0] == "fault":
+            if fault_possible(st, *records[pos][1:]):
+                break
+        else:
+            sts = match_record(st, records[pos])
+            if len(sts) == 1:
+                node = (pos + 1, sts[0])
+                if not dead or node not in dead:
+                    continue
+            elif sts:
+                frames.append((len(path),
+                               iter([(pos + 1, s) for s in sts]), False))
+        while True:     # backtrack to the deepest node with a child left
+            tried = False
+            if frames and frames[-1][0] == len(path):
+                node = next(frames[-1][1], None)
+                if node is not None:
+                    if not dead or node not in dead:
+                        break
+                    continue
+                tried = frames.pop()[2]
+            pos, st = path[-1]
+            if tried or pos == stop:
+                dead.add(path.pop())
+                if not path:
+                    return (False, None) if witness else False
+            else:       # its record matches failed: take its commit steps
+                frames.append((len(path),
+                               iter([(pos, s) for s in eps_successors(st)]),
+                               True))
     if not witness:
         return True
-    path.append(node)
     chain = [s for (p, s), (q, _) in zip(path[1:], path) if p != q]
-    if rec:     # a matched fault
+    if pos < n:     # a matched fault
         chain.append(ACCEPT_ALL)
     return True, chain
-
-
-def _children(pos, st, rec):
-    if rec[0] != "fault":
-        for st2 in match_record(st, rec):
-            yield pos + 1, st2
-    for st2 in eps_successors(st):
-        yield pos, st2
 
 
 # ---------------------------------------------------------------------------

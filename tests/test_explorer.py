@@ -862,6 +862,21 @@ def test_last_crash_recovery_is_a_forced_chain(monkeypatch, impl, model,
     assert stepped and bool(propagated) == (model == "ptso")
 
 
+@pytest.mark.parametrize("model,states", [("psc", 8397), ("ptso", 10716)])
+def test_blocked_recovery_stalls_under_por(model, states):
+    # a recovery that always blocks, with nothing in the recovering
+    # thread's store buffer (none exists under psc), has no forced step:
+    # the machine is expanded and stalls instead of raising.  The
+    # unreduced explorer gives the same 3,499 histories (2.8M and 7.7M
+    # states, too many for a test)
+    cfg = Config("pmdk-tml", model, txns=2, locs=1, vals=1, buf=1, ops=1,
+                 max_crashes=1, por=True)
+    cfg.recovery_step = lambda m, regime: None
+    r = explore(cfg, check=False, dedup="history")
+    assert (r.states, len(r.histories())) == (states, 3499)
+    assert not check_upper(cfg).violations
+
+
 def test_crash_machine_makes_every_crash_transition(monkeypatch):
     # patched in engine's globals, as perfbench/tracer.py does: under --por
     # its results are exactly the crash successors that carry a machine,

@@ -3,6 +3,7 @@
 import copy
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,35 @@ def test_records_to_events_mapping():
     assert events[1].loc == 1 and events[1].val == 0
     assert events[2].val == 4
     assert events[4].tid is None
+
+
+def test_events_of_records_builds_each_kind_as_ev():
+    # every record kind, each op's invocation and response among them,
+    # against events built field by field with Ev(...)
+    records = (
+        ("inv", 0, "begin", None, None), ("res", 0, "begin", None, None),
+        ("inv", 0, "alloc", None, None), ("res", 0, "alloc", 1, None),
+        ("inv", 0, "write", 1, 4), ("res", 0, "write", 1, 4),
+        ("inv", 0, "read", 1, None), ("res", 0, "read", 1, 4),
+        ("inv", 0, "commit", None, None), ("res", 0, "commit", None, None),
+        ("crash",),
+        ("inv", 1, "begin", None, None), ("res", 1, "begin", None, None),
+        ("inv", 1, "read", 0, None), ("res", 1, "abort", None, None),
+        ("inv", 1, "frob", None, None),
+        ("inv", 1, "write", 0, 1), ("fault", 1, "write", 0),
+    )
+    want = (Ev(0, 0, 0, "B", None, None), Ev(1, 0, 0, "M", 1, 0),
+            Ev(2, 0, 0, "W", 1, 4), Ev(3, 0, 0, "R", 1, 4),
+            Ev(4, 0, 0, "C", None, None), Ev(5, 0, 0, "S", None, None),
+            Ev(6, None, None, CRASH, None, None),
+            Ev(7, 1, 1, "B", None, None), Ev(8, 1, 1, "A", None, None))
+    events = events_of_records(records)
+    assert len(events) == len(want)
+    for got, exp in zip(events, want):
+        assert type(got) is Ev
+        assert got == exp and got._asdict() == exp._asdict()
+    with pytest.raises(ValueError, match="unknown op"):
+        events_of_records(records + (("res", 1, "frob", None, None),))
 
 
 def test_wellformed_accepts_good_history():

@@ -1,6 +1,8 @@
 """Operational reference spec: transitions, membership, sequential bound,
 and equivariance under a renaming of transaction ids."""
 
+import hashlib
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -301,6 +303,27 @@ def test_search_agrees_with_frontier_fold(case):
     assert ok == want and (chain is None) == (not want)
     if ok:
         assert replays(records, chain, txns, locs)
+
+
+def test_witness_chain_digest_pinned():
+    # every history's accepting run of a cell with crashes and faults,
+    # pinned before the search opened frames only where it can branch: the
+    # run is the first the search finds, so the digest pins its order
+    r = explore(Config("pmdk-tml", "psc", txns=2, locs=1, max_crashes=1,
+                       ops=1, por=True), check=False, dedup="history")
+    h = hashlib.sha256()
+    count = Counter()
+    for records in sorted(r.histories()):
+        ok, chain = accepts_history(records, 2, 1, witness=True)
+        h.update(repr((records, ok, chain)).encode())
+        count["histories"] += 1
+        count["accepted"] += ok
+        count["crash"] += ("crash",) in records
+        count["fault"] += records[-1][0] == "fault"
+    assert count == {"histories": 6682, "accepted": 6682, "crash": 5046,
+                     "fault": 1300}
+    assert h.hexdigest() == ("c68bd3d20b53f02b97851d19ea8f9581"
+                             "68b086f973d7db87851ff2958252f400")
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
 """Run the randomized naive-vs-por gate on a larger sample.
 
-    python3 tools/por_gate.py
+    python3 tools/por_gate.py [--seed N]
 
 Draws EXAMPLES cells shaped like those of ``tests/test_por_gate.py``, but
 with up to two transactions for every implementation (tier 1 gives two to
-pmdk-seq only) and at most MAX_OPS ops per script, and asserts for each that
-the --por history set equals the unreduced explorer's.  A cell whose
+pmdk-seq only) and at most MAX_OPS ops per script, and asserts for each
+that the --por history set equals the unreduced explorer's.  A cell whose
 exploration would expand more than MAX_STATES states is reported as over
-budget and not compared.  Prints one line per cell and, at the first difference,
-hypothesis's smallest failing cell; exits 1 then, else 0.  A two-transaction
-TML or NOrec cell takes the unreduced explorer up to about 15 s and a few
-hundred MB (two one-write tml/ptso transactions with a crash: 3.5M states,
-330 MB); cut at MAX_STATES, each cell here takes at most a few seconds.
+budget and not compared.  Prints the seed, one line per cell and, at the
+first difference, hypothesis's smallest failing cell; exits 1 then, else
+0.  The draw is hypothesis's for ``--seed`` (default DEFAULT_SEED), so two
+runs with one seed check the same cells.  A two-transaction TML or NOrec
+cell takes the unreduced explorer up to about 15 s and a few hundred MB
+(two one-write tml/ptso transactions with a crash: 3.5M states, 330 MB);
+cut at MAX_STATES, each cell here takes at most a few seconds.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 import time
@@ -24,7 +27,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(HERE, "..", "src"), os.path.join(HERE, "..",
                                                               "tests")]
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pmtxcheck.explorer import BudgetExceeded  # noqa: E402
@@ -35,6 +38,7 @@ from test_por_gate import OPS, check_cell  # noqa: E402
 EXAMPLES = 40
 MAX_OPS = 1
 MAX_STATES = 500_000
+DEFAULT_SEED = 0
 
 
 @st.composite
@@ -52,8 +56,14 @@ def cells(draw):
 
 
 def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="hypothesis seed of the draw (default %(default)s)")
+    args = ap.parse_args()
+    print("seed %d" % args.seed, flush=True)
     counts = {"checked": 0, "over budget": 0}
 
+    @seed(args.seed)
     @settings(max_examples=EXAMPLES, deadline=None, database=None)
     @given(cells())
     def gate(cell):
