@@ -70,9 +70,9 @@ def build_parser():
                     "its spec frontier, renamed alike, so 'histories "
                     "checked' counts representative histories of the "
                     "minimal (crashes used, frontier) pairs per machine "
-                    "up to txid renaming, plus, with --por, every history "
-                    "ending in a crash after which no transaction is "
-                    "left to begin; "
+                    "up to txid renaming, plus every history ending in a "
+                    "fault and, with --por, every history ending in a "
+                    "crash after which no transaction is left to begin; "
                     "violations are real histories.  "
                     "With --emit-traces every history is explored, counted "
                     "and written.")

@@ -22,8 +22,9 @@ A machine is one flat tuple, cheap to hash and copy:
     ``pmdk.fault_check`` reads ``RUN`` slots only, and recovery reads
     only the ip and registers it keeps in the slot of the id it recovers,
     which are at rest (``AT_REST``) in every other slot.
-  - ``FLT``: ends the run; the explorer expands no machine with a
-    faulted slot (``ended``).
+
+  A fault has no status: it ends the run, so its step leaves no machine
+  (below).
 * ``rec``  -- None, or the transaction id recovery is at
 * ``crashes`` -- the crashes so far, which number the current era: a
   script's transaction begins in the era its ``era_min`` names or later
@@ -40,11 +41,21 @@ can leave are ``PMem``'s to decide per persist regime
 (``PMem.system_steps``, ``PMem.crash``; ``Config.regime``, whose rules
 are in the ``pmem`` docstring).  ``forced`` and ``successors`` ask
 ``Config.regime`` once per machine and pass the regime to every step they
-run; ``crash_machine`` builds the machines of
-every crash transition but a run-ending one, which has none.  After a
-crash, recovery runs before any transaction step: each transaction id in
-turn, as the thread of that id (``pmdk.recovery``); its steps emit
-nothing.
+run; ``crash_machine`` builds the machines of every crash transition but
+a run-ending one, which has none.  After a crash, recovery runs before
+any transaction step: each transaction id in turn, as the thread of that
+id (``pmdk.recovery``); its steps emit nothing.
+
+Every step result and every successor has one shape, (target,
+record-or-None), a step returning a list of them (None when it blocks).
+The target is the machine the step leaves, or a leaf tag when the run is
+explored no further from it:
+
+* ``CUT``: a loop-back beyond the retry bound, with no record; its
+  parent history joins the explorer's cut histories;
+* ``END``: the run ends, by a fault (``pmdk.fault_state``; its record is
+  the fault, after which the rest of the run is not claimed), or by a
+  run-ending crash (below).  The history with its record is complete.
 
 Under --por a machine may have one forced step (``forced``): an ample set
 of one invisible step independent of every other thread's (Peled, CAV
@@ -136,12 +147,12 @@ a machine whose crash ends the run included.
 
 So under --por a crash has one of two shapes.  A crash of a machine with
 no ``NS`` slot ends the run (``_crash_ends_run``), whatever crash budget
-is left: ``successors`` gives it as one leaf successor with no machine,
-tagged ``END``, and enumerates, recovers and keys none of its outcomes;
-such a machine runs in ``REDUCED``, so it holds no persist for the crash
-to read.  Sound, because every outcome leaves one history: the crash
-makes each ``RUN`` and ``RDY`` slot ``DEAD`` and keeps the ended ones
-(``crash_tail``), so with none yet to begin every slot is terminal;
+is left: ``successors`` gives it as one ``END`` leaf, and enumerates,
+recovers and keys none of its outcomes; such a machine runs in
+``REDUCED``, so it holds no persist for the crash to read.  Sound,
+because every outcome leaves one history: the crash makes each ``RUN``
+and ``RDY`` slot ``DEAD`` and keeps the ended ones (``crash_tail``), so
+with none yet to begin every slot is terminal;
 recovery emits nothing and sets no status, and no further crash can
 interrupt it, since a machine mid-recovery whose slots have all ended
 makes no crash transition (``successors``).  Whatever memory survived,
@@ -164,11 +175,12 @@ M_MEM, M_GLB, M_FREE, M_TXNS, M_REC, M_CRASH = range(6)
 S_ST, S_IP, S_REGS, S_AM, S_RD, S_WR, S_USED, S_RETR, S_LOC = range(9)
 
 # slot statuses
-NS, RUN, RDY, COMM, ABRT, DEAD, FLT = range(7)
-TERMINAL = (COMM, ABRT, DEAD, FLT)
+NS, RUN, RDY, COMM, ABRT, DEAD = range(6)
+TERMINAL = (COMM, ABRT, DEAD)
 
-# successor tags: a step cut at the retry bound, and a run-ending crash
-# (``_crash_ends_run``); neither successor carries a machine
+# leaf targets of a successor, in place of a machine: a step cut at the
+# retry bound, and the end of the run, by a fault or a run-ending crash
+# (``_crash_ends_run``)
 CUT = "cut"
 END = "end"
 
@@ -235,18 +247,13 @@ def bits(mask):
 
 
 def ended(m):
-    """No transaction can act again: each one ended, or one faulted, which
-    ends the run."""
+    """No transaction can act again: each one ended."""
     # a loop, not all() over a generator: frontier dedup asks this of every
     # state it pops
-    done = True
     for s in m[M_TXNS]:
-        st = s[S_ST]
-        if st == FLT:
-            return True
-        if st not in TERMINAL:
-            done = False
-    return done
+        if s[S_ST] not in TERMINAL:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +296,7 @@ def _decision_steps(cfg, m, ti, out):
         slot2 = slot_upd(slot, (S_ST, RUN), (S_IP, cfg.entry["begin"]),
                          (S_REGS, ()))
         out.append((set_slot(m, ti, slot2),
-                    ("inv", ti, "begin", None, None), None))
+                    ("inv", ti, "begin", None, None)))
         return
     if slot[S_ST] != RDY:
         return
@@ -318,7 +325,7 @@ def _decision_steps(cfg, m, ti, out):
         used = slot[S_USED] + (0 if op == "commit" else 1)
         slot2 = slot_upd(slot, (S_ST, RUN), (S_IP, cfg.entry[op]),
                          (S_REGS, regs), (S_USED, used), (S_RETR, 0))
-        out.append((set_slot(m, ti, slot2), ("inv", ti, op, loc, val), None))
+        out.append((set_slot(m, ti, slot2), ("inv", ti, op, loc, val)))
 
 
 def _may_begin(cfg, m, ti):
@@ -388,17 +395,18 @@ def forced(cfg, m):
 
 
 def successors(cfg, m):
-    """All scheduler steps from `m` as (machine', record|None, tag) where
-    tag is None, ``CUT`` or ``END``; a tagged successor has no machine.
-    `m` has not ended outside recovery and has no forced step, so under
-    --por it is mid-recovery only while a crash is left.  Under --por a
-    machine' may have a forced step, whose chain the explorer runs at
-    once (``forced``), and there is no crash
+    """All scheduler steps from `m` as (target, record-or-None), where the
+    target is a machine or a leaf tag, ``CUT`` or ``END`` (module
+    docstring): each step's results as it returns them, then the system
+    steps and the crashes.  `m` has not ended outside recovery and has no
+    forced step, so under --por it is mid-recovery only while a crash is
+    left.  Under --por a target machine may have a forced step, whose
+    chain the explorer runs at once (``forced``), and there is no crash
     successor when another successor is silent and, unless `m` is
     ``REDUCED``, keeps every crash outcome (module docstring): the crash
     after that step covers this one; and a run-ending crash is the one
-    successor (None, ("crash",), END).  Any other crash gives a successor
-    per machine ``crash_machine`` builds."""
+    successor (END, ("crash",)).  Any other crash gives a successor per
+    machine ``crash_machine`` builds."""
     out = []
     regime = cfg.regime(m)
     if m[M_REC] is not None:
@@ -407,20 +415,14 @@ def successors(cfg, m):
         # is a forced chain and never reaches this branch
         r = cfg.recovery_step(m, regime)
         if r is not None:
-            for m2, emit in r:
-                out.append((m2, emit, None))
+            out += r
     else:
         for ti in range(cfg.txns):
             slot = m[M_TXNS][ti]
             if slot[S_ST] == RUN:
                 r = cfg.step_table[slot[S_IP]](m, ti, regime)
-                if r is None:
-                    continue
-                if r == CUT:
-                    out.append((None, None, CUT))
-                    continue
-                for m2, emit in r:
-                    out.append((m2, emit, None))
+                if r is not None:
+                    out += r
             elif slot[S_ST] in (NS, RDY):
                 _decision_steps(cfg, m, ti, out)
 
@@ -430,7 +432,7 @@ def successors(cfg, m):
     # persistence buffer is full, and making room persists, which drops a
     # crash outcome
     for mem2 in cfg.pmem.system_steps(m[M_MEM], regime):
-        out.append((set_mem(m, mem2), None, None))
+        out.append((set_mem(m, mem2), None))
 
     # crash (disabled once every transaction is terminal: a trailing crash
     # marker is accepted whenever the history without it is; outside
@@ -443,10 +445,10 @@ def successors(cfg, m):
             and not (cfg.por and _crash_postponed(m[M_MEM], out,
                                                   regime == REDUCED)):
         if _crash_ends_run(cfg, m):
-            out.append((None, ("crash",), END))
+            out.append((END, ("crash",)))
         else:
             for m2 in crash_machine(cfg, m):
-                out.append((m2, ("crash",), None))
+                out.append((m2, ("crash",)))
 
     return out
 
@@ -472,11 +474,12 @@ def only_leaf_crashes(cfg, m):
 
 
 def _crash_postponed(mem, out, blind):
-    """True when some successor in `out` is silent (no record, not cut)
-    and keeps every crash outcome of memory `mem`, or, when the crash is
-    `blind` to memory (a run-ending leaf), is silent at all."""
-    for m2, emit, tag in out:
-        if emit is None and tag is None \
+    """True when some successor in `out` is silent (no record, and a
+    machine, not a leaf) and keeps every crash outcome of memory `mem`,
+    or, when the crash is `blind` to memory (a run-ending leaf), is silent
+    at all."""
+    for m2, emit in out:
+        if emit is None and type(m2) is tuple \
                 and (blind or _keeps_crash_outcomes(mem, m2[M_MEM])):
             return True
     return False

@@ -39,9 +39,8 @@ from itertools import filterfalse
 from operator import itemgetter
 
 from . import engine, refspec
-from .engine import (ABRT, COMM, CUT, DEAD, END, FLT, M_CRASH, M_REC, NS,
-                     RDY, RUN, S_ST, ended, forced, initial_machine,
-                     successors)
+from .engine import (ABRT, COMM, CUT, DEAD, END, M_CRASH, M_REC, NS, RDY,
+                     RUN, S_ST, ended, forced, initial_machine, successors)
 from .pmdk import MUTATIONS, Layout
 from .pmem import EXACT, MODELS, POR, REDUCED, PMem
 from .stm import IMPLS, build_programs
@@ -61,7 +60,7 @@ VIEW_BITS = 2 * ID_BITS + 2
 # running ones, then those yet to begin.  The ascending begin order tends
 # to leave lower ids further along, so fewer machines need a permutation
 # to sort their views
-PROGRESS = {COMM: 0, ABRT: 0, DEAD: 0, FLT: 0, RUN: 1, RDY: 1, NS: 2}
+PROGRESS = {COMM: 0, ABRT: 0, DEAD: 0, RUN: 1, RDY: 1, NS: 2}
 
 
 class BudgetExceeded(Exception):
@@ -358,15 +357,8 @@ def orbit_keyer(cfg, shared):
 
 def _covered(kept, f):
     """True when one of the frontiers `kept` (an antichain as
-    ``_antichain_add`` stores it, or None: none) is a subset of `f`.
-
-    A frontier is a frozenset of spec states or ``refspec.ACCEPT_ALL``, the
-    top element (a matched fault accepts every continuation)."""
+    ``_antichain_add`` stores it, or None: none) is a subset of `f`."""
     if kept is None:
-        return False
-    if f == refspec.ACCEPT_ALL:
-        return True
-    if kept == refspec.ACCEPT_ALL:
         return False
     if type(kept) is not list:
         return kept <= f
@@ -379,16 +371,15 @@ def _antichain_add(minimal, k, f):
     subset of.  Returns False, leaving them as they are, when one of them
     is a subset of `f` (``_covered``).
 
-    A kept ACCEPT_ALL has no other frontier beside it.  A lone frontier is
-    stored bare, not in a list: most machines have one, and a list each
+    A frontier is a frozenset of spec states: no pushed one is
+    ``refspec.ACCEPT_ALL``, since a fault ends the run.  A lone frontier
+    is stored bare, not in a list: most machines have one, and a list each
     would add a tenth to peak memory."""
     kept = minimal.get(k)
     if kept is None:
         minimal[k] = f
     elif _covered(kept, f):
         return False
-    elif kept == refspec.ACCEPT_ALL:
-        minimal[k] = f
     elif type(kept) is not list:
         minimal[k] = f if f <= kept else [kept, f]
     else:
@@ -410,12 +401,13 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     machines.  A successor's chain of forced steps (``engine.forced``),
     which emit nothing, runs when the successor is made; only its end is
     keyed.  ``states`` counts expanded states, all chain ends, and
-    ``transitions`` their successors.  A run-ending crash (tagged
-    ``engine.END``) leaves no machine: its history, unless it violates,
-    joins ``complete``, as a ``CUT`` successor's parent history joins
-    ``cut``.  ``state_hook(cfg, m, hid)``, when given, sees each expanded
-    machine and its history's id, then its successors' chains but their
-    ends, with the same id.
+    ``transitions`` their successors.  A successor whose target is a leaf
+    tag (``engine`` docstring) leaves no machine: an ``END`` one, a fault
+    or a run-ending crash, adds its history to ``complete`` unless it
+    violates, and a ``CUT`` one adds its parent's history to ``cut``.
+    ``state_hook(cfg, m, hid)``, when given, sees each expanded machine
+    and its history's id, then its successors' chains but their ends,
+    with the same id.
 
     dedup="history" keeps every state (needed when the history *set* is
     the product, e.g. for the cross-checks) and walks the history trie,
@@ -445,8 +437,8 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     reachable, with no more records, from an already pushed (m, c0, G):
     with ``orbit_keyer``'s argument this is complete for violation
     finding, and the histories it keeps are representatives of minimal
-    (c, F) pairs up to txid renaming, plus every history a run-ending
-    crash leaves.
+    (c, F) pairs up to txid renaming, plus every history that a fault or
+    a run-ending crash ends.
 
     When more than `cfg.max_states` states would be expanded, raises
     BudgetExceeded carrying the counts so far.
@@ -472,28 +464,27 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         if not check:
             return h2, None
         f2 = refspec.advance_frontier(f, hkey[1])
-        if f2 != refspec.ACCEPT_ALL and not f2:
+        if not f2:
             res.violations.append(res.history_records(h2))
             return ()
         return h2, shared.setdefault(f2, f2)
 
     def expand(m, hid):
-        """`m`'s successors as (rec, CUT, END or its chain's end), () if
-        it ended outside recovery."""
+        """`m`'s successors as (target, rec), a machine target replaced by
+        its chain's end; () if `m` ended outside recovery."""
         if state_hook is not None:
             state_hook(cfg, m, hid)
         if m[M_REC] is None and ended(m):
             return ()
         out = []
-        for m2, rec, tag in successors(cfg, m):
-            if tag is None:
+        for m2, rec in successors(cfg, m):
+            if type(m2) is tuple:         # a machine, not a leaf tag
                 m3 = forced(cfg, m2)
                 while m3 is not None:
                     if state_hook is not None:
                         state_hook(cfg, m2, hid)
                     m2, m3 = m3, forced(cfg, m3)
-                tag = m2
-            out.append((rec, tag))
+            out.append((m2, rec))
         return out
 
     def over_budget():
@@ -551,7 +542,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                 succs = expand(m, hid)
                 if not succs:
                     res.complete.add(hid)
-                for rec, m2 in succs:
+                for m2, rec in succs:
                     transitions += 1
                     if m2 is CUT:
                         res.cut.add(hid)
@@ -599,13 +590,13 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             for i in reach:               # grows as the closure does
                 out = succ_of[i]
                 if out is None:
-                    out = succ_of[i] = tuple(     # tags are strings
-                        (rec, m2 if type(m2) is str else number(m2))
-                        for rec, m2 in expand(machines[i], hid))
+                    out = succ_of[i] = tuple(     # leaf tags are strings
+                        (m2 if type(m2) is str else number(m2), rec)
+                        for m2, rec in expand(machines[i], hid))
                     machines[i] = None
                 trans += len(out)
                 stalled = stalled or not out
-                for rec, j in out:
+                for j, rec in out:
                     if j is CUT:
                         cut = True
                     elif rec is not None:
@@ -661,6 +652,12 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
 # ---------------------------------------------------------------------------
 
 def check_upper(cfg, stop_on_violation=False, dedup="frontier"):
+    """Trace inclusion: every history of `cfg`'s implementation is a trace
+    of the spec.  Under the default frontier dedup the histories are
+    representatives of the minimal (crashes used, frontier) pairs per
+    machine up to txid renaming, plus every history that a fault or a
+    run-ending crash ends (``explore``); the violations are real
+    histories."""
     return explore(cfg, check=True, stop_on_violation=stop_on_violation,
                    dedup=dedup)
 

@@ -34,13 +34,17 @@ kind.  An entry names the targets it goes to by setting ip apart from those
 it falls through into, running them within the same step.  ``link``
 numbers the entries in block order, the recovery blocks last, resolves the
 names to ips and compiles each entry into a closure
-``step(m, ti, regime)`` in ``cfg.step_table``, which returns
-``[(machine', record-or-None), ...]``, None when blocked, or the cut
-sentinel.  Steps store and flush through ``cfg.pmem`` in `regime`, the
-persist regime of their machine (``EXACT``, ``POR`` or ``REDUCED``), which
-the engine takes from ``Config.regime`` once per machine and passes in, so
-no step reads another slot to learn it; whether a step blocks or persists
-on demand is decided in ``pmem`` (its docstring).
+``step(m, ti, regime)`` in ``cfg.step_table``.  A step returns None when
+it blocks, else a list of (target, record-or-None) (``engine``
+docstring).  The target is the machine the step leaves, or a leaf tag in
+place of one: ``engine.END`` with the fault record when the access
+faults (``fault_state``), and ``engine.CUT`` with None when a loop-back
+passes the retry bound (``stm``).  Steps store and flush through
+``cfg.pmem`` in `regime`, the persist regime of their machine
+(``EXACT``, ``POR`` or ``REDUCED``), which the engine takes from
+``Config.regime`` once per machine and passes in, so no step reads
+another slot to learn it; whether a step blocks or persists on demand is
+decided in ``pmem`` (its docstring).
 
 Recovery of transaction id t runs as thread t: the machine's rec field
 names t, and slot t carries recovery's ip and registers, starting from
@@ -83,7 +87,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .engine import (ABRT, AT_REST, COMM, FLT, M_FREE, M_MEM, M_REC, M_TXNS,
+from .engine import (ABRT, AT_REST, COMM, END, M_FREE, M_MEM, M_REC, M_TXNS,
                      RDY, READY, RUN, S_AM, S_IP, S_REGS, S_ST, bits, lowbit,
                      set_mem_slot, set_slot, slot_upd, spent_slot)
 
@@ -199,9 +203,10 @@ def fault_check(cfg, m, ti, loc):
     return True
 
 
-def fault_state(cfg, m, ti, op, loc):
-    slot = slot_upd(m[M_TXNS][ti], (S_ST, FLT))
-    return [(set_slot(m, ti, slot), ("fault", ti, op, loc))]
+def fault_state(ti, op, loc):
+    """The result of a step whose `op` access of `loc` faults: the fault
+    record, and the end of the run, which leaves no machine."""
+    return [(END, ("fault", ti, op, loc))]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +313,7 @@ def load(name, done):
             slot = m[M_TXNS][ti]
             l = slot[S_REGS][0]
             if fault_check(cfg, m, ti, l):
-                return fault_state(cfg, m, ti, "read", l)
+                return fault_state(ti, "read", l)
             v = cfg.pmem.load(m[M_MEM], ti, cfg.layout.val(l))
             regs = (l, v) + slot[S_REGS][2:]
             slot = slot_upd(slot, (S_REGS, regs), (S_IP, done))
@@ -464,7 +469,7 @@ def pwrite(cfg, done):
             slot = m[M_TXNS][ti]
             l, v = slot[S_REGS][0], slot[S_REGS][1]
             if fault_check(cfg, m, ti, l):
-                return fault_state(cfg, m, ti, "write", l)
+                return fault_state(ti, "write", l)
             if cfg.pmem.load(m[M_MEM], ti, lay.undo(ti, l)) != -1:
                 # already logged
                 mem2 = cfg.pmem.store(m[M_MEM], ti, lay.val(l), v,
@@ -608,7 +613,16 @@ def pcommit(cfg, done):
 
 
 def pabort(cfg, done):
-    """Roll back, then release allocations."""
+    """Roll back, then release allocations.
+
+    No explored schedule reaches the rollback's store and flush loops from
+    here (``pabort.rb``, ``pabort.pwf``): TML aborts only before its first
+    logged write, and NOrec logs only under the lock.  They stay linked
+    because PMDK's abort rolls back, so a layer that aborts after a
+    logged write must find it here; recovery's ``undo`` block is built
+    from the same entries (``undo_rollback``), and explored schedules run
+    it; and ``tests/test_steps.py::test_abort_rolls_back_a_logged_write``
+    runs this block's copy on a hand-built machine."""
     def make_free(cfg, done):
         def step(m, ti, regime):
             slot = slot_upd(m[M_TXNS][ti], (S_IP, done))

@@ -79,7 +79,7 @@ def _retry(cfg, m, ti, slot, ip, *pairs):
     """Loop back to `ip`, counted against the retry bound: a cut beyond."""
     r = slot[S_RETR] + 1
     if r > cfg.retry_bound:
-        return CUT
+        return [(CUT, None)]
     return [(set_slot(m, ti, slot_upd(slot, (S_RETR, r), (S_IP, ip), *pairs)),
              None)]
 
@@ -201,7 +201,7 @@ def _validate(cfg, name, get_tv, set_tv, ok_pairs, ok):
             if vmask:
                 x = lowbit(vmask)
                 if fault_check(cfg, m, ti, x):
-                    return fault_state(cfg, m, ti, "read", x)
+                    return fault_state(ti, "read", x)
                 vv = cfg.pmem.load(m[M_MEM], ti, lay.val(x))
                 if vv != slot[S_RD][x]:
                     return [(set_slot(m, ti, slot_upd(slot, (S_IP, abort))),
@@ -235,7 +235,7 @@ def _norec_blocks(cfg):
                 return [(set_slot(m, ti, slot2),
                          ("res", ti, "read", l, wr[l]))]
             if fault_check(cfg, m, ti, l):
-                return fault_state(cfg, m, ti, "read", l)
+                return fault_state(ti, "read", l)
             v = cfg.pmem.load(m[M_MEM], ti, lay.val(l))
             slot2 = slot_upd(slot, (S_REGS, (l, v, None, None)), (S_IP, go))
             return [(set_slot(m, ti, slot2), None)]
@@ -251,7 +251,7 @@ def _norec_blocks(cfg):
                 slot = m[M_TXNS][ti]
                 l, v = slot[S_REGS][0], slot[S_REGS][1]
                 if op == "write" and fault_check(cfg, m, ti, l):
-                    return fault_state(cfg, m, ti, op, l)
+                    return fault_state(ti, op, l)
                 vals = slot[field]
                 slot = slot_upd(slot, (field, vals[:l] + (v,) + vals[l + 1:]),
                                 *READY)

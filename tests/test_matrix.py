@@ -39,21 +39,28 @@ def test_matrix_records_and_compares(tmp_path):
         assert entry["cpu_s"] > 0 and entry["wall_s"] > 0
         assert entry["peak_rss_mb"] > 0
 
-    # a changed exact field is an error; a cell the old matrix lacks is not
+    # a changed exact field is an error; a cell the old matrix lacks is not.
+    # The errors are tallied by kind: a verdict field and a count field
     old = tmp_path / "OLD.json"
     doc = json.loads(out.read_text())
     doc["cells"][CELLS[1]]["violations_sha256"] = "0" * 64
+    doc["cells"][CELLS[1]]["states"] += 1
     del doc["cells"][CELLS[0]]
     old.write_text(json.dumps(doc))
     p = matrix("--out", str(out), "--cell", CELLS[0], "--cell", CELLS[1],
                "--compare", str(old))
     assert p.returncode == 1, p.stdout + p.stderr
     lines = p.stdout.splitlines()
+    states = cells[CELLS[1]]["states"]
     assert [l for l in lines if l.startswith("error:")] == [
+        "error: %s states: %r -> %r" % (CELLS[1], states + 1, states),
         "error: %s violations_sha256: %r -> %r"
         % (CELLS[1], "0" * 64, cells[CELLS[1]]["violations_sha256"])]
     assert "note: %s is not in the old matrix" % CELLS[0] in lines
-    assert lines[-1] == "1 exact-field change(s) against %s" % old
+    assert lines[-2:] == [
+        "1 in verdict fields (violations, violations_sha256, exit_code), "
+        "1 in count fields",
+        "2 exact-field change(s) against %s" % old]
 
 
 def test_matrix_cell_cut_by_budget_keeps_partial_counts():

@@ -132,14 +132,17 @@ def touched(cfg, m, ti, ip):
                else LOG if c in own else "another transaction's log")
         if kind != "flush" or cls not in (DATA, META, LOG):
             used.add(cls)
-    if isinstance(r, list):
+    if r is not None:
         for m2, rec in r:
+            if rec is not None:
+                used.add(EMIT)
+            if type(m2) is not tuple:
+                # a leaf tag (engine.CUT or engine.END) leaves no machine
+                continue
             if m2[M_GLB] != m[M_GLB]:
                 used.add(GLB)
             if m2[M_FREE] != m[M_FREE]:
                 used.add(FREE)
-            if rec is not None:
-                used.add(EMIT)
             if m2[M_MEM] != m[M_MEM] and not RecordingPMem.log:
                 used.add("memory written without the simulator")
             if m2[M_REC] != m[M_REC]:

@@ -26,7 +26,11 @@ counts are then null), and the informational ``cpu_s``, ``wall_s`` and
 not.  The result goes to ``--out``.  With ``--compare OLD.json`` every
 change of an exact field against OLD's cell of the same name is printed
 as an error, and the exit code is 1 if there is one; a cell OLD lacks is
-noted, and OLD's cells not run are skipped.
+noted, and OLD's cells not run are skipped.  Before the closing tally a
+line splits the changes into those of the verdict fields
+(``violations``, ``violations_sha256``, ``exit_code``) and those of the
+count fields (the other exact fields), so a change meant to move counts
+shows at a glance whether a verdict moved too.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ from pmtxcheck.stm import IMPLS  # noqa: E402
 
 EXACT = ("states", "transitions", "histories", "violations",
          "violations_sha256", "exit_code", "cut", "timed_out")
+# the exact fields that carry a cell's verdict; the others are its counts
+VERDICT = ("violations", "violations_sha256", "exit_code")
 TIMEOUT_S = 600
 
 
@@ -153,9 +159,11 @@ def spawn_cell(name):
 
 def compare(old, new):
     """The errors, one line per exact-field change of a cell of matrix
-    `new` against `old`'s cell of the same name, and the notes, one line
-    per cell of `new` that `old` lacks."""
+    `new` against `old`'s cell of the same name, the notes, one line per
+    cell of `new` that `old` lacks, and how many of the errors are in
+    ``VERDICT`` fields."""
     errors, notes = [], []
+    verdict = 0
     for name, b in new["cells"].items():
         a = old["cells"].get(name)
         if a is None:
@@ -165,7 +173,8 @@ def compare(old, new):
             if a.get(field) != b.get(field):
                 errors.append("error: %s %s: %r -> %r"
                               % (name, field, a.get(field), b.get(field)))
-    return errors, notes
+                verdict += field in VERDICT
+    return errors, notes, verdict
 
 
 def main(argv=None):
@@ -197,9 +206,11 @@ def main(argv=None):
             f.write("\n")
     if args.compare:
         with open(args.compare) as f:
-            errors, notes = compare(json.load(f), doc)
+            errors, notes, verdict = compare(json.load(f), doc)
         for line in errors + notes:
             print(line)
+        print("%d in verdict fields (%s), %d in count fields"
+              % (verdict, ", ".join(VERDICT), len(errors) - verdict))
         print("%d exact-field change(s) against %s"
               % (len(errors), args.compare))
         return 1 if errors else 0
