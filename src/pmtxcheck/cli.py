@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from . import explorer, refspec, traces
+from . import explorer, pmem, refspec, stm, traces
 from .fixtures import fig4_suite
 from .histories import events_of_records, wf_violations
 from .opacity import check_history_ddo, check_opacity_execution
@@ -34,9 +34,8 @@ POSITIVE, NATURAL = _at_least(1), _at_least(0)
 def _add_bounds(p):
     """The bounds both `check upper` and `check lower` pass on; `check
     lower` fixes the crashes, reductions and allocation branching."""
-    p.add_argument("--impl", default="pmdk-seq",
-                   choices=("pmdk-seq", "pmdk-tml", "pmdk-norec"))
-    p.add_argument("--model", default="psc", choices=("psc", "ptso"))
+    p.add_argument("--impl", default="pmdk-seq", choices=stm.IMPLS)
+    p.add_argument("--model", default=pmem.PSC, choices=pmem.MODELS)
     p.add_argument("--txns", type=POSITIVE, default=2)
     p.add_argument("--locs", type=POSITIVE, default=2)
     p.add_argument("--vals", type=POSITIVE, default=2)

@@ -13,10 +13,16 @@ commits take an internal step between invocation and response.  A read or
 write of a location that is unallocated in some consistent memory may fault;
 implementation fault events are matched against these fault transitions.
 
+A record step is a function: ``match_record`` gives the one state a record
+leads to, or None, and ``fault_possible`` whether a fault is enabled.  The
+only branching is where the internal commit steps go.  The range rule lives
+in the step: a record naming a transaction or location out of range
+matches nothing.
+
 ``advance_frontier`` steps the set of spec states a history may reach, the
 explorer's online form; ``accepts_history`` decides one recorded history by
-a depth-first search for one accepting run, which opens a frame only where
-it can branch and takes a node's commit steps only on backtrack.
+a depth-first search for one accepting run, which branches only on commit
+steps and takes a node's commit steps only on backtrack.
 ``sequential_histories`` enumerates the serial, crash-free, abort-free
 traces, the lower bound on implementations, by advancing the frontier over
 serial record sequences: the bound has no rules of its own that could drift
@@ -65,8 +71,11 @@ def valid_idx(n, tx, mems):
     return True
 
 
-def _valid_ns(tx, mems):
-    return [n for n in range(tx[1], len(mems)) if valid_idx(n, tx, mems)]
+def _holds(tx, mems, loc, v):
+    """Some memory `tx` is valid at holds `v` at `loc` (v = BOT: the
+    location is unallocated there, so an access of it may fault)."""
+    return any(mems[n][loc] == v and valid_idx(n, tx, mems)
+               for n in range(tx[1], len(mems)))
 
 
 def crash_step(st):
@@ -120,103 +129,93 @@ def closure(states):
 
 
 def match_record(st, rec):
-    """States reachable by taking the external action `rec` from `st`."""
-    kind = rec[0]
-    if kind == "crash":
-        return [crash_step(st)]
+    """The state reached by taking the external action `rec` (not a fault)
+    from `st`, or None when no spec step matches it.  The spec takes at
+    most one step per record; a record naming a transaction out of range,
+    or a location out of range on a read or write invocation or an alloc
+    response, matches nothing."""
+    if rec[0] == "crash":
+        return crash_step(st)
     mems, txs = st
-    txid, op = rec[1], rec[2]
-    loc, val = rec[3], rec[4]
+    kind, txid, op, loc, val = rec
+    if not 0 <= txid < len(txs):
+        return None
     tx = txs[txid]
     pc, bidx, rset, wset, am = tx
-    out = []
     if kind == "inv":
         if op == "begin":
-            if pc == NS:
-                out.append((mems, _repl(txs, txid,
-                                        (BPEND, len(mems) - 1, rset, wset,
-                                         am))))
-        elif pc == RDY:
-            if op == "read":
-                npc = ("d", "read", loc)
-            elif op == "write":
-                npc = ("d", "write", loc, val)
-            elif op == "alloc":
-                npc = ("d", "alloc")
-            elif op == "commit":
-                npc = ("d", "commit")
-            else:
-                return []
-            out.append((mems, _repl(txs, txid, (npc, bidx, rset, wset, am))))
-        return out
-
-    # responses
-    if op == "abort":
-        # an operation in flight may abort; no begin response is an abort
-        if pc not in (NS, RDY, BPEND, COMMITTED, ABORTED, PI):
-            out.append((mems, _repl(txs, txid,
-                                    (ABORTED, bidx, rset, wset, am))))
-        return out
-    if op == "begin":
-        if pc == BPEND:
-            out.append((mems, _repl(txs, txid, (RDY, bidx, rset, wset, am))))
-        return out
-    if op == "commit":
-        if pc == PI:
-            out.append((mems, _repl(txs, txid,
-                                    (COMMITTED, bidx, rset, wset, am))))
-        return out
-    if op == "alloc":
-        if pc == ("d", "alloc") and not (am >> loc) & 1:
-            out.append((mems, _repl(txs, txid,
-                                    (RDY, bidx, rset, wset, am | (1 << loc)))))
-        return out
-    if op == "read":
-        if pc != ("d", "read", loc):
-            return out
-        if wset[loc] != BOT:
-            if wset[loc] == val:
-                out.append((mems, _repl(txs, txid,
-                                        (RDY, bidx, rset, wset, am))))
-        elif (am >> loc) & 1:
-            if val == 0:
-                out.append((mems, _repl(txs, txid,
-                                        (RDY, bidx, rset, wset, am))))
+            if pc != NS:
+                return None
+            pc, bidx = BPEND, len(mems) - 1
+        elif pc != RDY:
+            return None
+        elif op == "read" or op == "write":
+            if not 0 <= loc < len(wset):
+                return None
+            pc = ("d", op, loc) if op == "read" else ("d", op, loc, val)
+        elif op == "alloc" or op == "commit":
+            pc = ("d", op)
         else:
-            for n in _valid_ns(tx, mems):
-                if mems[n][loc] == val and val != BOT:
-                    out.append((mems, _repl(txs, txid,
-                                            (RDY, bidx,
-                                             _repl(rset, loc, val), wset,
-                                             am))))
-                    break
-        return out
-    if op == "write":
-        if pc == ("d", "write", loc, val):
-            if (am >> loc) & 1 or mems[-1][loc] != BOT:
-                out.append((mems, _repl(txs, txid,
-                                        (RDY, bidx, rset,
-                                         _repl(wset, loc, val), am))))
-        return out
-    return out
+            return None
+    elif op == "abort":
+        # an operation in flight may abort; no begin response is an abort
+        if pc in (NS, RDY, BPEND, COMMITTED, ABORTED, PI):
+            return None
+        pc = ABORTED
+    elif op == "begin":
+        if pc != BPEND:
+            return None
+        pc = RDY
+    elif op == "commit":
+        if pc != PI:
+            return None
+        pc = COMMITTED
+    elif op == "alloc":
+        if (pc != ("d", "alloc") or not 0 <= loc < len(wset)
+                or (am >> loc) & 1):
+            return None
+        pc, am = RDY, am | (1 << loc)
+    elif op == "read":
+        if pc != ("d", "read", loc):
+            return None
+        if wset[loc] != BOT:
+            if wset[loc] != val:
+                return None
+        elif (am >> loc) & 1:
+            if val != 0:
+                return None
+        elif val == BOT or not _holds(tx, mems, loc, val):
+            return None
+        else:
+            rset = _repl(rset, loc, val)
+        pc = RDY
+    elif op == "write":
+        if pc != ("d", "write", loc, val) or not (
+                (am >> loc) & 1 or mems[-1][loc] != BOT):
+            return None
+        pc, wset = RDY, _repl(wset, loc, val)
+    else:
+        return None
+    return mems, _repl(txs, txid, (pc, bidx, rset, wset, am))
 
 
 def fault_possible(st, txid, op, loc):
-    """Whether a fault transition is enabled for txid's in-flight op."""
+    """Whether a fault transition is enabled for txid's in-flight read or
+    write of `loc`: the transaction did not allocate the location (a read:
+    nor write it), and it is unallocated in some memory the transaction is
+    valid at (a write: in the last memory).  A transaction out of range
+    faults nowhere."""
     mems, txs = st
+    if not 0 <= txid < len(txs):
+        return False
     tx = txs[txid]
-    pc = tx[0]
-    am = tx[4]
+    pc, _bidx, _rset, wset, am = tx
     if op == "read":
-        if pc != ("d", "read", loc):
-            return False
-        if (am >> loc) & 1 or tx[3][loc] != BOT:
-            return False
-        return any(mems[n][loc] == BOT for n in _valid_ns(tx, mems))
+        return (pc == ("d", "read", loc) and not (am >> loc) & 1
+                and wset[loc] == BOT and _holds(tx, mems, loc, BOT))
     if op == "write":
-        if pc[:3] != ("d", "write", loc):
-            return False
-        return not (am >> loc) & 1 and mems[-1][loc] == BOT
+        return (pc[:3] == ("d", "write", loc) and not (am >> loc) & 1
+                and mems[-1][loc] == BOT)
     return False
 
 
@@ -232,13 +231,11 @@ def initial_frontier(txns, locs, prealloc=0):
 
 
 def rename_frontier(frontier, perm):
-    """`frontier` with its transactions renamed: transaction u of each
-    spec state is transaction perm[u] of the original.  ACCEPT_ALL names
-    no transaction.  Advancing commutes with renaming (the spec treats
-    every transaction id alike), which frontier dedup's symmetry relies
-    on (``explorer.orbit_keyer``)."""
-    if frontier == ACCEPT_ALL:
-        return frontier
+    """`frontier` (a set of spec states, not ACCEPT_ALL) with its
+    transactions renamed: transaction u of each spec state is transaction
+    perm[u] of the original.  Advancing commutes with renaming (the spec
+    treats every transaction id alike), which frontier dedup's symmetry
+    relies on (``explorer.orbit_keyer``)."""
     return frozenset([(mems, tuple([txs[t] for t in perm]))
                       for mems, txs in frontier])
 
@@ -249,78 +246,62 @@ def advance_frontier(frontier, rec):
     if frontier == ACCEPT_ALL:
         return ACCEPT_ALL
     if rec[0] == "fault":
-        txid, op, loc = rec[1], rec[2], rec[3]
-        if any(fault_possible(st, txid, op, loc) for st in frontier):
+        if any(fault_possible(st, *rec[1:]) for st in frontier):
             return ACCEPT_ALL
         return frozenset()
-    nxt = set()
-    for st in frontier:
-        nxt.update(match_record(st, rec))
+    nxt = {match_record(st, rec) for st in frontier}
+    nxt.discard(None)
     return frozenset(closure(nxt))
 
 
 def accepts_history(records, txns, locs, witness=False, prealloc=0):
     """Membership of an inv/res/crash/fault record sequence: one iterative
     depth-first search for an accepting run over (position, spec state)
-    nodes, record matches before commit steps, failed nodes kept in a dead
-    set for the call; a record naming a transaction or location out of
-    range matches nothing.  A frame is opened only for a node with a record
-    match left or whose commit steps, taken on backtrack, are being tried.
+    nodes, failed nodes kept in a dead set for the call.  A record moves a
+    node one way (``match_record``), so the search branches only on commit
+    steps: it follows a node's record match first and opens a frame for
+    the node's commit steps only on backtrack.
     With witness=True also returns, on acceptance, the run's state after
     each consumed record (a trailing ACCEPT_ALL marks a matched fault),
     else None.
     """
     records = tuple(records)
     n = len(records)
-    # no spec step matches a record naming a transaction or a location out
-    # of range: the search stops at the first one
-    stop = n
-    for i, rec in enumerate(records):
-        if rec[0] != "crash" and not (0 <= rec[1] < txns and (
-                rec[3] is None or 0 <= rec[3] < locs)):
-            stop = i
-            break
     # path: the nodes from the root to `node`, `node` included; frames:
-    # (length of the path to it, its children left, whether they are its
-    # commit steps) of the nodes on the path that can still branch
+    # (length of the path to it, its commit steps left) of the nodes on the
+    # path whose commit steps are being tried
     dead, path, frames = set(), [], []
     node = (0, initial_state(txns, locs, prealloc))
     while True:
         pos, st = node
         path.append(node)
-        if pos == stop:
-            if stop == n:
-                break
-        elif records[pos][0] == "fault":
-            if fault_possible(st, *records[pos][1:]):
+        if pos == n:
+            break
+        rec = records[pos]
+        if rec[0] == "fault":
+            if fault_possible(st, *rec[1:]):
                 break
         else:
-            sts = match_record(st, records[pos])
-            if len(sts) == 1:
-                node = (pos + 1, sts[0])
+            nxt = match_record(st, rec)
+            if nxt is not None:
+                node = (pos + 1, nxt)
                 if not dead or node not in dead:
                     continue
-            elif sts:
-                frames.append((len(path),
-                               iter([(pos + 1, s) for s in sts]), False))
         while True:     # backtrack to the deepest node with a child left
-            tried = False
             if frames and frames[-1][0] == len(path):
                 node = next(frames[-1][1], None)
                 if node is not None:
                     if not dead or node not in dead:
                         break
                     continue
-                tried = frames.pop()[2]
-            pos, st = path[-1]
-            if tried or pos == stop:
+                frames.pop()
                 dead.add(path.pop())
                 if not path:
                     return (False, None) if witness else False
-            else:       # its record matches failed: take its commit steps
+            else:       # its record match failed: take its commit steps
+                pos, st = path[-1]
                 frames.append((len(path),
-                               iter([(pos, s) for s in eps_successors(st)]),
-                               True))
+                               iter([(pos, s) for s in eps_successors(st)])))
     if not witness:
         return True
     chain = [s for (p, s), (q, _) in zip(path[1:], path) if p != q]

@@ -24,13 +24,13 @@ def drive(records, txns=2, locs=2):
 
 def test_read_own_write_value():
     st = initial_state(1, 2)
-    st = match_record(st, ("inv", 0, "begin", None, None))[0]
-    st = match_record(st, ("res", 0, "begin", None, None))[0]
-    st = match_record(st, ("inv", 0, "alloc", None, None))[0]
-    st = match_record(st, ("res", 0, "alloc", 0, None))[0]
-    st = match_record(st, ("inv", 0, "write", 0, 4))[0]
-    st = match_record(st, ("res", 0, "write", 0, 4))[0]
-    st = match_record(st, ("inv", 0, "read", 0, None))[0]
+    st = match_record(st, ("inv", 0, "begin", None, None))
+    st = match_record(st, ("res", 0, "begin", None, None))
+    st = match_record(st, ("inv", 0, "alloc", None, None))
+    st = match_record(st, ("res", 0, "alloc", 0, None))
+    st = match_record(st, ("inv", 0, "write", 0, 4))
+    st = match_record(st, ("res", 0, "write", 0, 4))
+    st = match_record(st, ("inv", 0, "read", 0, None))
     assert match_record(st, ("res", 0, "read", 0, 4))
     assert not match_record(st, ("res", 0, "read", 0, 3))
 
@@ -42,7 +42,7 @@ def test_read_own_alloc_returns_zero():
                 ("inv", 0, "alloc", None, None),
                 ("res", 0, "alloc", 1, None),
                 ("inv", 0, "read", 1, None)):
-        st = match_record(st, rec)[0]
+        st = match_record(st, rec)
     assert match_record(st, ("res", 0, "read", 1, 0))
     assert not match_record(st, ("res", 0, "read", 1, 1))
 
@@ -54,7 +54,7 @@ def test_crash_resets_memories_and_aborts_live():
                 ("inv", 0, "alloc", None, None),
                 ("res", 0, "alloc", 0, None),
                 ("inv", 0, "commit", None, None)):
-        st = match_record(st, rec)[0]
+        st = match_record(st, rec)
     st = eps_successors(st)[0]      # the commit lands a new memory
     mems, txs = st
     assert len(mems) == 2
@@ -126,13 +126,15 @@ BEGIN_0 = (("inv", 0, "begin", None, None), ("res", 0, "begin", None, None))
 @pytest.mark.parametrize("txid", [2, 5, -1])
 def test_rejects_transaction_out_of_range(txid):
     # no spec step matches a record naming a transaction at or past `txns`:
-    # the search rejects it instead of indexing past the transactions
+    # the search and the fold reject it instead of indexing past the
+    # transactions (or, for -1, stepping the last one)
     for records in ((("inv", txid, "begin", None, None),),
                     BEGIN_0 + (("res", txid, "begin", None, None),),
                     BEGIN_0 + (("inv", 0, "read", 0, None),
                                ("fault", txid, "read", 0))):
         assert accepts_history(records, 2, 1) is False
         assert accepts_history(records, 2, 1, witness=True) == (False, None)
+        assert fold_accepts(records, 2, 1) is False
 
 
 @pytest.mark.parametrize("records", [
@@ -143,11 +145,13 @@ def test_rejects_transaction_out_of_range(txid):
     (("inv", 0, "read", 0, None), ("fault", 0, "read", -1)),
 ], ids=["fault-read", "read", "write", "fault-write", "negative"])
 def test_rejects_location_out_of_range(records):
-    # likewise a read, write or fault of a location at or past `locs`; the
-    # same access in range is matched, by a fault or by a response
+    # likewise a read, write or fault of a location at or past `locs`, in
+    # the search and in the fold; the same access in range is matched, by a
+    # fault or by a response
     assert accepts_history(BEGIN_0 + records, 2, 1) is False
     assert accepts_history(BEGIN_0 + records, 2, 1, witness=True) \
         == (False, None)
+    assert fold_accepts(BEGIN_0 + records, 2, 1) is False
     inv, last = records
     in_range = (inv[:3] + (0,) + inv[4:],) if inv[3] != 0 else (inv,)
     assert accepts_history(BEGIN_0 + in_range + (last[:3] + (0,)
@@ -253,7 +257,7 @@ def replays(records, chain, txns, locs):
         if nxt == ACCEPT_ALL:
             return nxt is chain[-1] and rec[0] == "fault" and any(
                 fault_possible(s, *rec[1:]) for s in pre)
-        if not any(nxt in match_record(s, rec) for s in pre):
+        if not any(nxt == match_record(s, rec) for s in pre):
             return False
         state = nxt
     return len(chain) == len(records)
@@ -470,11 +474,13 @@ def test_advance_frontier_is_equivariant(name):
             f = frontier[h[:i]]
             g = frontier[h[:i + 1]] = advance_frontier(f, rec)
             for pi in perms:
-                # rename_record moves t to pi[t]; rename_frontier gathers
+                # rename_record moves t to pi[t]; rename_frontier gathers.
+                # A matched fault names no transaction: both sides accept
                 back = inverse(pi)
                 assert advance_frontier(rename_frontier(f, back),
                                         rename_record(pi, rec)) \
-                    == rename_frontier(g, back), (h[:i + 1], pi)
+                    == (g if g == ACCEPT_ALL else rename_frontier(g, back)), \
+                    (h[:i + 1], pi)
     if name != "race":
         assert "crash" in kinds
     if name in (("pmdk-seq", 2), "fault"):
