@@ -34,8 +34,9 @@ from __future__ import annotations
 # unused: perfbench/tracer.py patches explorer.pickle and explorer.blake2b
 import pickle  # noqa: F401
 import time
+from array import array
 from hashlib import blake2b  # noqa: F401
-from itertools import filterfalse
+from itertools import compress, filterfalse
 from operator import itemgetter
 
 from . import engine, refspec
@@ -61,6 +62,8 @@ VIEW_BITS = 2 * ID_BITS + 2
 # to leave lower ids further along, so fewer machines need a permutation
 # to sort their views
 PROGRESS = {COMM: 0, ABRT: 0, DEAD: 0, RUN: 1, RDY: 1, NS: 2}
+# a history-trie node's mark bits: its history is complete, or cut
+COMPLETE, PRUNED = 1, 2
 
 
 class BudgetExceeded(Exception):
@@ -136,14 +139,17 @@ class ExploreResult:
         self.cut = set()           # hist ids pruned at the retry bound
         self.violations = []       # record tuples (first failing prefix)
         self.seconds = 0.0
-        self._entries = None       # intern table for reconstruction
+        # the history trie, by hist id (0: the empty history): its parent's
+        # id and its last record
+        self._parents = array("q", [0])
+        self._recs = [None]
 
     def history_records(self, hid):
+        parents, recs = self._parents, self._recs
         out = []
         while hid:
-            parent, rec = self._entries[hid]
-            out.append(rec)
-            hid = parent
+            out.append(recs[hid])
+            hid = parents[hid]
         out.reverse()
         return tuple(out)
 
@@ -421,7 +427,13 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     empty free list stalls its transaction and anything awaiting the lock
     behind it).  Successors depend on the machine alone, so each machine
     is expanded once per call, when the hook sees it with that node's id,
-    and each distinct set is closed once.
+    and each distinct set is closed once.  A node's subtree depends only
+    on its machine set and frontier, and a DFS numbers a node's
+    descendants in one id range, so a later node with the same pair copies
+    the first one's range, shifted, instead of walking it: ids, marks,
+    violations in order and counts are the walk's.  A copy is made only
+    if it fits the budget; under stop_on_violation no finished subtree
+    holds a violation.
 
     dedup="frontier" pops one state at a time.  It keeps, per machine up
     to a renaming of transaction ids (``orbit_keyer``) and crashes used,
@@ -449,22 +461,26 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         raise ValueError("frontier dedup requires checking")
     t0 = time.monotonic()
     res = ExploreResult()
-    entries = [(0, None)]                 # hist id -> (parent, record)
-    res._entries = entries
+    parents, recs = res._parents, res._recs
+    marks = bytearray(1)                  # hist id -> COMPLETE | PRUNED
+    bad = []                              # the violations' hist ids
     shared = {}                           # frontier -> its one copy
     f0 = refspec.initial_frontier(cfg.txns, cfg.locs, cfg.prealloc) \
         if check else None
 
-    def child(hkey, f):
-        """A new history, (parent id, record) `hkey` whose parent has
+    def child(hid, rec, f):
+        """A new history, `hid`'s extended by `rec`, where `hid` has
         frontier `f`: its id and frontier, or () when that frontier is
         empty, a violation."""
-        h2 = len(entries)
-        entries.append(hkey)
+        h2 = len(recs)
+        parents.append(hid)
+        recs.append(rec)
+        marks.append(0)
         if not check:
             return h2, None
-        f2 = refspec.advance_frontier(f, hkey[1])
+        f2 = refspec.advance_frontier(f, rec)
         if not f2:
+            bad.append(h2)
             res.violations.append(res.history_records(h2))
             return ()
         return h2, shared.setdefault(f2, f2)
@@ -541,25 +557,25 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                 states += 1
                 succs = expand(m, hid)
                 if not succs:
-                    res.complete.add(hid)
+                    marks[hid] |= COMPLETE
                 for m2, rec in succs:
                     transitions += 1
                     if m2 is CUT:
-                        res.cut.add(hid)
+                        marks[hid] |= PRUNED
                         continue
                     h2, f2 = hid, f
                     if rec is not None:
                         hkey = (hid, rec)
                         got = intern.get(hkey)
                         if got is None:
-                            got = intern[hkey] = child(hkey, f)
+                            got = intern[hkey] = child(hid, rec, f)
                         if not got:
                             if stop_on_violation:
                                 return res
                             continue
                         h2, f2 = got
                     if m2 is END:
-                        res.complete.add(h2)
+                        marks[h2] |= COMPLETE
                     elif new(key(m2), f2):
                         push((m2, h2, f2))
             return res
@@ -580,9 +596,9 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
             return i
 
         def close(ms, hid):
-            """Closure size and successor count, complete?, cut? and
-            children as (rec, ends the run?, machine set) of the node with
-            machine set `ms`, then its closure in expansion order."""
+            """Closure size and successor count, marks (COMPLETE or PRUNED)
+            and children as (rec, ends the run?, machine set) of the node
+            with machine set `ms`, then its closure in expansion order."""
             reach, inside = list(ms), set(ms)
             trans = 0
             stalled = cut = False
@@ -604,45 +620,76 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                     elif j not in inside:
                         inside.add(j)
                         reach.append(j)
-            return (len(reach), trans, stalled, cut,
+            return (len(reach), trans, stalled * COMPLETE | cut * PRUNED,
                     tuple((rec, END in js, frozenset(js - {END}))
                           for rec, js in kids.items()), reach)
 
-        nodes = {}                        # machine set -> close(...)[:5]
+        nodes = {}                        # machine set -> close(...)[:4]
+        # (machine set, frontier) -> the subtree below the first node with
+        # it: its descendants' ids [start, end), their states and
+        # transitions with the node's own, and the positions of their
+        # violations in `bad`, [v0, v1)
+        done = {}
         stack = [(0, f0, frozenset((number(m0),)))]
         push = stack.append
         while stack:
-            hid, f, ms = stack.pop()
+            top = stack.pop()
+            if len(top) == 2:             # a walked node's end marker
+                k, (start, s0, tr0, v0) = top
+                done[k] = (start, len(recs), states - s0, transitions - tr0,
+                           v0, len(bad))
+                continue
+            hid, f, ms = top
             node = nodes.get(ms)
             if node is None:
-                node = nodes[ms] = close(ms, hid)[:5]
-            n, trans, stalled, cut, kids = node
+                node = nodes[ms] = close(ms, hid)[:4]
+            n, trans, mark, kids = node
+            k = (ms, f)
+            sub = done.get(k)
+            if sub is not None and states + sub[2] <= cfg.max_states:
+                # the same subtree again: copy its ids, shifted, where the
+                # first node's children come first
+                start, end, n, trans, v0, v1 = sub
+                shift = len(recs) - start
+                parents.extend([hid] * len(kids))
+                parents.extend([p + shift
+                                for p in parents[start + len(kids):end]])
+                recs.extend(recs[start:end])
+                marks[hid] |= mark
+                marks.extend(marks[start:end])
+                for v in bad[v0:v1]:
+                    bad.append(v + shift)
+                    res.violations.append(res.history_records(v + shift))
+                states += n
+                transitions += trans
+                continue
+            push((k, (len(recs), states, transitions, len(bad))))
             if states + n > cfg.max_states:
                 # count the closure's states one by one up to the budget
-                for i in close(ms, hid)[5]:
+                for i in close(ms, hid)[4]:
                     if states >= cfg.max_states:
                         raise over_budget()
                     states += 1
                     transitions += len(succ_of[i])
             states += n
             transitions += trans
-            if stalled:
-                res.complete.add(hid)
-            if cut:
-                res.cut.add(hid)
+            marks[hid] |= mark
             for rec, end, ms2 in kids:
-                got = child((hid, rec), f)
+                got = child(hid, rec, f)
                 if not got:
                     if stop_on_violation:
                         return res
                     continue
                 h2, f2 = got
                 if end:
-                    res.complete.add(h2)
+                    marks[h2] |= COMPLETE
                 if ms2:
                     push((h2, f2, ms2))
     finally:
         res.states, res.transitions = states, transitions
+        ids = range(len(marks))
+        res.complete = set(compress(ids, map(COMPLETE.__and__, marks)))
+        res.cut = set(compress(ids, map(PRUNED.__and__, marks)))
         res.seconds = time.monotonic() - t0
     return res
 

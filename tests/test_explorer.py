@@ -732,9 +732,67 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
     # states are the pair walk's count of distinct (machine, history)
     # pairs, which a node popped twice would exceed.  Earlier counts, and
     # why they moved, are in CHANGES.md
-    assert len(set(r._entries)) == len(r._entries)
+    pairs = list(zip(r._parents, r._recs))
+    assert len(set(pairs)) == len(pairs)
     assert (len(live), r.states, r.transitions) == (1_171, 23_240, 37_393)
     assert history_digest(r.histories()) == TML_1_CRASH
+
+
+def trie_digest(runs):
+    """sha256 of each run's whole history trie, ids included, with its
+    marks, violations and counts."""
+    h = hashlib.sha256()
+    for r in runs:
+        h.update(repr((list(r._parents), r._recs, sorted(r.complete),
+                       sorted(r.cut), r.violations, r.states,
+                       r.transitions)).encode())
+    return h.hexdigest()
+
+
+def over_budget(cfg, **kw):
+    with pytest.raises(BudgetExceeded) as exc:
+        explore(cfg, **kw)
+    return exc.value.result
+
+
+# taken before history dedup copied repeated subtrees
+HISTORY_TRIES = \
+    "9ad668ee24355fdee000e9a59d6a288fb1f8b0a5fb241fedddd79db3c61843dc"
+
+
+def test_history_trie_pinned():
+    # history dedup's trie, node for node, where subtrees repeat: the
+    # ddo-oracles pool's tml cell, a cell with hundreds of violations, a
+    # mutation cell with and without stop_on_violation, and a partial
+    # result
+    mut = mutation_check_config("skip-flush-commit5")
+    tml = dict(txns=2, locs=1, vals=2, buf=2, ops=2, por=True)
+    runs = [explore(Config("pmdk-tml", "psc", **tml), check=False),
+            explore(skip_validate_config()),
+            explore(mut), explore(mut, stop_on_violation=True),
+            over_budget(Config("pmdk-tml", "psc", max_crashes=1,
+                               max_states=50_000, **tml))]
+    assert [(len(r._recs), len(r.violations)) for r in runs] == [
+        (71_689, 0), (6_960, 455), (4_437, 17), (1_709, 1), (19_437, 0)]
+    assert trie_digest(runs) == HISTORY_TRIES
+
+
+def test_history_dedup_copies_repeated_subtrees(monkeypatch):
+    # a node's subtree depends only on its machine set and frontier, so
+    # history dedup walks it for the first node with them and copies it for
+    # the others: the frontier advances once per walked node, not once per
+    # trie node (196,104 advances when every node was walked)
+    calls = []
+
+    def counted(f, rec):
+        calls.append(rec)
+        return advance_frontier(f, rec)
+
+    monkeypatch.setattr(refspec, "advance_frontier", counted)
+    r = explore(Config("pmdk-tml", "psc", txns=2, locs=1, vals=2, buf=2,
+                       max_crashes=1, ops=2, por=True))
+    assert (len(calls), len(r._recs), r.states) == (8_286, 196_105, 367_687)
+    assert not r.violations
 
 
 def record_keys(monkeypatch):
