@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from . import explorer, pmem, refspec, stm, traces
+from . import explorer, pmem, stm, traces
 from .fixtures import fig4_suite
 from .histories import events_of_records, wf_violations
 from .opacity import check_history_ddo, check_opacity_execution
@@ -91,9 +91,10 @@ def build_parser():
     _add_bounds(lower)
 
     opac = what.add_parser("opacity", help="history-level opacity checks")
-    opac.add_argument("--history", metavar="PATH", default=None)
-    opac.add_argument("--fixtures", metavar="NAME", default=None,
-                      help="run a built-in fixture suite (fig4)")
+    source = opac.add_mutually_exclusive_group(required=True)
+    source.add_argument("--history", metavar="PATH")
+    source.add_argument("--fixtures", choices=("fig4",),
+                        help="run a built-in fixture suite")
 
     wf = what.add_parser("wf", help="history well-formedness")
     wf.add_argument("--history", metavar="PATH", required=True)
@@ -178,9 +179,6 @@ def cmd_lower(args):
 
 def cmd_opacity(args):
     if args.fixtures:
-        if args.fixtures != "fig4":
-            print("unknown fixture suite %r" % args.fixtures)
-            return 2
         t0 = time.monotonic()
         ok = True
         for fx in fig4_suite():
@@ -193,9 +191,6 @@ def cmd_opacity(args):
                                         "" if expected else "  [UNEXPECTED]"))
         print("wall time: %.3fs" % (time.monotonic() - t0))
         return 0 if ok else 1
-    if not args.history:
-        print("check opacity needs --history PATH or --fixtures fig4")
-        return 2
     events = events_of_records(traces.parse_trace(args.history))
     try:
         verdict, failing, _w = check_history_ddo(events)

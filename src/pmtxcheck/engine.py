@@ -298,8 +298,6 @@ def _decision_steps(cfg, m, ti, out):
         out.append((set_slot(m, ti, slot2),
                     ("inv", ti, "begin", None, None)))
         return
-    if slot[S_ST] != RDY:
-        return
     if cfg.scripts:
         ops, _era_min = cfg.scripts[ti]
         k = slot[S_USED]

@@ -157,10 +157,6 @@ class ExploreResult:
         return sorted(self.history_records(h)
                       for h in self.complete | self.cut)
 
-    @property
-    def ok(self):
-        return not self.violations
-
 
 def _new_id(table, value):
     """Number `value` in `table`; ids wider than a key field would let two
@@ -210,14 +206,14 @@ def state_keyer():
 
 
 def orbit_keyer(cfg, shared):
-    """Key functions for one exploration under frontier dedup:
-    ``key(m)`` is ``(k, order)``, where the int `k` identifies machine `m`
-    up to a renaming of transaction ids and `order` is how its threads'
-    views sort (None: as they are), and
-    ``relabel(f, order, ref)`` renames spec frontier `f` of a machine whose
-    views sort in `order` into the transactions of the machine with the
-    same key whose views sort in `ref`.  `shared` interns the renamed
-    frontiers (``explore``'s frontier table).
+    """A key function for one exploration under frontier dedup:
+    ``key(m, f)`` is ``(k, g)``, where the int `k` identifies machine `m`
+    up to a renaming of transaction ids and `g` is spec frontier `f` of
+    `m` renamed into the order in which `m`'s threads' views sort: spec
+    transaction j of `g` is that of the thread at sorted position j
+    (``refspec.rename_frontier``).  `g` is `f` itself when the views
+    already sort as they are; the renamed ones are memoized per order and
+    interned in `shared` (``explore``'s frontier table).
 
     Memory is split by owner: the shared cells (``Layout.shared_cells``)
     and, per thread t, t's own cells (``Layout.log_cells(t)``, in role
@@ -230,13 +226,13 @@ def orbit_keyer(cfg, shared):
     the shared part's id, the rest's (glb, free, rec) id, the views in
     ascending order and, in the lowest ``ID_BITS``, the crashes used; the
     sort is stable, so equal views keep ascending ids.  While recovery
-    runs (rec is not None) the order is the identity, since recovery
-    visits ids in ascending order, and so it is whenever ``cfg.scripts``
+    runs (rec is not None) the views keep their order, since recovery
+    visits ids in ascending order, and so they do whenever ``cfg.scripts``
     is set, since a script gives each id its own program: the same key
-    with its order fixed.  Equal keys mean
-    machines equal up to the renamings that sort both; the spec state
-    entries of their frontiers correspond alike, so a frontier compares
-    with another machine's once renamed, position by sorted position.
+    with the order fixed, and `f` as it is.  Equal keys mean machines
+    equal up to the renamings that sort both, and so the same machine
+    once renamed: `g` is the frontier of that one sorted machine (Ip &
+    Dill, FMSD 1996: one canonical representative per orbit).
 
     Soundness, for violation finding:
 
@@ -258,14 +254,15 @@ def orbit_keyer(cfg, shared):
       with equal views leaves the machine as it is, so either orientation
       of the frontier is one of the machine's; the stable sort picks one,
       which is sound and at worst misses a merge.
-    * The antichain argument of ``explore`` carries over per orbit: a
-      state skipped because an already pushed state has its key and a
-      frontier that, renamed, is a subset of its own is a renaming of that
-      state with a frontier that contains the renamed pushed one, so each
-      of its violations is, up to renaming, reachable no later from the
-      pushed state.  So does ``explore``'s crashes-used order: the
-      machines of one key with each count differ in the crash field alone,
-      and their views sort alike.
+    * The antichain argument of ``explore`` carries over per orbit: one
+      renaming is applied to both sides of a subset test, and a bijection
+      keeps subsets, so a state skipped because an already pushed state
+      has its key and a renamed frontier that is a subset of its own is a
+      renaming of that state with a frontier that contains the renamed
+      pushed one; each of its violations is, up to renaming, reachable no
+      later from the pushed state.  So does ``explore``'s crashes-used
+      order: the machines of one key with each count differ in the crash
+      field alone, so their views sort alike.
 
     The pushed machine is always the real one, so violations and
     counterexamples are real histories; symmetry only prunes."""
@@ -279,8 +276,7 @@ def orbit_keyer(cfg, shared):
     identity = tuple(range(n))
     fixed = bool(cfg.scripts)
     mems, shareds, parts, slots, rests = {}, {}, {}, {}, {}
-    # (order, ref) -> (p, its memo); renamed: p -> f -> f renamed by p
-    perms, renamed = {}, {}
+    renamed = {}                          # (order, f) -> f renamed by it
 
     def split(mem):
         """Each thread's part id of `mem`, then its shared part's id."""
@@ -305,7 +301,7 @@ def orbit_keyer(cfg, shared):
     last_mem = last_ids = None
     last_slots, last_his = [None] * n, [0] * n
 
-    def key(m):
+    def key(m, f):
         nonlocal last_mem, last_ids
         mem, glb, free, txns, rec, crashes = m
         if mem is last_mem:
@@ -338,27 +334,15 @@ def orbit_keyer(cfg, shared):
             k = k << VIEW_BITS | v
         k = k << ID_BITS | crashes
         if ordered == views:
-            return k, None
-        return k, tuple(sorted(identity, key=views.__getitem__))
-
-    def relabel(f, order, ref):
-        """Frontier `f` of a machine whose views sort in `order`, with its
-        transactions renamed to those of the machine of the same key whose
-        views sort in `ref` (None: the identity)."""
-        pm = perms.get((order, ref))
-        if pm is None:
-            o = order or identity
-            at = {t: j for j, t in enumerate(ref or identity)}
-            p = tuple([o[at[t]] for t in identity])
-            pm = perms[order, ref] = (p, renamed.setdefault(p, {}))
-        p, memo = pm
-        g = memo.get(f)
+            return k, f
+        order = tuple(sorted(identity, key=views.__getitem__))
+        g = renamed.get((order, f))
         if g is None:
-            g = refspec.rename_frontier(f, p)
-            g = memo[f] = shared.setdefault(g, g)
-        return g
+            g = refspec.rename_frontier(f, order)
+            g = renamed[order, f] = shared.setdefault(g, g)
+        return k, g
 
-    return key, relabel
+    return key
 
 
 def _covered(kept, f):
@@ -435,16 +419,19 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     if it fits the budget; under stop_on_violation no finished subtree
     holds a violation.
 
-    dedup="frontier" pops one state at a time.  It keeps, per machine up
-    to a renaming of transaction ids (``orbit_keyer``) and crashes used,
-    the subset-minimal spec frontiers pushed so far (an antichain; De
-    Wulf, Doyen, Henzinger & Raskin, CAV 2006) and skips a state (m, c, F)
-    when some (m, c0, G) with c0 <= c and G a subset of F, renamed alike,
-    was pushed.  Both are monotone, as in well-structured transition
-    systems (Finkel & Schnoebelen, TCS 2001): the frontier in its set of
-    spec states, and the crashes used since a crash is optional (the two
-    --por regimes give a machine the same crash-free histories); a
-    script's ``era_min`` is not monotone, so when one is above 0 only
+    dedup="frontier" pops one state at a time.  ``orbit_keyer`` keys each
+    machine up to a renaming of transaction ids, with its crashes used,
+    and renames its frontier as the key's sorted machine, so every
+    frontier of one key is in one thread order.  Per key it keeps the
+    subset-minimal frontiers pushed so far (an antichain; De Wulf, Doyen,
+    Henzinger & Raskin, CAV 2006) and skips a state (m, c, F) when some
+    (m, c0, G) with c0 <= c and G a subset of F was pushed, both renamed
+    alike: a bijection keeps subsets, so which order the frontiers share
+    does not change a skip.  Both are monotone, as in well-structured
+    transition systems (Finkel & Schnoebelen, TCS 2001): the frontier in
+    its set of spec states, and the crashes used since a crash is optional
+    (the two --por regimes give a machine the same crash-free histories);
+    a script's ``era_min`` is not monotone, so when one is above 0 only
     equal counts compare.  So every violation reachable from (m, c, F) is
     reachable, with no more records, from an already pushed (m, c0, G):
     with ``orbit_keyer``'s argument this is complete for violation
@@ -513,41 +500,27 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     states = transitions = 0
     try:
         if dedup == "frontier":
-            key, relabel = orbit_keyer(cfg, shared)
-            # orbit key -> the minimal frontiers pushed with it, in the
-            # thread order of the first machine pushed with it, kept in
-            # refs[k] when that is not the identity
+            key = orbit_keyer(cfg, shared)
+            # orbit key -> the minimal frontiers pushed with it, each
+            # renamed as its key's sorted machine
             minimal = {}
-            refs, orders = {}, {}         # orders: each order's one copy
             # fewer crashes used cover more only where no script waits for
             # an era
             monotone = cfg.max_crashes and not (
                 cfg.scripts and any(era for _ops, era in cfg.scripts))
 
-            def new(mk, f):
-                """Was the state (machine keyed mk, frontier f) new?"""
-                k, order = mk
+            def new(m, f):
+                """Was the state (machine m, frontier f) new?"""
+                k, f = key(m, f)
                 c = monotone and k & CRASHES
-                if c:
-                    # the same machine pushed with fewer crashes used
-                    for k0 in range(k - c, k):
-                        kept = minimal.get(k0)
-                        if kept is not None:
-                            ref = refs.get(k0)
-                            if _covered(kept, f if order == ref
-                                        else relabel(f, order, ref)):
-                                return False
-                ref = refs.get(k)
-                if order != ref:
-                    if ref is None and k not in minimal:
-                        refs[k] = orders.setdefault(order, order)
-                    else:
-                        f = relabel(f, order, ref)
+                # the same machine pushed with fewer crashes used
+                for k0 in range(k - c, k):
+                    if _covered(minimal.get(k0), f):
+                        return False
                 return _antichain_add(minimal, k, f)
 
             intern = {}           # (parent, record) -> child(...)
-            # m0's slots are all equal: the identity
-            new(key(m0), f0)
+            new(m0, f0)
             stack = [(m0, 0, f0)]         # (machine, history id, frontier)
             push = stack.append
             while stack:
@@ -576,7 +549,7 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
                         h2, f2 = got
                     if m2 is END:
                         marks[h2] |= COMPLETE
-                    elif new(key(m2), f2):
+                    elif new(m2, f2):
                         push((m2, h2, f2))
             return res
 

@@ -56,6 +56,9 @@ def test_unknown_names_rejected():
     with pytest.raises(ValueError):
         explore(Config("pmdk-seq", "psc", txns=1, locs=1, vals=1),
                 dedup="magic")
+    with pytest.raises(ValueError):
+        explore(Config("pmdk-seq", "psc", txns=1, locs=1, vals=1),
+                check=False, dedup="frontier")
 
 
 def test_budget_exceeded(capsys):
@@ -150,12 +153,12 @@ def explored_states(cfg):
 ], ids=["pmdk-tml-psc-2", "pmdk-norec-ptso-2", "pmdk-seq-psc-3"])
 def test_orbit_key_identifies_renamed_machines(impl, model, bounds):
     # a renamed machine with its renamed frontier is the same state up to
-    # renaming: it gets the same key and, oriented by its views, the same
-    # frontier, which relabel also renames back onto the original's.  With
-    # two equal views (a renaming that leaves the machine as it is) either
-    # orientation may be kept, so only the key is compared
+    # renaming: it gets the same key and, renamed as the key's sorted
+    # machine, the same frontier.  With two equal views (a renaming that
+    # leaves the machine as it is) either orientation may be kept, so only
+    # the key is compared
     cfg = Config(impl, model, locs=1, ops=1, por=True, **bounds)
-    key, relabel = orbit_keyer(cfg, {})
+    key = orbit_keyer(cfg, {})
     perms = list(permutations(range(cfg.txns)))
     swaps = [pi for pi in perms
              if sum(t != u for t, u in enumerate(pi)) == 2]
@@ -163,36 +166,35 @@ def test_orbit_key_identifies_renamed_machines(impl, model, bounds):
     for m, f in explored_states(cfg):
         if m[M_REC] is not None:
             continue
-        k, order = key(m)
+        k, g = key(m, f)
         ties = any(rename_machine(cfg, m, pi) == m for pi in swaps)
         distinct += not ties
         tied += ties
         for pi in perms:
-            k2, order2 = key(rename_machine(cfg, m, pi))
+            f2 = rename_frontier(f, sorted(range(cfg.txns),
+                                           key=pi.__getitem__))
+            k2, g2 = key(rename_machine(cfg, m, pi), f2)
             assert k2 == k, (m, pi)
             if not ties:
-                f2 = rename_frontier(f, sorted(range(cfg.txns),
-                                               key=pi.__getitem__))
-                assert relabel(f2, order2, None) == relabel(f, order, None)
-                assert relabel(f2, order2, order) == f, (m, pi)
+                assert g2 == g, (m, pi)
     assert distinct and tied
 
 
 def test_orbit_key_keeps_ids_during_recovery():
     # recovery visits ids in ascending order: a mid-recovery machine and
-    # its renaming are different states
+    # its renaming are different states, and the frontier is not renamed
     cfg = Config("pmdk-tml", "psc", txns=2, locs=1, max_crashes=2, ops=1,
                  por=True)
-    key, _relabel = orbit_keyer(cfg, {})
+    key = orbit_keyer(cfg, {})
     apart = 0
-    for m, _f in explored_states(cfg):
+    for m, f in explored_states(cfg):
         if m[M_REC] is None:
             continue
-        k, order = key(m)
-        assert order is None, m
+        k, g = key(m, f)
+        assert g is f, m
         m2 = rename_machine(cfg, m, (1, 0))
         if m2 != m:
-            assert key(m2)[0] != k, m
+            assert key(m2, f)[0] != k, m
             apart += 1
     assert apart
 
@@ -203,14 +205,14 @@ def test_scripted_orbit_key_never_reorders():
     cfg = Config("pmdk-tml", "psc", txns=2, locs=1, prealloc=1, ops=1,
                  scripts=(((("write", 0, 1),), 0), ((("read", 0),), 0)),
                  por=True)
-    key, _relabel = orbit_keyer(cfg, {})
+    key = orbit_keyer(cfg, {})
     renamed = 0
-    for m, _f in explored_states(cfg):
-        k, order = key(m)
-        assert order is None, m
+    for m, f in explored_states(cfg):
+        k, g = key(m, f)
+        assert g is f, m
         m2 = rename_machine(cfg, m, (1, 0))
         if m2 != m:
-            assert key(m2)[0] != k, m
+            assert key(m2, f)[0] != k, m
             renamed += 1
     assert renamed
 
@@ -805,8 +807,8 @@ def record_keys(monkeypatch):
         return lambda m: keyed.append(m) or key(m)
 
     def orbit(*args):
-        key, relabel = orbit_keyer(*args)
-        return (lambda m: keyed.append(m) or key(m)), relabel
+        key = orbit_keyer(*args)
+        return lambda m, f: keyed.append(m) or key(m, f)
 
     monkeypatch.setattr(explorer, "state_keyer", state)
     monkeypatch.setattr(explorer, "orbit_keyer", orbit)

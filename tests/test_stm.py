@@ -5,6 +5,8 @@ allocation metadata of the first `prealloc` locations is already durable),
 which keeps exhaustive history collection small.
 """
 
+import pytest
+
 from pmtxcheck.engine import (M_CRASH, M_GLB, M_REC, M_TXNS, RUN, S_IP, S_LOC,
                               S_ST, S_WR)
 from pmtxcheck.explorer import Config, explore
@@ -87,6 +89,25 @@ def test_norec_validation_aborts_stale_snapshot():
     assert not r.violations
     assert any(outcome(h, 0) == "abort" for h in hs)
     assert any(outcome(h, 0) == "commit" for h in hs)
+
+
+@pytest.mark.parametrize("v,end", [(0, "commit"), (1, "abort")])
+def test_norec_revalidates_read_set_by_value(v, end):
+    # T0 reads location 0, T1 commits a write of v to it, then T0 reads
+    # location 1: the moved glb makes T0 revalidate its read set, which
+    # passes when the value is still 0 and aborts T0 when it is not
+    cfg = Config("pmdk-norec", "psc", txns=2, locs=2, vals=2, buf=2, ops=2,
+                 por=True, prealloc=2,
+                 scripts=(((("read", 0), ("read", 1)), 0),
+                          ((("write", 0, v),), 0)))
+    hs, r = histories(cfg)
+    assert not r.violations
+    commit = ("res", 1, "commit", None, None)
+    chosen = [h for h in hs if commit in h
+              and ("res", 0, "read", 0, 0) in h[:h.index(commit)]
+              and ("inv", 0, "read", 1, None) in h[h.index(commit):]]
+    assert len(chosen) == 56
+    assert {h[-1] for h in chosen} == {("res", 0, end, None, None)}
 
 
 def test_write_lock_mutual_exclusion():
