@@ -437,7 +437,14 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     with ``orbit_keyer``'s argument this is complete for violation
     finding, and the histories it keeps are representatives of minimal
     (c, F) pairs up to txid renaming, plus every history that a fault or
-    a run-ending crash ends.
+    a run-ending crash ends.  Frontiers hold spec states in canonical form
+    (``refspec.canonical``), which drops what no spec step reads: a state
+    and its form accept the same continuations, and the map commutes with
+    renaming and keeps subsets, so both arguments above hold and every
+    verdict stays, while histories with equal futures get equal frontiers
+    and merge (violation lists can only shrink).  Under history dedup the
+    form changes no history set, violation list or count; it only lets
+    more nodes share a (machine set, frontier) pair and be copied.
 
     When more than `cfg.max_states` states would be expanded, raises
     BudgetExceeded carrying the counts so far.

@@ -20,9 +20,19 @@ in the step: a record naming a transaction or location out of range
 matches nothing.
 
 ``advance_frontier`` steps the set of spec states a history may reach, the
-explorer's online form; ``accepts_history`` decides one recorded history by
-a depth-first search for one accepting run, which branches only on commit
-steps and takes a node's commit steps only on backtrack.
+explorer's online form, and keeps each state in canonical form
+(``canonical``): a transaction that is not live keeps only its pc, and the
+memories below the least live begin index are dropped (dead-variable
+reduction; Bozga, Fernandez & Ghirvu, SAS 1999).  The dropped data has no
+reader: ``valid_idx`` and ``_holds`` read from a live begin index on, a
+commit reads the last memory, a begin the last index and a crash keeps the
+last memory, and no step reads the fields of a transaction past its last
+live pc.  So a state and its canonical form accept the same continuations,
+and histories with equal futures get equal frontiers.
+``accepts_history`` decides one recorded history by a depth-first search
+for one accepting run, which branches only on commit steps and takes a
+node's commit steps only on backtrack; it and the steps above stay raw, so
+its witness chains are runs of the spec as written.
 ``sequential_histories`` enumerates the serial, crash-free, abort-free
 traces, the lower bound on implementations, by advancing the frontier over
 serial record sequences: the bound has no rules of its own that could drift
@@ -40,6 +50,8 @@ BPEND = ("bp",)
 PI = ("pi",)          # commit applied, response pending
 ABORTED = ("ab",)
 COMMITTED = ("co",)
+# the pcs of a transaction that is not live: nothing reads its other fields
+ENDED = (NS, PI, COMMITTED, ABORTED)
 
 
 def initial_state(txns, locs, prealloc=0):
@@ -115,13 +127,36 @@ def eps_successors(st):
     return out
 
 
+def canonical(st):
+    """`st` with its dead parts in fixed form: a transaction that is not
+    live (``ENDED``) keeps only its pc, its other fields those of the fresh
+    transaction (as ``engine.spent_slot`` does for the machine's slots),
+    and the memories below ``b = min(live begin indices, last index)`` are
+    dropped, each live begin index shifting down by b.  A state and its
+    canonical form step alike up to ``canonical``, and the map commutes
+    with ``rename_frontier`` and keeps subsets of frontiers."""
+    mems, txs = st
+    b = len(mems) - 1
+    for tx in txs:
+        if tx[1] < b and tx[0] not in ENDED:
+            b = tx[1]
+    blank = (BOT,) * len(mems[0])
+    return mems[b:], tuple(
+        (tx[0], 0, blank, blank, 0) if tx[0] in ENDED
+        else (tx[0], tx[1] - b) + tx[2:] if b else tx for tx in txs)
+
+
 def closure(states):
-    """All states reachable through internal commit steps."""
+    """All states reachable through internal commit steps, each commit
+    step's state in canonical form: the states reached by them from
+    canonical `states` are the canonical forms of those reached from the
+    raw ones."""
     seen = set(states)
     work = list(states)
     while work:
         st = work.pop()
         for st2 in eps_successors(st):
+            st2 = canonical(st2)
             if st2 not in seen:
                 seen.add(st2)
                 work.append(st2)
@@ -242,7 +277,16 @@ def rename_frontier(frontier, perm):
 
 def advance_frontier(frontier, rec):
     """Step the set of spec states by one external record; empty result
-    means the history is not a trace of the specification."""
+    means the history is not a trace of the specification.
+
+    The states are kept in canonical form (``canonical``), applied where a
+    transaction stops being live: at the commit steps of ``closure`` and
+    after an abort or a crash record.  Every other record steps a
+    canonical state to a canonical one, so each frontier is the canonical
+    image of the raw one: the same histories are accepted, and since the
+    map commutes with renaming transactions and keeps subsets, frontier
+    dedup's orbit key and antichain stay sound while merging states with
+    equal futures."""
     if frontier == ACCEPT_ALL:
         return ACCEPT_ALL
     if rec[0] == "fault":
@@ -251,6 +295,8 @@ def advance_frontier(frontier, rec):
         return frozenset()
     nxt = {match_record(st, rec) for st in frontier}
     nxt.discard(None)
+    if rec[0] == "crash" or rec[2] == "abort":
+        nxt = {canonical(st) for st in nxt}
     return frozenset(closure(nxt))
 
 

@@ -1,5 +1,6 @@
 """Operational reference spec: transitions, membership, sequential bound,
-and equivariance under a renaming of transaction ids."""
+equivariance under a renaming of transaction ids, and the exactness of the
+frontier's canonical form."""
 
 import hashlib
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from pmtxcheck.explorer import ORACLE_RACE, Config, explore
 from pmtxcheck.refspec import (ACCEPT_ALL, BOT, RDY, accepts_history,
-                               advance_frontier, closure, crash_step,
+                               advance_frontier, canonical, crash_step,
                                eps_successors, fault_possible,
                                initial_frontier, initial_state, match_record,
                                rename_frontier, sequential_histories,
@@ -247,13 +248,25 @@ def fold_accepts(records, txns, locs):
     return bool(f)
 
 
+def raw_closure(states):
+    """All states reachable through commit steps as the search takes them,
+    not in canonical form (``refspec.closure`` puts them in it)."""
+    seen, work = set(states), list(states)
+    while work:
+        for st2 in eps_successors(work.pop()):
+            if st2 not in seen:
+                seen.add(st2)
+                work.append(st2)
+    return seen
+
+
 def replays(records, chain, txns, locs):
     """Each chain state is reached from the one before it (the initial
-    state first) by commit steps, then by matching its record; a trailing
-    ACCEPT_ALL by commit steps, then a possible fault."""
+    state first) by raw commit steps, then by matching its record; a
+    trailing ACCEPT_ALL by commit steps, then a possible fault."""
     state = initial_state(txns, locs)
     for rec, nxt in zip(records, chain):
-        pre = closure({state})
+        pre = raw_closure({state})
         if nxt == ACCEPT_ALL:
             return nxt is chain[-1] and rec[0] == "fault" and any(
                 fault_possible(s, *rec[1:]) for s in pre)
@@ -485,3 +498,68 @@ def test_advance_frontier_is_equivariant(name):
         assert "crash" in kinds
     if name in (("pmdk-seq", 2), "fault"):
         assert "fault" in kinds
+
+
+# ---------------------------------------------------------------------------
+# canonical form: the frontier drops what no step reads (refspec.canonical)
+# ---------------------------------------------------------------------------
+
+def raw_states(cfg, histories):
+    """Every spec state of the raw frontiers along `histories`: advanced
+    by ``match_record`` and ``raw_closure``, never put in canonical form."""
+    init = initial_state(cfg.txns, cfg.locs, cfg.prealloc)
+    frontier = {(): frozenset(raw_closure({init}))}
+    out = set(frontier[()])
+    for h in histories:
+        for i, rec in enumerate(h):
+            if rec[0] == "fault":       # a fault ends the run
+                break
+            if h[:i + 1] not in frontier:
+                nxt = {match_record(st, rec) for st in frontier[h[:i]]}
+                nxt.discard(None)
+                g = frontier[h[:i + 1]] = frozenset(raw_closure(nxt))
+                out |= g
+    return out
+
+
+@pytest.mark.parametrize("name", [("pmdk-seq", 2), ("pmdk-tml", 1)]
+                         + sorted(THREE_TXN_CELLS),
+                         ids=lambda name: "-".join(map(str, name))
+                         if isinstance(name, tuple) else name)
+def test_canonical_form_is_exact(name):
+    # a raw state and its canonical form step alike up to canonical form,
+    # by every record and by commit steps, so the canonical frontier fold
+    # is the canonical image of the raw one; advance_frontier puts states
+    # in canonical form only after commit steps, aborts and crashes, so
+    # every other record must keep a canonical state canonical.  The form
+    # is a fixed point and commutes with renaming transactions
+    cfg, histories = cell_histories(name)
+    states = raw_states(cfg, histories)
+    records = alphabet(cfg.txns, cfg.locs, cfg.vals)
+    perms = list(permutations(range(cfg.txns)))
+    moved = Counter()
+    for s in states:
+        c = canonical(s)
+        moved["state"] += c != s
+        moved["memory"] += len(c[0]) < len(s[0])
+        assert canonical(c) == c
+        assert {canonical(x) for x in eps_successors(s)} \
+            == {canonical(x) for x in eps_successors(c)}, s
+        for pi in perms:
+            assert rename_frontier({c}, pi) \
+                == {canonical(x) for x in rename_frontier({s}, pi)}
+        for rec in records:
+            if rec[0] == "fault":
+                assert fault_possible(s, *rec[1:]) \
+                    == fault_possible(c, *rec[1:]), (s, rec)
+                continue
+            t, u = match_record(s, rec), match_record(c, rec)
+            assert (t is None) == (u is None), (s, rec)
+            if t is None:
+                continue
+            assert canonical(t) == canonical(u), (s, rec)
+            if rec[0] != "crash" and rec[2] != "abort":
+                assert canonical(u) == u, (s, rec)
+    # the form drops something on every cell: finished transactions'
+    # fields, and memories below every live begin index
+    assert moved["state"] and moved["memory"], moved
