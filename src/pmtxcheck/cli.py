@@ -140,7 +140,7 @@ def cmd_upper(args):
         return 2
     print("states explored:   %d" % res.states)
     print("transitions:       %d" % res.transitions)
-    print("histories checked: %d" % (len(res.complete) + len(res.cut)))
+    print("histories checked: %d" % res.history_count())
     print("violations:        %d" % len(res.violations))
     print("wall time:         %.2fs" % res.seconds)
     if args.emit_traces:

@@ -7,16 +7,16 @@ while a crash that reads memory is left, and ``REDUCED``, with no persist
 steps or persistence buffers, once none is: no crash is left, or every
 crash left ends the run.  Machines
 are keyed by interning memory, slots and the remaining fields by value
-once per exploration and packing their ids into one int.  Histories are
-interned in a trie so shared prefixes are checked once: an incrementally
-maintained frontier of reference-spec states accompanies every history
-prefix, and an empty frontier at an emit is a refinement violation (the
-violating record prefix is the counterexample).  A state is a machine
-and the id of the history it emitted; no step reads the history, so the
-DFS stack carries its id beside the machine.  History dedup keeps every
-state and walks each history once, with the set of machines
-(``state_keyer``) that reach it, expanding each machine once per call;
-frontier dedup skips a state when the same machine up to a renaming of
+once per exploration and packing their ids into one int.  An
+incrementally maintained frontier of reference-spec states accompanies
+every history prefix, and an empty frontier at an emit is a refinement
+violation (the violating record prefix is the counterexample).  No step
+reads the history, so the DFS stack carries a node id beside the
+machines.  History dedup walks each (machine set, frontier) pair once,
+with the set of machines (``state_keyer``) that reach it, expanding each
+machine once per call, and keeps the pairs as a DAG whose paths are the
+histories (``ExploreResult``); frontier dedup interns its histories in a
+trie and skips a state when the same machine up to a renaming of
 transaction ids was pushed with no more crashes used and a subset of its
 frontier, renamed alike (``orbit_keyer``, ``explore``).
 
@@ -36,6 +36,7 @@ import pickle  # noqa: F401
 import time
 from array import array
 from hashlib import blake2b  # noqa: F401
+from hashlib import sha256
 from itertools import compress, filterfalse
 from operator import itemgetter
 
@@ -62,8 +63,12 @@ VIEW_BITS = 2 * ID_BITS + 2
 # to leave lower ids further along, so fewer machines need a permutation
 # to sort their views
 PROGRESS = {COMM: 0, ABRT: 0, DEAD: 0, RUN: 1, RDY: 1, NS: 2}
-# a history-trie node's mark bits: its history is complete, or cut
+# a history node's mark bits: its history is complete, or cut
 COMPLETE, PRUNED = 1, 2
+# node ids of history dedup's DAG: the root, the child of every violating
+# edge (its frontier is empty) and of every edge after which no machine is
+# left (each successor emitting its record is a leaf)
+ROOT, BAD, LEAF = 0, 1, 2
 
 
 class BudgetExceeded(Exception):
@@ -132,17 +137,94 @@ class Config:
 
 
 class ExploreResult:
+    """What one exploration found: ``states``, ``transitions``,
+    ``violations`` (each the records of a violating history, whose last
+    record no spec state takes), ``seconds``, and its histories as an
+    acyclic automaton, never expanded into a trie.
+
+    Under history dedup a node is a walked (machine set, frontier) pair
+    (``explore``): its marks (``COMPLETE`` when one of its machines has no
+    successor, ``PRUNED`` when one hit the retry bound) and its edges
+    (record, ends the run?, child node), one per record its machines emit.
+    The paths from ``ROOT`` spell the histories, one each, since a node's
+    edges carry distinct records.  A path is a history when its last edge
+    ends the run or its last node has a mark, and a violation when its last
+    edge leads to ``BAD``; ``LEAF`` is a childless node for edges after
+    which no machine is left.  Everything else is derived:
+
+    * ``states`` and ``transitions`` are path sums, by dynamic programming
+      bottom-up: each node's closure counted once per path to it, which is
+      the number of (machine, history) states and of their successors;
+    * ``histories()`` is a pre-order walk over each node's sorted edges,
+      so its list comes out sorted, and ``history_count()`` a path count;
+    * ``violations`` lists the paths to ``BAD``, the same way, entering
+      only nodes with such a path below;
+    * ``digest()`` hashes each node bottom-up over the sorted (record,
+      history ends here?, child hash) of its edges that lead to a history,
+      then the root with its own flag.  A node's hash is a function of the
+      set of histories continuing through it, so equal history sets give
+      equal digests without being listed (the minimal acyclic automaton;
+      Revuz, TCS 1992; Daciuk, Mihov, Watson & Watson, CL 2000).
+    """
+
     def __init__(self):
         self.states = 0
         self.transitions = 0
-        self.complete = set()      # hist ids of maximal traces
-        self.cut = set()           # hist ids pruned at the retry bound
-        self.violations = []       # record tuples (first failing prefix)
+        self.violations = []
         self.seconds = 0.0
-        # the history trie, by hist id (0: the empty history): its parent's
-        # id and its last record
+        self._marks = bytearray(3)  # ROOT, BAD and LEAF
+        self._edges = [[], [], []]
+
+    def _graph(self):
+        """(marks, edges) by node id."""
+        return self._marks, self._edges
+
+    def histories(self, mask=COMPLETE | PRUNED):
+        """The sorted histories with a mark in `mask`: the complete ones
+        (``COMPLETE``; a run-ending edge's history is complete), the cut
+        ones (``PRUNED``), or both."""
+        marks, edges = self._graph()
+        return _paths(edges, marks[ROOT] & mask,
+                      lambda e: e[1] and mask & COMPLETE or marks[e[2]] & mask,
+                      _counts(marks, edges))
+
+    def history_count(self):
+        return _counts(*self._graph())[ROOT]
+
+    def digest(self):
+        """sha256 hex digest of the history set (class docstring)."""
+        marks, edges = self._graph()
+        counts = _counts(marks, edges)
+        hashes = _fold(edges, lambda v, hashes: sha256(repr(sorted(
+            (rec, bool(end or marks[c]), hashes[c])
+            for rec, end, c in edges[v] if end or counts[c])).encode())
+            .digest())
+        return sha256(repr((bool(marks[ROOT]), hashes[ROOT]))
+                      .encode()).hexdigest()
+
+
+class TrieResult(ExploreResult):
+    """Frontier dedup's result (``explore``), whose histories are the kept
+    representatives, interned in a trie by hist id (0: the empty
+    history): its parent's id, its last record and its marks.
+    ``complete`` and ``cut`` hold the ids of the complete and of the cut
+    histories, and ``violations`` lists them as they were found.  The
+    enumerators read the trie as a DAG whose every node has one parent."""
+
+    def __init__(self):
+        super().__init__()
+        self.complete = set()
+        self.cut = set()
         self._parents = array("q", [0])
         self._recs = [None]
+        self._marks = bytearray(1)
+
+    def _graph(self):
+        parents, recs = self._parents, self._recs
+        edges = [[] for _ in recs]
+        for h in range(1, len(recs)):
+            edges[parents[h]].append((recs[h], False, h))
+        return self._marks, edges
 
     def history_records(self, hid):
         parents, recs = self._parents, self._recs
@@ -153,9 +235,62 @@ class ExploreResult:
         out.reverse()
         return tuple(out)
 
-    def histories(self):
-        return sorted(self.history_records(h)
-                      for h in self.complete | self.cut)
+
+def _fold(edges, value):
+    """Per node reachable from ``ROOT``, `value(node, values)`, computed
+    bottom-up: `values` holds the values of the node's children."""
+    values = [None] * len(edges)
+    seen = bytearray(len(edges))
+    seen[ROOT] = 1
+    stack = [(ROOT, iter(edges[ROOT]))]
+    while stack:                          # a DFS; a node is done after
+        v, it = stack[-1]                 # all its children
+        for e in it:
+            c = e[2]
+            if not seen[c]:
+                seen[c] = 1
+                stack.append((c, iter(edges[c])))
+                break
+        else:
+            stack.pop()
+            values[v] = value(v, values)
+    return values
+
+
+def _path_sum(edges, own):
+    """Per node, the sum of `own` over the paths from it: its own, plus
+    its children's sums, a child counted once per edge into it."""
+    return _fold(edges, lambda v, sums: own(v) + sum(
+        sums[e[2]] for e in edges[v]))
+
+
+def _counts(marks, edges):
+    """Per node, the histories through it: its own, if marked, and the
+    ones below."""
+    return _path_sum(edges, lambda v: bool(marks[v]) + sum(
+        1 for _rec, end, c in edges[v] if end and not marks[c]))
+
+
+def _paths(edges, root, listed, live):
+    """The records of each path from ``ROOT`` whose last edge e has
+    `listed(e)`, after the empty path when `root`: a pre-order walk over
+    each node's edges in sorted order, so the list is sorted, that enters
+    only children with `live[child]`."""
+    out = []
+    stack = [((), root, ROOT)]
+    descending = {}                       # node -> its edges, sorted down
+    while stack:
+        h, keep, v = stack.pop()
+        if keep:
+            out.append(h)
+        es = descending.get(v)
+        if es is None:
+            es = descending[v] = sorted(edges[v], reverse=True)
+        for e in es:
+            keep = listed(e)
+            if keep or live[e[2]]:
+                stack.append((h + (e[0],), keep, e[2]))
+    return out
 
 
 def _new_id(table, value):
@@ -375,7 +510,10 @@ def _antichain_add(minimal, k, f):
     else:
         if any(map(f.issubset, kept)):
             kept[:] = filterfalse(f.issubset, kept)
-        kept.append(f)
+        if kept:
+            kept.append(f)
+        else:
+            minimal[k] = f
     return True
 
 
@@ -385,39 +523,41 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     reference-spec frontier runs online and refinement violations prune
     their branch.
 
-    A state is a machine and the id `hid` of the history it emitted,
-    interned in a trie of (parent id, record) pairs.  No step reads the
-    history, so the stack carries `hid` and its frontier beside the
-    machines.  A successor's chain of forced steps (``engine.forced``),
-    which emit nothing, runs when the successor is made; only its end is
-    keyed.  ``states`` counts expanded states, all chain ends, and
+    No step reads the history, so the stack carries a node of the history
+    DAG or trie, and its frontier, beside the machines.  A successor's
+    chain of forced steps (``engine.forced``), which emit nothing, runs
+    when the successor is made; only its end is keyed.  ``states`` counts
+    expanded (machine, history) states, all chain ends, and
     ``transitions`` their successors.  A successor whose target is a leaf
     tag (``engine`` docstring) leaves no machine: an ``END`` one, a fault
-    or a run-ending crash, adds its history to ``complete`` unless it
-    violates, and a ``CUT`` one adds its parent's history to ``cut``.
-    ``state_hook(cfg, m, hid)``, when given, sees each expanded machine
-    and its history's id, then its successors' chains but their ends,
-    with the same id.
+    or a run-ending crash, completes its history unless it violates, and a
+    ``CUT`` one marks its parent's history cut.  ``state_hook(cfg, m,
+    node)``, when given, sees each expanded machine and its node's id,
+    then its successors' chains but their ends, with the same id.
 
     dedup="history" keeps every state (needed when the history *set* is
-    the product, e.g. for the cross-checks) and walks the history trie,
-    not the states: the subset construction (Rabin & Scott, 1959), on the
-    fly.  A stack entry is a trie node: its id, its frontier and the
-    frozenset of machines (numbered by ``state_keyer``'s exact key) that
-    reach it.  A popped node closes its set under silent successors, whose
-    machines are its states, and groups the emitting successors by record
-    into its children's sets.  It is complete when one of its machines has
-    no successor: ended, or stalled (e.g. an allocation blocked on an
-    empty free list stalls its transaction and anything awaiting the lock
-    behind it).  Successors depend on the machine alone, so each machine
-    is expanded once per call, when the hook sees it with that node's id,
-    and each distinct set is closed once.  A node's subtree depends only
-    on its machine set and frontier, and a DFS numbers a node's
-    descendants in one id range, so a later node with the same pair copies
-    the first one's range, shifted, instead of walking it: ids, marks,
-    violations in order and counts are the walk's.  A copy is made only
-    if it fits the budget; under stop_on_violation no finished subtree
-    holds a violation.
+    the product, e.g. for the cross-checks) and walks the pairs of a
+    machine set and a frontier, not the states: the subset construction
+    (Rabin & Scott, 1959), on the fly.  A stack entry is an edge into a
+    node: the node's frontier and the frozenset of machines (numbered by
+    ``state_keyer``'s exact key) that reach it.  A popped node closes its
+    set under silent successors, whose machines are its states, and groups
+    the emitting successors by record into its children's sets.  It is
+    complete when one of its machines has no successor: ended, or stalled
+    (e.g. an allocation blocked on an empty free list stalls its
+    transaction and anything awaiting the lock behind it).  Successors
+    depend on the machine alone, so each machine is expanded once per
+    call, when the hook sees it with the first node whose closure holds
+    it, and each distinct set is closed once.  A node's subtree depends
+    only on its pair, so each pair is one node of the result's DAG
+    (``ExploreResult``), walked when first popped; a later edge into it
+    links the walked node.  ``states`` and ``transitions`` are the DAG's
+    path sums, the counts of the trie it stands for, and ``violations``
+    its paths into ``BAD``.  ``cfg.max_states`` bounds the states the walk
+    expands, each pair's closure once: a path-summed budget would count
+    every repeated subtree again.  Under stop_on_violation the walk ends
+    at the first violation; the edges still on the stack are dropped, so
+    the result is the part walked.
 
     dedup="frontier" pops one state at a time.  ``orbit_keyer`` keys each
     machine up to a renaming of transaction ids, with its crashes used,
@@ -435,32 +575,81 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     equal counts compare.  So every violation reachable from (m, c, F) is
     reachable, with no more records, from an already pushed (m, c0, G):
     with ``orbit_keyer``'s argument this is complete for violation
-    finding, and the histories it keeps are representatives of minimal
-    (c, F) pairs up to txid renaming, plus every history that a fault or
-    a run-ending crash ends.  Frontiers hold spec states in canonical form
-    (``refspec.canonical``), which drops what no spec step reads: a state
-    and its form accept the same continuations, and the map commutes with
-    renaming and keeps subsets, so both arguments above hold and every
-    verdict stays, while histories with equal futures get equal frontiers
-    and merge (violation lists can only shrink).  Under history dedup the
-    form changes no history set, violation list or count; it only lets
-    more nodes share a (machine set, frontier) pair and be copied.
+    finding, and the histories it keeps, in a ``TrieResult``, are
+    representatives of minimal (c, F) pairs up to txid renaming, plus
+    every history that a fault or a run-ending crash ends.  Frontiers hold
+    spec states in canonical form (``refspec.canonical``), which drops
+    what no spec step reads: a state and its form accept the same
+    continuations, and the map commutes with renaming and keeps subsets,
+    so both arguments above hold and every verdict stays, while histories
+    with equal futures get equal frontiers and merge (violation lists can
+    only shrink).  Under history dedup the form changes no history set,
+    violation list or count; it only lets more histories share a node.
 
     When more than `cfg.max_states` states would be expanded, raises
-    BudgetExceeded carrying the counts so far.
+    BudgetExceeded carrying the result so far, whose counts are the
+    states and transitions expanded.
     """
     if dedup not in ("history", "frontier"):
         raise ValueError("dedup must be 'history' or 'frontier'")
     if dedup == "frontier" and not check:
         raise ValueError("frontier dedup requires checking")
     t0 = time.monotonic()
-    res = ExploreResult()
-    parents, recs = res._parents, res._recs
-    marks = bytearray(1)                  # hist id -> COMPLETE | PRUNED
-    bad = []                              # the violations' hist ids
-    shared = {}                           # frontier -> its one copy
+
+    def expand(m, node):
+        """`m`'s successors as (target, rec), a machine target replaced by
+        its chain's end; () if `m` ended outside recovery."""
+        if state_hook is not None:
+            state_hook(cfg, m, node)
+        if m[M_REC] is None and ended(m):
+            return ()
+        out = []
+        for m2, rec in successors(cfg, m):
+            if type(m2) is tuple:         # a machine, not a leaf tag
+                m3 = forced(cfg, m2)
+                while m3 is not None:
+                    if state_hook is not None:
+                        state_hook(cfg, m2, node)
+                    m2, m3 = m3, forced(cfg, m3)
+            out.append((m2, rec))
+        return out
+
     f0 = refspec.initial_frontier(cfg.txns, cfg.locs, cfg.prealloc) \
         if check else None
+    walk = _walk_states if dedup == "frontier" else _walk_pairs
+    res = TrieResult() if dedup == "frontier" else ExploreResult()
+    try:
+        walk(cfg, res, f0, expand, stop_on_violation)
+    finally:
+        res.seconds = time.monotonic() - t0
+    return res
+
+
+def _over_budget(cfg, res):
+    return BudgetExceeded("state budget exceeded (%d)" % cfg.max_states, res)
+
+
+def _walk_states(cfg, res, f0, expand, stop_on_violation):
+    """Frontier dedup's walk (``explore``), into the trie of `res`."""
+    parents, recs, marks = res._parents, res._recs, res._marks
+    shared = {}                           # frontier -> its one copy
+    key = orbit_keyer(cfg, shared)
+    # orbit key -> the minimal frontiers pushed with it, each renamed as
+    # its key's sorted machine
+    minimal = {}
+    # fewer crashes used cover more only where no script waits for an era
+    monotone = cfg.max_crashes and not (
+        cfg.scripts and any(era for _ops, era in cfg.scripts))
+
+    def new(m, f):
+        """Was the state (machine m, frontier f) new?"""
+        k, f = key(m, f)
+        c = monotone and k & CRASHES
+        # the same machine pushed with fewer crashes used
+        for k0 in range(k - c, k):
+            if _covered(minimal.get(k0), f):
+                return False
+        return _antichain_add(minimal, k, f)
 
     def child(hid, rec, f):
         """A new history, `hid`'s extended by `rec`, where `hid` has
@@ -470,208 +659,174 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
         parents.append(hid)
         recs.append(rec)
         marks.append(0)
-        if not check:
-            return h2, None
         f2 = refspec.advance_frontier(f, rec)
         if not f2:
-            bad.append(h2)
             res.violations.append(res.history_records(h2))
             return ()
         return h2, shared.setdefault(f2, f2)
 
-    def expand(m, hid):
-        """`m`'s successors as (target, rec), a machine target replaced by
-        its chain's end; () if `m` ended outside recovery."""
-        if state_hook is not None:
-            state_hook(cfg, m, hid)
-        if m[M_REC] is None and ended(m):
-            return ()
-        out = []
-        for m2, rec in successors(cfg, m):
-            if type(m2) is tuple:         # a machine, not a leaf tag
-                m3 = forced(cfg, m2)
-                while m3 is not None:
-                    if state_hook is not None:
-                        state_hook(cfg, m2, hid)
-                    m2, m3 = m3, forced(cfg, m3)
-            out.append((m2, rec))
-        return out
-
-    def over_budget():
-        return BudgetExceeded("state budget exceeded (%d)" % cfg.max_states,
-                              res)
-
     m0 = initial_machine(cfg)             # it has no forced step
+    intern = {}                           # (parent, record) -> child(...)
+    new(m0, f0)
+    stack = [(m0, 0, f0)]                 # (machine, history id, frontier)
+    push = stack.append
     # the counts live in locals while the loop runs, and reach `res` on
     # every way out of it
     states = transitions = 0
     try:
-        if dedup == "frontier":
-            key = orbit_keyer(cfg, shared)
-            # orbit key -> the minimal frontiers pushed with it, each
-            # renamed as its key's sorted machine
-            minimal = {}
-            # fewer crashes used cover more only where no script waits for
-            # an era
-            monotone = cfg.max_crashes and not (
-                cfg.scripts and any(era for _ops, era in cfg.scripts))
-
-            def new(m, f):
-                """Was the state (machine m, frontier f) new?"""
-                k, f = key(m, f)
-                c = monotone and k & CRASHES
-                # the same machine pushed with fewer crashes used
-                for k0 in range(k - c, k):
-                    if _covered(minimal.get(k0), f):
-                        return False
-                return _antichain_add(minimal, k, f)
-
-            intern = {}           # (parent, record) -> child(...)
-            new(m0, f0)
-            stack = [(m0, 0, f0)]         # (machine, history id, frontier)
-            push = stack.append
-            while stack:
-                m, hid, f = stack.pop()
-                if states >= cfg.max_states:
-                    raise over_budget()
-                states += 1
-                succs = expand(m, hid)
-                if not succs:
-                    marks[hid] |= COMPLETE
-                for m2, rec in succs:
-                    transitions += 1
-                    if m2 is CUT:
-                        marks[hid] |= PRUNED
-                        continue
-                    h2, f2 = hid, f
-                    if rec is not None:
-                        hkey = (hid, rec)
-                        got = intern.get(hkey)
-                        if got is None:
-                            got = intern[hkey] = child(hid, rec, f)
-                        if not got:
-                            if stop_on_violation:
-                                return res
-                            continue
-                        h2, f2 = got
-                    if m2 is END:
-                        marks[h2] |= COMPLETE
-                    elif new(m2, f2):
-                        push((m2, h2, f2))
-            return res
-
-        key = state_keyer()
-        ids = {}                          # machine key -> its number
-        # number -> the machine (None once expanded), and -> its `expand`
-        # with machines numbered (None until then)
-        machines, succ_of = [], []
-
-        def number(m):
-            k = key(m)
-            i = ids.get(k)
-            if i is None:
-                i = ids[k] = len(machines)
-                machines.append(m)
-                succ_of.append(None)
-            return i
-
-        def close(ms, hid):
-            """Closure size and successor count, marks (COMPLETE or PRUNED)
-            and children as (rec, ends the run?, machine set) of the node
-            with machine set `ms`, then its closure in expansion order."""
-            reach, inside = list(ms), set(ms)
-            trans = 0
-            stalled = cut = False
-            kids = {}
-            for i in reach:               # grows as the closure does
-                out = succ_of[i]
-                if out is None:
-                    out = succ_of[i] = tuple(     # leaf tags are strings
-                        (m2 if type(m2) is str else number(m2), rec)
-                        for m2, rec in expand(machines[i], hid))
-                    machines[i] = None
-                trans += len(out)
-                stalled = stalled or not out
-                for j, rec in out:
-                    if j is CUT:
-                        cut = True
-                    elif rec is not None:
-                        kids.setdefault(rec, set()).add(j)
-                    elif j not in inside:
-                        inside.add(j)
-                        reach.append(j)
-            return (len(reach), trans, stalled * COMPLETE | cut * PRUNED,
-                    tuple((rec, END in js, frozenset(js - {END}))
-                          for rec, js in kids.items()), reach)
-
-        nodes = {}                        # machine set -> close(...)[:4]
-        # (machine set, frontier) -> the subtree below the first node with
-        # it: its descendants' ids [start, end), their states and
-        # transitions with the node's own, and the positions of their
-        # violations in `bad`, [v0, v1)
-        done = {}
-        stack = [(0, f0, frozenset((number(m0),)))]
-        push = stack.append
         while stack:
-            top = stack.pop()
-            if len(top) == 2:             # a walked node's end marker
-                k, (start, s0, tr0, v0) = top
-                done[k] = (start, len(recs), states - s0, transitions - tr0,
-                           v0, len(bad))
-                continue
-            hid, f, ms = top
-            node = nodes.get(ms)
-            if node is None:
-                node = nodes[ms] = close(ms, hid)[:4]
-            n, trans, mark, kids = node
-            k = (ms, f)
-            sub = done.get(k)
-            if sub is not None and states + sub[2] <= cfg.max_states:
-                # the same subtree again: copy its ids, shifted, where the
-                # first node's children come first
-                start, end, n, trans, v0, v1 = sub
-                shift = len(recs) - start
-                parents.extend([hid] * len(kids))
-                parents.extend([p + shift
-                                for p in parents[start + len(kids):end]])
-                recs.extend(recs[start:end])
-                marks[hid] |= mark
-                marks.extend(marks[start:end])
-                for v in bad[v0:v1]:
-                    bad.append(v + shift)
-                    res.violations.append(res.history_records(v + shift))
-                states += n
-                transitions += trans
-                continue
-            push((k, (len(recs), states, transitions, len(bad))))
-            if states + n > cfg.max_states:
-                # count the closure's states one by one up to the budget
-                for i in close(ms, hid)[4]:
-                    if states >= cfg.max_states:
-                        raise over_budget()
-                    states += 1
-                    transitions += len(succ_of[i])
-            states += n
-            transitions += trans
-            marks[hid] |= mark
-            for rec, end, ms2 in kids:
-                got = child(hid, rec, f)
-                if not got:
-                    if stop_on_violation:
-                        return res
+            m, hid, f = stack.pop()
+            if states >= cfg.max_states:
+                raise _over_budget(cfg, res)
+            states += 1
+            succs = expand(m, hid)
+            if not succs:
+                marks[hid] |= COMPLETE
+            for m2, rec in succs:
+                transitions += 1
+                if m2 is CUT:
+                    marks[hid] |= PRUNED
                     continue
-                h2, f2 = got
-                if end:
+                h2, f2 = hid, f
+                if rec is not None:
+                    hkey = (hid, rec)
+                    got = intern.get(hkey)
+                    if got is None:
+                        got = intern[hkey] = child(hid, rec, f)
+                    if not got:
+                        if stop_on_violation:
+                            return
+                        continue
+                    h2, f2 = got
+                if m2 is END:
                     marks[h2] |= COMPLETE
-                if ms2:
-                    push((h2, f2, ms2))
+                elif new(m2, f2):
+                    push((m2, h2, f2))
     finally:
         res.states, res.transitions = states, transitions
         ids = range(len(marks))
         res.complete = set(compress(ids, map(COMPLETE.__and__, marks)))
         res.cut = set(compress(ids, map(PRUNED.__and__, marks)))
-        res.seconds = time.monotonic() - t0
-    return res
+
+
+def _walk_pairs(cfg, res, f0, expand, stop_on_violation):
+    """History dedup's walk (``explore``), into the DAG of `res`."""
+    key = state_keyer()
+    ids = {}                              # machine key -> its number
+    # number -> the machine (None once expanded), and -> its `expand` with
+    # machines numbered (None until then)
+    machines, succ_of = [], []
+
+    def number(m):
+        k = key(m)
+        i = ids.get(k)
+        if i is None:
+            i = ids[k] = len(machines)
+            machines.append(m)
+            succ_of.append(None)
+        return i
+
+    def close(ms, node):
+        """Closure size and successor count, marks (COMPLETE or PRUNED)
+        and children as (rec, ends the run?, machine set) of the node with
+        machine set `ms`, then its closure in expansion order."""
+        reach, inside = list(ms), set(ms)
+        trans = 0
+        stalled = cut = False
+        kids = {}
+        for i in reach:                   # grows as the closure does
+            out = succ_of[i]
+            if out is None:
+                out = succ_of[i] = tuple(         # leaf tags are strings
+                    (m2 if type(m2) is str else number(m2), rec)
+                    for m2, rec in expand(machines[i], node))
+                machines[i] = None
+            trans += len(out)
+            stalled = stalled or not out
+            for j, rec in out:
+                if j is CUT:
+                    cut = True
+                elif rec is not None:
+                    kids.setdefault(rec, set()).add(j)
+                elif j not in inside:
+                    inside.add(j)
+                    reach.append(j)
+        return (len(reach), trans, stalled * COMPLETE | cut * PRUNED,
+                tuple((rec, END in js, frozenset(js - {END}))
+                      for rec, js in kids.items()), reach)
+
+    marks, edges = res._marks, res._edges
+    closed = {}                           # machine set -> close(...)[:4]
+    nodes = {}                            # (machine set, frontier) -> node
+    # node -> its closure's (states, transitions), None until walked
+    size = [None, (0, 0), (0, 0)]
+    shared = {}                           # frontier -> its one copy
+    # (parent, edge into the node, its frontier, its machine set)
+    stack = [(None, (None, False, ROOT), f0,
+              frozenset((number(initial_machine(cfg)),)))]
+    push = stack.append
+    states = transitions = 0              # expanded so far
+    try:
+        while stack:
+            _src, e, f, ms = stack.pop()
+            v = e[2]
+            if size[v] is not None:       # walked from an earlier edge
+                continue
+            node = closed.get(ms)
+            if node is None:
+                node = closed[ms] = close(ms, v)[:4]
+            n, trans, mark, kids = node
+            if states + n > cfg.max_states:
+                # count the closure's states one by one up to the budget
+                for i in close(ms, v)[4]:
+                    if states >= cfg.max_states:
+                        res.states, res.transitions = states, transitions
+                        _drop_pending(edges, stack)
+                        raise _over_budget(cfg, res)
+                    states += 1
+                    transitions += len(succ_of[i])
+            states += n
+            transitions += trans
+            size[v] = n, trans
+            marks[v] = mark
+            out = edges[v]
+            for rec, end, ms2 in kids:
+                f2 = None
+                if f is not None:
+                    f2 = refspec.advance_frontier(f, rec)
+                    if not f2:
+                        out.append((rec, False, BAD))
+                        if stop_on_violation:
+                            _drop_pending(edges, stack)
+                            break
+                        continue
+                    f2 = shared.setdefault(f2, f2)
+                if not ms2:
+                    out.append((rec, True, LEAF))
+                    continue
+                c = nodes.get((ms2, f2))
+                if c is None:
+                    c = nodes[ms2, f2] = len(edges)
+                    edges.append([])
+                    marks.append(0)
+                    size.append(None)
+                e2 = (rec, end, c)
+                out.append(e2)
+                push((v, e2, f2, ms2))
+    finally:
+        if f0 is not None:
+            res.violations = _paths(edges, False, lambda e: e[2] == BAD,
+                                    _path_sum(edges, lambda v: v == BAD))
+    res.states = _path_sum(edges, lambda v: size[v][0])[ROOT]
+    res.transitions = _path_sum(edges, lambda v: size[v][1])[ROOT]
+
+
+def _drop_pending(edges, stack):
+    """End a walk early, keeping the part walked: the edges on the stack
+    go."""
+    while stack:
+        src, e = stack.pop()[:2]
+        edges[src].remove(e)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +874,7 @@ def check_lower(impl, model="psc", txns=2, locs=2, vals=2, buf=2, ops=2,
     # history needs nothing but a serial schedule
     cfg.serial = True
     res = explore(cfg, check=False)
-    produced = {res.history_records(h) for h in res.complete}
+    produced = set(res.histories(COMPLETE))
     targets = sorted(refspec.sequential_histories(txns, locs, vals, ops))
     missing = [h for h in targets if h not in produced]
     return LowerResult(len(targets), missing, time.monotonic() - t0)
@@ -741,8 +896,7 @@ def run_intro_cases(model="psc", impl="pmdk-seq", por=True):
     res = explore(cfg, check=True)
     buckets = {"before-commit": set(), "during-commit": set(),
                "after-commit": set(), "clean": set()}
-    for hid in res.complete | res.cut:
-        records = res.history_records(hid)
+    for records in res.histories():
         crash_at = inv_begin = inv_commit = res_commit = None
         outcome = None
         for i, rec in enumerate(records):

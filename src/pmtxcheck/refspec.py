@@ -300,13 +300,21 @@ def advance_frontier(frontier, rec):
     return frozenset(closure(nxt))
 
 
+def _commit_pending(st, txid):
+    """Whether transaction `txid` of `st` has its commit applied and its
+    response pending: else a commit response matches nothing."""
+    txs = st[1]
+    return 0 <= txid < len(txs) and txs[txid][0] == PI
+
+
 def accepts_history(records, txns, locs, witness=False, prealloc=0):
     """Membership of an inv/res/crash/fault record sequence: one iterative
     depth-first search for an accepting run over (position, spec state)
     nodes, failed nodes kept in a dead set for the call.  A record moves a
     node one way (``match_record``), so the search branches only on commit
     steps: it follows a node's record match first and opens a frame for
-    the node's commit steps only on backtrack.
+    the node's commit steps only on backtrack, or at once at a commit
+    response whose commit is not applied yet, which no record match takes.
     With witness=True also returns, on acceptance, the run's state after
     each consumed record (a trailing ACCEPT_ALL marks a matched fault),
     else None.
@@ -327,7 +335,8 @@ def accepts_history(records, txns, locs, witness=False, prealloc=0):
         if rec[0] == "fault":
             if fault_possible(st, *rec[1:]):
                 break
-        else:
+        elif rec[0] != "res" or rec[2] != "commit" \
+                or _commit_pending(st, rec[1]):
             nxt = match_record(st, rec)
             if nxt is not None:
                 node = (pos + 1, nxt)

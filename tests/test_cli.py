@@ -3,7 +3,7 @@ violation was found, 2 a usage error."""
 
 import pytest
 
-from pmtxcheck import cli
+from pmtxcheck import cli, explorer
 from pmtxcheck.traces import emit_trace, parse_trace
 
 # transaction 0 begins twice and writes after its abort
@@ -61,3 +61,20 @@ def test_opacity_usage_errors_exit_2(capsys, argv, error):
         cli.main(["check", "opacity"] + argv)
     assert exc.value.code == 2
     assert error in capsys.readouterr().err
+
+
+def test_emit_traces_writes_one_trace_per_history(tmp_path, capsys):
+    out = tmp_path / "traces"
+    argv = ["--txns", "1", "--locs", "1", "--ops", "1", "--crashes", "1",
+            "--por"]
+    assert cli.main(["check", "upper", "--emit-traces", str(out)]
+                    + argv) == 0
+    printed = capsys.readouterr().out
+    files = sorted(out.iterdir())
+    assert "histories checked: %d\n" % len(files) in printed
+    cfg = explorer.Config("pmdk-seq", "psc", txns=1, locs=1, ops=1,
+                          max_crashes=1, por=True)
+    want = explorer.explore(cfg, dedup="history").histories()
+    assert len(want) > 1
+    # file i holds history i of the sorted list
+    assert [parse_trace(path) for path in files] == want

@@ -30,7 +30,7 @@ from pmtxcheck.refspec import (ACCEPT_ALL, accepts_history, advance_frontier,
 
 def hist_set(cfg, **kw):
     r = explore(cfg, **kw)
-    return {tuple(r.history_records(h)) for h in r.complete | r.cut}, r
+    return set(r.histories()), r
 
 
 def expand_no_reduced_recovery(monkeypatch):
@@ -68,7 +68,7 @@ def test_budget_exceeded(capsys):
         explore(cfg)
     part = exc.value.result
     # earlier pins of both runs, and why they moved, are in CHANGES.md
-    assert (part.states, part.transitions, part.violations) == (100, 126, [])
+    assert (part.states, part.transitions, part.violations) == (100, 139, [])
     assert part.seconds > 0
     # the counts so far survive to the CLI, violations included
     assert cli.main(["check", "upper", "--txns", "2", "--locs", "1",
@@ -286,11 +286,12 @@ def test_reductions_preserve_history_sets(monkeypatch, impl, model, base,
     # pinned as it was before spent slots were made canonical, since that
     # quotient applies to both explorers
     base = dict(dict(txns=1, vals=2, buf=2, ops=2), **base)
-    naive, _ = hist_set(Config(impl, model, por=False, **base), check=False)
+    naive, rn = hist_set(Config(impl, model, por=False, **base), check=False)
     assert (len(naive), history_digest(naive)) == (count, digest)
     expand_no_reduced_recovery(monkeypatch)
-    reduced, _ = hist_set(Config(impl, model, por=True, **base), check=False)
+    reduced, rr = hist_set(Config(impl, model, por=True, **base), check=False)
     assert naive == reduced
+    assert rn.digest() == rr.digest() == ROOT_DIGESTS[digest]
 
 
 def test_reductions_preserve_history_sets_concurrent():
@@ -313,11 +314,12 @@ def test_reductions_preserve_history_sets_concurrent():
             ("pmdk-tml", "ptso", 1, commits),
             ("pmdk-seq", "ptso", 1, writer)):
         cfg = dict(base, max_crashes=crashes, scripts=scripts)
-        naive, _ = hist_set(Config(impl, model, por=False, **cfg),
-                            check=False)
-        reduced, _ = hist_set(Config(impl, model, por=True, **cfg),
-                              check=False)
+        naive, rn = hist_set(Config(impl, model, por=False, **cfg),
+                             check=False)
+        reduced, rr = hist_set(Config(impl, model, por=True, **cfg),
+                               check=False)
         assert naive == reduced, (impl, model, crashes)
+        assert rn.digest() == rr.digest(), (impl, model, crashes)
 
 
 def ptso_machine(cfg, cell, pbuf=()):
@@ -598,6 +600,17 @@ def test_frontier_antichain():
     assert kept(minimal) == [frozenset()]
 
 
+def test_frontier_antichain_stores_a_lone_survivor_bare():
+    # a frontier that replaces every kept one of a list is stored bare,
+    # like the first frontier of a key
+    a, b, sub = frozenset({1}), frozenset({2}), frozenset()
+    minimal = {}
+    assert _antichain_add(minimal, 0, a) and _antichain_add(minimal, 0, b)
+    assert minimal[0] == [a, b]
+    assert _antichain_add(minimal, 0, sub)
+    assert minimal[0] is sub
+
+
 def test_frontier_covered():
     a, b = frozenset({1}), frozenset({2})
     assert not _covered(None, a)
@@ -665,7 +678,7 @@ def test_state_counts_pinned(impl, model, locs, crashes, ops, dedup, counts):
     # moves them on purpose updates the pins and says why in CHANGES.md
     r = explore(Config(impl, model, txns=2, locs=locs, max_crashes=crashes,
                        ops=ops, por=True), dedup=dedup)
-    assert (r.states, r.transitions, len(r.complete | r.cut)) == counts
+    assert (r.states, r.transitions, r.history_count()) == counts
     assert not r.violations
 
 
@@ -696,17 +709,62 @@ def test_por_history_sets_pinned(impl, model, crashes, count, digest):
                 dedup="history")
     hs = r.histories()
     assert not r.violations
-    assert len(hs) == count
+    assert len(hs) == r.history_count() == count
     assert history_digest(hs) == digest
+    assert r.digest() == ROOT_DIGESTS[digest]
+
+
+# the root digest (ExploreResult.digest) of each history set pinned above
+# by its sorted-history sha256
+ROOT_DIGESTS = {
+    TML_1_CRASH:
+    "a61ee4e8b9da52621765169984fd581ded2fd7ee6a285d81bb513a5325a7f666",
+    NOREC_1_CRASH:
+    "00f821a0e90380548b5cfbe9114883b55d4e27fda5c9ce20871b72f4b92f25a0",
+    "851d63b1fd8e9a706653dc96de39814911b2718b3ba8208f47181ead724b7356":
+    "56f584b0674fe1be1d78afeda3971f40c547eb50680b8d5608d540c8b015a1a4",
+    SEQ_1_CRASH:
+    "f8444ce613e6359ec7b8301274dce60e36190a43eb12b5d904393079277c5e87",
+    "9e7c5aa3a2825f1caed2300d141fc3d05e76e1e94ae28fc4e05bf852cca9b66e":
+    "a7fad5966afea74b36bd72b1d1f27b5cf0dee68692805635affa3d7479f5a85a",
+    "9a90359bf5c74659e5077e7873d668836ee7d5a23f385ba08a2e5a0cfcd40bcd":
+    "f91ce3411e3c78bee3024faf933264ef120e477e78d41bea290c662e55a179c9",
+    SEQ_DOUBLE_ROLLBACK:
+    "90c640ab4c5c7ac201a28d2157cc9bec486e8d3c31da4d6eda3b2c55d8b9249f",
+    "0309fc68485d327b3ccc52a8ab761517d65d46db8997583c92dab847d6bc659c":
+    "b7958e0eeba58d0a77f90235f7c898525a620635ff0ca54ec8a1d42c6d77b768",
+}
+
+
+def test_root_digests_tell_pinned_sets_apart():
+    # equal history sets give equal root digests (each test above that
+    # compares two sets compares their digests too), and these distinct
+    # sets distinct ones
+    assert len(set(ROOT_DIGESTS.values())) == len(ROOT_DIGESTS)
+
+
+def test_three_txn_psc_and_ptso_history_sets_equal():
+    # PSC <= PTSO (ROADMAP item 13) at 3 transactions, where the two sets
+    # are equal: a history-set gate that the history trie, at 30M nodes
+    # and 1.6 GB, kept out of reach.  The counts are path counts
+    runs = [explore(Config("pmdk-tml", model, txns=3, locs=1, vals=2, buf=2,
+                           ops=1, por=True))
+            for model in ("psc", "ptso")]
+    for r in runs:
+        assert not r.violations
+        assert r.history_count() == 9_848_847
+    assert runs[0].digest() == runs[1].digest() == (
+        "f53a779fb81bd8b001eff9dc811a18ad590a7b23b23e4fd1f96bea61224cc56c")
 
 
 def test_history_dedup_expands_each_machine_once(monkeypatch):
     # successors depend on the machine alone, not on the history it was
-    # reached with, so history dedup walks the history trie: a node carries
-    # the set of machines that reach it, each machine is expanded at most
-    # once per call and asked once whether it ended, and each trie node is
-    # popped once.  The counts are still those of (machine, history) states
-    expanded, asked, shown = [], [], []
+    # reached with, so history dedup walks (machine set, frontier) pairs: a
+    # node carries the set of machines that reach it, each machine is
+    # expanded at most once per call and asked once whether it ended, and
+    # each pair is popped once, advancing its frontier once per edge.  The
+    # counts are still those of (machine, history) states
+    expanded, asked, shown, advanced = [], [], [], []
 
     def counted(cfg, m):
         expanded.append(m)
@@ -716,7 +774,11 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
         asked.append(m)
         return ended(m)
 
-    def hook(cfg, m, hid):
+    def counted_advance(f, rec):
+        advanced.append(rec)
+        return advance_frontier(f, rec)
+
+    def hook(cfg, m, node):
         # the hook also sees the machines of each chain but its end, and
         # only those have a forced step
         if forced(cfg, m) is None:
@@ -724,6 +786,7 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
 
     monkeypatch.setattr(explorer, "successors", counted)
     monkeypatch.setattr(explorer, "ended", counted_ended)
+    monkeypatch.setattr(refspec, "advance_frontier", counted_advance)
     r = explore(Config("pmdk-tml", "psc", txns=2, locs=1, vals=2, buf=2,
                        max_crashes=1, ops=1, por=True),
                 dedup="history", state_hook=hook)
@@ -733,25 +796,14 @@ def test_history_dedup_expands_each_machine_once(monkeypatch):
     live = {m for m in shown if m not in outside or not ended(m)}
     assert len(expanded) == len(set(expanded)) and set(expanded) == live
     assert outside - live                 # some machine ended
-    # each (parent, record) pair was made into a history once, and the
-    # states are the pair walk's count of distinct (machine, history)
-    # pairs, which a node popped twice would exceed.  Earlier counts, and
-    # why they moved, are in CHANGES.md
-    pairs = list(zip(r._parents, r._recs))
-    assert len(set(pairs)) == len(pairs)
+    # a node popped twice would advance its frontier, and add its edges,
+    # twice; the states are the path sums of the pair walk's DAG, the
+    # count of distinct (machine, history) pairs.  Earlier counts, and why
+    # they moved, are in CHANGES.md
+    assert len(advanced) == sum(map(len, r._edges))
     assert (len(live), r.states, r.transitions) == (1_171, 23_240, 37_393)
     assert history_digest(r.histories()) == TML_1_CRASH
-
-
-def trie_digest(runs):
-    """sha256 of each run's whole history trie, ids included, with its
-    marks, violations and counts."""
-    h = hashlib.sha256()
-    for r in runs:
-        h.update(repr((list(r._parents), r._recs, sorted(r.complete),
-                       sorted(r.cut), r.violations, r.states,
-                       r.transitions)).encode())
-    return h.hexdigest()
+    assert r.digest() == ROOT_DIGESTS[TML_1_CRASH]
 
 
 def over_budget(cfg, **kw):
@@ -760,33 +812,48 @@ def over_budget(cfg, **kw):
     return exc.value.result
 
 
-# taken before history dedup copied repeated subtrees
-HISTORY_TRIES = \
-    "9ad668ee24355fdee000e9a59d6a288fb1f8b0a5fb241fedddd79db3c61843dc"
+# sha256 of the four whole runs' outputs below, taken from the history
+# trie before history dedup kept a DAG; the sorted-history sha256 of the
+# partial run
+WHOLE_RUNS = \
+    "125b73eccf749fd51360c97e195e9e1b49fe049e2de67994aecfa4659f4e3d5d"
+PARTIAL_RUN = \
+    "2be6a64ee5eecfa35e97232a5ccad92e4320137e178bcccc0fea1807e18d925f"
 
 
-def test_history_trie_pinned():
-    # history dedup's trie, node for node, where subtrees repeat: the
-    # ddo-oracles pool's tml cell, a cell with hundreds of violations, a
-    # mutation cell with and without stop_on_violation, and a partial
-    # result
+def test_history_dedup_outputs_pinned():
+    # what history dedup reports where subtrees repeat: the ddo-oracles
+    # pool's tml cell, a cell with hundreds of violations, a mutation cell
+    # with and without stop_on_violation, and a partial result.  The four
+    # whole runs' sorted histories, sorted violations, states and
+    # transitions are those the history trie gave; the budget counts the
+    # states the walk expands
     mut = mutation_check_config("skip-flush-commit5")
     tml = dict(txns=2, locs=1, vals=2, buf=2, ops=2, por=True)
     runs = [explore(Config("pmdk-tml", "psc", **tml), check=False),
             explore(skip_validate_config()),
             explore(mut), explore(mut, stop_on_violation=True),
             over_budget(Config("pmdk-tml", "psc", max_crashes=1,
-                               max_states=50_000, **tml))]
-    assert [(len(r._recs), len(r.violations)) for r in runs] == [
-        (71_689, 0), (6_960, 455), (4_437, 17), (1_709, 1), (19_437, 0)]
-    assert trie_digest(runs) == HISTORY_TRIES
+                               max_states=10_000, **tml))]
+    assert [(r.history_count(), len(r.violations), r.states, r.transitions)
+            for r in runs] == [
+        (22_721, 0, 182_014, 249_768), (1_387, 455, 45_769, 64_742),
+        (1_712, 17, 23_617, 25_973), (596, 1, 3_855, 4_466),
+        (46_083, 0, 10_000, 19_488)]
+    h = hashlib.sha256()
+    for r in runs[:4]:
+        h.update(repr((r.histories(), sorted(r.violations), r.states,
+                       r.transitions)).encode())
+    assert h.hexdigest() == WHOLE_RUNS
+    assert history_digest(runs[4].histories()) == PARTIAL_RUN
 
 
-def test_history_dedup_copies_repeated_subtrees(monkeypatch):
+def test_history_dedup_shares_repeated_subtrees(monkeypatch):
     # a node's subtree depends only on its machine set and frontier, so
-    # history dedup walks it for the first node with them and copies it for
-    # the others: the frontier advances once per walked node, not once per
-    # trie node (196,104 advances when every node was walked)
+    # history dedup walks one node per pair and links it from every edge
+    # into it: the frontier advances once per edge of a walked node, not
+    # once per history prefix (196,104 advances when every prefix was
+    # walked), while the states are the counts of every prefix
     calls = []
 
     def counted(f, rec):
@@ -796,7 +863,7 @@ def test_history_dedup_copies_repeated_subtrees(monkeypatch):
     monkeypatch.setattr(refspec, "advance_frontier", counted)
     r = explore(Config("pmdk-tml", "psc", txns=2, locs=1, vals=2, buf=2,
                        max_crashes=1, ops=2, por=True))
-    assert (len(calls), len(r._recs), r.states) == (8_052, 196_105, 367_687)
+    assert (len(calls), r.states) == (8_052, 367_687)
     assert not r.violations
 
 
@@ -996,6 +1063,7 @@ def test_run_ending_crash_leaf_keeps_history_sets(monkeypatch, impl, model,
     enumerate_every_crash(monkeypatch)
     full = run()
     assert full.histories() == leaf.histories()
+    assert full.digest() == leaf.digest()
     # the leaf fired: the ended machines it used to leave are not popped
     assert full.states > leaf.states
 
@@ -1054,6 +1122,7 @@ def test_reduced_before_last_crash_keeps_history_sets(monkeypatch, impl,
     reduce_at_last_crash_only(monkeypatch)
     off = run()
     assert off.histories() == rule.histories()
+    assert off.digest() == rule.digest()
     # the rule fired
     assert off.states > rule.states
 
@@ -1185,6 +1254,7 @@ def test_fault_is_an_end_leaf(monkeypatch, impl, model, por):
     for r in list(now.values()) + list(old.values()):
         assert not r.violations
     assert now["history"].histories() == old["history"].histories()
+    assert now["history"].digest() == old["history"].digest()
     assert now["history"].states < old["history"].states
     now_faults, now_rest = split_faults(now["frontier"].histories())
     old_faults, old_rest = split_faults(old["frontier"].histories())

@@ -15,7 +15,7 @@ def cfg_seq(**kw):
 
 def histories(cfg, **kw):
     r = explore(cfg, **kw)
-    return [r.history_records(h) for h in sorted(r.complete | r.cut)], r
+    return r.histories(), r
 
 
 # ---------------------------------------------------------------------------

@@ -79,23 +79,25 @@ def verdict_cells(draw):
             draw(st.sampled_from((None,) + MUTATIONS)))
 
 
-def history_set(cell, por, max_states):
+def explored(cell, por, max_states):
     impl, model, crashes, prealloc, scripts = cell
     cfg = Config(impl, model, txns=len(scripts), locs=1, vals=1, buf=1,
                  max_crashes=crashes, ops=2, prealloc=prealloc,
                  scripts=scripts, por=por, max_states=max_states)
-    return set(explore(cfg, check=False).histories())
+    return explore(cfg, check=False)
 
 
 def check_cell(cell, max_states=DEFAULT_MAX_STATES):
-    """Assert the cell's --por history set is the unreduced one, and
-    return it; either exploration raises BudgetExceeded past `max_states`
-    states."""
-    naive = history_set(cell, False, max_states)
-    assert naive
-    reduced = history_set(cell, True, max_states)
-    assert reduced == naive, cell
-    return reduced
+    """Assert the cell's --por history set, and its digest, are the
+    unreduced ones, and return the set; either exploration raises
+    BudgetExceeded past `max_states` states."""
+    naive = explored(cell, False, max_states)
+    reduced = explored(cell, True, max_states)
+    hs = naive.histories()
+    assert hs
+    assert reduced.histories() == hs, cell
+    assert reduced.digest() == naive.digest(), cell
+    return set(hs)
 
 
 @settings(max_examples=400, deadline=None)
@@ -106,8 +108,8 @@ def test_por_keeps_history_set(cell):
     if model == "psc":
         # every PSC history is a PTSO one: a PTSO run that propagates each
         # store at once is a PSC run (ROADMAP item 13)
-        ptso = history_set((impl, "ptso", *rest), True, DEFAULT_MAX_STATES)
-        assert reduced <= ptso, cell
+        ptso = explored((impl, "ptso", *rest), True, DEFAULT_MAX_STATES)
+        assert reduced <= set(ptso.histories()), cell
 
 
 # few draws reach a violation, so each mutation a 1-location cell shows

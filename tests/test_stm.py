@@ -9,12 +9,12 @@ import pytest
 
 from pmtxcheck.engine import (M_CRASH, M_GLB, M_REC, M_TXNS, RUN, S_IP, S_LOC,
                               S_ST, S_WR)
-from pmtxcheck.explorer import Config, explore
+from pmtxcheck.explorer import PRUNED, Config, explore
 
 
 def histories(cfg, **kw):
     r = explore(cfg, **kw)
-    return [r.history_records(h) for h in sorted(r.complete | r.cut)], r
+    return r.histories(), r
 
 
 def outcome(h, t):
@@ -215,4 +215,4 @@ def test_retry_bound_cuts_are_reported_not_violations():
                  scripts=(((("write", 0, 1),), 0), ((("write", 0, 1),), 0)))
     hs, r = histories(cfg)
     assert not r.violations
-    assert r.cut
+    assert r.histories(PRUNED)

@@ -120,7 +120,7 @@ def run_cell(name, max_states):
     return {
         "states": res.states,
         "transitions": res.transitions,
-        "histories": len(res.complete | res.cut),
+        "histories": res.history_count(),
         "violations": len(found),
         "violations_sha256": hashlib.sha256(
             "\n".join(map(repr, found)).encode()).hexdigest(),
