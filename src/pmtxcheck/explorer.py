@@ -17,8 +17,9 @@ with the set of machines (``state_keyer``) that reach it, expanding each
 machine once per call, and keeps the pairs as a DAG whose paths are the
 histories (``ExploreResult``); frontier dedup interns its histories in a
 trie and skips a state when the same machine up to a renaming of
-transaction ids was pushed with no more crashes used and a subset of its
-frontier, renamed alike (``orbit_keyer``, ``explore``).
+transaction ids and its dead log cells was pushed with no more crashes
+used and a subset of its frontier, renamed alike (``orbit_keyer``,
+``explore``).
 
 ``check_upper`` is trace inclusion implementation <= spec; ``check_lower``
 explores the implementation's serial schedules once, crash-free and with
@@ -42,7 +43,8 @@ from operator import itemgetter
 
 from . import engine, refspec
 from .engine import (ABRT, COMM, CUT, DEAD, END, M_CRASH, M_REC, NS, RDY,
-                     RUN, S_ST, ended, forced, initial_machine, successors)
+                     RUN, S_ST, ended, forced, fresh_slot, initial_machine,
+                     successors)
 from .pmdk import MUTATIONS, Layout
 from .pmem import EXACT, MODELS, POR, REDUCED, PMem
 from .stm import IMPLS, build_programs
@@ -63,6 +65,8 @@ VIEW_BITS = 2 * ID_BITS + 2
 # to leave lower ids further along, so fewer machines need a permutation
 # to sort their views
 PROGRESS = {COMM: 0, ABRT: 0, DEAD: 0, RUN: 1, RDY: 1, NS: 2}
+# the views of ended slots, rank 0, are those below this
+ENDED_VIEWS = 1 << 2 * ID_BITS
 # a history node's mark bits: its history is complete, or cut
 COMPLETE, PRUNED = 1, 2
 # node ids of history dedup's DAG: the root, the child of every violating
@@ -357,17 +361,24 @@ def orbit_keyer(cfg, shared):
     Each distinct memory is split once; its shared part and its thread
     parts are interned, all threads' parts in one table, so equal parts of
     two threads get one id.  A thread's view is its slot's id, ranked by
-    the slot's status (``PROGRESS``), and its part's id.  The key packs
-    the shared part's id, the rest's (glb, free, rec) id, the views in
-    ascending order and, in the lowest ``ID_BITS``, the crashes used; the
-    sort is stable, so equal views keep ascending ids.  While recovery
-    runs (rec is not None) the views keep their order, since recovery
-    visits ids in ascending order, and so they do whenever ``cfg.scripts``
-    is set, since a script gives each id its own program: the same key
-    with the order fixed, and `f` as it is.  Equal keys mean machines
-    equal up to the renamings that sort both, and so the same machine
-    once renamed: `g` is the frontier of that one sorted machine (Ip &
-    Dill, FMSD 1996: one canonical representative per orbit).
+    the slot's status (``PROGRESS``), and its part's id, except that once
+    `m` is ``REDUCED`` outside recovery an ended thread (status ``COMM``,
+    ``ABRT`` or ``DEAD``) has its dead part instead, whose log cells are
+    blank: under PSC one constant part, and under PTSO its store buffer
+    with the values of the entries for its own cells (``~role``)
+    dropped.  Dead parts are interned in the parts' table, in a shape of
+    their own, each thread's next to its part when a memory is split.
+    The key packs the shared part's id, the rest's (glb, free, rec) id,
+    the views in ascending order and, in the lowest ``ID_BITS``, the
+    crashes used; the sort is stable, so equal views keep ascending ids.
+    While recovery runs (rec is not None) the views keep their order,
+    since recovery visits ids in ascending order, and so they do whenever
+    ``cfg.scripts`` is set, since a script gives each id its own program:
+    the same key with the order fixed, and `f` as it is.  Equal keys mean
+    machines equal, but for dead cells, up to the renamings that sort
+    both, and so the same machine once renamed: `g` is the frontier of
+    that one sorted machine (Ip & Dill, FMSD 1996: one canonical
+    representative per orbit).
 
     Soundness, for violation finding:
 
@@ -398,6 +409,23 @@ def orbit_keyer(cfg, shared):
       later from the pushed state.  So does ``explore``'s crashes-used
       order: the machines of one key with each count differ in the crash
       field alone, so their views sort alike.
+    * Dead log cells (a dead-variable reduction; Bozga, Fernandez &
+      Ghirvu, SAS 1999).  Outside recovery, ``REDUCED`` means no crash
+      that reads memory is left (``Config.regime``), so no recovery step
+      runs again; and it stays so, since crashes used only grow and slots
+      only leave ``NS``.  An ended slot never steps again.  Only thread
+      t's steps, and recovery of t, touch t's log cells
+      (``tests/test_steps.py`` checks this), so nothing reads an ended
+      thread's log cells again: the entries its store buffer holds for
+      them reach them by forced propagations (``engine.forced``), which
+      read the entries' cells, not their values.  So two machines that
+      differ only in those cells have the same successors and histories,
+      up to those cells, and the arguments above hold with "equal" read
+      as "equal up to dead cells".  The pushed machine stays the real
+      one.  Since no recovery step runs again, a mutation that changes
+      what recovery would read cannot make these cells live.  `key` tests
+      ``REDUCED`` inline, as --por, rec None, and no crash left or no
+      slot yet to begin (none is the fresh slot, ``engine.fresh_slot``).
 
     The pushed machine is always the real one, so violations and
     counterexamples are real histories; symmetry only prunes."""
@@ -410,24 +438,37 @@ def orbit_keyer(cfg, shared):
     ptso = cfg.pmem.model == "ptso"
     identity = tuple(range(n))
     fixed = bool(cfg.scripts)
+    por, last_crash, fresh = cfg.por, cfg.max_crashes, fresh_slot(cfg)
     mems, shareds, parts, slots, rests = {}, {}, {}, {}, {}
     renamed = {}                          # (order, f) -> f renamed by it
+    # a dead part is a 1-tuple, a live one a triple: under PSC every dead
+    # part is the blank one
+    blank = _new_id(parts, (None,))
 
     def split(mem):
-        """Each thread's part id of `mem`, then its shared part's id."""
+        """Each thread's part id of `mem`, then each thread's dead part
+        id, then its shared part's id."""
         nvm, pbufs, sbufs = mem
-        ids = []
+        ids, deads = [], []
         for t in range(n):
             get = parts_of[t]
             sbuf = None
+            dead = blank
             if ptso:
                 name = names[t].get
                 sbuf = tuple([(name(c, c), v) for c, v in sbufs[t]])
+                if sbuf:
+                    part = (tuple([(c, None) if c < 0 else (c, v)
+                                   for c, v in sbuf]),)
+                    i = parts.get(part)
+                    dead = _new_id(parts, part) if i is None else i
+            deads.append(dead)
             part = (get(nvm), get(pbufs), sbuf)
             i = parts.get(part)
             ids.append(_new_id(parts, part) if i is None else i)
         part = (shared_of(nvm), shared_of(pbufs))
         i = shareds.get(part)
+        ids += deads
         ids.append(_new_id(shareds, part) if i is None else i)
         return tuple(ids)
 
@@ -450,6 +491,9 @@ def orbit_keyer(cfg, shared):
         i = rests.get(rest)
         if i is None:
             i = _new_id(rests, rest)
+        # REDUCED outside recovery: then ended threads' parts are dead
+        dead = por and rec is None and (crashes >= last_crash
+                                        or fresh not in txns)
         views = []
         t = 0
         for slot in txns:
@@ -461,7 +505,8 @@ def orbit_keyer(cfg, shared):
                     j = _new_id(slots, slot)
                 hi = (PROGRESS[slot[S_ST]] << ID_BITS | j) << ID_BITS
                 last_slots[t], last_his[t] = slot, hi
-            views.append(hi | ids[t])
+            views.append(hi | ids[t + n if dead and hi < ENDED_VIEWS
+                                  else t])
             t += 1
         k = ids[-1] << ID_BITS | i
         ordered = views if fixed or rec is not None else sorted(views)
@@ -585,6 +630,10 @@ def explore(cfg, check=True, stop_on_violation=False, dedup="history",
     with equal futures get equal frontiers and merge (violation lists can
     only shrink).  Under history dedup the form changes no history set,
     violation list or count; it only lets more histories share a node.
+    Likewise the key leaves out an ended thread's log cells once its
+    machine is ``REDUCED`` outside recovery: no recovery runs again, so
+    no step reads them (``orbit_keyer``), and machines that differ only
+    there merge.
 
     When more than `cfg.max_states` states would be expanded, raises
     BudgetExceeded carrying the result so far, whose counts are the
