@@ -84,7 +84,8 @@ this order:
 Both emit nothing and touch only their thread's own log cells, or flush:
 only thread t's steps, and recovery of t run as thread t, load, store or
 flush t's log cells, and no private step changes what ``pmdk.fault_check``
-reads of its own slot (both checked in ``tests/test_steps.py``).  A crash
+reads of its own slot (both checked in ``tests/test_steps.py``), so none
+makes another thread's access fault, wait or proceed.  A crash
 the forced step displaces has the same successors after it: NVM is the
 same and every buffered value is still buffered, so each cell's crash
 candidates only grow, and the crashed tail is the same, since the slot

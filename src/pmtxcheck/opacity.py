@@ -220,25 +220,37 @@ def _mo_orders(ctx, loc_events):
 
 def find_witness(events, dynamic, ctx):
     """Search rf and mo making the (markerless) history opaque; None if no
-    witness exists.  `ctx` holds the history's facts.  Candidate mo orders
-    are filtered per location and rf choices by the core on rf alone, then
-    combined with a global check."""
+    witness exists.  `ctx` holds the history's facts.  Rf choices are
+    filtered by the core on rf alone and, under `dynamic`, by allocation:
+    rf fixes vis, so a location with a visible write and no visible
+    allocation fails dyn-alloc under every mo.  Only the choices left are
+    combined with the candidate mo orders, filtered per location and built
+    once one is needed, under a global check."""
     reads = [e.eid for e in events if e.kind == "R"]
     sources = [_sources(events, events[r]) for r in reads]
     if not all(sources):
         return None
 
-    locs = sorted({e.loc for e in events if e.kind in ("W", "M")})
-    per_loc = [_mo_orders(ctx, [e.eid for e in events
-                                if e.kind in ("W", "M") and e.loc == l])
-               for l in locs]
-    if not all(per_loc):
-        return None
-
+    tx, status = ctx[0], ctx[3]
+    mods = [e for e in events if e.kind in ("W", "M")]
+    locs = sorted({e.loc for e in mods})
+    if dynamic:   # per location, its writing and its allocating txns
+        duty = {l: (set(), set()) for l in locs}
+        for e in mods:
+            duty[e.loc][e.kind == "M"].add(e.txid)
+    per_loc = None
     for rf_choice in product(*sources):
         rf = dict(zip(reads, rf_choice))
         if _violation(ctx, rf, {}, False):   # no mo order can repair it
             continue
+        if dynamic:
+            vis = _vis(status, [(tx[w], tx[r]) for r, w in rf.items()
+                                if tx[w] != tx[r]])
+            if any(wr & vis and not al & vis for wr, al in duty.values()):
+                continue
+        if per_loc is None:
+            per_loc = [_mo_orders(ctx, [e.eid for e in mods if e.loc == l])
+                       for l in locs]
         for mo_choice in product(*per_loc):
             mo = dict(zip(locs, mo_choice))
             if _violation(ctx, rf, mo, dynamic) is None:

@@ -74,7 +74,8 @@ from them:
   by their role, the same for every thread (``explorer.orbit_keyer``);
 * ``cfg.noabort_ips``, read by ``fault_check``: the steps of the blocks
   flagged past the commit's point of no return, and every step they go or
-  fall to.
+  fall to.  Another thread's access to a location that such a step's
+  transaction allocated blocks until the transaction leaves its commit.
 
 Mutation hooks (checker-sensitivity experiments) are compile-time:
 ``skip-flush-commit5`` drops the redo-log flush, ``reorder-commit`` moves
@@ -187,10 +188,22 @@ def visible_undo_mask(cfg, m, ti):
 
 
 def fault_check(cfg, m, ti, loc):
-    """Model-level fault: the location is not self-allocated, not
-    allocated-visible, and not owned by another transaction that is past
-    its commit point of no return (whose allocations will be published,
-    though its per-location metadata stores may not all have landed yet)."""
+    """Access validity of `loc` for thread ti: False when the location is
+    self-allocated or its allocation metadata is visible, None (blocked)
+    when another running transaction past its commit's point of no return
+    (``cfg.noabort_ips``) allocated it, True (a fault) otherwise.
+
+    The blocked case is a choice.  An allocation belongs to its
+    transaction until the commit publishes it (the paper's PMDK-TX model),
+    and a commit past its point of no return has not published it yet: a
+    crash before its metadata persists loses the allocation.  Answering
+    "no fault" there let another transaction use the location before it
+    was published; once a crash lost the allocation, a later access of it
+    faulted.  The spec rejects such histories and dDO some of them, so the
+    implementation was at fault, not the spec.  So the access waits until
+    the committing transaction leaves its commit, as a lock wait does; a
+    crash meanwhile kills the waiter before it responds.  Every caller
+    returns None, the blocked step, on None."""
     slot = m[M_TXNS][ti]
     if (slot[S_AM] >> loc) & 1:
         return False
@@ -199,7 +212,7 @@ def fault_check(cfg, m, ti, loc):
     for j, u in enumerate(m[M_TXNS]):
         if (j != ti and u[S_ST] == RUN and u[S_IP] in cfg.noabort_ips
                 and (u[S_AM] >> loc) & 1):
-            return False
+            return None
     return True
 
 
@@ -312,8 +325,9 @@ def load(name, done):
         def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             l = slot[S_REGS][0]
-            if fault_check(cfg, m, ti, l):
-                return fault_state(ti, "read", l)
+            bad = fault_check(cfg, m, ti, l)
+            if bad is not False:  # a fault, or blocked (None)
+                return bad and fault_state(ti, "read", l)
             v = cfg.pmem.load(m[M_MEM], ti, cfg.layout.val(l))
             regs = (l, v) + slot[S_REGS][2:]
             slot = slot_upd(slot, (S_REGS, regs), (S_IP, done))
@@ -468,8 +482,9 @@ def pwrite(cfg, done):
         def step(m, ti, regime):
             slot = m[M_TXNS][ti]
             l, v = slot[S_REGS][0], slot[S_REGS][1]
-            if fault_check(cfg, m, ti, l):
-                return fault_state(ti, "write", l)
+            bad = fault_check(cfg, m, ti, l)
+            if bad is not False:
+                return bad and fault_state(ti, "write", l)
             if cfg.pmem.load(m[M_MEM], ti, lay.undo(ti, l)) != -1:
                 # already logged
                 mem2 = cfg.pmem.store(m[M_MEM], ti, lay.val(l), v,

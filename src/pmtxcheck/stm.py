@@ -200,8 +200,9 @@ def _validate(cfg, name, get_tv, set_tv, ok_pairs, ok):
             time, vmask = get_tv(slot)
             if vmask:
                 x = lowbit(vmask)
-                if fault_check(cfg, m, ti, x):
-                    return fault_state(ti, "read", x)
+                bad = fault_check(cfg, m, ti, x)
+                if bad is not False:  # a fault, or blocked (None)
+                    return bad and fault_state(ti, "read", x)
                 vv = cfg.pmem.load(m[M_MEM], ti, lay.val(x))
                 if vv != slot[S_RD][x]:
                     return [(set_slot(m, ti, slot_upd(slot, (S_IP, abort))),
@@ -234,8 +235,9 @@ def _norec_blocks(cfg):
                 slot2 = slot_upd(slot, *READY)
                 return [(set_slot(m, ti, slot2),
                          ("res", ti, "read", l, wr[l]))]
-            if fault_check(cfg, m, ti, l):
-                return fault_state(ti, "read", l)
+            bad = fault_check(cfg, m, ti, l)
+            if bad is not False:
+                return bad and fault_state(ti, "read", l)
             v = cfg.pmem.load(m[M_MEM], ti, lay.val(l))
             slot2 = slot_upd(slot, (S_REGS, (l, v, None, None)), (S_IP, go))
             return [(set_slot(m, ti, slot2), None)]
@@ -250,8 +252,10 @@ def _norec_blocks(cfg):
             def s_add(m, ti, regime):
                 slot = m[M_TXNS][ti]
                 l, v = slot[S_REGS][0], slot[S_REGS][1]
-                if op == "write" and fault_check(cfg, m, ti, l):
-                    return fault_state(ti, op, l)
+                if op == "write":
+                    bad = fault_check(cfg, m, ti, l)
+                    if bad is not False:
+                        return bad and fault_state(ti, op, l)
                 vals = slot[field]
                 slot = slot_upd(slot, (field, vals[:l] + (v,) + vals[l + 1:]),
                                 *READY)

@@ -7,9 +7,13 @@ which keeps exhaustive history collection small.
 
 import pytest
 
-from pmtxcheck.engine import (M_CRASH, M_GLB, M_REC, M_TXNS, RUN, S_IP, S_LOC,
-                              S_ST, S_WR)
+from pmtxcheck.engine import (COMM, DEAD, END, M_CRASH, M_FREE, M_GLB, M_MEM,
+                              M_REC, M_TXNS, RUN, S_AM, S_IP, S_LOC, S_RD,
+                              S_REGS, S_ST, S_WR, fresh_slot, initial_machine,
+                              set_mem, slot_upd, spent_slot)
 from pmtxcheck.explorer import PRUNED, Config, explore
+from pmtxcheck.pmdk import fault_check
+from pmtxcheck.pmem import REDUCED
 
 
 def histories(cfg, **kw):
@@ -216,3 +220,77 @@ def test_retry_bound_cuts_are_reported_not_violations():
     hs, r = histories(cfg)
     assert not r.violations
     assert r.histories(PRUNED)
+
+
+# ---------------------------------------------------------------------------
+# an access waits for a committing allocator
+# ---------------------------------------------------------------------------
+
+# the five steps that check access validity, each as (impl, step name, its
+# registers and further slot fields for an access of location 0): the
+# core's load and write guard, and NOrec's read, buffered write and read
+# set check
+ACCESSES = [
+    ("pmdk-tml", "pread.load", (0,), ()),
+    ("pmdk-tml", "pwrite.guard", (0, 1), ()),
+    ("pmdk-norec", "read.n0", (0,), ()),
+    ("pmdk-norec", "write.buffer", (0, 1), ()),
+    ("pmdk-norec", "rvalidate.check", (0, 0, 0, 0b1), ((S_RD, (0,)),)),
+]
+
+
+def access_machine(cfg, other, published=False, pairs=()):
+    """Two transactions at one location, which thread 1 (slot `other`)
+    took off the free list: thread 0 runs, with the slot updates `pairs`.
+    With `published`, location 0's allocation metadata is in NVM."""
+    mine = slot_upd(fresh_slot(cfg), (S_ST, RUN), *pairs)
+    m = initial_machine(cfg)
+    m = m[:M_FREE] + (0, (mine, other)) + m[M_TXNS + 1:]
+    if published:
+        m = set_mem(m, cfg.pmem.store(m[M_MEM], 1, cfg.layout.meta(0), 1,
+                                      REDUCED))
+    return m
+
+
+def allocator(cfg, step):
+    """Thread 1's running slot at `step`, location 0 in its allocations."""
+    return slot_upd(fresh_slot(cfg), (S_ST, RUN), (S_AM, 0b1),
+                    (S_IP, cfg.step_names.index(step)))
+
+
+def test_fault_check_answers_ok_blocked_or_fault():
+    cfg = Config("pmdk-tml", "psc", txns=2, locs=1, por=True)
+    committing = allocator(cfg, "pcommit.pw")
+    assert cfg.step_names.index("pcommit.pw") in cfg.noabort_ips
+    # another transaction past its point of no return allocated it: wait
+    assert fault_check(cfg, access_machine(cfg, committing), 0, 0) is None
+    # before its point of no return, or unpublished once it ended: a fault
+    for other in (allocator(cfg, "palloc.res"), spent_slot(cfg, DEAD)):
+        assert fault_check(cfg, access_machine(cfg, other), 0, 0) is True
+    # published, or self-allocated: no fault
+    assert fault_check(cfg, access_machine(cfg, spent_slot(cfg, COMM),
+                                           published=True), 0, 0) is False
+    own = access_machine(cfg, committing, pairs=((S_AM, 0b1),))
+    assert fault_check(cfg, own, 0, 0) is False
+
+
+@pytest.mark.parametrize("impl,step,regs,fields", ACCESSES,
+                         ids=[a[1] for a in ACCESSES])
+def test_access_waits_while_allocator_commits(impl, step, regs, fields):
+    # each caller of fault_check blocks while another running transaction
+    # at a no-abort step holds the location in its allocations; once that
+    # transaction has left its commit, with the allocation published, the
+    # step proceeds, and before its point of no return it faults
+    cfg = Config(impl, "psc", txns=2, locs=1, por=True)
+    pairs = ((S_IP, cfg.step_names.index(step)), (S_REGS, regs)) + fields
+
+    def run(other, published=False):
+        m = access_machine(cfg, other, published, pairs=pairs)
+        return cfg.step_table[pairs[0][1]](m, 0, cfg.regime(m))
+
+    for ip in cfg.noabort_ips:
+        assert run(allocator(cfg, cfg.step_names[ip])) is None
+    op = "write" if len(regs) == 2 else "read"
+    assert run(allocator(cfg, "palloc.res")) == [(END, ("fault", 0, op, 0))]
+    after = run(spent_slot(cfg, COMM), published=True)
+    assert after and all(target != END for target, _rec in after)
